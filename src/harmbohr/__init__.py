@@ -6,10 +6,6 @@ distance from the origin to the boundary of the extremal image.  Closed
 forms are used where they exist; everything else is bracketed root finding
 over rigorously bounded series, cross-checked by the oracles in
 :mod:`harmbohr.verifier`.
-
-The heavy circle-evaluation kernels (used only by the verifier) are
-numba-jitted with a pure-numpy fallback selected by the ``BOHR_PURE_NUMPY``
-environment variable.
 """
 
 from .classes import (

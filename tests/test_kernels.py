@@ -1,17 +1,13 @@
-"""Tests for the circle-evaluation kernels and their dispatch logic."""
+"""Tests for the circle-evaluation kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from harmbohr._kernels import (
-    HAS_NUMBA,
-    _abs_on_circle_numpy,
-    abs_on_circle,
-    eval_point,
-    use_numba,
-)
+from harmbohr import extremal_coefficients, ph_alpha
+from harmbohr._kernels import abs_on_circle, eval_point
+from harmbohr.errors import DomainError
 
 COEFFS = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
 THETAS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -25,25 +21,13 @@ def naive_abs(coeffs, rho, thetas):
     return np.abs(total)
 
 
-class TestDispatch:
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("BOHR_PURE_NUMPY", "1")
-        assert not use_numba()
-        monkeypatch.setenv("BOHR_PURE_NUMPY", "TRUE")
-        assert not use_numba()
-
-    def test_falsy_values_keep_default(self, monkeypatch):
-        monkeypatch.setenv("BOHR_PURE_NUMPY", "0")
-        assert use_numba() == HAS_NUMBA
-        monkeypatch.delenv("BOHR_PURE_NUMPY", raising=False)
-        assert use_numba() == HAS_NUMBA
-
-    def test_both_paths_give_same_result(self, monkeypatch):
-        monkeypatch.delenv("BOHR_PURE_NUMPY", raising=False)
-        default = abs_on_circle(COEFFS, 0.9, THETAS)
-        monkeypatch.setenv("BOHR_PURE_NUMPY", "1")
-        forced = abs_on_circle(COEFFS, 0.9, THETAS)
-        assert np.allclose(default, forced, rtol=0.0, atol=1e-13)
+def horner_abs(coeffs, rho, thetas):
+    # Horner over the coefficient index, vectorised across the grid.
+    z = rho * np.exp(1j * thetas)
+    acc = np.zeros_like(z)
+    for a in coeffs[::-1]:
+        acc = acc * z + a
+    return np.abs(acc * z)
 
 
 class TestAbsOnCircle:
@@ -51,19 +35,31 @@ class TestAbsOnCircle:
         got = abs_on_circle(COEFFS, 0.8, THETAS)
         assert np.allclose(got, naive_abs(COEFFS, 0.8, THETAS), rtol=0.0, atol=1e-13)
 
-    def test_numpy_path_matches_naive(self):
-        got = _abs_on_circle_numpy(COEFFS, 0.8, THETAS)
-        assert np.allclose(got, naive_abs(COEFFS, 0.8, THETAS), rtol=0.0, atol=1e-13)
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="jit backend unavailable")
-    def test_jitted_matches_numpy_on_long_series(self):
-        from harmbohr._kernels import _abs_on_circle_numba
-
+    def test_folds_more_terms_than_grid_points(self):
+        # 500 terms on 64 points: every bin receives 7 or 8 terms, and
+        # 500 mod 64 != 0 leaves the bins unevenly filled.
         rng = np.random.default_rng(12345)
-        coeffs = rng.uniform(0.0, 1.0, size=500) / np.arange(1, 501)
-        a = _abs_on_circle_numba(coeffs, 0.95, THETAS)
-        b = _abs_on_circle_numpy(coeffs, 0.95, THETAS)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+        coeffs = rng.uniform(-1.0, 1.0, size=500) / np.arange(1, 501)
+        got = abs_on_circle(coeffs, 0.95, THETAS)
+        assert np.allclose(got, naive_abs(coeffs, 0.95, THETAS), rtol=0.0, atol=1e-13)
+
+    def test_oracle_size_matches_horner(self):
+        # The size the distance oracle runs at: 10^5 terms, 720 points.
+        coeffs = extremal_coefficients(ph_alpha(0.3), 100_000).analytic
+        thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        got = abs_on_circle(coeffs, 0.999, thetas)
+        expect = horner_abs(coeffs, 0.999, thetas)
+        assert np.max(np.abs(got - expect)) <= 1e-13
+        assert np.argmin(got) == np.argmin(expect)
+
+    def test_non_uniform_grid_rejected(self):
+        for thetas in (
+            np.linspace(0.0, 2.0 * math.pi, 64),  # endpoint included
+            np.linspace(0.1, 0.1 + 2.0 * math.pi, 64, endpoint=False),  # shifted
+            np.sort(np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 64)),
+        ):
+            with pytest.raises(DomainError):
+                abs_on_circle(COEFFS, 0.5, thetas)
 
     def test_positive_coefficients_peak_at_angle_zero(self):
         values = abs_on_circle(COEFFS, 0.9, THETAS)

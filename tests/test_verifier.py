@@ -282,6 +282,7 @@ class TestRunSuite:
         assert result.passed
         assert "DISAGREES" in result.detail
         assert "0.58387765" in result.detail
+        assert "2Li2(r) - r = pi^2/12" in result.detail
 
     def test_details_are_deterministic(self):
         a = run_suite(only="closed-vs-bisection")
