@@ -3,8 +3,8 @@
 The package solves, for each family, the equation B(r) = d* where B is the
 majorant sum built from the family's sharp coefficient bounds and d* is the
 distance from the origin to the boundary of the extremal image.  Closed
-forms are used where they exist; everything else is bracketed root finding
-over rigorously bounded series, cross-checked by the oracles in
+forms are used where they exist; everything else is a certified Newton
+iteration over rigorously bounded series, cross-checked by the oracles in
 :mod:`harmbohr.verifier`.
 """
 

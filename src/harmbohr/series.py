@@ -100,9 +100,10 @@ def signed_power_series(
 
     if err > tol:
         achieved = SeriesValue(value, err)
+        name = f" {rule.name!r}" if rule.name else ""
         raise ConvergenceError(
-            f"power series did not reach tol={tol:g} within {max_terms} terms "
-            f"(error bound {err:g})",
+            f"power series{name} at x={x!r} did not reach tol={tol:g} "
+            f"with {ns.size} terms (error bound {err:g})",
             achieved=achieved,
         )
     return SeriesValue(value, err)

@@ -1,16 +1,17 @@
 """Construction and solution of the Bohr-radius equation.
 
-For each family the radius is the unique root in (0, 1) of
-
-    H(r) = B(r) - d*,
-
+For each family the radius is the unique root in (0, 1) of H(r) = B(r) - d*,
 where B is the majorant sum and d* the distance constant from
-:mod:`harmbohr.classes`.  H is strictly increasing (H' >= 1), H(0) = -d* < 0
-for nondegenerate parameters, and B(r) >= r with d* < 1 forces a sign change
-before r = 1, so a bracketed bisection always applies; a Newton polish then
-drives the residual to series-noise level.  Two families admit closed-form
-radii as roots of explicit quadratics, used both as fast paths and as
-cross-checks.
+:mod:`harmbohr.classes`.  All coefficient bounds are nonnegative, so H is
+convex and increasing with H' >= 1, and B(r) >= r puts the root in [0, d*]:
+Newton's method started at d* falls monotonically onto it (Fourier's
+condition; Ostrowski, *Solution of Equations and Systems of Equations*,
+ch. 9), in five to seven steps.  Each H(x) in [v - e, v + e] certifies a
+bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
+root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket, and
+points where a series cannot be summed, fall back to the midpoint.  Two
+families admit closed-form radii as roots of explicit quadratics, used both
+as fast paths and as cross-checks.
 """
 
 from __future__ import annotations
@@ -18,18 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .classes import ClassSpec, Family, bohr_sum, distance_bound, tb_m, validate
-from .errors import ConvergenceError, DomainError, InternalConsistencyError
+from .errors import ConvergenceError, DomainError
 from .series import CoefficientRule, SeriesValue, sum_power_series
 
-# Roots are searched on [0, UPPER_BRACKET]; every valid family keeps its
-# constant d* strictly below this, which certifies H > 0 at the right end.
-UPPER_BRACKET = 1.0 - 1e-9
+# Rounding allowance per unit magnitude of H = B - d*, which neither the
+# closed-form majorants (error 0) nor the series bounds include.
+_ROUNDING = 8.0 * 2.0**-52
 
 
 class Method(str, Enum):
+    """How a radius was obtained; ``BISECTION_NEWTON`` names the certified
+    iterative path (Newton with midpoint fallback), kept for the records."""
+
     CLOSED_FORM = "CLOSED_FORM"
     BISECTION_NEWTON = "BISECTION_NEWTON"
 
@@ -38,9 +42,9 @@ class Method(str, Enum):
 class SolverConfig:
     """Tolerances and budgets for the root search.
 
-    ``tol`` bounds the final bracket width and the accepted residual;
-    ``series_tol`` is passed through to every series evaluation; the
-    iteration budget covers bisection and Newton steps together.
+    ``tol`` bounds the final bracket width; ``series_tol`` is passed through
+    to every series evaluation; ``max_iter`` bounds the Newton and midpoint
+    steps together.
     """
 
     tol: float = 1e-12
@@ -64,7 +68,7 @@ class BohrEquation:
     spec: ClassSpec
     d_star: SeriesValue
     h: Callable[[float], SeriesValue]
-    h_prime: Optional[Callable[[float], float]]
+    h_prime: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,8 @@ class RadiusResult:
 
     ``residual`` is |H(radius)| plus the series error bound at that point;
     ``bracket_lo``/``bracket_hi`` enclose the root; ``iterations`` counts
-    bisection and Newton steps together (0 for closed forms).
+    Newton and midpoint steps together (0 for closed forms); ``d_star`` is
+    the distance constant the equation was solved against.
     """
 
     radius: float
@@ -82,9 +87,11 @@ class RadiusResult:
     bracket_hi: float
     iterations: int
     method: Method
+    d_star: SeriesValue
 
 
 def _h_prime(spec: ClassSpec, series_tol: float) -> Callable[[float], float]:
+    # Upper bounds on H': series-backed families add the series error.
     fam = spec.family
     if fam is Family.PH_ALPHA:
         a = spec.alpha
@@ -102,7 +109,12 @@ def _h_prime(spec: ClassSpec, series_tol: float) -> Callable[[float], float]:
     if fam is Family.WH_ALPHA:
         a = spec.alpha
         rule = CoefficientRule(lambda n: 2.0 / (1.0 + a * n), 1, "wh-derivative")
-        return lambda r: 1.0 + sum_power_series(rule, r, tol=tol).value
+
+        def h_prime(r: float) -> float:
+            s = sum_power_series(rule, r, tol=tol)
+            return 1.0 + s.value + s.error_bound
+
+        return h_prime
     # Lacunary family: differentiate term by term and split off the
     # geometric part, valid for every alpha > 0.
     a = spec.alpha
@@ -110,14 +122,15 @@ def _h_prime(spec: ClassSpec, series_tol: float) -> Callable[[float], float]:
     rule = CoefficientRule(lambda n: 1.0 / (1.0 + a * n), k, "gh-derivative")
 
     def h_prime(r: float) -> float:
-        s = sum_power_series(rule, r, tol=tol).value
-        return 1.0 + (2.0 / a) * (r**k / (1.0 - r) - (1.0 - a) * s)
+        s = sum_power_series(rule, r, tol=tol)
+        upper = r**k / (1.0 - r) - (1.0 - a) * s.value + abs(1.0 - a) * s.error_bound
+        return 1.0 + (2.0 / a) * upper
 
     return h_prime
 
 
 def build_equation(spec: ClassSpec, config: SolverConfig | None = None) -> BohrEquation:
-    """Assemble H and H' for the family at the configured tolerances."""
+    """Assemble H and an upper bound on H' at the configured tolerances."""
     cfg = config or SolverConfig()
     validate(spec)
     d = distance_bound(spec, tol=cfg.series_tol)
@@ -146,61 +159,51 @@ def closed_form_radius(spec: ClassSpec) -> float | None:
     return None
 
 
-def _bisect_newton(eq: BohrEquation, cfg: SolverConfig) -> RadiusResult:
+def _newton(eq: BohrEquation, cfg: SolverConfig) -> RadiusResult:
     d = eq.d_star
-    lo, hi = 0.0, UPPER_BRACKET
-    # H(0) = -d* < 0 was checked by the caller.  At the right end
-    # B(r) >= r gives H(hi) >= hi - d*, positive because d* < hi.
-    if not d.value + d.error_bound < hi:
-        raise InternalConsistencyError(
-            f"distance constant {d.value} does not certify a sign change on [0, {hi}]"
-        )
-    iterations = 0
-    while hi - lo > cfg.tol:
-        if iterations >= cfg.max_iter:
+    # B(r) >= r puts the root in [0, d* + error].  Iterates stay at or below
+    # ``top``, which points where a series cannot be summed lower; they
+    # certify nothing, so they never become ``hi``.
+    lo, x = 0.0, min(d.value + d.error_bound, math.nextafter(1.0, 0.0))
+    hi = top = x
+    for step in range(1, cfg.max_iter + 1):
+        if top < hi and top - lo <= cfg.tol:
             raise ConvergenceError(
-                f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations",
+                f"series cannot be summed beyond r={top!r}; the root is only "
+                f"bracketed in [{lo!r}, {hi!r}]",
                 achieved=SeriesValue(0.5 * (lo + hi), hi - lo),
             )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket already at floating-point resolution
-        hv = eq.h(mid)
-        iterations += 1
-        if abs(hv.value) <= hv.error_bound:
-            # Below series noise; H' >= 1 localises the root within the noise.
-            lo = max(lo, mid - hv.error_bound)
-            hi = min(hi, mid + hv.error_bound)
-            break
-        if hv.value < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    root = 0.5 * (lo + hi)
-    if eq.h_prime is not None:
-        for _ in range(3):
-            if iterations >= cfg.max_iter:
-                break
-            hv = eq.h(root)
-            iterations += 1
-            if abs(hv.value) <= hv.error_bound:
-                break
-            nxt = root - hv.value / eq.h_prime(root)
-            nxt = min(max(nxt, lo), hi)
-            if nxt == root:
-                break
-            root = nxt
-
-    hv = eq.h(root)
-    residual = abs(hv.value) + hv.error_bound
-    return RadiusResult(
-        radius=root,
-        residual=residual,
-        bracket_lo=lo,
-        bracket_hi=hi,
-        iterations=iterations,
-        method=Method.BISECTION_NEWTON,
+        try:
+            hv, slope = eq.h(x), eq.h_prime(x)
+        except ConvergenceError:
+            top = x  # series need more terms the larger r is: retreat left
+            x = 0.5 * (lo + top)
+            continue
+        v = hv.value
+        e = hv.error_bound + _ROUNDING * (abs(v) + 2.0 * d.value)
+        # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
+        # puts the root left of the Newton step from x.
+        lo, hi = max(lo, x - (abs(v) + e)), min(hi, x + (abs(v) + e))
+        if v + e < 0.0:
+            lo = x
+        elif v - e > 0.0:
+            hi = min(hi, x - (v - e) / slope)
+        top = min(top, hi)
+        if abs(v) <= hv.error_bound:  # series noise: x lies inside the bracket
+            residual = abs(v) + hv.error_bound
+            return RadiusResult(x, residual, lo, hi, step, Method.BISECTION_NEWTON, d)
+        nxt = x - v / slope
+        if not lo <= nxt <= top:
+            nxt = 0.5 * (lo + top)
+        if hi - lo <= cfg.tol or abs(v) <= e or (nxt == x and top == hi):
+            radius = min(max(nxt, lo), hi)  # the last step, inside the bracket
+            hv = eq.h(radius)
+            residual = abs(hv.value) + hv.error_bound
+            return RadiusResult(radius, residual, lo, hi, step, Method.BISECTION_NEWTON, d)
+        x = nxt
+    raise ConvergenceError(
+        f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations",
+        achieved=SeriesValue(0.5 * (lo + hi), hi - lo),
     )
 
 
@@ -208,28 +211,25 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
     """Solve H(r) = 0 for the family's sharp radius.
 
     Degenerate parameters with d* = 0 return radius 0 directly; families
-    with quadratic closed forms use them when ``prefer_closed_form`` is set;
-    everything else runs bracketed bisection plus a Newton polish.
+    with quadratic closed forms use them when ``prefer_closed_form`` is set.
+    Everything else runs safeguarded Newton from d*, which stops once the
+    certified bracket is at most ``tol`` wide or H is below its error bound.
+    It raises ConvergenceError when ``max_iter`` steps do not suffice, or
+    when the series cannot be summed close enough to the root.
     """
     cfg = config or SolverConfig()
     eq = build_equation(spec, cfg)
     d = eq.d_star
     if d.value <= d.error_bound:
         # B(0) = 0 already attains the constant; no positive radius exists.
-        return RadiusResult(0.0, abs(d.value), 0.0, 0.0, 0, Method.CLOSED_FORM)
+        return RadiusResult(0.0, abs(d.value), 0.0, 0.0, 0, Method.CLOSED_FORM, d)
     if cfg.prefer_closed_form:
         r_cf = closed_form_radius(eq.spec)
         if r_cf is not None:
             hv = eq.h(r_cf)
-            return RadiusResult(
-                radius=r_cf,
-                residual=abs(hv.value) + hv.error_bound,
-                bracket_lo=r_cf,
-                bracket_hi=r_cf,
-                iterations=0,
-                method=Method.CLOSED_FORM,
-            )
-    return _bisect_newton(eq, cfg)
+            residual = abs(hv.value) + hv.error_bound
+            return RadiusResult(r_cf, residual, r_cf, r_cf, 0, Method.CLOSED_FORM, d)
+    return _newton(eq, cfg)
 
 
 def jacobian_radius(m: float) -> float:

@@ -211,7 +211,7 @@ def sharpness_check(
         tol = default_sharpness_tol(spec)
     result = solve_radius(spec, cfg)
     b = bohr_sum(spec, result.radius, tol=cfg.series_tol)
-    d = distance_bound(spec, tol=cfg.series_tol)
+    d = result.d_star
     gap = b.value - d.value
     slack = b.error_bound + d.error_bound
     step_out = 1e-6

@@ -59,6 +59,14 @@ class TestRadiusCommand:
         assert data["residual"] <= 1e-10
         assert data["tol"] == 1e-12
 
+    def test_alpha_next_to_one_solves(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "ph-alpha", "--alpha", "0.999999999"
+        )
+        assert rc == 0
+        assert err == ""
+        assert json.loads(out)["radius"] == pytest.approx(0.9999999669366164, abs=1e-12)
+
     def test_json_round_trips_bit_identically(self, capsys):
         rc, out, _ = run_cli(capsys, "radius", "--class", "wh-alpha", "--alpha", "0.5")
         line = out.strip()

@@ -128,6 +128,9 @@ class TestSumPowerSeries:
         achieved = exc_info.value.achieved
         assert isinstance(achieved, SeriesValue)
         assert achieved.error_bound > 1e-12
+        # The message names the argument and the terms tried (n = 2..64).
+        assert "at x=0.999 " in str(exc_info.value)
+        assert "with 63 terms" in str(exc_info.value)
         # The partial value is still in the right neighbourhood.
         assert abs(achieved.value - log_tail(0.999)) <= achieved.error_bound
 

@@ -242,10 +242,26 @@ class TestSolveRadiusAgainstOracles:
         )
 
 
+# The iterative parameter points of the benchmark's reference checks.
+ITERATIVE_CASES = [
+    ph_alpha(0.0),
+    ph_alpha(0.95),
+    wh_alpha(0.0),
+    wh_alpha(0.37),
+    wh_alpha(1.0),
+    gh_k_alpha(1, 0.1),
+    gh_k_alpha(2, 1.3),
+    gh_k_alpha(8, 10.0),
+    ph_m(0.05),
+    ph_m(1.29),
+]
+
+
 class TestSolveRadiusContracts:
     @pytest.mark.parametrize(
         "spec",
-        [ph_alpha(0.4), gt_beta(0.3), wh_alpha(0.75), gh_k_alpha(2, 2.0), tb_m(1.9), ph_m(1.2)],
+        [ph_alpha(0.4), gt_beta(0.3), wh_alpha(0.75), gh_k_alpha(2, 2.0), tb_m(1.9), ph_m(1.2)]
+        + ITERATIVE_CASES,
     )
     def test_certificates(self, spec):
         cfg = SolverConfig()
@@ -254,7 +270,14 @@ class TestSolveRadiusContracts:
         assert result.bracket_lo <= result.radius <= result.bracket_hi
         assert result.bracket_hi - result.bracket_lo <= cfg.tol
         assert result.residual <= cfg.tol
-        assert result.iterations <= cfg.max_iter
+        assert result.iterations <= 10
+        assert result.d_star == build_equation(spec, cfg).d_star
+        if result.method is Method.BISECTION_NEWTON:
+            # The bracket ends carry the signs that enclose the root.
+            eq = build_equation(spec, cfg)
+            h_lo, h_hi = eq.h(result.bracket_lo), eq.h(result.bracket_hi)
+            assert h_lo.value <= h_lo.error_bound
+            assert h_hi.value >= -h_hi.error_bound
 
     def test_bisection_agrees_with_closed_form(self):
         for spec in (gt_beta(0.3), tb_m(0.7)):
@@ -278,6 +301,31 @@ class TestSolveRadiusContracts:
     def test_iteration_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             solve_radius(ph_alpha(0.2), SolverConfig(max_iter=1))
+
+    def test_ph_alpha_next_to_one(self):
+        # d* = 0.99999999939 lies within 1e-9 of 1; the root is still bracketed.
+        alpha = 0.999999999
+        result = solve_radius(ph_alpha(alpha))
+        oracle = brentq_root(ph_h(alpha), lo=0.5, hi=1.0 - 1e-12)
+        assert result.radius == pytest.approx(oracle, abs=1e-12)
+        assert result.radius == pytest.approx(0.9999999669366164, abs=1e-12)
+        assert result.bracket_lo <= result.radius <= result.bracket_hi
+
+    def test_retreats_where_series_cannot_be_summed(self):
+        # At r = d* the majorant series needs more than 2^20 terms; the
+        # solver steps back to points it can evaluate.
+        spec = gh_k_alpha(1, 1e5)
+        with pytest.raises(ConvergenceError):
+            build_equation(spec).h(distance_bound(spec).value)
+        result = solve_radius(spec)
+        assert result.radius == pytest.approx(0.9998143378169674, abs=1e-12)
+        assert result.bracket_lo <= result.radius <= result.bracket_hi
+        assert result.bracket_hi - result.bracket_lo <= 1e-12
+
+    def test_unsummable_root_raises(self):
+        # The root lies beyond every point where the series can be summed.
+        with pytest.raises(ConvergenceError, match="series cannot be summed"):
+            solve_radius(gh_k_alpha(1_000_000, 1.0))
 
     def test_far_corner_of_lacunary_domain(self):
         # Large k*alpha pushes the root toward 1; the solver must still
