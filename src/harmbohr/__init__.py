@@ -4,7 +4,8 @@ The package solves, for each family, the equation B(r) = d* where B is the
 majorant sum built from the family's sharp coefficient bounds and d* is the
 distance from the origin to the boundary of the extremal image.  Closed
 forms are used where they exist; everything else is a certified Newton
-iteration over rigorously bounded series, cross-checked by the oracles in
+iteration over rigorously bounded series, run on a whole parameter grid at
+once (``solve_radii``) and cross-checked by the oracles in
 :mod:`harmbohr.verifier`.
 """
 
@@ -60,6 +61,7 @@ from .solver import (
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
+    solve_radii,
     solve_radius,
 )
 
@@ -106,6 +108,7 @@ __all__ = [
     "ph_alpha",
     "ph_m",
     "signed_power_series",
+    "solve_radii",
     "solve_radius",
     "start_index",
     "sum_power_series",

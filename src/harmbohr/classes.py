@@ -14,27 +14,31 @@ Each family carries:
   (``extremal_coefficients``).
 
 The Bohr radius of the family is the unique r with B(r) = d*; solving that
-equation is the job of :mod:`harmbohr.solver`.
+equation is the job of :mod:`harmbohr.solver`, which solves a whole grid of
+parameter points (lanes) at once through lane specs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .series import (
     CoefficientRule,
     SeriesValue,
     alt_constant,
     alt_log_tail,
     alt_nn1_tail,
+    as_param,
     g_alt_constant,
+    lane_value,
     log_tail,
     nn1_tail,
+    require,
     signed_power_series,
     sum_power_series,
 )
@@ -71,7 +75,12 @@ CANONICAL_PARAM: dict[Family, str] = {
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """A family together with a concrete parameter choice."""
+    """A family together with a concrete parameter choice.
+
+    In a lane spec (see ``stack_lanes``) alpha, beta and m are 1-D arrays
+    holding one parameter point per lane; ``bohr_sum``, ``distance_bound``
+    and ``coefficient_rule`` then work on all lanes at once.
+    """
 
     family: Family
     alpha: float | None = None
@@ -91,52 +100,98 @@ class ClassSpec:
         return {"m": self.m}
 
 
-def _require_finite(name: str, value) -> float:
+def _require_finite(name: str, value):
+    # A float for one point, a float array for the lanes of a lane spec.
     if value is None:
         raise ValidationError(f"{name} is required for this family")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
+    if isinstance(value, np.ndarray):
+        value = value.astype(np.float64, copy=False)
+        _check(np.isfinite(value), value, f"{name} must be finite")
+    else:
+        value = float(value)
+        _check(math.isfinite(value), value, f"{name} must be finite")
     return value
 
 
 def validate(spec: ClassSpec) -> None:
-    """Raise ValidationError naming the violated bound if spec is invalid."""
+    """Raise ValidationError naming the violated bound if spec is invalid.
+
+    For a lane spec every lane is checked, and the error names the first
+    failing lane's value.
+    """
     fam = spec.family
     if fam is Family.PH_ALPHA:
         a = _require_finite("alpha", spec.alpha)
-        if not 0.0 <= a < 1.0:
-            raise ValidationError(f"alpha must satisfy 0 <= alpha < 1, got {a}")
+        _check((0.0 <= a) & (a < 1.0), a, "alpha must satisfy 0 <= alpha < 1")
     elif fam is Family.GT_BETA:
         b = _require_finite("beta", spec.beta)
-        if b < 0.0:
-            raise ValidationError(f"beta must be >= 0, got {b}")
-        if b >= 0.5:
-            raise ValidationError(f"beta must be < 1/2, got {b}")
+        _check(b >= 0.0, b, "beta must be >= 0")
+        _check(b < 0.5, b, "beta must be < 1/2")
     elif fam is Family.WH_ALPHA:
         a = _require_finite("alpha", spec.alpha)
-        if not 0.0 <= a <= 1.0:
-            raise ValidationError(f"alpha must satisfy 0 <= alpha <= 1, got {a}")
+        _check((0.0 <= a) & (a <= 1.0), a, "alpha must satisfy 0 <= alpha <= 1")
     elif fam is Family.GH_K_ALPHA:
         if spec.k is None or isinstance(spec.k, bool) or int(spec.k) != spec.k:
             raise ValidationError(f"k must be an integer >= 1, got {spec.k!r}")
         if spec.k < 1:
             raise ValidationError(f"k must be an integer >= 1, got {spec.k}")
         a = _require_finite("alpha", spec.alpha)
-        if not a > 0.0:
-            raise ValidationError(f"alpha must be > 0, got {a}")
+        _check(a > 0.0, a, "alpha must be > 0")
     elif fam is Family.TB_M:
         m = _require_finite("m", spec.m)
-        if not 0.0 < m < 2.0:
-            raise ValidationError(f"m must satisfy 0 < m < 2, got {m}")
+        _check((0.0 < m) & (m < 2.0), m, "m must satisfy 0 < m < 2")
     elif fam is Family.PH_M:
         m = _require_finite("m", spec.m)
-        if not 0.0 < m < PH_M_SUP:
-            raise ValidationError(
-                f"m must satisfy 0 < m < 1/(2*(ln 4 - 1)) = {PH_M_SUP:.6f}, got {m}"
-            )
+        _check(
+            (0.0 < m) & (m < PH_M_SUP),
+            m,
+            f"m must satisfy 0 < m < 1/(2*(ln 4 - 1)) = {PH_M_SUP:.6f}",
+        )
     else:  # pragma: no cover - Family is closed
         raise ValidationError(f"unknown family {fam!r}")
+
+
+def _check(ok, values, message: str) -> None:
+    require(ok, values, message, ValidationError)
+
+
+# The parameters a lane spec may sweep; k stays one integer for all lanes.
+_LANE_PARAMS = ("alpha", "beta", "m")
+
+
+def stack_lanes(specs) -> ClassSpec:
+    """One lane spec for specs of one family that agree on k.
+
+    A lane spec is a ClassSpec whose swept parameters are 1-D arrays, one
+    entry (a lane) per given spec.  It is validated lane by lane.
+    """
+    specs = list(specs)
+    first = specs[0]
+    if any(s.family is not first.family or s.k != first.k for s in specs):
+        raise DomainError("lanes must share one family and one k")
+    lanes = {
+        name: np.array([getattr(s, name) for s in specs], dtype=np.float64)
+        for name in _LANE_PARAMS
+        if getattr(first, name) is not None
+    }
+    spec = replace(first, **lanes)
+    validate(spec)
+    return spec
+
+
+def take_lanes(spec: ClassSpec, idx) -> ClassSpec:
+    """The lanes ``idx`` of a lane spec."""
+    alpha, beta, m = (None if v is None else v[idx] for v in (spec.alpha, spec.beta, spec.m))
+    return ClassSpec(spec.family, alpha, beta, m, spec.k)
+
+
+def _broadcast(spec: ClassSpec, r) -> np.ndarray:
+    # One r for every lane, or one r per lane.
+    r = np.asarray(r, dtype=np.float64)
+    for lanes in (spec.alpha, spec.beta, spec.m):
+        if isinstance(lanes, np.ndarray) and r.shape != lanes.shape:
+            return np.broadcast_to(r, lanes.shape)
+    return r
 
 
 def ph_alpha(alpha: float) -> ClassSpec:
@@ -222,66 +277,79 @@ def coefficient_bound(spec: ClassSpec, n: int) -> float:
 
 
 def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
-    """The coefficient bounds as a vectorised rule for the series engine."""
+    """The coefficient bounds as a vectorised rule for the series engine,
+    with one row of coefficients per lane for a lane spec."""
     n0 = start_index(spec)
     fam = spec.family
     if fam is Family.PH_ALPHA:
-        a = spec.alpha
-        return CoefficientRule(lambda n: 2.0 * (1.0 - a) / n, n0, "ph-alpha")
+        a = as_param(spec.alpha)
+        return CoefficientRule(lambda n, a: 2.0 * (1.0 - a) / n, n0, "ph-alpha", (a,))
     if fam is Family.GT_BETA:
-        b = spec.beta
-        return CoefficientRule(lambda n: np.full_like(n, 2.0 * (1.0 - b)), n0, "gt-beta")
+        b = as_param(spec.beta)
+        return CoefficientRule(lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n), n0, "gt-beta", (b,))
     if fam is Family.WH_ALPHA:
-        a = spec.alpha
-        return CoefficientRule(lambda n: 2.0 / (n * (1.0 + a * (n - 1.0))), n0, "wh-alpha")
+        a = as_param(spec.alpha)
+        return CoefficientRule(lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))), n0, "wh-alpha", (a,))
     if fam is Family.GH_K_ALPHA:
-        a = spec.alpha
-        return CoefficientRule(lambda n: 2.0 / (1.0 + (n - 1.0) * a), n0, "gh-k-alpha")
+        a = as_param(spec.alpha)
+        return CoefficientRule(lambda n, a: 2.0 / (1.0 + (n - 1.0) * a), n0, "gh-k-alpha", (a,))
     if fam is Family.TB_M:
-        m = spec.m
-        return CoefficientRule(lambda n: np.where(n == 2.0, m / 2.0, 0.0), n0, "tb-m")
-    m = spec.m
-    return CoefficientRule(lambda n: 2.0 * m / (n * (n - 1.0)), n0, "ph-m")
+        m = as_param(spec.m)
+        return CoefficientRule(lambda n, m: np.where(n == 2.0, m / 2.0, 0.0), n0, "tb-m", (m,))
+    m = as_param(spec.m)
+    return CoefficientRule(lambda n, m: 2.0 * m / (n * (n - 1.0)), n0, "ph-m", (m,))
 
 
 def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
     """The distance constant d*: a sharp lower bound on dist(f(0), boundary).
 
     Closed forms where they exist; accelerated alternating sums otherwise.
+    A lane spec gives arrays, one d* per lane.
     """
     validate(spec)
     fam = spec.family
     if fam is Family.PH_ALPHA:
-        return SeriesValue(1.0 + 2.0 * (1.0 - spec.alpha) * (LN2 - 1.0), 0.0)
+        return lane_value(1.0 + 2.0 * (1.0 - spec.alpha) * (LN2 - 1.0), 0.0)
     if fam is Family.GT_BETA:
-        return SeriesValue(spec.beta, 0.0)
+        return lane_value(spec.beta, 0.0)
     if fam is Family.WH_ALPHA:
         alt = alt_constant(coefficient_rule(spec), tol=tol, first_sign=-1)
-        return SeriesValue(1.0 + alt.value, alt.error_bound)
+        return lane_value(1.0 + alt.value, alt.error_bound)
     if fam is Family.GH_K_ALPHA:
         g = g_alt_constant(spec.k, spec.alpha, tol=0.5 * tol)
-        return SeriesValue(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
+        return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
     if fam is Family.TB_M:
-        return SeriesValue(1.0 - spec.m / 2.0, 0.0)
-    return SeriesValue(1.0 + 2.0 * spec.m * (1.0 - LN4), 0.0)
+        return lane_value(1.0 - spec.m / 2.0, 0.0)
+    return lane_value(1.0 + 2.0 * spec.m * (1.0 - LN4), 0.0)
 
 
-def bohr_sum(spec: ClassSpec, r: float, tol: float = 1e-12) -> SeriesValue:
-    """The majorant sum B(r) = r + sum_{n>=start} c_n r^n for 0 <= r < 1."""
+def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
+    """The majorant sum B(r) = r + sum_{n>=start} c_n r^n for 0 <= r < 1.
+
+    ``r`` is a float, or an array: a grid of radii for one spec, or one
+    radius per lane of a lane spec.  Where a series cannot reach tol, the
+    ConvergenceError carries B (not the bare series) for every lane.
+    """
     validate(spec)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")
+    r = _broadcast(spec, r)
+    require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     fam = spec.family
     if fam is Family.PH_ALPHA:
-        return SeriesValue(r + 2.0 * (1.0 - spec.alpha) * log_tail(r), 0.0)
+        return lane_value(r + 2.0 * (1.0 - spec.alpha) * log_tail(r), 0.0)
     if fam is Family.GT_BETA:
-        return SeriesValue(r + 2.0 * (1.0 - spec.beta) * r * r / (1.0 - r), 0.0)
+        return lane_value(r + 2.0 * (1.0 - spec.beta) * r * r / (1.0 - r), 0.0)
     if fam is Family.TB_M:
-        return SeriesValue(r + 0.5 * spec.m * r * r, 0.0)
+        return lane_value(r + 0.5 * spec.m * r * r, 0.0)
     if fam is Family.PH_M:
-        return SeriesValue(r + 2.0 * spec.m * nn1_tail(r), 0.0)
-    s = sum_power_series(coefficient_rule(spec), r, tol=tol)
-    return SeriesValue(r + s.value, s.error_bound)
+        return lane_value(r + 2.0 * spec.m * nn1_tail(r), 0.0)
+    try:
+        s = sum_power_series(coefficient_rule(spec), r, tol=tol)
+    except ConvergenceError as exc:
+        part = exc.achieved
+        raise ConvergenceError(
+            str(exc), achieved=lane_value(r + part.value, part.error_bound)
+        ) from None
+    return lane_value(r + s.value, s.error_bound)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ from .errors import (
     InternalConsistencyError,
     ValidationError,
 )
-from .solver import SolverConfig, jacobian_functional, jacobian_radius, solve_radius
+# solve_radius is not called here either; perfbench/test_perfbench.py reads it.
+from .solver import SolverConfig, jacobian_functional, jacobian_radius, solve_radii
+from .solver import solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
 CLASS_TAGS = tuple(f.value for f in Family) + (JACOBIAN_TAG,)
@@ -177,18 +179,47 @@ def _gather_params(args, tag: str, require_all: bool = True) -> dict[str, str]:
     return given
 
 
+def _jacobian_record(params: dict, tol: float) -> OutputRecord:
+    m = float(params["m"])
+    radius = jacobian_radius(m)
+    target = 1.0 - 0.5 * m
+    residual = abs(jacobian_functional(m, radius) - target)
+    return OutputRecord(JACOBIAN_TAG, {"m": m}, radius, residual, "CLOSED_FORM", target, tol)
+
+
+def compute_records(
+    tag: str, points: list[dict], cfg: SolverConfig, tol: float
+) -> list[OutputRecord]:
+    """Solve a list of parameter points for any class tag, in one lane pass.
+
+    Every point is built and validated first; the valid points before the
+    first invalid one are solved together.  A failure raises the error of
+    the first failing point, as solving the points one by one would.
+    """
+    if tag == JACOBIAN_TAG:
+        return [_jacobian_record(params, tol) for params in points]
+    specs, invalid = [], None
+    for params in points:
+        try:
+            specs.append(make_spec(Family(tag), **params))
+        except ValidationError as exc:
+            invalid = exc
+            break
+    results = solve_radii(specs, cfg) if specs else []
+    if invalid is not None:
+        raise invalid
+    return [
+        OutputRecord(
+            tag, spec.params(), result.radius, result.residual,
+            result.method.value, result.d_star.value, tol,
+        )
+        for spec, result in zip(specs, results)
+    ]
+
+
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:
     """Solve one parameter point for any class tag, including the Jacobian variant."""
-    if tag == JACOBIAN_TAG:
-        m = float(params["m"])
-        radius = jacobian_radius(m)
-        target = 1.0 - 0.5 * m
-        residual = abs(jacobian_functional(m, radius) - target)
-        return OutputRecord(tag, {"m": m}, radius, residual, "CLOSED_FORM", target, tol)
-    spec = make_spec(Family(tag), **params)
-    result = solve_radius(spec, cfg)
-    method, d_star = result.method.value, result.d_star.value
-    return OutputRecord(tag, spec.params(), result.radius, result.residual, method, d_star, tol)
+    return compute_records(tag, [params], cfg, tol)[0]
 
 
 def cmd_radius(args) -> int:
@@ -244,9 +275,8 @@ def cmd_scan(args) -> int:
     tag = args.class_tag
     cfg = _make_config(args)
     scalars, sweep_name, values = _sweep_values(args, tag)
-    records = [
-        compute_record(tag, {**scalars, sweep_name: v}, cfg, cfg.tol) for v in values
-    ]
+    points = [{**scalars, sweep_name: v} for v in values]
+    records = compute_records(tag, points, cfg, cfg.tol)
     if args.format == "csv":
         print(CSV_HEADER)
         for record in records:
@@ -261,9 +291,10 @@ def cmd_table(args) -> int:
     tag = args.class_tag
     cfg = _make_config(args)
     scalars, sweep_name, values = _sweep_values(args, tag)
+    points = [{**scalars, sweep_name: v} for v in values]
+    records = compute_records(tag, points, cfg, cfg.tol)
     print(f"{sweep_name},radius")
-    for v in values:
-        record = compute_record(tag, {**scalars, sweep_name: v}, cfg, cfg.tol)
+    for v, record in zip(values, records):
         print(f"{v:.12g},{record.radius:.12g}")
     return 0
 
@@ -354,3 +385,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,4 +1,4 @@
-"""Construction and solution of the Bohr-radius equation.
+"""Construction and solution of the Bohr-radius equation, one grid at a time.
 
 For each family the radius is the unique root in (0, 1) of H(r) = B(r) - d*,
 where B is the majorant sum and d* the distance constant from
@@ -8,10 +8,20 @@ Newton's method started at d* falls monotonically onto it (Fourier's
 condition; Ostrowski, *Solution of Equations and Systems of Equations*,
 ch. 9), in five to seven steps.  Each H(x) in [v - e, v + e] certifies a
 bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
-root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket, and
-points where a series cannot be summed, fall back to the midpoint.  Two
-families admit closed-form radii as roots of explicit quadratics, used both
-as fast paths and as cross-checks.
+root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket fall
+back to the midpoint; points where a series cannot be summed lower a
+ceiling and the iterate retreats below them.  Two families admit
+closed-form radii as roots of explicit quadratics, used both as fast paths
+and as cross-checks.
+
+The solver works on lanes.  A lane is one parameter point of one family,
+with the family's other parameters fixed; ``solve_radii`` stacks a grid of
+points into a lane spec and runs Newton on every lane at once, so each step
+is one numpy pass over the lanes still open (one B and one H' evaluation)
+instead of one Python solve per point.  Each lane keeps its own bracket,
+iterate, ceiling, step count and stopping rule, and lanes never share a
+reduction, so every lane ends exactly where it would alone:
+``solve_radius`` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -21,13 +31,28 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .classes import ClassSpec, Family, bohr_sum, distance_bound, tb_m, validate
+import numpy as np
+
+from .classes import (
+    ClassSpec,
+    Family,
+    bohr_sum,
+    distance_bound,
+    stack_lanes,
+    take_lanes,
+    tb_m,
+    validate,
+)
 from .errors import ConvergenceError, DomainError
-from .series import CoefficientRule, SeriesValue, sum_power_series
+from .series import CoefficientRule, SeriesValue, as_param, sum_power_series
+
+_EPS = 2.0**-52
 
 # Rounding allowance per unit magnitude of H = B - d*, which neither the
 # closed-form majorants (error 0) nor the series bounds include.
-_ROUNDING = 8.0 * 2.0**-52
+_ROUNDING = 8.0 * _EPS
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class Method(str, Enum):
@@ -90,121 +115,274 @@ class RadiusResult:
     d_star: SeriesValue
 
 
-def _h_prime(spec: ClassSpec, series_tol: float) -> Callable[[float], float]:
-    # Upper bounds on H': series-backed families add the series error.
+def _partial(rule: CoefficientRule, r, tol: float) -> SeriesValue:
+    # A series that misses tol still carries a rigorous, only looser, bound.
+    try:
+        return sum_power_series(rule, r, tol=tol)
+    except ConvergenceError as exc:
+        return exc.achieved
+
+
+def _h_prime(spec: ClassSpec, r, series_tol: float):
+    """An upper bound on H'(r), for a float r or one r per lane."""
     fam = spec.family
     if fam is Family.PH_ALPHA:
         a = spec.alpha
-        return lambda r: 1.0 + 2.0 * (1.0 - a) * r / (1.0 - r)
+        return 1.0 + 2.0 * (1.0 - a) * r / (1.0 - r)
     if fam is Family.GT_BETA:
         b = spec.beta
-        return lambda r: 1.0 + 2.0 * (1.0 - b) * r * (2.0 - r) / (1.0 - r) ** 2
+        return 1.0 + 2.0 * (1.0 - b) * r * (2.0 - r) / (1.0 - r) ** 2
     if fam is Family.TB_M:
-        m = spec.m
-        return lambda r: 1.0 + m * r
+        return 1.0 + spec.m * r
     if fam is Family.PH_M:
-        m = spec.m
-        return lambda r: 1.0 - 2.0 * m * math.log1p(-r)
+        return 1.0 - 2.0 * spec.m * np.log1p(-r)
     tol = max(series_tol, 1e-11)
+    a = spec.alpha
     if fam is Family.WH_ALPHA:
-        a = spec.alpha
-        rule = CoefficientRule(lambda n: 2.0 / (1.0 + a * n), 1, "wh-derivative")
-
-        def h_prime(r: float) -> float:
-            s = sum_power_series(rule, r, tol=tol)
-            return 1.0 + s.value + s.error_bound
-
-        return h_prime
+        rule = CoefficientRule(lambda n, a: 2.0 / (1.0 + a * n), 1, "wh-derivative", (as_param(a),))
+        s = _partial(rule, r, tol)
+        return 1.0 + s.value + s.error_bound
     # Lacunary family: differentiate term by term and split off the
     # geometric part, valid for every alpha > 0.
-    a = spec.alpha
     k = int(spec.k)
-    rule = CoefficientRule(lambda n: 1.0 / (1.0 + a * n), k, "gh-derivative")
-
-    def h_prime(r: float) -> float:
-        s = sum_power_series(rule, r, tol=tol)
-        upper = r**k / (1.0 - r) - (1.0 - a) * s.value + abs(1.0 - a) * s.error_bound
-        return 1.0 + (2.0 / a) * upper
-
-    return h_prime
+    rule = CoefficientRule(lambda n, a: 1.0 / (1.0 + a * n), k, "gh-derivative", (as_param(a),))
+    s = _partial(rule, r, tol)
+    upper = r**k / (1.0 - r) - (1.0 - a) * s.value + np.abs(1.0 - a) * s.error_bound
+    return 1.0 + (2.0 / a) * upper
 
 
 def build_equation(spec: ClassSpec, config: SolverConfig | None = None) -> BohrEquation:
-    """Assemble H and an upper bound on H' at the configured tolerances."""
+    """Assemble H and an upper bound on H' at the configured tolerances.
+
+    For a lane spec, H and H' take one r per lane and return arrays.
+    """
     cfg = config or SolverConfig()
     validate(spec)
     d = distance_bound(spec, tol=cfg.series_tol)
 
-    def h(r: float) -> SeriesValue:
+    def h(r) -> SeriesValue:
         b = bohr_sum(spec, r, tol=cfg.series_tol)
         return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
 
-    return BohrEquation(spec=spec, d_star=d, h=h, h_prime=_h_prime(spec, cfg.series_tol))
+    return BohrEquation(
+        spec=spec, d_star=d, h=h, h_prime=lambda r: _h_prime(spec, r, cfg.series_tol)
+    )
 
 
-def closed_form_radius(spec: ClassSpec) -> float | None:
+def closed_form_radius(spec: ClassSpec):
     """The radius as an explicit quadratic root, for families that have one.
 
-    Returns None for families without a closed form.  The expressions are
-    arranged to avoid cancellation for small parameters.
+    Returns None for families without a closed form, and an array for a
+    lane spec.  The expressions are arranged to avoid cancellation for small
+    parameters.
     """
     validate(spec)
     if spec.family is Family.GT_BETA:
         b = spec.beta
         disc = 1.0 + 6.0 * b - 7.0 * b * b
-        return 2.0 * b / ((1.0 + b) + math.sqrt(disc))
+        return _float_or_array(2.0 * b / ((1.0 + b) + np.sqrt(disc)))
     if spec.family is Family.TB_M:
         m = spec.m
-        return (2.0 - m) / (1.0 + math.sqrt(1.0 + 2.0 * m - m * m))
+        return _float_or_array((2.0 - m) / (1.0 + np.sqrt(1.0 + 2.0 * m - m * m)))
     return None
 
 
-def _newton(eq: BohrEquation, cfg: SolverConfig) -> RadiusResult:
-    d = eq.d_star
-    # B(r) >= r puts the root in [0, d* + error].  Iterates stay at or below
-    # ``top``, which points where a series cannot be summed lower; they
-    # certify nothing, so they never become ``hi``.
-    lo, x = 0.0, min(d.value + d.error_bound, math.nextafter(1.0, 0.0))
-    hi = top = x
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
+    """H = v +- e at one x per lane, and which lanes B could not be summed at."""
+    try:
+        b = bohr_sum(spec, x, tol=series_tol)
+    except ConvergenceError as exc:
+        b = exc.achieved
+    return b.value - d_value, b.error_bound + d_error, b.error_bound > series_tol
+
+
+def _floor(spec: ClassSpec, d_lo: np.ndarray) -> np.ndarray:
+    """A certified lower bound on each lane's root, given d* >= d_lo > 0.
+
+    It is 0 except for gh-k-alpha.  There c_n = 2/(1 + (n-1) alpha) is at
+    most 2/((n-1) alpha) for n >= 2, so B(r) <= U(r) = r - (2r/alpha) ln(1-r)
+    and the root of H lies at or above the root of U = d_lo.  U is convex
+    with U' >= 1 and U(r) >= r, so Newton started at d_lo falls onto that
+    root, which lies at or above r - max(U(r) - d_lo, 0) for any r.  Near
+    r = 1 this floor is close to the root, so a root that no series can
+    reach is known to be out of reach after one failed point.
+    """
+    if spec.family is not Family.GH_K_ALPHA:
+        return np.zeros_like(d_lo)
+    a = spec.alpha
+
+    def u(r):
+        return r - (2.0 * r / a) * np.log1p(-r)
+
+    r = d_lo
+    for _ in range(30):
+        slope = 1.0 - (2.0 / a) * np.log1p(-r) + (2.0 * r / a) / (1.0 - r)
+        step = (u(r) - d_lo) / slope
+        r = r - step
+        if np.all(np.abs(step) <= 4.0 * _EPS * r):
+            break
+    ur = u(r)
+    excess = np.maximum(ur - d_lo + _ROUNDING * (ur + d_lo), 0.0)
+    return np.maximum(r - (excess + _ROUNDING * r), 0.0)
+
+
+def _lane_error(message: str, lo: float, hi: float) -> ConvergenceError:
+    return ConvergenceError(message, achieved=SeriesValue(0.5 * (lo + hi), hi - lo))
+
+
+def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
+    """Certified Newton on every lane of a lane spec at once.
+
+    Returns radius, residual, bracket and step arrays over the lanes, and a
+    dict from lane index to the ConvergenceError that lane raises.
+    """
+    dv, de = d.value, d.error_bound
+    # B(r) >= r puts the root in [lo, d* + error].  Iterates stay at or
+    # below ``top``, which points where a series cannot be summed lower;
+    # they certify nothing, so they never become ``hi``.
+    x = np.minimum(dv + de, _BELOW_ONE)
+    hi, top = x.copy(), x.copy()
+    lo = _floor(spec, dv - de)
+    # A lane retreats first to a floor it has not tried, then by halving.
+    fresh = lo > 0.0
+    radius, residual = np.zeros_like(dv), np.zeros_like(dv)
+    steps = np.zeros(dv.size, dtype=np.int64)
+    live = np.ones(dv.size, dtype=bool)
+    recheck = np.zeros(dv.size, dtype=bool)  # stopped on a step: evaluate H there
+    errors: dict[int, ConvergenceError] = {}
     for step in range(1, cfg.max_iter + 1):
-        if top < hi and top - lo <= cfg.tol:
-            raise ConvergenceError(
-                f"series cannot be summed beyond r={top!r}; the root is only "
-                f"bracketed in [{lo!r}, {hi!r}]",
-                achieved=SeriesValue(0.5 * (lo + hi), hi - lo),
-            )
-        try:
-            hv, slope = eq.h(x), eq.h_prime(x)
-        except ConvergenceError:
-            top = x  # series need more terms the larger r is: retreat left
-            x = 0.5 * (lo + top)
-            continue
-        v = hv.value
-        e = hv.error_bound + _ROUNDING * (abs(v) + 2.0 * d.value)
+        if (top < hi).any():  # some lane has met a point it cannot sum
+            stuck = live & (top < hi) & (top - lo <= cfg.tol)
+            for i in np.flatnonzero(stuck):
+                errors[int(i)] = _lane_error(
+                    f"series cannot be summed beyond r={float(top[i])!r}; the root is only "
+                    f"bracketed in [{float(lo[i])!r}, {float(hi[i])!r}]",
+                    lo[i], hi[i],
+                )
+            live &= ~stuck
+        act = np.flatnonzero(live)
+        if act.size == 0:
+            break
+        steps[act] = step
+        sub = spec if act.size == live.size else take_lanes(spec, act)
+        xa = x[act]
+        v, hb, failed = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
+        if failed.any():
+            # Series need more terms the larger r is: retreat left.
+            f = act[failed]
+            top[f] = x[f]
+            x[f] = np.where(fresh[f], lo[f], 0.5 * (lo[f] + top[f]))
+            fresh[f] = False
+            ok = ~failed
+            sub = take_lanes(sub, np.flatnonzero(ok))
+            act, xa, v, hb = act[ok], xa[ok], v[ok], hb[ok]
+
+        slope = _h_prime(sub, xa, cfg.series_tol)
+        av = np.abs(v)
+        e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
         # puts the root left of the Newton step from x.
-        lo, hi = max(lo, x - (abs(v) + e)), min(hi, x + (abs(v) + e))
-        if v + e < 0.0:
-            lo = x
-        elif v - e > 0.0:
-            hi = min(hi, x - (v - e) / slope)
-        top = min(top, hi)
-        if abs(v) <= hv.error_bound:  # series noise: x lies inside the bracket
-            residual = abs(v) + hv.error_bound
-            return RadiusResult(x, residual, lo, hi, step, Method.BISECTION_NEWTON, d)
-        nxt = x - v / slope
-        if not lo <= nxt <= top:
-            nxt = 0.5 * (lo + top)
-        if hi - lo <= cfg.tol or abs(v) <= e or (nxt == x and top == hi):
-            radius = min(max(nxt, lo), hi)  # the last step, inside the bracket
-            hv = eq.h(radius)
-            residual = abs(hv.value) + hv.error_bound
-            return RadiusResult(radius, residual, lo, hi, step, Method.BISECTION_NEWTON, d)
-        x = nxt
-    raise ConvergenceError(
-        f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations",
-        achieved=SeriesValue(0.5 * (lo + hi), hi - lo),
-    )
+        a_lo = np.where(v + e < 0.0, xa, np.maximum(lo[act], xa - (av + e)))
+        a_hi = np.minimum(hi[act], xa + (av + e))
+        a_hi = np.where(v - e > 0.0, np.minimum(a_hi, xa - (v - e) / slope), a_hi)
+        a_top = np.minimum(top[act], a_hi)
+        lo[act], hi[act], top[act] = a_lo, a_hi, a_top
+
+        # Series noise: x lies inside the bracket and is the radius.
+        noise = av <= hb
+        nxt = xa - v / slope
+        nxt = np.where((a_lo <= nxt) & (nxt <= a_top), nxt, 0.5 * (a_lo + a_top))
+        stop = ~noise & ((a_hi - a_lo <= cfg.tol) | (av <= e) | ((nxt == xa) & (a_top == a_hi)))
+        radius[act] = np.where(noise, xa, np.minimum(np.maximum(nxt, a_lo), a_hi))
+        residual[act] = av + hb
+        recheck[act[stop]] = True
+        live[act[noise | stop]] = False
+        x[act] = nxt
+
+    for i in np.flatnonzero(live):
+        errors[int(i)] = _lane_error(
+            f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations",
+            lo[i], hi[i],
+        )
+    # A lane that stopped on its last step reports the residual there.
+    idx = np.flatnonzero(recheck)
+    if idx.size:
+        v, hb, failed = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
+        residual[idx] = np.abs(v) + hb
+        for i in idx[failed]:
+            errors[int(i)] = _lane_error(
+                f"series cannot be summed at the radius r={float(radius[i])!r}", lo[i], hi[i]
+            )
+    return radius, residual, lo, hi, steps, errors
+
+
+def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
+    """Results (None where a lane fails) and failures by lane of a lane spec."""
+    d = distance_bound(spec, tol=cfg.series_tol)
+    n = d.value.size
+    radius, residual = np.zeros(n), np.abs(d.value)
+    lo, hi = np.zeros(n), np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    closed = np.ones(n, dtype=bool)
+    errors: dict[int, ConvergenceError] = {}
+    # d* <= error: B(0) = 0 already attains the constant; no positive radius
+    # exists, and the lane keeps radius 0.
+    todo = np.flatnonzero(d.value > d.error_bound)
+    sub = take_lanes(spec, todo)
+    d_sub = SeriesValue(d.value[todo], d.error_bound[todo])
+    r_cf = closed_form_radius(sub) if cfg.prefer_closed_form else None
+    if r_cf is not None:
+        v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
+        radius[todo], residual[todo], lo[todo], hi[todo] = r_cf, np.abs(v) + hb, r_cf, r_cf
+    elif todo.size:
+        out = _newton(sub, d_sub, cfg)
+        radius[todo], residual[todo], lo[todo], hi[todo], steps[todo] = out[:5]
+        closed[todo] = False
+        errors = {int(todo[i]): exc for i, exc in out[5].items()}
+    d_values, d_errors = d.value.tolist(), d.error_bound.tolist()
+    results = [
+        None
+        if i in errors
+        else RadiusResult(
+            r, res, b_lo, b_hi, it,
+            Method.CLOSED_FORM if c else Method.BISECTION_NEWTON,
+            SeriesValue(dval, derr),
+        )
+        for i, (r, res, b_lo, b_hi, it, c, dval, derr) in enumerate(
+            zip(radius.tolist(), residual.tolist(), lo.tolist(), hi.tolist(),
+                steps.tolist(), closed.tolist(), d_values, d_errors)
+        )
+    ]
+    return results, errors
+
+
+def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
+    """Solve H(r) = 0 for many parameter points at once, one lane each.
+
+    Specs of one family and one k are solved together as lanes; the results
+    come back in the order given, each bit for bit what ``solve_radius``
+    returns for that spec alone.  If any spec fails, this raises the error
+    of the first failing spec in that order.
+    """
+    cfg = config or SolverConfig()
+    specs = list(specs)
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.family, spec.k), []).append(i)
+    results: list[RadiusResult | None] = [None] * len(specs)
+    errors: dict[int, ConvergenceError] = {}
+    for idx in groups.values():
+        lane_results, lane_errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
+        for i, result in zip(idx, lane_results):
+            results[i] = result
+        errors.update((idx[j], exc) for j, exc in lane_errors.items())
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusResult:
@@ -215,21 +393,10 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
     Everything else runs safeguarded Newton from d*, which stops once the
     certified bracket is at most ``tol`` wide or H is below its error bound.
     It raises ConvergenceError when ``max_iter`` steps do not suffice, or
-    when the series cannot be summed close enough to the root.
+    when the series cannot be summed close enough to the root.  This is the
+    one-lane case of ``solve_radii``.
     """
-    cfg = config or SolverConfig()
-    eq = build_equation(spec, cfg)
-    d = eq.d_star
-    if d.value <= d.error_bound:
-        # B(0) = 0 already attains the constant; no positive radius exists.
-        return RadiusResult(0.0, abs(d.value), 0.0, 0.0, 0, Method.CLOSED_FORM, d)
-    if cfg.prefer_closed_form:
-        r_cf = closed_form_radius(eq.spec)
-        if r_cf is not None:
-            hv = eq.h(r_cf)
-            residual = abs(hv.value) + hv.error_bound
-            return RadiusResult(r_cf, residual, r_cf, r_cf, 0, Method.CLOSED_FORM, d)
-    return _newton(eq, cfg)
+    return solve_radii([spec], config)[0]
 
 
 def jacobian_radius(m: float) -> float:

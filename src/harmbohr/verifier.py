@@ -246,15 +246,15 @@ def bohr_scan(
     if int(steps) != steps or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
     d = distance_bound(spec, tol=cfg.series_tol)
-    rows = []
-    first_violation: Optional[float] = None
-    for r in np.linspace(0.0, r_max, int(steps)):
-        b = bohr_sum(spec, float(r), tol=cfg.series_tol)
-        satisfied = b.value <= d.value + b.error_bound + d.error_bound + 1e-15
-        if not satisfied and first_violation is None:
-            first_violation = float(r)
-        rows.append(ScanRow(float(r), b.value, d.value, satisfied))
-    return ScanReport(spec=spec, grid=tuple(rows), first_violation=first_violation)
+    rs = np.linspace(0.0, r_max, int(steps))
+    b = bohr_sum(spec, rs, tol=cfg.series_tol)
+    satisfied = b.value <= d.value + b.error_bound + d.error_bound + 1e-15
+    rows = tuple(
+        ScanRow(r, value, d.value, ok)
+        for r, value, ok in zip(rs.tolist(), b.value.tolist(), satisfied.tolist())
+    )
+    first_violation = next((row.r for row in rows if not row.satisfied), None)
+    return ScanReport(spec=spec, grid=rows, first_violation=first_violation)
 
 
 def lower_touch_angle(spec: ClassSpec) -> float:
@@ -475,23 +475,23 @@ def _make_h_monotone_check(fam: Family):
         ok = True
         for spec in _rep_specs(fam):
             eq = build_equation(spec, cfg)
-            values = [eq.h(float(r)).value for r in np.linspace(0.0, 0.95, 100)]
-            ok = ok and all(b > a for a, b in zip(values, values[1:]))
+            values = eq.h(np.linspace(0.0, 0.95, 100)).value
+            ok = ok and bool(np.all(values[1:] > values[:-1]))
         return ok, "H strictly increasing on 100-point grids"
 
     return check
 
-def _h_sign(eq, r: float) -> float:
+def _h_signs(eq, rs: np.ndarray) -> np.ndarray:
+    """The sign of H on a grid of r, 0 where |H| is within its error bound."""
     # B(r) >= r makes H(r) >= r - d*: a free positivity certificate that
     # also avoids series evaluation close to r = 1 where truncation budgets
     # would blow up.
     d = eq.d_star
-    if r - d.value > d.error_bound + 1e-12:
-        return 1.0
-    hv = eq.h(r)
-    if abs(hv.value) <= hv.error_bound:
-        return 0.0
-    return math.copysign(1.0, hv.value)
+    signs = np.ones_like(rs)
+    near = ~(rs - d.value > d.error_bound + 1e-12)
+    hv = eq.h(rs[near])
+    signs[near] = np.where(np.abs(hv.value) <= hv.error_bound, 0.0, np.sign(hv.value))
+    return signs
 
 
 def _make_sign_change_check(fam: Family):
@@ -501,7 +501,7 @@ def _make_sign_change_check(fam: Family):
         for spec in _rep_specs(fam):
             eq = build_equation(spec, cfg)
             rs = np.linspace(0.0, 1.0 - 1e-9, 1000)
-            signs = np.array([_h_sign(eq, float(r)) for r in rs])
+            signs = _h_signs(eq, rs)
             nonzero = signs[signs != 0.0]
             changes = int(np.count_nonzero(np.diff(nonzero)))
             counts.append(changes)

@@ -29,12 +29,15 @@ from harmbohr.classes import (
     make_spec,
     ph_alpha,
     ph_m,
+    stack_lanes,
     start_index,
+    take_lanes,
     tb_m,
     validate,
     wh_alpha,
 )
 from harmbohr.errors import DomainError, ValidationError
+from harmbohr.series import SeriesValue
 
 ALL_SAMPLE_SPECS = [
     ph_alpha(0.0),
@@ -444,3 +447,68 @@ class TestMajorantTailBound:
             majorant_tail_bound(ph_alpha(0.0), 1, 0.5)
         with pytest.raises(DomainError):
             majorant_tail_bound(ph_alpha(0.0), 5, 1.0)
+
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+class TestLanes:
+    """Lane specs: one family, many parameter points, evaluated at once."""
+
+    GRIDS = [
+        [ph_alpha(a) for a in (0.0, 0.4, 0.9)],
+        [gt_beta(b) for b in (0.0, 0.2, 0.45)],
+        [wh_alpha(a) for a in (0.0, 0.5, 1.0)],
+        [gh_k_alpha(3, a) for a in (0.1, 1.0, 30.0)],
+        [tb_m(m) for m in (0.1, 1.0, 1.9)],
+        [ph_m(m) for m in (0.1, 0.7, 1.29)],
+    ]
+
+    @pytest.mark.parametrize("specs", GRIDS)
+    def test_each_lane_is_its_point(self, specs):
+        lanes = stack_lanes(specs)
+        rs = np.array([0.1, 0.5, 0.8])
+        d = distance_bound(lanes, tol=1e-13)
+        b = bohr_sum(lanes, rs, tol=1e-13)
+        for i, spec in enumerate(specs):
+            assert SeriesValue(d.value[i], d.error_bound[i]) == distance_bound(spec, tol=1e-13)
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, rs[i], tol=1e-13)
+        last = distance_bound(take_lanes(lanes, [2]), tol=1e-13)
+        assert last.value.tolist() == [distance_bound(specs[2], tol=1e-13).value]
+
+    @pytest.mark.parametrize("specs", GRIDS)
+    def test_radius_grid_is_its_points(self, specs):
+        rs = np.linspace(0.0, 0.9, 7)
+        b = bohr_sum(specs[1], rs, tol=1e-13)
+        for i, r in enumerate(rs):
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(specs[1], r, tol=1e-13)
+
+    def test_invalid_lane_named(self):
+        spec = ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0]))
+        with pytest.raises(ValidationError, match="got 1.5"):
+            validate(spec)
+
+    def test_mixed_lanes_rejected(self):
+        with pytest.raises(DomainError):
+            stack_lanes([gh_k_alpha(1, 1.0), gh_k_alpha(2, 1.0)])
+        with pytest.raises(DomainError):
+            stack_lanes([ph_alpha(0.1), wh_alpha(0.1)])
+
+
+class TestDistanceAccuracy:
+    @pytest.mark.parametrize(
+        "spec,exact",
+        [
+            (wh_alpha(0.0), 2.0 * math.log(2.0) - 1.0),
+            (wh_alpha(1.0), math.pi**2 / 6.0 - 1.0),
+            (gh_k_alpha(1, 1.0), 2.0 * math.log(2.0) - 1.0),
+            (gh_k_alpha(2, 1.0), math.pi / 2.0 - 1.0),
+        ],
+    )
+    def test_alternating_constant_to_a_few_ulps(self, spec, exact):
+        # d* = 1 + sum (-1)^(n-1) c_n in closed form: 2 ln 2 - 1 for c_n = 2/n,
+        # pi^2/6 - 1 for 2/n^2, pi/2 - 1 for 2/(2n - 1).
+        for tol in (1e-12, 1e-13):
+            d = distance_bound(spec, tol=tol)
+            assert abs(d.value - exact) <= 4.0 * EPS
+            assert abs(d.value - exact) <= d.error_bound <= tol

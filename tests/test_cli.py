@@ -3,10 +3,15 @@ codes, grid sweeps, environment overrides, and stream separation."""
 
 import json
 import math
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import harmbohr
 from harmbohr.cli import CSV_HEADER, OutputRecord, main, parse_grid
 from harmbohr.errors import DomainError
 
@@ -319,3 +324,75 @@ class TestEntrypoint:
         with pytest.raises(SystemExit) as exc_info:
             entrypoint()
         assert exc_info.value.code == 0
+
+
+class TestScanLanes:
+    """A scan solves its whole grid at once, one lane per point."""
+
+    @pytest.mark.parametrize(
+        "tag,fixed,grid",
+        [
+            ("wh-alpha", [], "0:1:0.05"),
+            ("gh-k-alpha", ["--k", "2"], "0.5:2.5:0.1"),
+            ("ph-alpha", [], "0:0.95:0.0475"),
+            ("ph-m", [], "0.05:1.25:0.06"),
+        ],
+    )
+    def test_rows_are_the_single_point_records(self, capsys, tag, fixed, grid):
+        rc, out, _ = run_cli(capsys, "scan", "--class", tag, *fixed, "--range", grid)
+        assert rc == 0
+        rows = out.splitlines()
+        assert len(rows) == 21
+        for row in rows:
+            params = json.loads(row)["params"]
+            argv = [arg for name, value in params.items() for arg in (f"--{name}", repr(value))]
+            rc, alone, _ = run_cli(capsys, "radius", "--class", tag, *argv)
+            assert rc == 0
+            assert alone == row + "\n"
+
+    def test_first_unsummable_point_fails_the_scan(self, capsys):
+        # alpha = 1e6 solves; 2e6 and 3e6 have roots beyond every r the
+        # series can sum.  The scan reports the first of them.
+        rc, out, err = run_cli(
+            capsys, "scan", "--class", "gh-k-alpha", "--k", "1", "--range", "1e6:3e6:1e6"
+        )
+        assert rc == 3
+        assert out == ""
+        single = [
+            run_cli(capsys, "radius", "--class", "gh-k-alpha", "--k", "1", "--alpha", a)
+            for a in ("1e6", "2e6", "3e6")
+        ]
+        assert [code for code, _, _ in single] == [0, 3, 3]
+        assert err == single[1][2] != single[2][2]
+
+    def test_convergence_failure_before_invalid_point_wins(self, capsys):
+        # Point by point, alpha = 0.9 fails to converge before 1.1 is reached.
+        argv = ("scan", "--class", "wh-alpha", "--alpha", "0.9:1.1:0.1")
+        assert run_cli(capsys, *argv, "--max-iter", "1")[0] == 3
+        assert run_cli(capsys, *argv)[0] == 2
+
+    @pytest.mark.parametrize("k,alpha", [(1, "1e7"), (1, "1e8"), (1, "1e9"), (2, "1e7")])
+    def test_unsummable_root_fails_fast(self, capsys, k, alpha):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "gh-k-alpha", "--k", str(k), "--alpha", alpha
+        )
+        assert rc == 3
+        assert out == ""
+        assert "series cannot be summed" in err
+        assert time.perf_counter() - t0 < 0.3
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["harmbohr", "harmbohr.cli"])
+    def test_python_dash_m_prints_the_record(self, capsys, module):
+        src = str(Path(harmbohr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["radius", "--class", "tb-m", "--m", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(capsys, *argv)[1]
+        assert json.loads(proc.stdout)["radius"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)

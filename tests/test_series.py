@@ -227,6 +227,44 @@ class TestClosedFormTails:
                 fn(1.0 + 1e-12)
 
 
+class TestLanes:
+    """One sum per lane: argument arrays and per-lane rule parameters."""
+
+    RULE_LANES = CoefficientRule(
+        lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
+        start=2,
+        name="per-lane",
+        params=(np.array([[0.0], [0.5], [1.0], [3.0]]),),
+    )
+
+    def test_argument_array_is_its_points(self):
+        xs = np.array([0.0, -0.3, 0.5, 0.97, 0.2])
+        sv = signed_power_series(RULE_SQUARE, xs, tol=1e-13)
+        for i, x in enumerate(xs):
+            assert SeriesValue(sv.value[i], sv.error_bound[i]) == signed_power_series(
+                RULE_SQUARE, x, tol=1e-13
+            )
+
+    def test_per_lane_parameters_are_their_rules(self):
+        xs = np.array([0.1, 0.6, 0.9, 0.3])
+        power = sum_power_series(self.RULE_LANES, xs, tol=1e-13)
+        alt = alt_constant(self.RULE_LANES, tol=1e-13)
+        for i, a in enumerate((0.0, 0.5, 1.0, 3.0)):
+            rule = CoefficientRule(lambda n, a=a: 2.0 / (n * (1.0 + a * (n - 1.0))), start=2)
+            assert SeriesValue(power.value[i], power.error_bound[i]) == sum_power_series(
+                rule, xs[i], tol=1e-13
+            )
+            assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
+
+    def test_failure_names_first_lane_and_carries_all(self):
+        xs = np.array([0.5, 0.999, 0.9995])
+        with pytest.raises(ConvergenceError, match="at x=0.999 ") as exc_info:
+            sum_power_series(RULE_LOG, xs, tol=1e-12, max_terms=64)
+        achieved = exc_info.value.achieved
+        assert achieved.error_bound[0] <= 1e-12 < achieved.error_bound[1]
+        assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12).value
+
+
 class TestAltConstant:
     def test_log_rule_equals_two_log_two_minus_two(self):
         # sum_{n>=2} (-1)^(n-1) 2/n = 2(ln 2 - 1).

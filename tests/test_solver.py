@@ -32,6 +32,7 @@ from harmbohr.solver import (
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
+    solve_radii,
     solve_radius,
 )
 
@@ -363,6 +364,47 @@ class TestSolveRadiusContracts:
     def test_invalid_spec_propagates(self):
         with pytest.raises(ValidationError):
             solve_radius(ph_alpha(1.0))
+
+
+class TestSolveRadii:
+    def test_equals_one_lane_solves(self):
+        # Lanes of several families, closed forms, d* = 0 and a retreat
+        # where the series cannot be summed, in one call.
+        specs = (
+            [wh_alpha(a) for a in (0.0, 0.3, 1.0)]
+            + [gh_k_alpha(2, a) for a in (0.5, 1.3, 40.0)]
+            + [gh_k_alpha(1, 1e5), gh_k_alpha(1, 0.01)]
+            + [ph_alpha(0.2), ph_m(0.7), gt_beta(0.0), gt_beta(0.3), tb_m(1.2)]
+        )
+        assert solve_radii(specs) == [solve_radius(s) for s in specs]
+        assert solve_radii(specs[::-1]) == [solve_radius(s) for s in specs[::-1]]
+
+    def test_empty(self):
+        assert solve_radii([]) == []
+
+    def test_raises_the_first_failure_in_order(self):
+        specs = [gh_k_alpha(1, 1.0), gh_k_alpha(1, 1e8), wh_alpha(0.5), gh_k_alpha(1, 1e7)]
+        with pytest.raises(ConvergenceError) as lanes:
+            solve_radii(specs)
+        with pytest.raises(ConvergenceError) as alone:
+            solve_radius(specs[1])
+        assert str(lanes.value) == str(alone.value)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=-2.0, max_value=5.0),
+    )
+    def test_lacunary_floor_stays_below_the_root(self, k, log_alpha):
+        # The bracket starts from a bound-derived floor; it must still
+        # enclose the root with the right signs.
+        spec = gh_k_alpha(k, 10.0**log_alpha)
+        result = solve_radius(spec)
+        eq = build_equation(spec)
+        h_lo, h_hi = eq.h(result.bracket_lo), eq.h(result.bracket_hi)
+        assert h_lo.value <= h_lo.error_bound
+        assert h_hi.value >= -h_hi.error_bound
+        assert result.bracket_hi - result.bracket_lo <= 1e-12
 
 
 class TestJacobian:
