@@ -1,17 +1,29 @@
-"""The six harmonic-mapping families as data plus their sharp bounds.
+"""The six harmonic-mapping families, each defined once as a ``FamilyDef`` record.
 
 A family is a parameterised class of sense-preserving harmonic maps
 f = h + conj(g) on the unit disk, normalised so f(0) = 0 and h'(0) = 1.
-Each family carries:
+``FAMILIES`` holds one frozen :class:`FamilyDef` per :class:`Family`, and
+each record is everything the package knows about its family:
 
-* a parameter domain (``validate``),
-* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_bound``),
+* its parameters, the last of them the one grid commands sweep, and their
+  domain (``make_spec``, ``validate``);
+* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``,
+  ``coefficient_bound``), which the extremal map attains
+  (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
-  to the boundary of the image (``distance_bound``),
-* the majorant sum B(r) = r + sum c_n r^n (``bohr_sum``),
-* sharp growth envelopes for |f| on |z| = r (``growth_envelope``),
-* the coefficients of the extremal map attaining all of the above
-  (``extremal_coefficients``).
+  to the boundary of the image (``distance_bound``);
+* the majorant B(r) = r + sum c_n r^n, in closed form where one exists and
+  otherwise summed from c_n (``bohr_sum``), with an upper bound on H' for
+  the solver's Newton steps;
+* sharp growth envelopes for |f| on |z| = r (``growth_envelope``);
+* the closed-form radius where one exists, and for gh-k-alpha a simpler
+  majorant whose root gives the solver a floor under the radius.
+
+Every public function here is a lookup in ``FAMILIES``, so a new family is
+one entry; the one per-family branch left is the lacunary extremal of
+gh-k-alpha.  The records call the series engine through this module's
+globals at call time and never hold a reference to it, so a tool that
+rebinds those globals (``perfbench/tracer.py``) sees every call.
 
 The Bohr radius of the family is the unique r with B(r) = d*; solving that
 equation is the job of :mod:`harmbohr.solver`, which solves a whole grid of
@@ -23,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -62,17 +75,6 @@ class Family(str, Enum):
     PH_M = "ph-m"
 
 
-# The parameter swept by grid commands, per family.
-CANONICAL_PARAM: dict[Family, str] = {
-    Family.PH_ALPHA: "alpha",
-    Family.GT_BETA: "beta",
-    Family.WH_ALPHA: "alpha",
-    Family.GH_K_ALPHA: "alpha",
-    Family.TB_M: "m",
-    Family.PH_M: "m",
-}
-
-
 @dataclass(frozen=True)
 class ClassSpec:
     """A family together with a concrete parameter choice.
@@ -90,14 +92,227 @@ class ClassSpec:
 
     def params(self) -> dict[str, float]:
         """The parameters relevant to this family, in canonical order."""
-        fam = self.family
-        if fam is Family.PH_ALPHA or fam is Family.WH_ALPHA:
-            return {"alpha": self.alpha}
-        if fam is Family.GT_BETA:
-            return {"beta": self.beta}
-        if fam is Family.GH_K_ALPHA:
-            return {"k": self.k, "alpha": self.alpha}
-        return {"m": self.m}
+        return {name: getattr(self, name) for name in FAMILIES[self.family].params}
+
+
+@dataclass(frozen=True)
+class FamilyDef:
+    """One family's parameters, domain and sharp bounds.
+
+    ``params`` lists the parameter names; the last is the swept one and the
+    argument of ``coeff``.  ``domain`` holds (name, test, message) triples,
+    checked in order.  The callables take a (lane) spec: ``coeff(n, p)``
+    gives c_n, ``d_star(spec, tol)`` the distance constant and
+    ``h_prime(spec, r, tol)`` an upper bound on H'(r); ``majorant(spec, r)``
+    is B(r) - r in closed form (None: summed from ``coeff``),
+    ``envelope(spec, r, tol)`` the growth envelope and ``radius(spec)`` the
+    closed-form radius (None: solved).  ``floor(spec, r)`` gives a closed
+    form U >= B with its slope U', whose root of U = d* lies under the
+    radius (None: the floor is 0).
+    """
+
+    params: tuple[str, ...]
+    domain: tuple[tuple[str, Callable, str], ...]
+    coeff: Callable
+    d_star: Callable
+    h_prime: Callable
+    envelope: Callable
+    majorant: Callable | None = None
+    radius: Callable | None = None
+    floor: Callable | None = None
+
+
+@dataclass(frozen=True)
+class GrowthEnvelope:
+    """Sharp bounds on |f(z)| over |z| = r: lower <= |f| <= upper."""
+
+    lower: float
+    upper: float
+    error_bound: float = 0.0
+
+    def __post_init__(self):
+        slack = self.error_bound + 1e-15
+        if not (-slack <= self.lower <= self.upper + 2.0 * slack):
+            raise DomainError(
+                f"envelope must satisfy 0 <= lower <= upper, got ({self.lower}, {self.upper})"
+            )
+
+
+def _is_count(k) -> bool:
+    # An integer >= 1, given as an int or an integral float.
+    try:
+        return not isinstance(k, bool) and int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _fits_float(k) -> bool:
+    try:
+        float(k)
+    except OverflowError:
+        return False
+    return True
+
+
+def _wh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
+    alt = alt_constant(coefficient_rule(spec), tol=tol, first_sign=-1)
+    return lane_value(1.0 + alt.value, alt.error_bound)
+
+
+def _gh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
+    g = g_alt_constant(spec.k, spec.alpha, tol=0.5 * tol)
+    return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
+
+
+def _partial(rule: CoefficientRule, r, tol: float) -> SeriesValue:
+    # A series that misses tol still carries a rigorous, only looser, bound.
+    try:
+        return sum_power_series(rule, r, tol=tol)
+    except ConvergenceError as exc:
+        return exc.achieved
+
+
+def _wh_h_prime(spec: ClassSpec, r, tol: float):
+    a = as_param(spec.alpha)
+    rule = CoefficientRule(lambda n, a: 2.0 / (1.0 + a * n), 1, "wh-derivative", (a,))
+    s = _partial(rule, r, max(tol, 1e-11))
+    return 1.0 + s.value + s.error_bound
+
+
+def _gh_h_prime(spec: ClassSpec, r, tol: float):
+    # Differentiate the lacunary majorant term by term and split off the
+    # geometric part, valid for every alpha > 0.
+    a, k = spec.alpha, int(spec.k)
+    rule = CoefficientRule(lambda n, a: 1.0 / (1.0 + a * n), k, "gh-derivative", (as_param(a),))
+    s = _partial(rule, r, max(tol, 1e-11))
+    upper = r**k / (1.0 - r) - (1.0 - a) * s.value + np.abs(1.0 - a) * s.error_bound
+    return 1.0 + (2.0 / a) * upper
+
+
+def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+    b = spec.beta
+    lower = b * r + (1.0 - b) * r * (1.0 - r) / (1.0 + r)
+    upper = b * r + (1.0 - b) * r * (1.0 + r) / (1.0 - r)
+    return GrowthEnvelope(lower, upper)
+
+
+def _wh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+    rule = coefficient_rule(spec)
+    plus = sum_power_series(rule, r, tol=0.5 * tol)
+    minus = signed_power_series(rule, -r, tol=0.5 * tol)
+    return GrowthEnvelope(r - minus.value, r + plus.value, plus.error_bound + minus.error_bound)
+
+
+def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
+    # Coefficients of the lacunary extremal reindexed by j: term j carries
+    # 2 / (1 + j*k*alpha) against y^j with y = r^k.
+    ka = int(spec.k) * spec.alpha
+    return CoefficientRule(lambda j: 2.0 / (1.0 + j * ka), 1, "gh-lacunary")
+
+
+def _gh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+    rule = _gh_lacunary_rule(spec)
+    y = r**spec.k
+    plus = sum_power_series(rule, y, tol=0.5 * tol)
+    minus = signed_power_series(rule, -y, tol=0.5 * tol)
+    return GrowthEnvelope(
+        r * (1.0 + minus.value), r * (1.0 + plus.value), r * (plus.error_bound + minus.error_bound)
+    )
+
+
+def _gh_floor(spec: ClassSpec, r):
+    # c_n = 2/(1 + (n-1) alpha) <= 2/((n-1) alpha) for n >= 2, so
+    # B(r) <= U(r) = r - (2r/alpha) ln(1-r).
+    a = spec.alpha
+    log = np.log1p(-r)
+    return r - (2.0 * r / a) * log, 1.0 - (2.0 / a) * log + (2.0 * r / a) / (1.0 - r)
+
+
+FAMILIES: dict[Family, FamilyDef] = {
+    Family.PH_ALPHA: FamilyDef(
+        params=("alpha",),
+        domain=(("alpha", lambda a: (0.0 <= a) & (a < 1.0), "alpha must satisfy 0 <= alpha < 1"),),
+        coeff=lambda n, a: 2.0 * (1.0 - a) / n,
+        d_star=lambda s, tol: lane_value(1.0 + 2.0 * (1.0 - s.alpha) * (LN2 - 1.0), 0.0),
+        h_prime=lambda s, r, tol: 1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
+        envelope=lambda s, r, tol: GrowthEnvelope(
+            r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), r + 2.0 * (1.0 - s.alpha) * log_tail(r)
+        ),
+        majorant=lambda s, r: 2.0 * (1.0 - s.alpha) * log_tail(r),
+    ),
+    Family.GT_BETA: FamilyDef(
+        params=("beta",),
+        domain=(
+            ("beta", lambda b: b >= 0.0, "beta must be >= 0"),
+            ("beta", lambda b: b < 0.5, "beta must be < 1/2"),
+        ),
+        coeff=lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n),
+        d_star=lambda s, tol: lane_value(s.beta, 0.0),
+        h_prime=lambda s, r, tol: 1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
+        envelope=_gt_envelope,
+        majorant=lambda s, r: 2.0 * (1.0 - s.beta) * r * r / (1.0 - r),
+        # The root of (1 - 2b) r^2 + (1 + b) r - b = 0, free of cancellation
+        # for small b.
+        radius=lambda s: 2.0 * s.beta / (
+            (1.0 + s.beta) + np.sqrt(1.0 + 6.0 * s.beta - 7.0 * s.beta * s.beta)
+        ),
+    ),
+    Family.WH_ALPHA: FamilyDef(
+        params=("alpha",),
+        domain=(("alpha", lambda a: (0.0 <= a) & (a <= 1.0), "alpha must satisfy 0 <= alpha <= 1"),),
+        coeff=lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
+        d_star=_wh_d_star,
+        h_prime=_wh_h_prime,
+        envelope=_wh_envelope,
+    ),
+    Family.GH_K_ALPHA: FamilyDef(
+        params=("k", "alpha"),
+        domain=(
+            ("k", _is_count, "k must be an integer >= 1"),
+            ("k", _fits_float, "k must convert to a finite float"),
+            ("alpha", lambda a: a > 0.0, "alpha must be > 0"),
+        ),
+        coeff=lambda n, a: 2.0 / (1.0 + (n - 1.0) * a),
+        d_star=_gh_d_star,
+        h_prime=_gh_h_prime,
+        envelope=_gh_envelope,
+        floor=_gh_floor,
+    ),
+    Family.TB_M: FamilyDef(
+        params=("m",),
+        domain=(("m", lambda m: (0.0 < m) & (m < 2.0), "m must satisfy 0 < m < 2"),),
+        coeff=lambda n, m: np.where(n == 2.0, m / 2.0, 0.0),
+        d_star=lambda s, tol: lane_value(1.0 - s.m / 2.0, 0.0),
+        h_prime=lambda s, r, tol: 1.0 + s.m * r,
+        envelope=lambda s, r, tol: GrowthEnvelope(r - 0.5 * s.m * r * r, r + 0.5 * s.m * r * r),
+        majorant=lambda s, r: 0.5 * s.m * r * r,
+        # The root of m r^2 + 2r + (m - 2) = 0, free of cancellation for small m.
+        radius=lambda s: (2.0 - s.m) / (1.0 + np.sqrt(1.0 + 2.0 * s.m - s.m * s.m)),
+    ),
+    Family.PH_M: FamilyDef(
+        params=("m",),
+        domain=(
+            (
+                "m",
+                lambda m: (0.0 < m) & (m < PH_M_SUP),
+                f"m must satisfy 0 < m < 1/(2*(ln 4 - 1)) = {PH_M_SUP:.6f}",
+            ),
+        ),
+        coeff=lambda n, m: 2.0 * m / (n * (n - 1.0)),
+        d_star=lambda s, tol: lane_value(1.0 + 2.0 * s.m * (1.0 - LN4), 0.0),
+        h_prime=lambda s, r, tol: 1.0 - 2.0 * s.m * np.log1p(-r),
+        envelope=lambda s, r, tol: GrowthEnvelope(
+            r + 2.0 * s.m * alt_nn1_tail(r), r + 2.0 * s.m * nn1_tail(r)
+        ),
+        majorant=lambda s, r: 2.0 * s.m * nn1_tail(r),
+    ),
+}
+
+# The parameter swept by grid commands, per family.
+CANONICAL_PARAM: dict[Family, str] = {fam: d.params[-1] for fam, d in FAMILIES.items()}
+
+# The parameters a lane spec may sweep; k stays one integer for all lanes.
+_LANE_PARAMS = ("alpha", "beta", "m")
 
 
 def _require_finite(name: str, value):
@@ -119,44 +334,27 @@ def validate(spec: ClassSpec) -> None:
     For a lane spec every lane is checked, and the error names the first
     failing lane's value.
     """
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        a = _require_finite("alpha", spec.alpha)
-        _check((0.0 <= a) & (a < 1.0), a, "alpha must satisfy 0 <= alpha < 1")
-    elif fam is Family.GT_BETA:
-        b = _require_finite("beta", spec.beta)
-        _check(b >= 0.0, b, "beta must be >= 0")
-        _check(b < 0.5, b, "beta must be < 1/2")
-    elif fam is Family.WH_ALPHA:
-        a = _require_finite("alpha", spec.alpha)
-        _check((0.0 <= a) & (a <= 1.0), a, "alpha must satisfy 0 <= alpha <= 1")
-    elif fam is Family.GH_K_ALPHA:
-        if spec.k is None or isinstance(spec.k, bool) or int(spec.k) != spec.k:
-            raise ValidationError(f"k must be an integer >= 1, got {spec.k!r}")
-        if spec.k < 1:
-            raise ValidationError(f"k must be an integer >= 1, got {spec.k}")
-        a = _require_finite("alpha", spec.alpha)
-        _check(a > 0.0, a, "alpha must be > 0")
-    elif fam is Family.TB_M:
-        m = _require_finite("m", spec.m)
-        _check((0.0 < m) & (m < 2.0), m, "m must satisfy 0 < m < 2")
-    elif fam is Family.PH_M:
-        m = _require_finite("m", spec.m)
-        _check(
-            (0.0 < m) & (m < PH_M_SUP),
-            m,
-            f"m must satisfy 0 < m < 1/(2*(ln 4 - 1)) = {PH_M_SUP:.6f}",
-        )
-    else:  # pragma: no cover - Family is closed
-        raise ValidationError(f"unknown family {fam!r}")
+    values: dict = {}
+    for name, test, message in FAMILIES[spec.family].domain:
+        if name not in values:
+            value = getattr(spec, name)
+            values[name] = _require_finite(name, value) if name in _LANE_PARAMS else value
+        value = values[name]
+        if name in _LANE_PARAMS:
+            _check(test(value), value, message)
+        elif not test(value):
+            raise ValidationError(f"{message}, got {_show(value)}")
+
+
+def _show(value) -> str:
+    # An integer too large for a float is named by its size, not its digits.
+    if isinstance(value, int) and not _fits_float(value):
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 def _check(ok, values, message: str) -> None:
     require(ok, values, message, ValidationError)
-
-
-# The parameters a lane spec may sweep; k stays one integer for all lanes.
-_LANE_PARAMS = ("alpha", "beta", "m")
 
 
 def stack_lanes(specs) -> ClassSpec:
@@ -194,66 +392,61 @@ def _broadcast(spec: ClassSpec, r) -> np.ndarray:
     return r
 
 
-def ph_alpha(alpha: float) -> ClassSpec:
-    spec = ClassSpec(Family.PH_ALPHA, alpha=float(alpha))
-    validate(spec)
-    return spec
-
-
-def gt_beta(beta: float) -> ClassSpec:
-    spec = ClassSpec(Family.GT_BETA, beta=float(beta))
-    validate(spec)
-    return spec
-
-
-def wh_alpha(alpha: float) -> ClassSpec:
-    spec = ClassSpec(Family.WH_ALPHA, alpha=float(alpha))
-    validate(spec)
-    return spec
-
-
-def gh_k_alpha(k: int, alpha: float) -> ClassSpec:
-    spec = ClassSpec(Family.GH_K_ALPHA, alpha=float(alpha), k=int(k) if not isinstance(k, bool) else k)
-    validate(spec)
-    return spec
-
-
-def tb_m(m: float) -> ClassSpec:
-    spec = ClassSpec(Family.TB_M, m=float(m))
-    validate(spec)
-    return spec
-
-
-def ph_m(m: float) -> ClassSpec:
-    spec = ClassSpec(Family.PH_M, m=float(m))
-    validate(spec)
-    return spec
-
-
-_CONSTRUCTORS = {
-    Family.PH_ALPHA: lambda **p: ph_alpha(p["alpha"]),
-    Family.GT_BETA: lambda **p: gt_beta(p["beta"]),
-    Family.WH_ALPHA: lambda **p: wh_alpha(p["alpha"]),
-    Family.GH_K_ALPHA: lambda **p: gh_k_alpha(p["k"], p["alpha"]),
-    Family.TB_M: lambda **p: tb_m(p["m"]),
-    Family.PH_M: lambda **p: ph_m(p["m"]),
-}
+def _as_count(k):
+    # An integral k becomes an int, so records print "k": 2; anything else
+    # is left as given for validate to reject.
+    try:
+        if not isinstance(k, bool) and int(k) == float(k):
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return k
 
 
 def make_spec(family: Family, **params) -> ClassSpec:
     """Build and validate a spec from keyword parameters."""
-    try:
-        return _CONSTRUCTORS[family](**params)
-    except KeyError as exc:
-        raise ValidationError(f"missing parameter {exc.args[0]!r} for {family.value}") from None
+    names = FAMILIES[family].params
+    for name in names:
+        if name not in params:
+            raise ValidationError(f"missing parameter {name!r} for {family.value}")
+    values = {
+        name: float(params[name]) if name in _LANE_PARAMS else _as_count(params[name])
+        for name in names
+    }
+    spec = ClassSpec(family, **values)
+    validate(spec)
+    return spec
+
+
+def ph_alpha(alpha: float) -> ClassSpec:
+    return make_spec(Family.PH_ALPHA, alpha=alpha)
+
+
+def gt_beta(beta: float) -> ClassSpec:
+    return make_spec(Family.GT_BETA, beta=beta)
+
+
+def wh_alpha(alpha: float) -> ClassSpec:
+    return make_spec(Family.WH_ALPHA, alpha=alpha)
+
+
+def gh_k_alpha(k: int, alpha: float) -> ClassSpec:
+    return make_spec(Family.GH_K_ALPHA, k=k, alpha=alpha)
+
+
+def tb_m(m: float) -> ClassSpec:
+    return make_spec(Family.TB_M, m=m)
+
+
+def ph_m(m: float) -> ClassSpec:
+    return make_spec(Family.PH_M, m=m)
 
 
 def start_index(spec: ClassSpec) -> int:
-    """First index n with a nonzero coefficient bound beyond the leading z."""
+    """First index n with a nonzero coefficient bound beyond the leading z:
+    2, or k + 1 past a gap of length k."""
     validate(spec)
-    if spec.family is Family.GH_K_ALPHA:
-        return int(spec.k) + 1
-    return 2
+    return int(spec.k) + 1 if "k" in FAMILIES[spec.family].params else 2
 
 
 def coefficient_bound(spec: ClassSpec, n: int) -> float:
@@ -261,43 +454,16 @@ def coefficient_bound(spec: ClassSpec, n: int) -> float:
     n0 = start_index(spec)
     if int(n) != n or n < n0:
         raise DomainError(f"n must be an integer >= {n0}, got {n!r}")
-    n = int(n)
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        return 2.0 * (1.0 - spec.alpha) / n
-    if fam is Family.GT_BETA:
-        return 2.0 * (1.0 - spec.beta)
-    if fam is Family.WH_ALPHA:
-        return 2.0 / (n * (1.0 + spec.alpha * (n - 1)))
-    if fam is Family.GH_K_ALPHA:
-        return 2.0 / (1.0 + (n - 1) * spec.alpha)
-    if fam is Family.TB_M:
-        return spec.m / 2.0 if n == 2 else 0.0
-    return 2.0 * spec.m / (n * (n - 1))
+    return coefficient_rule(spec).term(int(n))
 
 
 def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
     """The coefficient bounds as a vectorised rule for the series engine,
     with one row of coefficients per lane for a lane spec."""
     n0 = start_index(spec)
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        a = as_param(spec.alpha)
-        return CoefficientRule(lambda n, a: 2.0 * (1.0 - a) / n, n0, "ph-alpha", (a,))
-    if fam is Family.GT_BETA:
-        b = as_param(spec.beta)
-        return CoefficientRule(lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n), n0, "gt-beta", (b,))
-    if fam is Family.WH_ALPHA:
-        a = as_param(spec.alpha)
-        return CoefficientRule(lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))), n0, "wh-alpha", (a,))
-    if fam is Family.GH_K_ALPHA:
-        a = as_param(spec.alpha)
-        return CoefficientRule(lambda n, a: 2.0 / (1.0 + (n - 1.0) * a), n0, "gh-k-alpha", (a,))
-    if fam is Family.TB_M:
-        m = as_param(spec.m)
-        return CoefficientRule(lambda n, m: np.where(n == 2.0, m / 2.0, 0.0), n0, "tb-m", (m,))
-    m = as_param(spec.m)
-    return CoefficientRule(lambda n, m: 2.0 * m / (n * (n - 1.0)), n0, "ph-m", (m,))
+    fam = FAMILIES[spec.family]
+    p = as_param(getattr(spec, fam.params[-1]))
+    return CoefficientRule(fam.coeff, n0, spec.family.value, (p,))
 
 
 def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
@@ -307,20 +473,7 @@ def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
     A lane spec gives arrays, one d* per lane.
     """
     validate(spec)
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        return lane_value(1.0 + 2.0 * (1.0 - spec.alpha) * (LN2 - 1.0), 0.0)
-    if fam is Family.GT_BETA:
-        return lane_value(spec.beta, 0.0)
-    if fam is Family.WH_ALPHA:
-        alt = alt_constant(coefficient_rule(spec), tol=tol, first_sign=-1)
-        return lane_value(1.0 + alt.value, alt.error_bound)
-    if fam is Family.GH_K_ALPHA:
-        g = g_alt_constant(spec.k, spec.alpha, tol=0.5 * tol)
-        return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
-    if fam is Family.TB_M:
-        return lane_value(1.0 - spec.m / 2.0, 0.0)
-    return lane_value(1.0 + 2.0 * spec.m * (1.0 - LN4), 0.0)
+    return FAMILIES[spec.family].d_star(spec, tol)
 
 
 def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
@@ -333,15 +486,9 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     validate(spec)
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        return lane_value(r + 2.0 * (1.0 - spec.alpha) * log_tail(r), 0.0)
-    if fam is Family.GT_BETA:
-        return lane_value(r + 2.0 * (1.0 - spec.beta) * r * r / (1.0 - r), 0.0)
-    if fam is Family.TB_M:
-        return lane_value(r + 0.5 * spec.m * r * r, 0.0)
-    if fam is Family.PH_M:
-        return lane_value(r + 2.0 * spec.m * nn1_tail(r), 0.0)
+    majorant = FAMILIES[spec.family].majorant
+    if majorant is not None:
+        return lane_value(r + majorant(spec, r), 0.0)
     try:
         s = sum_power_series(coefficient_rule(spec), r, tol=tol)
     except ConvergenceError as exc:
@@ -352,65 +499,12 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     return lane_value(r + s.value, s.error_bound)
 
 
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """Sharp bounds on |f(z)| over |z| = r: lower <= |f| <= upper."""
-
-    lower: float
-    upper: float
-    error_bound: float = 0.0
-
-    def __post_init__(self):
-        slack = self.error_bound + 1e-15
-        if not (-slack <= self.lower <= self.upper + 2.0 * slack):
-            raise DomainError(
-                f"envelope must satisfy 0 <= lower <= upper, got ({self.lower}, {self.upper})"
-            )
-
-
-def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
-    # Coefficients of the lacunary extremal reindexed by j: term j carries
-    # 2 / (1 + j*k*alpha) against y^j with y = r^k.
-    ka = int(spec.k) * spec.alpha
-    return CoefficientRule(lambda j: 2.0 / (1.0 + j * ka), 1, "gh-lacunary")
-
-
 def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnvelope:
     """Sharp lower/upper bounds on |f(z)| at |z| = r for the family."""
     validate(spec)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        span = 2.0 * (1.0 - spec.alpha)
-        return GrowthEnvelope(r + span * alt_log_tail(r), r + span * log_tail(r))
-    if fam is Family.GT_BETA:
-        b = spec.beta
-        lower = b * r + (1.0 - b) * r * (1.0 - r) / (1.0 + r)
-        upper = b * r + (1.0 - b) * r * (1.0 + r) / (1.0 - r)
-        return GrowthEnvelope(lower, upper)
-    if fam is Family.WH_ALPHA:
-        rule = coefficient_rule(spec)
-        plus = sum_power_series(rule, r, tol=0.5 * tol)
-        minus = signed_power_series(rule, -r, tol=0.5 * tol)
-        return GrowthEnvelope(
-            r - minus.value, r + plus.value, plus.error_bound + minus.error_bound
-        )
-    if fam is Family.GH_K_ALPHA:
-        rule = _gh_lacunary_rule(spec)
-        y = r**spec.k
-        plus = sum_power_series(rule, y, tol=0.5 * tol)
-        minus = signed_power_series(rule, -y, tol=0.5 * tol)
-        return GrowthEnvelope(
-            r * (1.0 + minus.value),
-            r * (1.0 + plus.value),
-            r * (plus.error_bound + minus.error_bound),
-        )
-    if fam is Family.TB_M:
-        half = 0.5 * spec.m * r * r
-        return GrowthEnvelope(r - half, r + half)
-    span = 2.0 * spec.m
-    return GrowthEnvelope(r + span * alt_nn1_tail(r), r + span * nn1_tail(r))
+    return FAMILIES[spec.family].envelope(spec, r, tol)
 
 
 @dataclass(frozen=True)
@@ -428,22 +522,21 @@ class ExtremalFunction:
 
 
 def extremal_coefficients(spec: ClassSpec, truncation: int) -> ExtremalFunction:
-    """Coefficients a_1..a_N (and zero b_2..b_N) of the extremal map."""
+    """Coefficients a_1..a_N (and zero b_2..b_N) of the extremal map.
+
+    It is z + sum c_n z^n, except for gh-k-alpha, whose extremal carries
+    only the powers z^(jk+1).
+    """
     validate(spec)
     if int(truncation) != truncation or truncation < 1:
         raise DomainError(f"truncation must be an integer >= 1, got {truncation!r}")
     n_top = int(truncation)
     a = np.zeros(n_top, dtype=np.float64)
     a[0] = 1.0
-    fam = spec.family
-    if fam is Family.GH_K_ALPHA:
+    if spec.family is Family.GH_K_ALPHA:
         k = int(spec.k)
-        ka = k * spec.alpha
         js = np.arange(1, (n_top - 1) // k + 1, dtype=np.float64)
-        a[(js * k).astype(np.int64)] = 2.0 / (1.0 + js * ka)
-    elif fam is Family.TB_M:
-        if n_top >= 2:
-            a[1] = spec.m / 2.0
+        a[(js * k).astype(np.int64)] = _gh_lacunary_rule(spec).terms(js)
     elif n_top >= 2:
         ns = np.arange(2, n_top + 1, dtype=np.float64)
         a[1:] = coefficient_rule(spec).terms(ns)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 # distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
-from .classes import CANONICAL_PARAM, Family, distance_bound, make_spec  # noqa: F401
+from .classes import FAMILIES, Family, distance_bound, make_spec  # noqa: F401
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -29,27 +29,18 @@ from .solver import SolverConfig, jacobian_functional, jacobian_radius, solve_ra
 from .solver import solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
-CLASS_TAGS = tuple(f.value for f in Family) + (JACOBIAN_TAG,)
+CLASS_TAGS = tuple(f.value for f in FAMILIES) + (JACOBIAN_TAG,)
 
 DEFAULT_TOL = 1e-12
 
 # Largest lo:hi:step grid parse_grid will build.
 MAX_GRID_POINTS = 1_000_000
 
-# Parameters each tag requires on the command line.
+# Parameters each tag requires on the command line; the last is swept by
+# --range.  The Jacobian variant takes the parameters of tb-m.
 _EXPECTED_PARAMS: dict[str, tuple[str, ...]] = {
-    Family.PH_ALPHA.value: ("alpha",),
-    Family.GT_BETA.value: ("beta",),
-    Family.WH_ALPHA.value: ("alpha",),
-    Family.GH_K_ALPHA.value: ("k", "alpha"),
-    Family.TB_M.value: ("m",),
-    Family.PH_M.value: ("m",),
-    JACOBIAN_TAG: ("m",),
-}
-
-_CANONICAL_BY_TAG: dict[str, str] = {
-    **{fam.value: CANONICAL_PARAM[fam] for fam in Family},
-    JACOBIAN_TAG: "m",
+    **{fam.value: d.params for fam, d in FAMILIES.items()},
+    JACOBIAN_TAG: FAMILIES[Family.TB_M].params,
 }
 
 CSV_HEADER = "class,param_name,param_value,radius,residual,method"
@@ -96,7 +87,7 @@ class OutputRecord:
         )
 
     def to_csv_row(self) -> str:
-        name = _CANONICAL_BY_TAG[self.class_tag]
+        name = _EXPECTED_PARAMS[self.class_tag][-1]
         value = self.params[name]
         return (
             f"{self.class_tag},{name},{value:.12g},{self.radius:.12g},"
@@ -241,7 +232,7 @@ def cmd_radius(args) -> int:
 
 def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
     """Split the given parameters into fixed scalars and one swept grid."""
-    canonical = _CANONICAL_BY_TAG[tag]
+    canonical = _EXPECTED_PARAMS[tag][-1]
     range_text = getattr(args, "range", None)
     raw = _gather_params(args, tag, require_all=range_text is None)
     grids = {

@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .classes import (
+    FAMILIES,
     ClassSpec,
-    Family,
     bohr_sum,
     distance_bound,
     stack_lanes,
@@ -44,7 +44,7 @@ from .classes import (
     validate,
 )
 from .errors import ConvergenceError, DomainError
-from .series import CoefficientRule, SeriesValue, as_param, sum_power_series
+from .series import SeriesValue
 
 _EPS = 2.0**-52
 
@@ -78,10 +78,13 @@ class SolverConfig:
     prefer_closed_form: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
-        if not self.series_tol > 0.0:
-            raise DomainError(f"series_tol must be > 0, got {self.series_tol}")
+        for name in ("tol", "series_tol"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise DomainError(f"{name} must be > 0, got {value}")
+            # An infinite tolerance certifies nothing, and JSON cannot carry it.
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
@@ -115,42 +118,6 @@ class RadiusResult:
     d_star: SeriesValue
 
 
-def _partial(rule: CoefficientRule, r, tol: float) -> SeriesValue:
-    # A series that misses tol still carries a rigorous, only looser, bound.
-    try:
-        return sum_power_series(rule, r, tol=tol)
-    except ConvergenceError as exc:
-        return exc.achieved
-
-
-def _h_prime(spec: ClassSpec, r, series_tol: float):
-    """An upper bound on H'(r), for a float r or one r per lane."""
-    fam = spec.family
-    if fam is Family.PH_ALPHA:
-        a = spec.alpha
-        return 1.0 + 2.0 * (1.0 - a) * r / (1.0 - r)
-    if fam is Family.GT_BETA:
-        b = spec.beta
-        return 1.0 + 2.0 * (1.0 - b) * r * (2.0 - r) / (1.0 - r) ** 2
-    if fam is Family.TB_M:
-        return 1.0 + spec.m * r
-    if fam is Family.PH_M:
-        return 1.0 - 2.0 * spec.m * np.log1p(-r)
-    tol = max(series_tol, 1e-11)
-    a = spec.alpha
-    if fam is Family.WH_ALPHA:
-        rule = CoefficientRule(lambda n, a: 2.0 / (1.0 + a * n), 1, "wh-derivative", (as_param(a),))
-        s = _partial(rule, r, tol)
-        return 1.0 + s.value + s.error_bound
-    # Lacunary family: differentiate term by term and split off the
-    # geometric part, valid for every alpha > 0.
-    k = int(spec.k)
-    rule = CoefficientRule(lambda n, a: 1.0 / (1.0 + a * n), k, "gh-derivative", (as_param(a),))
-    s = _partial(rule, r, tol)
-    upper = r**k / (1.0 - r) - (1.0 - a) * s.value + np.abs(1.0 - a) * s.error_bound
-    return 1.0 + (2.0 / a) * upper
-
-
 def build_equation(spec: ClassSpec, config: SolverConfig | None = None) -> BohrEquation:
     """Assemble H and an upper bound on H' at the configured tolerances.
 
@@ -159,13 +126,14 @@ def build_equation(spec: ClassSpec, config: SolverConfig | None = None) -> BohrE
     cfg = config or SolverConfig()
     validate(spec)
     d = distance_bound(spec, tol=cfg.series_tol)
+    h_prime = FAMILIES[spec.family].h_prime
 
     def h(r) -> SeriesValue:
         b = bohr_sum(spec, r, tol=cfg.series_tol)
         return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
 
     return BohrEquation(
-        spec=spec, d_star=d, h=h, h_prime=lambda r: _h_prime(spec, r, cfg.series_tol)
+        spec=spec, d_star=d, h=h, h_prime=lambda r: h_prime(spec, r, cfg.series_tol)
     )
 
 
@@ -177,14 +145,8 @@ def closed_form_radius(spec: ClassSpec):
     parameters.
     """
     validate(spec)
-    if spec.family is Family.GT_BETA:
-        b = spec.beta
-        disc = 1.0 + 6.0 * b - 7.0 * b * b
-        return _float_or_array(2.0 * b / ((1.0 + b) + np.sqrt(disc)))
-    if spec.family is Family.TB_M:
-        m = spec.m
-        return _float_or_array((2.0 - m) / (1.0 + np.sqrt(1.0 + 2.0 * m - m * m)))
-    return None
+    radius = FAMILIES[spec.family].radius
+    return None if radius is None else _float_or_array(radius(spec))
 
 
 def _float_or_array(x):
@@ -203,29 +165,25 @@ def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
 def _floor(spec: ClassSpec, d_lo: np.ndarray) -> np.ndarray:
     """A certified lower bound on each lane's root, given d* >= d_lo > 0.
 
-    It is 0 except for gh-k-alpha.  There c_n = 2/(1 + (n-1) alpha) is at
-    most 2/((n-1) alpha) for n >= 2, so B(r) <= U(r) = r - (2r/alpha) ln(1-r)
-    and the root of H lies at or above the root of U = d_lo.  U is convex
-    with U' >= 1 and U(r) >= r, so Newton started at d_lo falls onto that
-    root, which lies at or above r - max(U(r) - d_lo, 0) for any r.  Near
-    r = 1 this floor is close to the root, so a root that no series can
-    reach is known to be out of reach after one failed point.
+    It is 0 unless the family's record gives a closed form U >= B (for
+    gh-k-alpha, U(r) = r - (2r/alpha) ln(1-r)); then the root of H lies at
+    or above the root of U = d_lo.  U is convex with U' >= 1 and U(r) >= r,
+    so Newton started at d_lo (or just below r = 1 where d_lo rounds to 1)
+    falls onto that root, which lies at or above r - max(U(r) - d_lo, 0)
+    for any r.  Near r = 1 this floor is close to the root, so a root that
+    no series can reach is known to be out of reach after one failed point.
     """
-    if spec.family is not Family.GH_K_ALPHA:
+    bound = FAMILIES[spec.family].floor
+    if bound is None:
         return np.zeros_like(d_lo)
-    a = spec.alpha
-
-    def u(r):
-        return r - (2.0 * r / a) * np.log1p(-r)
-
-    r = d_lo
+    r = np.minimum(d_lo, _BELOW_ONE)
     for _ in range(30):
-        slope = 1.0 - (2.0 / a) * np.log1p(-r) + (2.0 * r / a) / (1.0 - r)
-        step = (u(r) - d_lo) / slope
+        u, slope = bound(spec, r)
+        step = (u - d_lo) / slope
         r = r - step
         if np.all(np.abs(step) <= 4.0 * _EPS * r):
             break
-    ur = u(r)
+    ur = bound(spec, r)[0]
     excess = np.maximum(ur - d_lo + _ROUNDING * (ur + d_lo), 0.0)
     return np.maximum(r - (excess + _ROUNDING * r), 0.0)
 
@@ -241,6 +199,7 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     dict from lane index to the ConvergenceError that lane raises.
     """
     dv, de = d.value, d.error_bound
+    h_prime = FAMILIES[spec.family].h_prime
     # B(r) >= r puts the root in [lo, d* + error].  Iterates stay at or
     # below ``top``, which points where a series cannot be summed lower;
     # they certify nothing, so they never become ``hi``.
@@ -281,7 +240,7 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
             sub = take_lanes(sub, np.flatnonzero(ok))
             act, xa, v, hb = act[ok], xa[ok], v[ok], hb[ok]
 
-        slope = _h_prime(sub, xa, cfg.series_tol)
+        slope = h_prime(sub, xa, cfg.series_tol)
         av = np.abs(v)
         e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .classes import (
+    FAMILIES,
     ClassSpec,
     ExtremalFunction,
     Family,
@@ -195,11 +196,9 @@ def distance_oracle(
 
 
 def default_sharpness_tol(spec: ClassSpec) -> float:
-    # Families whose majorant or constant is itself a series carry the
-    # looser tolerance; closed-form families are checked near round-off.
-    if spec.family in (Family.WH_ALPHA, Family.GH_K_ALPHA):
-        return 1e-9
-    return 1e-12
+    # Families whose majorant is itself a series carry the looser
+    # tolerance; closed-form families are checked near round-off.
+    return 1e-9 if FAMILIES[spec.family].majorant is None else 1e-12
 
 
 def sharpness_check(
@@ -260,9 +259,7 @@ def bohr_scan(
 def lower_touch_angle(spec: ClassSpec) -> float:
     """Angle where the extremal attains the lower growth envelope."""
     validate(spec)
-    if spec.family is Family.GH_K_ALPHA:
-        return math.pi / int(spec.k)
-    return math.pi
+    return math.pi / (spec.k or 1)
 
 
 def envelope_check(
@@ -389,17 +386,22 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
         m = round(0.1 + 0.1 * i, 2)
         r = jacobian_radius(m)
         worst = max(worst, abs(jacobian_functional(m, r) - (1.0 - 0.5 * m)))
-    # Containment: weighted extremal growth stays below the functional.
+    # The functional is max|f| + r max|h'| + sum_{n>=2} |a_n| r^n of the
+    # extremal on |z| = r, each term measured from its coefficients; it must
+    # match from both sides.
     contain = 0.0
-    ext_tol = 1e-12
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     for m in (0.5, 1.0, 1.5):
-        ext = extremal_coefficients(tb_m(m), 2)
+        a = extremal_coefficients(tb_m(m), 2).analytic
+        ns = np.arange(1, a.size + 1, dtype=np.float64)
         for r in (0.1, 0.3, 0.5):
-            thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-            max_f = float(np.max(_kernels.abs_on_circle(ext.analytic, r, thetas)))
-            lhs = max_f + (1.0 + m * r) * r + 0.5 * m * r * r
-            contain = max(contain, lhs - jacobian_functional(m, r))
-    ok = worst <= 1e-12 and abs(contain) <= ext_tol
+            max_f = float(np.max(_kernels.abs_on_circle(a, r, thetas)))
+            # z h'(z) has the coefficients n a_n: |z h'| = r |h'|.
+            r_max_dh = float(np.max(_kernels.abs_on_circle(ns * a, r, thetas)))
+            tail = float(np.abs(a[1:]) @ r ** ns[1:])
+            lhs = max_f + r_max_dh + tail
+            contain = max(contain, abs(lhs - jacobian_functional(m, r)))
+    ok = worst <= 1e-12 and contain <= 1e-12
     return ok, f"max functional deficit = {worst:.2e}; containment slack = {contain:.2e}"
 
 def _make_sharpness_check(fam: Family):

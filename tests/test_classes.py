@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from harmbohr.classes import (
     CANONICAL_PARAM,
+    FAMILIES,
     PH_M_SUP,
     ClassSpec,
     Family,
+    FamilyDef,
     GrowthEnvelope,
     bohr_sum,
     coefficient_bound,
@@ -139,6 +141,47 @@ class TestValidation:
 
     def test_canonical_params_cover_all_families(self):
         assert set(CANONICAL_PARAM) == set(Family)
+
+    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), None])
+    def test_non_integral_k_rejected_not_truncated(self, k):
+        message = f"^k must be an integer >= 1, got {k!r}$"
+        with pytest.raises(ValidationError, match=message):
+            gh_k_alpha(k, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            make_spec(Family.GH_K_ALPHA, k=k, alpha=1.0)
+
+    @pytest.mark.parametrize("k", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_k_becomes_int(self, k):
+        spec = make_spec(Family.GH_K_ALPHA, k=k, alpha=1.0)
+        assert spec == gh_k_alpha(2, 1.0)
+        assert type(spec.k) is int
+        assert spec.params() == {"k": 2, "alpha": 1.0}
+
+    @pytest.mark.parametrize("exponent,bits", [(400, 1329), (5000, 16610)])
+    def test_k_beyond_float_range_rejected(self, exponent, bits):
+        # 10**5000 has more digits than Python converts to a string.
+        message = f"^k must convert to a finite float, got an integer of {bits} bits$"
+        with pytest.raises(ValidationError, match=message):
+            gh_k_alpha(10**exponent, 1e-300)
+
+
+class TestFamilyRecords:
+    """Each family is defined once, in FAMILIES; the rest is derived."""
+
+    def test_one_record_per_family(self):
+        assert list(FAMILIES) == list(Family)
+        assert all(isinstance(d, FamilyDef) for d in FAMILIES.values())
+
+    def test_parameters_come_from_the_records(self):
+        from harmbohr.cli import CLASS_TAGS, JACOBIAN_TAG, _EXPECTED_PARAMS
+
+        for fam, record in FAMILIES.items():
+            assert CANONICAL_PARAM[fam] == record.params[-1]
+            assert _EXPECTED_PARAMS[fam.value] is record.params
+            spec = make_spec(fam, **{name: 1 if name == "k" else 0.25 for name in record.params})
+            assert tuple(spec.params()) == record.params
+        assert _EXPECTED_PARAMS[JACOBIAN_TAG] is FAMILIES[Family.TB_M].params
+        assert CLASS_TAGS == tuple(f.value for f in Family) + (JACOBIAN_TAG,)
 
 
 class TestStartIndex:

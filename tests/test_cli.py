@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,38 @@ class TestExitCodes:
             assert rc == 2
             assert out == ""
 
+    def test_huge_k_is_solved_not_rejected(self, capsys):
+        # d* rounds to 1 here; the floor below the root must still start
+        # inside (0, 1), without numpy warnings, and the valid k never
+        # gets the invalid-parameter code.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run_cli(
+                capsys, "radius", "--class", "gh-k-alpha", "--k", str(10**17), "--alpha", "1"
+            )
+        assert rc in (0, 3), err
+        if rc == 0:
+            data = json.loads(out)
+            assert data["params"]["k"] == 10**17
+            assert 0.0 < data["radius"] < 1.0
+
+    def test_k_beyond_float_range_is_invalid(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "gh-k-alpha", "--k", str(10**400), "--alpha", "1e-300"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "error: k must convert to a finite float, got an integer of 1329 bits\n"
+        assert "Traceback" not in err
+
+    def test_infinite_tol_flag_is_invalid(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "ph-alpha", "--alpha", "0.1", "--tol", "inf"
+        )
+        assert rc == 2
+        assert out == ""
+        assert "tol must be finite" in err
+
 
 class TestScanCommand:
     def test_ph_alpha_sweep_rows(self, capsys):
@@ -306,6 +339,13 @@ class TestEnvironmentOverrides:
             capsys, "radius", "--class", "gt-beta", "--beta", "0.3", "--tol", "1e-10"
         )
         assert json.loads(out)["tol"] == 1e-10
+
+    def test_infinite_environment_tol_is_invalid(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOHR_TOL", "inf")
+        rc, out, err = run_cli(capsys, "radius", "--class", "gt-beta", "--beta", "0.3")
+        assert rc == 2
+        assert out == ""
+        assert "tol must be finite" in err
 
     def test_malformed_environment_value(self, capsys, monkeypatch):
         monkeypatch.setenv("BOHR_TOL", "not-a-number")

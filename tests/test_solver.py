@@ -78,6 +78,11 @@ class TestSolverConfig:
         with pytest.raises(DomainError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["tol", "series_tol"])
+    def test_rejects_infinite_tolerances(self, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
+            SolverConfig(**{name: math.inf})
+
 
 class TestEquation:
     @pytest.mark.parametrize(

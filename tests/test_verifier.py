@@ -294,3 +294,19 @@ class TestRunSuite:
     def test_failures_property(self):
         report = run_suite(only="jacobian")
         assert report.failures == ()
+
+    def test_jacobian_containment_fails_below_the_functional(self, monkeypatch):
+        # An extremal whose terms fall short of the functional (a_2 = m/3
+        # instead of m/2) must fail, not only one that exceeds it.
+        from harmbohr import verifier
+
+        def short_extremal(spec, truncation):
+            ext = extremal_coefficients(spec, truncation)
+            analytic = ext.analytic.copy()
+            analytic[1] = spec.m / 3.0
+            return ExtremalFunction(analytic, ext.co_analytic, ext.truncation)
+
+        monkeypatch.setattr(verifier, "extremal_coefficients", short_extremal)
+        (result,) = run_suite(only="jacobian-majorant-deficit-tb-m").results
+        assert not result.passed
+        assert "containment slack = 2.50e-01" in result.detail
