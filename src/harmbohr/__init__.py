@@ -37,7 +37,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     HarmBohrError,
-    InternalConsistencyError,
     ValidationError,
 )
 from .series import (
@@ -79,7 +78,6 @@ __all__ = [
     "Family",
     "GrowthEnvelope",
     "HarmBohrError",
-    "InternalConsistencyError",
     "Method",
     "RadiusResult",
     "SeriesValue",

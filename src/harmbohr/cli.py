@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 # distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
 from .classes import FAMILIES, Family, distance_bound, make_spec  # noqa: F401
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InternalConsistencyError,
-    ValidationError,
-)
+from .errors import ConvergenceError, DomainError, ValidationError
 # solve_radius is not called here either; perfbench/test_perfbench.py reads it.
 from .solver import SolverConfig, jacobian_functional, jacobian_radius, solve_radii
 from .solver import solve_radius  # noqa: F401
@@ -369,7 +364,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, InternalConsistencyError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

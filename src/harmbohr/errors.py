@@ -27,7 +27,3 @@ class ConvergenceError(HarmBohrError, RuntimeError):
         super().__init__(message)
         self.achieved = achieved
 
-
-class InternalConsistencyError(HarmBohrError, RuntimeError):
-    """An invariant that must hold for valid inputs failed at runtime,
-    e.g. a root bracket without a sign change."""

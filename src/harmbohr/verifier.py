@@ -46,6 +46,7 @@ from .solver import (
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
+    solve_radii,
     solve_radius,
 )
 
@@ -205,30 +206,39 @@ def sharpness_check(
     spec: ClassSpec, tol: float | None = None, config: SolverConfig | None = None
 ) -> SharpnessReport:
     """Check that bohr_sum(r_f) = d* within tol, and is violated just beyond."""
-    cfg = config or SolverConfig()
-    if tol is None:
-        tol = default_sharpness_tol(spec)
-    result = solve_radius(spec, cfg)
-    b = bohr_sum(spec, result.radius, tol=cfg.series_tol)
-    d = result.d_star
-    gap = b.value - d.value
-    slack = b.error_bound + d.error_bound
-    step_out = 1e-6
-    if result.radius + step_out < 1.0:
-        beyond = bohr_sum(spec, result.radius + step_out, tol=cfg.series_tol)
-        violation_gap = beyond.value - d.value
-    else:  # pragma: no cover - radii stay well inside (0, 1)
-        violation_gap = float("inf")
-    passed = abs(gap) <= tol + slack and violation_gap > 0.0
-    return SharpnessReport(
-        spec=spec,
-        passed=passed,
-        radius=result.radius,
-        bohr_at_radius=b.value,
-        d_star=d.value,
-        gap=gap,
-        violation_gap=violation_gap,
-    )
+    return _sharpness_reports([spec], tol, config or SolverConfig())[0]
+
+
+def _sharpness_reports(
+    specs: list[ClassSpec], tol: float | None, cfg: SolverConfig
+) -> list[SharpnessReport]:
+    """``sharpness_check`` of each spec, with one batched solve for all of them."""
+    reports = []
+    for spec, result in zip(specs, solve_radii(specs, cfg)):
+        b = bohr_sum(spec, result.radius, tol=cfg.series_tol)
+        d = result.d_star
+        gap = b.value - d.value
+        slack = b.error_bound + d.error_bound
+        step_out = 1e-6
+        if result.radius + step_out < 1.0:
+            beyond = bohr_sum(spec, result.radius + step_out, tol=cfg.series_tol)
+            violation_gap = beyond.value - d.value
+        else:  # pragma: no cover - radii stay well inside (0, 1)
+            violation_gap = float("inf")
+        spec_tol = default_sharpness_tol(spec) if tol is None else tol
+        passed = abs(gap) <= spec_tol + slack and violation_gap > 0.0
+        reports.append(
+            SharpnessReport(
+                spec=spec,
+                passed=passed,
+                radius=result.radius,
+                bohr_at_radius=b.value,
+                d_star=d.value,
+                gap=gap,
+                violation_gap=violation_gap,
+            )
+        )
+    return reports
 
 
 def bohr_scan(
@@ -315,9 +325,12 @@ def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int, first_sign: in
     """
     ns = np.arange(rule.start, rule.start + n_terms, dtype=np.float64)
     c = rule.terms(ns)
-    signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
-    s = np.cumsum(signs * c)
-    return first_sign * 0.5 * float(s[-1] + s[-2])
+    # S_{2m}, the sum of the m cancelled pairs, is the partial sum through
+    # the last term (n_terms even) or the one before it (odd); either way
+    # the mean of the last two partial sums is S_{2m} + c_last / 2.
+    m = n_terms // 2
+    pairs = float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
+    return first_sign * (pairs + 0.5 * float(c[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +361,19 @@ def _check_reduction_gh(cfg: SolverConfig) -> tuple[bool, str]:
 
 def _check_gt_closed_vs_bisection(cfg: SolverConfig) -> tuple[bool, str]:
     bis = SolverConfig(cfg.tol, cfg.series_tol, cfg.max_iter, prefer_closed_form=False)
-    worst = 0.0
-    for i in range(10):
-        spec = gt_beta(round(0.05 * i, 2))
-        worst = max(worst, abs(closed_form_radius(spec) - solve_radius(spec, bis).radius))
-    zero_ok = solve_radius(gt_beta(0.0), bis).radius == 0.0
+    specs = [gt_beta(round(0.05 * i, 2)) for i in range(10)]
+    results = solve_radii(specs, bis)
+    # np.max, unlike max(), lets a NaN radius through to fail the check.
+    worst = float(np.max([abs(closed_form_radius(s) - res.radius) for s, res in zip(specs, results)]))
+    zero_ok = results[0].radius == 0.0  # specs[0] is gt_beta(0.0)
     return worst <= 1e-10 and zero_ok, f"max |closed - bisection| = {worst:.2e}"
 
 def _check_tb_closed_vs_bisection(cfg: SolverConfig) -> tuple[bool, str]:
     bis = SolverConfig(cfg.tol, cfg.series_tol, cfg.max_iter, prefer_closed_form=False)
-    worst = 0.0
-    for i in range(19):
-        spec = tb_m(round(0.1 + 0.1 * i, 2))
-        worst = max(worst, abs(closed_form_radius(spec) - solve_radius(spec, bis).radius))
+    specs = [tb_m(round(0.1 + 0.1 * i, 2)) for i in range(19)]
+    results = solve_radii(specs, bis)
+    # np.max, unlike max(), lets a NaN radius through to fail the check.
+    worst = float(np.max([abs(closed_form_radius(s) - res.radius) for s, res in zip(specs, results)]))
     return worst <= 1e-10, f"max |closed - bisection| = {worst:.2e}"
 
 def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
@@ -406,12 +419,9 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
 
 def _make_sharpness_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
-        worst = 0.0
-        ok = True
-        for spec in STANDARD_GRIDS[fam]:
-            rep = sharpness_check(spec, config=cfg)
-            ok = ok and rep.passed
-            worst = max(worst, abs(rep.gap))
+        reports = _sharpness_reports(list(STANDARD_GRIDS[fam]), None, cfg)
+        ok = all(rep.passed for rep in reports)
+        worst = max(abs(rep.gap) for rep in reports)
         return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(STANDARD_GRIDS[fam])} specs"
 
     return check
@@ -548,9 +558,10 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
     return worst <= 1e-10, f"max |accelerated - direct| = {worst:.2e}"
 
 def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
-    ph_radii = [solve_radius(s, cfg).radius for s in STANDARD_GRIDS[Family.PH_ALPHA]]
-    tb_radii = [solve_radius(s, cfg).radius for s in STANDARD_GRIDS[Family.TB_M]]
-    phm_radii = [solve_radius(s, cfg).radius for s in STANDARD_GRIDS[Family.PH_M]]
+    fams = (Family.PH_ALPHA, Family.TB_M, Family.PH_M)
+    specs = [s for fam in fams for s in STANDARD_GRIDS[fam]]
+    radii = iter([res.radius for res in solve_radii(specs, cfg)])
+    ph_radii, tb_radii, phm_radii = ([next(radii) for _ in STANDARD_GRIDS[fam]] for fam in fams)
     ok = (
         all(b >= a for a, b in zip(ph_radii, ph_radii[1:]))
         and all(b <= a for a, b in zip(tb_radii, tb_radii[1:]))
@@ -572,8 +583,9 @@ def _make_scan_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
         ok = True
         details = []
-        for spec in _rep_specs(fam):
-            r_f = solve_radius(spec, cfg).radius
+        specs = _rep_specs(fam)
+        for spec, result in zip(specs, solve_radii(specs, cfg)):
+            r_f = result.radius
             if r_f == 0.0:
                 report = bohr_scan(spec, 0.5, 400, cfg)
                 grid_step = 0.5 / 399.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from harmbohr import extremal_coefficients, ph_alpha
+from harmbohr import extremal_coefficients, gh_k_alpha, ph_alpha
 from harmbohr._kernels import abs_on_circle, eval_point
 from harmbohr.errors import DomainError
 
@@ -19,6 +19,21 @@ def naive_abs(coeffs, rho, thetas):
     for j, a in enumerate(coeffs, start=1):
         total = total + a * z**j
     return np.abs(total)
+
+
+def full_fold_abs(coeffs, rho, thetas):
+    # The circle fold over every coefficient, underflowing terms included.
+    m = thetas.size
+    j = np.arange(1, coeffs.size + 1)
+    folded = np.bincount(j % m, weights=coeffs * rho**j, minlength=m)
+    return np.abs(np.fft.ifft(folded) * m)
+
+
+def horner_point(coeffs, z):
+    acc = 0j
+    for a in coeffs[::-1]:
+        acc = acc * z + a
+    return acc * z
 
 
 def horner_abs(coeffs, rho, thetas):
@@ -51,6 +66,39 @@ class TestAbsOnCircle:
         expect = horner_abs(coeffs, 0.999, thetas)
         assert np.max(np.abs(got - expect)) <= 1e-13
         assert np.argmin(got) == np.argmin(expect)
+
+    @pytest.mark.parametrize("m", [24, 72, 720])
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_dropping_underflowed_terms_changes_no_bit(self, rho, m):
+        # Only terms with max|c| rho^j below 2^-1022 are skipped: each is
+        # zero or subnormal and cannot move a bin holding normal terms.
+        thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        for spec in (ph_alpha(0.3), gh_k_alpha(2, 1.0)):
+            coeffs = extremal_coefficients(spec, 10_000).analytic
+            got = abs_on_circle(coeffs, rho, thetas)
+            assert np.array_equal(got, full_fold_abs(coeffs, rho, thetas))
+
+    def test_zero_radius_gives_zeros(self):
+        out = abs_on_circle(COEFFS, 0.0, THETAS)
+        assert out.shape == THETAS.shape
+        assert not out.any()
+
+    def test_large_coefficient_beyond_underflow_counts(self):
+        # 0.5^1040 = 2^-1040 is subnormal, but 2^100 times it is 2^-940:
+        # the cutoff follows max|c|, not the powers alone.
+        coeffs = np.zeros(1_100)
+        coeffs[1_039] = 2.0**100
+        out = abs_on_circle(coeffs, 0.5, THETAS)
+        assert np.allclose(out, 2.0**-940, rtol=1e-12, atol=0.0)
+        assert eval_point(coeffs, 0.5) == 2.0**-940
+
+    def test_smallest_normal_term_counts(self):
+        # 0.5^1022 = 2^-1022 is the last term the cutoff must keep.
+        coeffs = np.zeros(1_100)
+        coeffs[1_021] = 1.0
+        out = abs_on_circle(coeffs, 0.5, THETAS)
+        assert np.allclose(out, 2.0**-1022, rtol=1e-12, atol=0.0)
+        assert eval_point(coeffs, 0.5) == 2.0**-1022
 
     def test_non_uniform_grid_rejected(self):
         for thetas in (
@@ -90,3 +138,19 @@ class TestEvalPoint:
 
     def test_identity_series(self):
         assert eval_point(np.array([1.0]), 0.5 + 0.25j) == 0.5 + 0.25j
+
+    @pytest.mark.parametrize("radius", [0.9, 0.99])
+    def test_long_series_matches_horner(self, radius):
+        # 10^4 terms: the doubling table of powers is used to its full depth.
+        rng = np.random.default_rng(2024)
+        coeffs = rng.uniform(-1.0, 1.0, size=10_000)
+        for angle in (0.0, 0.3, 1.0, math.pi / 2.0, 2.5, math.pi):
+            z = radius * complex(math.cos(angle), math.sin(angle))
+            assert abs(eval_point(coeffs, z) - horner_point(coeffs, z)) <= 1e-12
+
+    def test_powers_of_every_order(self):
+        # n = 1..9 covers every split of the last doubling step.
+        z = 0.6 - 0.7j
+        for n in range(1, 10):
+            expect = sum(z**j for j in range(1, n + 1))
+            assert eval_point(np.ones(n), z) == pytest.approx(expect, abs=1e-15)

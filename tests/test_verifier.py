@@ -2,6 +2,7 @@
 distance oracle, sharpness and envelope checks, grid scans, and the named
 check suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from harmbohr.classes import (
     ExtremalFunction,
+    Family,
     distance_bound,
     extremal_coefficients,
     gh_k_alpha,
@@ -22,11 +24,12 @@ from harmbohr.classes import (
 )
 from harmbohr.errors import DomainError
 from harmbohr.series import CoefficientRule, alt_constant, alt_log_tail, log_tail
-from harmbohr.solver import closed_form_radius, solve_radius
+from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
 from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
     _direct_alt_pair_average,
+    _sharpness_reports,
     bohr_scan,
     default_sharpness_tol,
     distance_oracle,
@@ -155,6 +158,12 @@ class TestSharpness:
         report = sharpness_check(ph_m(0.7))
         assert report.radius == solve_radius(ph_m(0.7)).radius
 
+    @pytest.mark.parametrize("family", ["wh-alpha", "gh-k-alpha", "tb-m"])
+    def test_batched_reports_equal_one_spec_checks(self, family):
+        specs = list(STANDARD_GRIDS[Family(family)])
+        batched = _sharpness_reports(specs, None, SolverConfig())
+        assert batched == [sharpness_check(spec) for spec in specs]
+
 
 class TestBohrScan:
     def test_ph_alpha_localises_radius(self):
@@ -238,6 +247,26 @@ class TestDirectAlternatingOracle:
         got = _direct_alt_pair_average(rule, 1_000_000, first_sign=+1)
         assert got == pytest.approx(math.log(2.0), abs=1e-10)
 
+    @pytest.mark.parametrize("n_terms", [1_000_000, 999_999])
+    def test_error_is_the_pair_average_truncation(self, n_terms):
+        # The mean of the last two partial sums of sum (-1)^(n+1)/n is off
+        # ln 2 by about 1/(4N^2) = 2.5e-13; summation rounding must not
+        # add to that visibly at either parity of N.
+        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
+        got = _direct_alt_pair_average(rule, n_terms, first_sign=+1)
+        assert abs(got - math.log(2.0)) <= 2.6e-13
+
+    @pytest.mark.parametrize(
+        "n_terms, expect",
+        [(1, 0.5), (2, 0.75), (3, 2.0 / 3.0), (4, (7.0 / 12.0 + 5.0 / 6.0) / 2.0)],
+    )
+    def test_short_sums_average_the_last_two_partial_sums(self, n_terms, expect):
+        # Partial sums of 1 - 1/2 + 1/3 - 1/4: 1, 1/2, 5/6, 7/12 (S_0 = 0).
+        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
+        got = _direct_alt_pair_average(rule, n_terms, first_sign=+1)
+        assert got == pytest.approx(expect, abs=1e-15)
+        assert _direct_alt_pair_average(rule, n_terms) == pytest.approx(-expect, abs=1e-15)
+
 
 class TestStandardGrids:
     def test_cover_every_family(self):
@@ -290,6 +319,21 @@ class TestRunSuite:
         assert [(r.name, r.passed, r.detail) for r in a.results] == [
             (r.name, r.passed, r.detail) for r in b.results
         ]
+
+    def test_closed_vs_bisection_fails_on_a_nan_radius(self, monkeypatch):
+        from harmbohr import verifier
+
+        solve_radii = verifier.solve_radii
+
+        def nan_lane(specs, config=None):
+            results = solve_radii(specs, config)
+            results[3] = dataclasses.replace(results[3], radius=float("nan"))
+            return results
+
+        monkeypatch.setattr(verifier, "solve_radii", nan_lane)
+        results = run_suite(only="closed-vs-bisection").results
+        assert len(results) == 2
+        assert not any(r.passed for r in results)
 
     def test_failures_property(self):
         report = run_suite(only="jacobian")
