@@ -65,7 +65,9 @@ def abs_on_circle(coeffs: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndar
     coeffs = np.asarray(coeffs, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
     m = thetas.size
-    if not np.allclose(thetas, 2.0 * np.pi * np.arange(m) / m, rtol=0.0, atol=1e-12):
+    # A NaN or an inf theta fails the <= as well.
+    grid = 2.0 * np.pi * np.arange(m) / m
+    if m and not np.max(np.abs(thetas - grid)) <= 1e-12:
         raise DomainError("thetas must be the uniform grid 2*pi*k/M, k = 0..M-1")
     if coeffs.size == 0 or m == 0:
         return np.zeros_like(thetas)

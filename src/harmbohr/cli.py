@@ -297,11 +297,18 @@ def cmd_verify(args) -> int:
     if not report.results:
         print("no checks matched the given filters", file=sys.stderr)
         return 2
-    for result in report.results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
-    n_pass = sum(1 for r in report.results if r.passed)
-    print(f"{n_pass}/{len(report.results)} checks passed")
+    if args.json:
+        for result in report.results:
+            print(json.dumps({
+                "name": result.name, "passed": result.passed,
+                "detail": result.detail, "seconds": result.seconds,
+            }))
+    else:
+        for result in report.results:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status} {result.name}: {result.detail}")
+        n_pass = sum(1 for r in report.results if r.passed)
+        print(f"{n_pass}/{len(report.results)} checks passed")
     if not report.passed:
         names = ", ".join(r.name for r in report.failures)
         print(f"failing checks: {names}", file=sys.stderr)
@@ -342,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--only", default=None, help="substring filter on check names")
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--max-iter", dest="max_iter", type=int, default=200)
+    p_verify.add_argument(
+        "--json", action="store_true",
+        help="one JSON object per check (name, passed, detail, seconds), no summary line",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a (parameter, radius) curve as CSV")

@@ -248,7 +248,19 @@ def bohr_scan(
     config: SolverConfig | None = None,
 ) -> ScanReport:
     """Evaluate the Bohr inequality on a uniform grid and find the first violation."""
-    cfg = config or SolverConfig()
+    rs, b, d, satisfied = _scan_arrays(spec, r_max, steps, config or SolverConfig())
+    rows = tuple(
+        ScanRow(r, value, d, ok)
+        for r, value, ok in zip(rs.tolist(), b.tolist(), satisfied.tolist())
+    )
+    first_violation = next((row.r for row in rows if not row.satisfied), None)
+    return ScanReport(spec=spec, grid=rows, first_violation=first_violation)
+
+
+def _scan_arrays(
+    spec: ClassSpec, r_max: float, steps: int, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The r grid, B on it, d* and the satisfied mask of ``bohr_scan``."""
     validate(spec)
     if not 0.0 < r_max < 1.0:
         raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
@@ -258,12 +270,16 @@ def bohr_scan(
     rs = np.linspace(0.0, r_max, int(steps))
     b = bohr_sum(spec, rs, tol=cfg.series_tol)
     satisfied = b.value <= d.value + b.error_bound + d.error_bound + 1e-15
-    rows = tuple(
-        ScanRow(r, value, d.value, ok)
-        for r, value, ok in zip(rs.tolist(), b.value.tolist(), satisfied.tolist())
-    )
-    first_violation = next((row.r for row in rows if not row.satisfied), None)
-    return ScanReport(spec=spec, grid=rows, first_violation=first_violation)
+    return rs, b.value, d.value, satisfied
+
+
+def _first_violation(
+    spec: ClassSpec, r_max: float, steps: int, cfg: SolverConfig
+) -> Optional[float]:
+    """``bohr_scan(...).first_violation``, read off the mask without building rows."""
+    rs, _, _, satisfied = _scan_arrays(spec, r_max, steps, cfg)
+    bad = np.flatnonzero(~satisfied)
+    return float(rs[bad[0]]) if bad.size else None
 
 
 def lower_touch_angle(spec: ClassSpec) -> float:
@@ -316,20 +332,34 @@ def envelope_check(
     return EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows))
 
 
+# Terms per block of the direct alternating oracle.  Even, so that a
+# cancelled pair never straddles two blocks.
+_ORACLE_BLOCK = 1 << 16
+
+
 def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int, first_sign: int = -1) -> float:
     """Plain alternating partial sums, averaged over the last two.
 
     The averaging of one trailing pair keeps the error of a direct
     ~n_terms-term sum at the level of c'_n ~ c_n / n instead of c_n, which
     is what makes a 1e6-term direct oracle meaningful at 1e-10.
+
+    The coefficients are made and summed in blocks of 2^16 terms, small
+    enough to stay in cache, so memory is a few blocks of 512 KiB
+    whatever n_terms is.
     """
-    ns = np.arange(rule.start, rule.start + n_terms, dtype=np.float64)
-    c = rule.terms(ns)
+    if int(n_terms) != n_terms or n_terms < 1:
+        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    n_terms = int(n_terms)
     # S_{2m}, the sum of the m cancelled pairs, is the partial sum through
     # the last term (n_terms even) or the one before it (odd); either way
     # the mean of the last two partial sums is S_{2m} + c_last / 2.
-    m = n_terms // 2
-    pairs = float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
+    pairs = 0.0
+    for lo in range(0, n_terms, _ORACLE_BLOCK):
+        hi = min(lo + _ORACLE_BLOCK, n_terms)
+        c = rule.terms(np.arange(rule.start + lo, rule.start + hi, dtype=np.float64))
+        m = c.size // 2
+        pairs += float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
     return first_sign * (pairs + 0.5 * float(c[-1]))
 
 
@@ -377,32 +407,30 @@ def _check_tb_closed_vs_bisection(cfg: SolverConfig) -> tuple[bool, str]:
     return worst <= 1e-10, f"max |closed - bisection| = {worst:.2e}"
 
 def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
-    worst = 0.0
+    residuals = []
     for i in range(19):
         m = round(0.1 + 0.1 * i, 2)
         r = closed_form_radius(tb_m(m))
-        worst = max(worst, abs(m * r * r + 2.0 * r + (m - 2.0)))
+        residuals.append(abs(m * r * r + 2.0 * r + (m - 2.0)))
+    worst = float(np.max(residuals))
     ref = abs(closed_form_radius(tb_m(1.0)) - (math.sqrt(2.0) - 1.0))
     ok = worst <= 1e-12 and ref <= 1e-12
     return ok, f"max quadratic residual = {worst:.2e}; |r(1) - (sqrt(2)-1)| = {ref:.2e}"
 
 def _check_jacobian_half(cfg: SolverConfig) -> tuple[bool, str]:
-    worst = 0.0
-    for i in range(19):
-        m = round(0.1 + 0.1 * i, 2)
-        worst = max(worst, abs(jacobian_radius(m) - 0.5 * closed_form_radius(tb_m(m))))
+    ms = [round(0.1 + 0.1 * i, 2) for i in range(19)]
+    # np.max, unlike max(), lets a NaN through to fail the check.
+    worst = float(np.max([abs(jacobian_radius(m) - 0.5 * closed_form_radius(tb_m(m))) for m in ms]))
     return worst <= 1e-15, f"max |jacobian - closed/2| = {worst:.2e}"
 
 def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
-    worst = 0.0
-    for i in range(19):
-        m = round(0.1 + 0.1 * i, 2)
-        r = jacobian_radius(m)
-        worst = max(worst, abs(jacobian_functional(m, r) - (1.0 - 0.5 * m)))
+    ms = [round(0.1 + 0.1 * i, 2) for i in range(19)]
+    deficits = [abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m)) for m in ms]
+    worst = float(np.max(deficits))
     # The functional is max|f| + r max|h'| + sum_{n>=2} |a_n| r^n of the
     # extremal on |z| = r, each term measured from its coefficients; it must
     # match from both sides.
-    contain = 0.0
+    slacks = []
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     for m in (0.5, 1.0, 1.5):
         a = extremal_coefficients(tb_m(m), 2).analytic
@@ -413,7 +441,8 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
             r_max_dh = float(np.max(_kernels.abs_on_circle(ns * a, r, thetas)))
             tail = float(np.abs(a[1:]) @ r ** ns[1:])
             lhs = max_f + r_max_dh + tail
-            contain = max(contain, abs(lhs - jacobian_functional(m, r)))
+            slacks.append(abs(lhs - jacobian_functional(m, r)))
+    contain = float(np.max(slacks))
     ok = worst <= 1e-12 and contain <= 1e-12
     return ok, f"max functional deficit = {worst:.2e}; containment slack = {contain:.2e}"
 
@@ -530,13 +559,14 @@ def _make_generic_sum_check(fam: Family):
         # enough and keeps large sums (constant coefficients near r = 1)
         # inside the engine's rounding budget.
         engine_tol = 5e-13
-        worst = 0.0
+        gaps = []
         for spec in _rep_specs(fam):
             rule = coefficient_rule(spec)
             for r in (0.1, 0.3, 0.5, 0.7, 0.9):
                 direct = bohr_sum(spec, r, tol=engine_tol)
                 generic = r + sum_power_series(rule, r, tol=engine_tol).value
-                worst = max(worst, abs(direct.value - generic))
+                gaps.append(abs(direct.value - generic))
+        worst = float(np.max(gaps))
         return worst <= 1e-12, f"max |closed - generic| = {worst:.2e}"
 
     return check
@@ -550,11 +580,12 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
         CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1, "g-alt-0.5"),
         CoefficientRule(lambda n: 1.0 / (1.0 + 2.0 * n), 1, "g-alt-2"),
     ]
-    worst = 0.0
+    gaps = []
     for rule in rules:
         accel = alt_constant(rule, tol=1e-12, first_sign=-1)
         direct = _direct_alt_pair_average(rule, 1_000_000, first_sign=-1)
-        worst = max(worst, abs(accel.value - direct))
+        gaps.append(abs(accel.value - direct))
+    worst = float(np.max(gaps))
     return worst <= 1e-10, f"max |accelerated - direct| = {worst:.2e}"
 
 def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
@@ -587,18 +618,17 @@ def _make_scan_check(fam: Family):
         for spec, result in zip(specs, solve_radii(specs, cfg)):
             r_f = result.radius
             if r_f == 0.0:
-                report = bohr_scan(spec, 0.5, 400, cfg)
+                fv = _first_violation(spec, 0.5, 400, cfg)
                 grid_step = 0.5 / 399.0
-                ok = ok and report.first_violation is not None
-                ok = ok and abs(report.first_violation - grid_step) <= 1e-12
+                ok = ok and fv is not None
+                ok = ok and abs(fv - grid_step) <= 1e-12
                 details.append("violation at first positive grid point")
                 continue
             r_max = min(1.5 * r_f, 0.95)
-            report = bohr_scan(spec, r_max, 400, cfg)
+            fv = _first_violation(spec, r_max, 400, cfg)
             grid_step = r_max / 399.0
-            ok = ok and report.first_violation is not None
-            if report.first_violation is not None:
-                fv = report.first_violation
+            ok = ok and fv is not None
+            if fv is not None:
                 # The first violating grid point sits just past the root:
                 # above r_f, with the preceding grid point at or below it.
                 ok = ok and r_f - 1e-9 < fv and fv - grid_step <= r_f + 1e-12

@@ -326,6 +326,30 @@ class TestVerifyCommand:
         assert out == ""
         assert "no checks matched" in err
 
+    def test_json_lines_name_the_same_checks(self, capsys):
+        rc, text, _ = run_cli(capsys, "verify")
+        assert rc == 0
+        names = [line.split(":")[0].split(" ", 1)[1] for line in text.splitlines()[:-1]]
+        rc, out, err = run_cli(capsys, "verify", "--json")
+        assert rc == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 51
+        assert [r["name"] for r in records] == names
+        for r in records:
+            assert set(r) == {"name", "passed", "detail", "seconds"}
+            assert r["passed"] is True
+            assert r["seconds"] >= 0.0
+
+    def test_json_failure_keeps_stderr_and_exit_code(self, capsys, monkeypatch):
+        from harmbohr import verifier
+
+        monkeypatch.setattr(verifier, "jacobian_radius", lambda m: float("nan"))
+        rc, out, err = run_cli(capsys, "verify", "--json", "--only", "jacobian-half")
+        assert rc == 1
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["passed"] is False
+        assert err == "failing checks: jacobian-half-identity-tb-m\n"
+
 
 class TestEnvironmentOverrides:
     def test_tol_from_environment(self, capsys, monkeypatch):

@@ -124,6 +124,23 @@ class TestAbsOnCircle:
         out = abs_on_circle(np.array([2.0]), 0.25, THETAS)
         assert np.allclose(out, 0.5, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), THETAS[17] + 2e-12])
+    def test_one_bad_theta_rejected(self, bad):
+        thetas = THETAS.copy()
+        thetas[17] = bad
+        with pytest.raises(DomainError):
+            abs_on_circle(COEFFS, 0.5, thetas)
+
+    def test_offset_within_grid_tolerance_accepted(self):
+        thetas = THETAS.copy()
+        thetas[17] += 5e-13
+        got = abs_on_circle(COEFFS, 0.5, thetas)
+        assert np.array_equal(got, abs_on_circle(COEFFS, 0.5, THETAS))
+
+    def test_empty_grid_gives_empty_result(self):
+        out = abs_on_circle(COEFFS, 0.5, np.array([]))
+        assert out.shape == (0,)
+
 
 class TestEvalPoint:
     def test_matches_polyval(self):

@@ -4,6 +4,7 @@ check suite."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
     _direct_alt_pair_average,
+    _first_violation,
     _sharpness_reports,
     bohr_scan,
     default_sharpness_tol,
@@ -199,6 +201,16 @@ class TestBohrScan:
         assert report.first_violation is None
         assert all(row.satisfied for row in report.grid)
 
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_first_violation_read_off_the_mask_matches_rows(self, index):
+        # The wh-alpha specs and windows of scan-localisation-wh-alpha.
+        spec = STANDARD_GRIDS[Family.WH_ALPHA][index]
+        r_max = min(1.5 * solve_radius(spec).radius, 0.95)
+        cfg = SolverConfig()
+        expect = bohr_scan(spec, r_max, 400, cfg).first_violation
+        assert expect is not None
+        assert _first_violation(spec, r_max, 400, cfg) == expect
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bohr_scan(ph_alpha(0.0), r_max=1.0, steps=10)
@@ -266,6 +278,42 @@ class TestDirectAlternatingOracle:
         got = _direct_alt_pair_average(rule, n_terms, first_sign=+1)
         assert got == pytest.approx(expect, abs=1e-15)
         assert _direct_alt_pair_average(rule, n_terms) == pytest.approx(-expect, abs=1e-15)
+
+    @staticmethod
+    def one_shot(rule, n_terms, first_sign):
+        # Every coefficient in one array, the pairs summed in one np.sum.
+        c = rule.terms(np.arange(rule.start, rule.start + n_terms, dtype=np.float64))
+        m = n_terms // 2
+        pairs = c[0 : 2 * m : 2] - c[1 : 2 * m : 2]
+        magnitude = float(np.sum(np.abs(pairs))) + 0.5 * abs(float(c[-1]))
+        return first_sign * (float(np.sum(pairs)) + 0.5 * float(c[-1])), magnitude
+
+    @pytest.mark.parametrize("first_sign", [+1, -1])
+    @pytest.mark.parametrize(
+        "n_terms",
+        [1, 2, 3, 4, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, 999_999, 1_000_000],
+    )
+    def test_blocks_agree_with_one_shot_sum(self, n_terms, first_sign):
+        rule = CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1)
+        expect, magnitude = self.one_shot(rule, n_terms, first_sign)
+        got = _direct_alt_pair_average(rule, n_terms, first_sign=first_sign)
+        assert abs(got - expect) <= 4.0 * np.spacing(magnitude)
+
+    def test_memory_does_not_grow_with_terms(self):
+        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
+        tracemalloc.start()
+        try:
+            _direct_alt_pair_average(rule, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("n_terms", [0, -1, 2.5])
+    def test_fewer_than_one_term_rejected(self, n_terms):
+        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
+        with pytest.raises(DomainError):
+            _direct_alt_pair_average(rule, n_terms)
 
 
 class TestStandardGrids:
@@ -354,3 +402,78 @@ class TestRunSuite:
         (result,) = run_suite(only="jacobian-majorant-deficit-tb-m").results
         assert not result.passed
         assert "containment slack = 2.50e-01" in result.detail
+
+    def test_scan_localisation_fails_when_the_root_moves(self, monkeypatch):
+        # One grid step of the 400-point window is about 1e-3 in r, so the
+        # check localises the root to that step: B raised by 1e-6 moves it
+        # by under 1e-6 and still passes, B raised by 1e-2 moves every
+        # wh-alpha root by more than a step and must fail.
+        from harmbohr import verifier
+
+        bohr_sum = verifier.bohr_sum
+
+        def raised(spec, r, tol=1e-12):
+            b = bohr_sum(spec, r, tol=tol)
+            return dataclasses.replace(b, value=b.value + 1e-2)
+
+        monkeypatch.setattr(verifier, "bohr_sum", raised)
+        (result,) = run_suite(only="scan-localisation-wh-alpha").results
+        assert not result.passed
+
+
+class TestWorstCaseFoldsFailOnNaN:
+    """A NaN in any folded worst case fails its check instead of vanishing."""
+
+    @staticmethod
+    def run_one(name):
+        (result,) = run_suite(only=name).results
+        assert result.name == name
+        return result
+
+    def test_direct_oracle_nan(self, monkeypatch):
+        from harmbohr import verifier
+
+        monkeypatch.setattr(verifier, "_direct_alt_pair_average", lambda *a, **k: float("nan"))
+        result = self.run_one("alt-engine-vs-direct-sum")
+        assert not result.passed
+        assert result.detail == "max |accelerated - direct| = nan"
+
+    def test_jacobian_radius_nan(self, monkeypatch):
+        from harmbohr import verifier
+
+        monkeypatch.setattr(verifier, "jacobian_radius", lambda m: float("nan"))
+        assert not self.run_one("jacobian-half-identity-tb-m").passed
+
+    def test_jacobian_functional_nan(self, monkeypatch):
+        from harmbohr import verifier
+
+        monkeypatch.setattr(verifier, "jacobian_functional", lambda m, r: float("nan"))
+        result = self.run_one("jacobian-majorant-deficit-tb-m")
+        assert not result.passed
+        assert result.detail == "max functional deficit = nan; containment slack = nan"
+
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_generic_sum_nan(self, monkeypatch, family):
+        from harmbohr import verifier
+
+        sum_power_series = verifier.sum_power_series
+
+        def nan_sum(rule, r, tol=1e-12):
+            s = sum_power_series(rule, r, tol=tol)
+            return dataclasses.replace(s, value=float("nan"))
+
+        monkeypatch.setattr(verifier, "sum_power_series", nan_sum)
+        assert not self.run_one(f"generic-sum-agreement-{family}").passed
+
+    def test_quadratic_root_nan(self, monkeypatch):
+        from harmbohr import verifier
+
+        closed_form_radius = verifier.closed_form_radius
+
+        def nan_off_one(spec):
+            return closed_form_radius(spec) if spec.m == 1.0 else float("nan")
+
+        monkeypatch.setattr(verifier, "closed_form_radius", nan_off_one)
+        result = self.run_one("quadratic-residual-tb-m")
+        assert not result.passed
+        assert result.detail.startswith("max quadratic residual = nan;")
