@@ -377,6 +377,19 @@ def stack_lanes(specs) -> ClassSpec:
     return spec
 
 
+def sweep_lanes(spec: ClassSpec, name: str, values) -> tuple[ClassSpec, int]:
+    """``spec`` with ``name`` swept over ``values``, one lane each, stopping
+    before the first value the family's domain tests reject; and the count
+    of lanes kept."""
+    grid = np.array(values, dtype=np.float64)
+    ok = np.isfinite(grid)
+    for param, test, _ in FAMILIES[spec.family].domain:
+        if param == name:
+            ok &= test(grid)
+    n = grid.size if ok.all() else int(np.argmin(ok))
+    return replace(spec, **{name: grid[:n]}), n
+
+
 def take_lanes(spec: ClassSpec, idx) -> ClassSpec:
     """The lanes ``idx`` of a lane spec."""
     alpha, beta, m = (None if v is None else v[idx] for v in (spec.alpha, spec.beta, spec.m))

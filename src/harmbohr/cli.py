@@ -14,13 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 # distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
-from .classes import FAMILIES, Family, distance_bound, make_spec  # noqa: F401
+from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes  # noqa: F401
 from .errors import ConvergenceError, DomainError, ValidationError
 # solve_radius is not called here either; perfbench/test_perfbench.py reads it.
-from .solver import SolverConfig, jacobian_functional, jacobian_radius, solve_radii
+from .solver import Method, SolverConfig, _solve_lanes, jacobian_functional, jacobian_radius
 from .solver import solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
@@ -40,6 +40,9 @@ _EXPECTED_PARAMS: dict[str, tuple[str, ...]] = {
 
 CSV_HEADER = "class,param_name,param_value,radius,residual,method"
 
+# The keys of a JSON record, in the order of OutputRecord's fields.
+_JSON_KEYS = ("class", "params", "radius", "residual", "method", "d_star", "tol")
+
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -54,15 +57,7 @@ class OutputRecord:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.class_tag,
-            "params": dict(self.params),
-            "radius": self.radius,
-            "residual": self.residual,
-            "method": self.method,
-            "d_star": self.d_star,
-            "tol": self.tol,
-        }
+        return dict(zip(_JSON_KEYS, astuple(self)))
 
     def to_json(self) -> str:
         # json round-trips Python floats through repr: bit-identical reals.
@@ -83,11 +78,13 @@ class OutputRecord:
 
     def to_csv_row(self) -> str:
         name = _EXPECTED_PARAMS[self.class_tag][-1]
-        value = self.params[name]
-        return (
-            f"{self.class_tag},{name},{value:.12g},{self.radius:.12g},"
-            f"{self.residual:.11e},{self.method}"
+        return _csv_row(
+            self.class_tag, name, self.params[name], self.radius, self.residual, self.method
         )
+
+
+def _csv_row(tag, name, value, radius, residual, method) -> str:
+    return f"{tag},{name},{value:.12g},{radius:.12g},{residual:.11e},{method}"
 
 
 def parse_grid(text: str) -> list[float]:
@@ -107,15 +104,9 @@ def parse_grid(text: str) -> list[float]:
         raise DomainError(f"grid must have hi >= lo, got {text!r}")
     if (hi - lo) / step + 1.0 > MAX_GRID_POINTS:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    values = []
-    i = 0
-    while True:
-        v = lo + i * step
-        if v >= hi + step / 2.0:
-            break
-        values.append(v)
-        i += 1
-    return values
+    # lo + i*step grows with i, so the points kept are a prefix of these.
+    values = [lo + i * step for i in range(int((hi - lo) / step) + 2)]
+    return [v for v in values if v < hi + step / 2.0]
 
 
 def _parse_scalar(name: str, text: str) -> float:
@@ -165,47 +156,43 @@ def _gather_params(args, tag: str, require_all: bool = True) -> dict[str, str]:
     return given
 
 
-def _jacobian_record(params: dict, tol: float) -> OutputRecord:
-    m = float(params["m"])
-    radius = jacobian_radius(m)
-    target = 1.0 - 0.5 * m
-    residual = abs(jacobian_functional(m, radius) - target)
-    return OutputRecord(JACOBIAN_TAG, {"m": m}, radius, residual, "CLOSED_FORM", target, tol)
+def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg: SolverConfig):
+    """Solve ``name`` swept over ``values``, the other parameters fixed at
+    ``scalars``, as one lane spec (``make_spec`` on the first point, swept by
+    ``sweep_lanes``) in one lane pass, for any class tag.
 
-
-def compute_records(
-    tag: str, points: list[dict], cfg: SolverConfig, tol: float
-) -> list[OutputRecord]:
-    """Solve a list of parameter points for any class tag, in one lane pass.
-
-    Every point is built and validated first; the valid points before the
-    first invalid one are solved together.  A failure raises the error of
-    the first failing point, as solving the points one by one would.
+    A failure raises what solving point by point would: the first lane's
+    ConvergenceError, else ``make_spec``'s error for the first invalid point.
+    Returns the first point's parameters as records print them, and the
+    columns radius, residual, method and d* as lists, one entry per value.
     """
+    family = Family.TB_M if tag == JACOBIAN_TAG else Family(tag)
+    first = make_spec(family, **scalars, **{name: values[0]})
+    spec, n = sweep_lanes(first, name, values)
     if tag == JACOBIAN_TAG:
-        return [_jacobian_record(params, tol) for params in points]
-    specs, invalid = [], None
-    for params in points:
-        try:
-            specs.append(make_spec(Family(tag), **params))
-        except ValidationError as exc:
-            invalid = exc
-            break
-    results = solve_radii(specs, cfg) if specs else []
-    if invalid is not None:
-        raise invalid
-    return [
-        OutputRecord(
-            tag, spec.params(), result.radius, result.residual,
-            result.method.value, result.d_star.value, tol,
-        )
-        for spec, result in zip(specs, results)
-    ]
+        radius = jacobian_radius(spec.m)
+        d_star = 1.0 - 0.5 * spec.m
+        residual = abs(jacobian_functional(spec.m, radius) - d_star)
+        methods = [Method.CLOSED_FORM.value] * n
+    else:
+        (radius, residual, _, _, _, closed, d_star, _), errors = _solve_lanes(spec, cfg)
+        if errors:
+            raise errors[min(errors)]
+        names = (Method.BISECTION_NEWTON.value, Method.CLOSED_FORM.value)
+        methods = [names[c] for c in closed.tolist()]
+    if n < len(values):
+        make_spec(family, **scalars, **{name: values[n]})  # raises for the invalid point
+    return first.params(), (radius.tolist(), residual.tolist(), methods, d_star.tolist())
 
 
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:
-    """Solve one parameter point for any class tag, including the Jacobian variant."""
-    return compute_records(tag, [params], cfg, tol)[0]
+    """Solve one parameter point for any class tag: the one-point ``compute_records``."""
+    name = _EXPECTED_PARAMS[tag][-1]
+    if name not in params:
+        raise ValidationError(f"missing parameter {name!r} for {tag}")
+    scalars = {key: value for key, value in params.items() if key != name}
+    params, columns = compute_records(tag, scalars, name, [params[name]], cfg)
+    return OutputRecord(tag, params, *(column[0] for column in columns), tol)
 
 
 def cmd_radius(args) -> int:
@@ -258,30 +245,23 @@ def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
 
 
 def cmd_scan(args) -> int:
+    """``scan`` and ``table``: rows formatted straight from the lane columns."""
     tag = args.class_tag
     cfg = _make_config(args)
-    scalars, sweep_name, values = _sweep_values(args, tag)
-    points = [{**scalars, sweep_name: v} for v in values]
-    records = compute_records(tag, points, cfg, cfg.tol)
-    if args.format == "csv":
+    scalars, name, values = _sweep_values(args, tag)
+    params, (radius, residual, method, d_star) = compute_records(tag, scalars, name, values, cfg)
+    if args.format == "table":
+        print(f"{name},radius")
+        for value, r in zip(values, radius):
+            print(f"{value:.12g},{r:.12g}")
+    elif args.format == "csv":
         print(CSV_HEADER)
-        for record in records:
-            print(record.to_csv_row())
+        for row in zip(values, radius, residual, method):
+            print(_csv_row(tag, name, *row))
     else:
-        for record in records:
-            print(record.to_json())
-    return 0
-
-
-def cmd_table(args) -> int:
-    tag = args.class_tag
-    cfg = _make_config(args)
-    scalars, sweep_name, values = _sweep_values(args, tag)
-    points = [{**scalars, sweep_name: v} for v in values]
-    records = compute_records(tag, points, cfg, cfg.tol)
-    print(f"{sweep_name},radius")
-    for v, record in zip(values, records):
-        print(f"{v:.12g},{record.radius:.12g}")
+        for value, *row in zip(values, radius, residual, method, d_star):
+            params[name] = value
+            print(json.dumps(dict(zip(_JSON_KEYS, (tag, params, *row, cfg.tol)))))
     return 0
 
 
@@ -358,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit a (parameter, radius) curve as CSV")
     add_common(p_table)
     p_table.add_argument("--range", help="lo:hi:step sweep of the class's canonical parameter")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_scan, format="table")
 
     return parser
 

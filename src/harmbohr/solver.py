@@ -36,15 +36,15 @@ import numpy as np
 from .classes import (
     FAMILIES,
     ClassSpec,
+    Family,
     bohr_sum,
     distance_bound,
     stack_lanes,
     take_lanes,
-    tb_m,
     validate,
 )
 from .errors import ConvergenceError, DomainError
-from .series import SeriesValue
+from .series import SeriesValue, require
 
 _EPS = 2.0**-52
 
@@ -280,8 +280,20 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
 
 
 def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
-    """Results (None where a lane fails) and failures by lane of a lane spec."""
-    d = distance_bound(spec, tol=cfg.series_tol)
+    """Solve every lane of a lane spec at once.
+
+    Returns the lane arrays radius, residual, bracket low and high, steps,
+    closed-form flag, d* value and d* error, and a dict from lane index to
+    the ConvergenceError that lane raises (its array entries mean nothing).
+    """
+    try:
+        d = distance_bound(spec, tol=cfg.series_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"distance constant d* not certified at series tol {cfg.series_tol:g} "
+            f"(requested tol {cfg.tol:g}): {exc}",
+            achieved=exc.achieved,
+        ) from None
     n = d.value.size
     radius, residual = np.zeros(n), np.abs(d.value)
     lo, hi = np.zeros(n), np.zeros(n)
@@ -302,30 +314,17 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
         radius[todo], residual[todo], lo[todo], hi[todo], steps[todo] = out[:5]
         closed[todo] = False
         errors = {int(todo[i]): exc for i, exc in out[5].items()}
-    d_values, d_errors = d.value.tolist(), d.error_bound.tolist()
-    results = [
-        None
-        if i in errors
-        else RadiusResult(
-            r, res, b_lo, b_hi, it,
-            Method.CLOSED_FORM if c else Method.BISECTION_NEWTON,
-            SeriesValue(dval, derr),
-        )
-        for i, (r, res, b_lo, b_hi, it, c, dval, derr) in enumerate(
-            zip(radius.tolist(), residual.tolist(), lo.tolist(), hi.tolist(),
-                steps.tolist(), closed.tolist(), d_values, d_errors)
-        )
-    ]
-    return results, errors
+    return (radius, residual, lo, hi, steps, closed, d.value, d.error_bound), errors
 
 
 def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
     """Solve H(r) = 0 for many parameter points at once, one lane each.
 
-    Specs of one family and one k are solved together as lanes; the results
-    come back in the order given, each bit for bit what ``solve_radius``
-    returns for that spec alone.  If any spec fails, this raises the error
-    of the first failing spec in that order.
+    Specs of one family and one k are stacked into a lane spec and solved
+    by one ``_solve_lanes`` call; the results are built from its lane
+    arrays and come back in the order given, each bit for bit what
+    ``solve_radius`` returns for that spec alone.  If any spec fails, this
+    raises the error of the first failing spec in that order.
     """
     cfg = config or SolverConfig()
     specs = list(specs)
@@ -335,10 +334,12 @@ def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]
     results: list[RadiusResult | None] = [None] * len(specs)
     errors: dict[int, ConvergenceError] = {}
     for idx in groups.values():
-        lane_results, lane_errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
-        for i, result in zip(idx, lane_results):
-            results[i] = result
+        lanes, lane_errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
         errors.update((idx[j], exc) for j, exc in lane_errors.items())
+        rows = zip(*(a.tolist() for a in lanes))
+        for i, (r, res, b_lo, b_hi, it, c, dval, derr) in zip(idx, rows):
+            method = Method.CLOSED_FORM if c else Method.BISECTION_NEWTON
+            results[i] = RadiusResult(r, res, b_lo, b_hi, it, method, SeriesValue(dval, derr))
     if errors:
         raise errors[min(errors)]
     return results
@@ -358,20 +359,24 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
     return solve_radii([spec], config)[0]
 
 
-def jacobian_radius(m: float) -> float:
+def jacobian_radius(m):
     """Root of the quadratic tying the map's Jacobian weight to its majorant.
 
     This is exactly half of ``closed_form_radius`` for the same m: the
     quadratic 4m r^2 + 4r + (m - 2) = 0 halves the root of
-    m r^2 + 2r + (m - 2) = 0.
+    m r^2 + 2r + (m - 2) = 0.  A 1-D array of m gives one root per lane.
     """
-    spec = tb_m(m)
-    return (2.0 - spec.m) / (2.0 * (1.0 + math.sqrt(1.0 + 2.0 * spec.m - spec.m * spec.m)))
+    m = np.asarray(m, dtype=np.float64)
+    validate(ClassSpec(Family.TB_M, m=m))
+    return _float_or_array((2.0 - m) / (2.0 * (1.0 + np.sqrt(1.0 + 2.0 * m - m * m))))
 
 
-def jacobian_functional(m: float, r: float) -> float:
-    """The weighted majorant 2m r^2 + 2r whose unit-deficit root is jacobian_radius."""
-    spec = tb_m(m)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")
-    return 2.0 * spec.m * r * r + 2.0 * r
+def jacobian_functional(m, r):
+    """The weighted majorant 2m r^2 + 2r whose unit-deficit root is jacobian_radius.
+
+    Lanes as in ``jacobian_radius``, with one r per lane.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    validate(ClassSpec(Family.TB_M, m=m))
+    require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
+    return _float_or_array(2.0 * m * r * r + 2.0 * r)

@@ -33,6 +33,7 @@ from harmbohr.classes import (
     ph_m,
     stack_lanes,
     start_index,
+    sweep_lanes,
     take_lanes,
     tb_m,
     validate,
@@ -530,6 +531,27 @@ class TestLanes:
         spec = ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0]))
         with pytest.raises(ValidationError, match="got 1.5"):
             validate(spec)
+
+    @pytest.mark.parametrize(
+        "spec,name,values,kept",
+        [
+            (wh_alpha(0.5), "alpha", [0.0, 0.5, 1.0], 3),
+            (wh_alpha(0.5), "alpha", [0.5, 1.0, 1.1, 0.5], 2),
+            (gh_k_alpha(2, 1.0), "alpha", [1.0, 2.0, float("inf"), 3.0], 2),
+            (gt_beta(0.1), "beta", [0.1, float("nan"), 0.2], 1),
+            (gt_beta(0.1), "beta", [0.1, 0.4, 0.5], 2),
+            (ph_m(0.1), "m", [0.1, 1.29, PH_M_SUP], 2),
+        ],
+    )
+    def test_sweep_stops_before_the_first_invalid_value(self, spec, name, values, kept):
+        lanes, n = sweep_lanes(spec, name, values)
+        assert n == kept
+        assert getattr(lanes, name).tolist() == values[:kept]
+        assert lanes.k == spec.k
+        validate(lanes)
+        if kept < len(values):
+            with pytest.raises(ValidationError):
+                make_spec(spec.family, **{**spec.params(), name: values[kept]})
 
     def test_mixed_lanes_rejected(self):
         with pytest.raises(DomainError):

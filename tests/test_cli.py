@@ -199,6 +199,17 @@ class TestExitCodes:
         assert err == "error: k must convert to a finite float, got an integer of 1329 bits\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "tag,params", [("wh-alpha", ["--alpha", "0.5"]), ("gh-k-alpha", ["--k", "2", "--alpha", "0.5"])]
+    )
+    def test_uncertified_distance_constant_names_both_tolerances(self, capsys, tag, params):
+        rc, out, err = run_cli(capsys, "radius", "--class", tag, *params, "--tol", "1e-14")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(
+            "error: distance constant d* not certified at series tol 1e-15 (requested tol 1e-14): "
+        )
+
     def test_infinite_tol_flag_is_invalid(self, capsys):
         rc, out, err = run_cli(
             capsys, "radius", "--class", "ph-alpha", "--alpha", "0.1", "--tol", "inf"
@@ -445,6 +456,139 @@ class TestScanLanes:
         assert out == ""
         assert "series cannot be summed" in err
         assert time.perf_counter() - t0 < 0.3
+
+
+class TestScanFromLanes:
+    """A scan is one lane spec end to end, and every row it prints is the
+    record ``radius`` prints for that point alone."""
+
+    GRIDS = {
+        "ph-alpha": ([], "0:0.95:0.0475"),
+        "gt-beta": ([], "0:0.49:0.0245"),
+        "wh-alpha": ([], "0:1:0.05"),
+        "gh-k-alpha": (["--k", "3"], "0.1:4.1:0.2"),
+        "tb-m": ([], "0.05:1.95:0.095"),
+        "ph-m": ([], "0.05:1.25:0.06"),
+        "tb-m-jacobian": ([], "0.05:1.95:0.095"),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(GRIDS))
+    def test_csv_json_and_table_rows_are_the_radius_records(self, capsys, tag):
+        fixed, grid = self.GRIDS[tag]
+        sweep = [*fixed, "--range", grid]
+        rc, json_out, _ = run_cli(capsys, "scan", "--class", tag, *sweep)
+        assert rc == 0
+        rc, csv_out, _ = run_cli(capsys, "scan", "--class", tag, *sweep, "--format", "csv")
+        assert rc == 0
+        rc, table_out, _ = run_cli(capsys, "table", "--class", tag, *sweep)
+        assert rc == 0
+        json_rows = json_out.splitlines()
+        csv_header, *csv_rows = csv_out.splitlines()
+        table_header, *table_rows = table_out.splitlines()
+        swept = list(json.loads(json_rows[0])["params"])[-1]
+        assert len(json_rows) == len(csv_rows) == len(table_rows) == 21
+        assert csv_header == CSV_HEADER
+        assert table_header == f"{swept},radius"
+        for json_row, csv_row, table_row in zip(json_rows, csv_rows, table_rows):
+            params = json.loads(json_row)["params"]
+            argv = [arg for key, value in params.items() for arg in (f"--{key}", repr(value))]
+            rc, alone, _ = run_cli(capsys, "radius", "--class", tag, *argv)
+            assert rc == 0
+            assert alone == json_row + "\n"
+            rc, alone_csv, _ = run_cli(capsys, "radius", "--class", tag, *argv, "--format", "csv")
+            assert rc == 0
+            assert alone_csv == f"{CSV_HEADER}\n{csv_row}\n"
+            assert table_row == ",".join(csv_row.split(",")[2:4])
+
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            # The first point lies outside the domain.
+            (("scan", "--class", "tb-m", "--m", "0:1:0.25"), ("--m", "0.0")),
+            (("scan", "--class", "wh-alpha", "--alpha=-0.5:0.5:0.1"), ("--alpha=-0.5",)),
+            (("scan", "--class", "tb-m-jacobian", "--m", "0:1:0.25"), ("--m", "0.0")),
+            (("scan", "--class", "gh-k-alpha", "--k", "0", "--alpha", "1:2:0.5"),
+             ("--k", "0", "--alpha", "1.0")),
+            # The grid leaves the domain mid-way.
+            (("scan", "--class", "wh-alpha", "--alpha", "0.5:1.2:0.1"),
+             ("--alpha", repr(0.5 + 6 * 0.1))),
+            (("scan", "--class", "ph-m", "--m", "1:1.4:0.1", "--format", "csv"),
+             ("--m", repr(1.0 + 3 * 0.1))),
+            (("scan", "--class", "tb-m-jacobian", "--m", "1.5:2.5:0.1"),
+             ("--m", repr(1.5 + 5 * 0.1))),
+            (("table", "--class", "wh-alpha", "--alpha", "0.5:1.2:0.1"),
+             ("--alpha", repr(0.5 + 6 * 0.1))),
+            (("table", "--class", "gt-beta", "--range", "0.4:0.6:0.05"),
+             ("--beta", repr(0.4 + 2 * 0.05))),
+        ],
+    )
+    def test_invalid_point_fails_as_radius_does(self, capsys, argv, point):
+        rc, out, err = run_cli(capsys, *argv)
+        single = run_cli(capsys, "radius", "--class", argv[2], *point)
+        assert single[:2] == (2, "")
+        assert (rc, out, err) == single
+        assert err.startswith("error: ") and "must" in err
+
+    @pytest.mark.parametrize(
+        "tag,sweep",
+        [("wh-alpha", ["--alpha", "0:1:0.001"]),
+         ("gh-k-alpha", ["--k", "2", "--range", "0.5:2:0.0015"]),
+         ("tb-m-jacobian", ["--m", "0.001:1.001:0.001"])],
+    )
+    def test_a_scan_builds_one_spec(self, capsys, monkeypatch, tag, sweep):
+        from harmbohr import cli
+
+        make_spec, calls = cli.make_spec, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return make_spec(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_spec", counted)
+        rc, out, _ = run_cli(capsys, "scan", "--class", tag, *sweep, "--format", "csv")
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + 1001
+        assert len(calls) <= 1
+
+
+class TestBenchmarkSurface:
+    """The names the benchmark harness under ``perfbench/`` calls in
+    ``harmbohr.cli``; that harness runs outside this suite."""
+
+    def test_csv_header(self):
+        from harmbohr import cli
+
+        assert cli.CSV_HEADER == "class,param_name,param_value,radius,residual,method"
+
+    def test_parse_grid_is_lo_plus_i_step(self):
+        from harmbohr import cli
+
+        lo, step = 0.00037, 0.000999
+        values = cli.parse_grid(f"{lo!r}:{lo + 1000 * step!r}:{step!r}")
+        assert values == [lo + i * step for i in range(1001)]
+
+    def test_solver_and_classes_reexports(self):
+        from harmbohr import classes, cli, solver
+
+        assert cli.solve_radius is solver.solve_radius
+        assert cli.distance_bound is classes.distance_bound
+
+    @pytest.mark.parametrize(
+        "tag,params,sweep",
+        [("wh-alpha", {"alpha": 0.25}, ["--alpha", "0.2:0.3:0.05"]),
+         ("gh-k-alpha", {"k": 2, "alpha": 1.25}, ["--k", "2", "--range", "1:1.5:0.25"]),
+         ("gt-beta", {"beta": 0.25}, ["--beta", "0.2:0.3:0.05"]),
+         ("tb-m-jacobian", {"m": 0.25}, ["--m", "0.2:0.3:0.05"])],
+    )
+    def test_compute_record_is_the_scan_row(self, capsys, tag, params, sweep):
+        from harmbohr import cli
+        from harmbohr.solver import SolverConfig
+
+        record = cli.compute_record(tag, params, SolverConfig(), 1e-12)
+        assert 0.0 < record.radius < 1.0
+        rc, out, _ = run_cli(capsys, "scan", "--class", tag, *sweep, "--format", "csv")
+        assert rc == 0
+        assert out.splitlines()[2] == record.to_csv_row()
 
 
 class TestModuleEntryPoints:

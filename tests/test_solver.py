@@ -8,6 +8,7 @@ produced by those oracles and agree with them to the last bit or two.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -395,6 +396,24 @@ class TestSolveRadii:
             solve_radius(specs[1])
         assert str(lanes.value) == str(alone.value)
 
+    def test_lane_arrays_and_lane_errors(self):
+        from harmbohr.classes import stack_lanes
+        from harmbohr.solver import _solve_lanes
+
+        specs = [gh_k_alpha(1, 1.0), gh_k_alpha(1, 1e8), gh_k_alpha(1, 3.0)]
+        lanes, errors = _solve_lanes(stack_lanes(specs), SolverConfig())
+        radius, residual, lo, hi, steps, closed, d_value, d_error = lanes
+        assert list(errors) == [1]
+        assert "series cannot be summed" in str(errors[1])
+        for i in (0, 2):
+            alone = solve_radius(specs[i])
+            assert (radius[i], residual[i], lo[i], hi[i], steps[i]) == (
+                alone.radius, alone.residual, alone.bracket_lo, alone.bracket_hi,
+                alone.iterations,
+            )
+            assert not closed[i] and alone.method is Method.BISECTION_NEWTON
+            assert (d_value[i], d_error[i]) == (alone.d_star.value, alone.d_star.error_bound)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.integers(min_value=1, max_value=6),
@@ -434,6 +453,17 @@ class TestJacobian:
 
     def test_shrinks_toward_upper_mass_limit(self):
         assert jacobian_radius(1.999999) < 1e-6
+
+    def test_lanes_are_their_points(self):
+        ms = [0.1, 0.5, 1.0, 1.5, 1.999999]
+        radii = jacobian_radius(np.array(ms))
+        assert radii.tolist() == [jacobian_radius(m) for m in ms]
+        values = jacobian_functional(np.array(ms), radii)
+        assert values.tolist() == [jacobian_functional(m, r) for m, r in zip(ms, radii.tolist())]
+        with pytest.raises(ValidationError, match="got 2.0"):
+            jacobian_radius(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match="got 1.0"):
+            jacobian_functional(np.array(ms[:2]), np.array([0.5, 1.0]))
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
