@@ -7,9 +7,8 @@ each record is everything the package knows about its family:
 
 * its parameters, the last of them the one grid commands sweep, and their
   domain (``make_spec``, ``validate``);
-* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``,
-  ``coefficient_bound``), which the extremal map attains
-  (``extremal_coefficients``);
+* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``),
+  which the extremal map attains (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
   to the boundary of the image (``distance_bound``);
 * the majorant B(r) = r + sum c_n r^n, in closed form where one exists and
@@ -155,7 +154,7 @@ def _fits_float(k) -> bool:
 
 
 def _wh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
-    alt = alt_constant(coefficient_rule(spec), tol=tol, first_sign=-1)
+    alt = alt_constant(coefficient_rule(spec), tol=tol)
     return lane_value(1.0 + alt.value, alt.error_bound)
 
 
@@ -308,9 +307,6 @@ FAMILIES: dict[Family, FamilyDef] = {
     ),
 }
 
-# The parameter swept by grid commands, per family.
-CANONICAL_PARAM: dict[Family, str] = {fam: d.params[-1] for fam, d in FAMILIES.items()}
-
 # The parameters a lane spec may sweep; k stays one integer for all lanes.
 _LANE_PARAMS = ("alpha", "beta", "m")
 
@@ -462,14 +458,6 @@ def start_index(spec: ClassSpec) -> int:
     return int(spec.k) + 1 if "k" in FAMILIES[spec.family].params else 2
 
 
-def coefficient_bound(spec: ClassSpec, n: int) -> float:
-    """The sharp bound c_n on |a_n| + |b_n|, defined for n >= start_index."""
-    n0 = start_index(spec)
-    if int(n) != n or n < n0:
-        raise DomainError(f"n must be an integer >= {n0}, got {n!r}")
-    return coefficient_rule(spec).term(int(n))
-
-
 def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
     """The coefficient bounds as a vectorised rule for the series engine,
     with one row of coefficients per lane for a lane spec."""
@@ -524,18 +512,16 @@ def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnve
 class ExtremalFunction:
     """Truncated coefficients of the map attaining the family's bounds.
 
-    ``analytic[j]`` is the coefficient of z^(j+1) (so analytic[0] = 1);
-    ``co_analytic[j]`` is the coefficient of conj(z)^(j+2).  Every family's
-    extremal here is analytic, so co_analytic is identically zero.
+    ``analytic[j]`` is the coefficient of z^(j+1) (so analytic[0] = 1).
+    Every family's extremal here is analytic: its co-analytic part is zero.
     """
 
     analytic: np.ndarray
-    co_analytic: np.ndarray
     truncation: int
 
 
 def extremal_coefficients(spec: ClassSpec, truncation: int) -> ExtremalFunction:
-    """Coefficients a_1..a_N (and zero b_2..b_N) of the extremal map.
+    """Coefficients a_1..a_N of the extremal map.
 
     It is z + sum c_n z^n, except for gh-k-alpha, whose extremal carries
     only the powers z^(jk+1).
@@ -553,15 +539,4 @@ def extremal_coefficients(spec: ClassSpec, truncation: int) -> ExtremalFunction:
     elif n_top >= 2:
         ns = np.arange(2, n_top + 1, dtype=np.float64)
         a[1:] = coefficient_rule(spec).terms(ns)
-    b = np.zeros(max(n_top - 1, 0), dtype=np.float64)
-    return ExtremalFunction(analytic=a, co_analytic=b, truncation=n_top)
-
-
-def majorant_tail_bound(spec: ClassSpec, n: int, r: float) -> float:
-    """Upper bound on the majorant mass beyond index n at radius r."""
-    n0 = start_index(spec)
-    if int(n) != n or n < n0:
-        raise DomainError(f"n must be an integer >= {n0}, got {n!r}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")
-    return coefficient_bound(spec, int(n) + 1) * r ** (int(n) + 1) / (1.0 - r)
+    return ExtremalFunction(analytic=a, truncation=n_top)

@@ -44,6 +44,15 @@ CSV_HEADER = "class,param_name,param_value,radius,residual,method"
 _JSON_KEYS = ("class", "params", "radius", "residual", "method", "d_star", "tol")
 
 
+def _json_row(*fields) -> str:
+    # json round-trips Python floats through repr: bit-identical reals.
+    return json.dumps(dict(zip(_JSON_KEYS, fields)))
+
+
+def _csv_row(tag, name, value, radius, residual, method) -> str:
+    return f"{tag},{name},{value:.12g},{radius:.12g},{residual:.11e},{method}"
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     """One solved radius, ready for JSON or CSV emission."""
@@ -56,35 +65,14 @@ class OutputRecord:
     d_star: float
     tol: float
 
-    def to_dict(self) -> dict:
-        return dict(zip(_JSON_KEYS, astuple(self)))
-
     def to_json(self) -> str:
-        # json round-trips Python floats through repr: bit-identical reals.
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        raw = json.loads(text)
-        return cls(
-            class_tag=raw["class"],
-            params=raw["params"],
-            radius=raw["radius"],
-            residual=raw["residual"],
-            method=raw["method"],
-            d_star=raw["d_star"],
-            tol=raw["tol"],
-        )
+        return _json_row(*astuple(self))
 
     def to_csv_row(self) -> str:
         name = _EXPECTED_PARAMS[self.class_tag][-1]
         return _csv_row(
             self.class_tag, name, self.params[name], self.radius, self.residual, self.method
         )
-
-
-def _csv_row(tag, name, value, radius, residual, method) -> str:
-    return f"{tag},{name},{value:.12g},{radius:.12g},{residual:.11e},{method}"
 
 
 def parse_grid(text: str) -> list[float]:
@@ -261,7 +249,7 @@ def cmd_scan(args) -> int:
     else:
         for value, *row in zip(values, radius, residual, method, d_star):
             params[name] = value
-            print(json.dumps(dict(zip(_JSON_KEYS, (tag, params, *row, cfg.tol)))))
+            print(_json_row(tag, params, *row, cfg.tol))
     return 0
 
 

@@ -32,10 +32,11 @@ from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(np.float64).eps)
 
-DEFAULT_MAX_TERMS = 1 << 20
+# Most terms a power series sums per lane.
+_MAX_TERMS = 1 << 20
 
 # Largest lanes x terms block summed at once: no more than one lane of
-# max_terms, so that many lanes near r = 1 do not exhaust memory.
+# _MAX_TERMS, so that many lanes near r = 1 do not exhaust memory.
 _BLOCK = 1 << 20
 
 # CRVZ convergence rate per term, and the most terms an alternating sum uses:
@@ -121,17 +122,12 @@ def _blocks(idx: np.ndarray, width: int):
         yield idx[i : i + step]
 
 
-def signed_power_series(
-    rule: CoefficientRule,
-    x,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesValue:
+def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesValue:
     """sum_{n>=start} c_n x^n for -1 < x < 1, with error_bound <= tol.
 
     ``x`` is a float, or a 1-D array with one entry per lane.  Each lane
     sums terms up to the first N of the ladder max(start + 8, 16), doubled up
-    to max_terms, whose geometric tail is at most tol / 4.  If any lane
+    to _MAX_TERMS, whose geometric tail is at most tol / 4.  If any lane
     misses tol, ConvergenceError names the first such lane and carries every
     lane's value and bound.
     """
@@ -142,8 +138,8 @@ def signed_power_series(
     require(x_abs < 1.0, xs, "argument must satisfy |x| < 1")
 
     n_last = [max(rule.start + 8, 16)]
-    while n_last[-1] < max_terms:
-        n_last.append(min(2 * n_last[-1], max_terms))
+    while n_last[-1] < _MAX_TERMS:
+        n_last.append(min(2 * n_last[-1], _MAX_TERMS))
     # Each lane's term count: the first N on the ladder whose tail bound
     # c_{N+1} x^{N+1} / (1 - x) is at most tol / 4, valid for nonnegative
     # nonincreasing c_n.
@@ -190,16 +186,11 @@ def signed_power_series(
     return result
 
 
-def sum_power_series(
-    rule: CoefficientRule,
-    r,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesValue:
+def sum_power_series(rule: CoefficientRule, r, tol: float = 1e-12) -> SeriesValue:
     """sum_{n>=start} c_n r^n for 0 <= r < 1 (a float or one r per lane), with error_bound <= tol."""
     rs = np.asarray(r, dtype=np.float64)
     require((0.0 <= rs) & (rs < 1.0), rs, "argument must satisfy 0 <= r < 1")
-    return signed_power_series(rule, rs, tol=tol, max_terms=max_terms)
+    return signed_power_series(rule, rs, tol=tol)
 
 
 def lane_value(value, error_bound) -> SeriesValue:
@@ -287,12 +278,9 @@ def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return level[:, 0], nodes
 
 
-def alt_constant(
-    rule: CoefficientRule,
-    tol: float = 1e-12,
-    first_sign: int = -1,
-) -> SeriesValue:
-    """sum_{n>=start} s(n) c_n where signs alternate and s(start) = first_sign.
+def alt_constant(rule: CoefficientRule, tol: float = 1e-12) -> SeriesValue:
+    """sum_{n>=start} (-1)^(n-start+1) c_n: the signs alternate, and the
+    first is -1.
 
     Summed by the CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier,
     *Exp. Math.* 9, 2000, Algorithm 1).  Its precondition is that the c_n
@@ -307,8 +295,6 @@ def alt_constant(
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    if first_sign not in (-1, 1):
-        raise DomainError(f"first_sign must be -1 or +1, got {first_sign}")
 
     c0 = rule.terms(np.array([float(rule.start)])).reshape(-1)
     if not np.all(c0 > 0.0):
@@ -330,7 +316,7 @@ def alt_constant(
             raise DomainError("alternating sum requires nonincreasing terms")
         terms = _crvz_weights(int(n)) * c
         total, nodes = _tree_sum(terms)
-        value[idx] = first_sign * total
+        value[idx] = -total
         # Rounding: an ulp or two each for the weight, the coefficient and
         # the product, and half an ulp of every partial sum in the tree.
         rounding = _EPS * (4.0 * np.abs(terms).sum(axis=1) + nodes)
@@ -363,4 +349,4 @@ def g_alt_constant(k: int, alpha, tol: float = 1e-12) -> SeriesValue:
     require(alpha > 0.0, alpha, "alpha must be > 0")
     ka = as_param(float(k) * alpha)
     rule = CoefficientRule(lambda n, ka: 1.0 / (1.0 + n * ka), 1, "g-alt", (ka,))
-    return alt_constant(rule, tol=tol, first_sign=-1)
+    return alt_constant(rule, tol=tol)

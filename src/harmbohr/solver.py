@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -90,16 +89,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class BohrEquation:
-    """H(r) = B(r) - d* with its derivative, ready for root finding."""
-
-    spec: ClassSpec
-    d_star: SeriesValue
-    h: Callable[[float], SeriesValue]
-    h_prime: Callable[[float], float]
-
-
-@dataclass(frozen=True)
 class RadiusResult:
     """A solved radius with its certificate.
 
@@ -116,25 +105,6 @@ class RadiusResult:
     iterations: int
     method: Method
     d_star: SeriesValue
-
-
-def build_equation(spec: ClassSpec, config: SolverConfig | None = None) -> BohrEquation:
-    """Assemble H and an upper bound on H' at the configured tolerances.
-
-    For a lane spec, H and H' take one r per lane and return arrays.
-    """
-    cfg = config or SolverConfig()
-    validate(spec)
-    d = distance_bound(spec, tol=cfg.series_tol)
-    h_prime = FAMILIES[spec.family].h_prime
-
-    def h(r) -> SeriesValue:
-        b = bohr_sum(spec, r, tol=cfg.series_tol)
-        return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
-
-    return BohrEquation(
-        spec=spec, d_star=d, h=h, h_prime=lambda r: h_prime(spec, r, cfg.series_tol)
-    )
 
 
 def closed_form_radius(spec: ClassSpec):
@@ -362,13 +332,12 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
 def jacobian_radius(m):
     """Root of the quadratic tying the map's Jacobian weight to its majorant.
 
-    This is exactly half of ``closed_form_radius`` for the same m: the
-    quadratic 4m r^2 + 4r + (m - 2) = 0 halves the root of
-    m r^2 + 2r + (m - 2) = 0.  A 1-D array of m gives one root per lane.
+    The quadratic 4m r^2 + 4r + (m - 2) = 0 halves the root of
+    m r^2 + 2r + (m - 2) = 0, so this is the tb-m ``closed_form_radius``
+    halved, which is exact in binary.  A 1-D array of m gives one root per
+    lane.
     """
-    m = np.asarray(m, dtype=np.float64)
-    validate(ClassSpec(Family.TB_M, m=m))
-    return _float_or_array((2.0 - m) / (2.0 * (1.0 + np.sqrt(1.0 + 2.0 * m - m * m))))
+    return closed_form_radius(ClassSpec(Family.TB_M, m=np.asarray(m, dtype=np.float64))) / 2.0
 
 
 def jacobian_functional(m, r):

@@ -11,7 +11,7 @@ families against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Iterable, Optional
 
@@ -30,7 +30,6 @@ from .classes import (
     gh_k_alpha,
     growth_envelope,
     gt_beta,
-    majorant_tail_bound,
     ph_alpha,
     ph_m,
     start_index,
@@ -42,7 +41,6 @@ from .errors import DomainError, HarmBohrError
 from .series import CoefficientRule, alt_constant, g_alt_constant, sum_power_series
 from .solver import (
     SolverConfig,
-    build_equation,
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
@@ -68,6 +66,9 @@ STANDARD_GRIDS: dict[Family, tuple[ClassSpec, ...]] = {
     Family.PH_M: tuple(ph_m(m) for m in (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.25)),
 }
 
+# The finer tb-m grid of the closed-form and Jacobian checks.
+_TB_MS = tuple(round(0.1 + 0.1 * i, 2) for i in range(19))
+
 
 @dataclass(frozen=True)
 class OracleEstimate:
@@ -78,23 +79,6 @@ class OracleEstimate:
     grid_size: int
     rho: float
     argmin_theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    r: float
-    bohr_sum: float
-    d_star: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Bohr-inequality evaluations on a uniform radius grid."""
-
-    spec: ClassSpec
-    grid: tuple[ScanRow, ...]
-    first_violation: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -155,15 +139,16 @@ class SuiteReport:
 
 
 def evaluate_extremal(f: ExtremalFunction, z: complex) -> float:
-    """|f(z)| for a truncated extremal, analytic plus co-analytic parts."""
+    """|f(z)| for a truncated extremal."""
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError(f"z must satisfy |z| < 1, got |z| = {abs(z)}")
-    value = _kernels.eval_point(f.analytic, z)
-    if f.co_analytic.size and np.any(f.co_analytic):
-        shifted = np.concatenate(([0.0], f.co_analytic))
-        value += np.conj(_kernels.eval_point(shifted, z))
-    return float(abs(value))
+    return float(abs(_kernels.eval_point(f.analytic, z)))
+
+
+def _tail_bound(spec: ClassSpec, n: int, r: float) -> float:
+    """c_{n+1} r^(n+1) / (1 - r): the majorant mass beyond index n at r."""
+    return coefficient_rule(spec).term(n + 1) * r ** (n + 1) / (1.0 - r)
 
 
 def distance_oracle(
@@ -241,26 +226,12 @@ def _sharpness_reports(
     return reports
 
 
-def bohr_scan(
-    spec: ClassSpec,
-    r_max: float,
-    steps: int,
-    config: SolverConfig | None = None,
-) -> ScanReport:
-    """Evaluate the Bohr inequality on a uniform grid and find the first violation."""
-    rs, b, d, satisfied = _scan_arrays(spec, r_max, steps, config or SolverConfig())
-    rows = tuple(
-        ScanRow(r, value, d, ok)
-        for r, value, ok in zip(rs.tolist(), b.tolist(), satisfied.tolist())
-    )
-    first_violation = next((row.r for row in rows if not row.satisfied), None)
-    return ScanReport(spec=spec, grid=rows, first_violation=first_violation)
-
-
-def _scan_arrays(
+def _first_violation(
     spec: ClassSpec, r_max: float, steps: int, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The r grid, B on it, d* and the satisfied mask of ``bohr_scan``."""
+) -> Optional[float]:
+    """The first r of ``steps`` uniform points on [0, r_max] where the Bohr
+    inequality B(r) <= d* fails beyond both error bounds (a NaN fails it
+    too), or None."""
     validate(spec)
     if not 0.0 < r_max < 1.0:
         raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
@@ -269,16 +240,7 @@ def _scan_arrays(
     d = distance_bound(spec, tol=cfg.series_tol)
     rs = np.linspace(0.0, r_max, int(steps))
     b = bohr_sum(spec, rs, tol=cfg.series_tol)
-    satisfied = b.value <= d.value + b.error_bound + d.error_bound + 1e-15
-    return rs, b.value, d.value, satisfied
-
-
-def _first_violation(
-    spec: ClassSpec, r_max: float, steps: int, cfg: SolverConfig
-) -> Optional[float]:
-    """``bohr_scan(...).first_violation``, read off the mask without building rows."""
-    rs, _, _, satisfied = _scan_arrays(spec, r_max, steps, cfg)
-    bad = np.flatnonzero(~satisfied)
+    bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
     return float(rs[bad[0]]) if bad.size else None
 
 
@@ -313,7 +275,7 @@ def envelope_check(
     passed = True
     for r in samples:
         env = growth_envelope(spec, r, tol=cfg.series_tol)
-        tail = majorant_tail_bound(spec, truncation, r)
+        tail = _tail_bound(spec, truncation, r)
         slack = tol + tail + env.error_bound
         at_upper = evaluate_extremal(ext, r)
         at_lower = evaluate_extremal(ext, r * complex(math.cos(angle), math.sin(angle)))
@@ -337,8 +299,9 @@ def envelope_check(
 _ORACLE_BLOCK = 1 << 16
 
 
-def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int, first_sign: int = -1) -> float:
-    """Plain alternating partial sums, averaged over the last two.
+def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int) -> float:
+    """Plain alternating partial sums, averaged over the last two, with
+    the signs of ``alt_constant`` (the first term negative).
 
     The averaging of one trailing pair keeps the error of a direct
     ~n_terms-term sum at the level of c'_n ~ c_n / n instead of c_n, which
@@ -360,7 +323,7 @@ def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int, first_sign: in
         c = rule.terms(np.arange(rule.start + lo, rule.start + hi, dtype=np.float64))
         m = c.size // 2
         pairs += float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
-    return first_sign * (pairs + 0.5 * float(c[-1]))
+    return -(pairs + 0.5 * float(c[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +340,31 @@ def _check_radius_ph_reference(cfg: SolverConfig) -> tuple[bool, str]:
     ok = abs(res.radius - 0.285194) <= 1e-4 and res.residual <= 1e-10
     return ok, f"radius={_fmt(res.radius)} residual={res.residual:.2e}"
 
-def _check_reduction_wh(cfg: SolverConfig) -> tuple[bool, str]:
-    r_wh = solve_radius(wh_alpha(0.0), cfg).radius
-    r_ph = solve_radius(ph_alpha(0.0), cfg).radius
-    diff = abs(r_wh - r_ph)
-    return diff <= 1e-9, f"|{_fmt(r_wh)} - {_fmt(r_ph)}| = {diff:.2e}"
+def _make_reduction_check(spec: ClassSpec):
+    """The radius of ``spec`` equals that of ph-alpha at alpha = 0."""
+    def check(cfg: SolverConfig) -> tuple[bool, str]:
+        r, r_ph = (res.radius for res in solve_radii([spec, ph_alpha(0.0)], cfg))
+        diff = abs(r - r_ph)
+        return diff <= 1e-9, f"|{_fmt(r)} - {_fmt(r_ph)}| = {diff:.2e}"
 
-def _check_reduction_gh(cfg: SolverConfig) -> tuple[bool, str]:
-    r_gh = solve_radius(gh_k_alpha(1, 1.0), cfg).radius
-    r_ph = solve_radius(ph_alpha(0.0), cfg).radius
-    diff = abs(r_gh - r_ph)
-    return diff <= 1e-9, f"|{_fmt(r_gh)} - {_fmt(r_ph)}| = {diff:.2e}"
+    return check
 
-def _check_gt_closed_vs_bisection(cfg: SolverConfig) -> tuple[bool, str]:
-    bis = SolverConfig(cfg.tol, cfg.series_tol, cfg.max_iter, prefer_closed_form=False)
-    specs = [gt_beta(round(0.05 * i, 2)) for i in range(10)]
-    results = solve_radii(specs, bis)
-    # np.max, unlike max(), lets a NaN radius through to fail the check.
-    worst = float(np.max([abs(closed_form_radius(s) - res.radius) for s, res in zip(specs, results)]))
-    zero_ok = results[0].radius == 0.0  # specs[0] is gt_beta(0.0)
-    return worst <= 1e-10 and zero_ok, f"max |closed - bisection| = {worst:.2e}"
+def _make_closed_vs_bisection_check(specs: tuple[ClassSpec, ...]):
+    """Newton without the closed form lands on the closed-form radius."""
+    def check(cfg: SolverConfig) -> tuple[bool, str]:
+        results = solve_radii(specs, replace(cfg, prefer_closed_form=False))
+        closed = [closed_form_radius(s) for s in specs]
+        # np.max, unlike max(), lets a NaN radius through to fail the check.
+        worst = float(np.max([abs(c - res.radius) for c, res in zip(closed, results)]))
+        # A closed-form radius of 0 (d* = 0) must solve to exactly 0.
+        zero_ok = all(res.radius == 0.0 for c, res in zip(closed, results) if c == 0.0)
+        return worst <= 1e-10 and zero_ok, f"max |closed - bisection| = {worst:.2e}"
 
-def _check_tb_closed_vs_bisection(cfg: SolverConfig) -> tuple[bool, str]:
-    bis = SolverConfig(cfg.tol, cfg.series_tol, cfg.max_iter, prefer_closed_form=False)
-    specs = [tb_m(round(0.1 + 0.1 * i, 2)) for i in range(19)]
-    results = solve_radii(specs, bis)
-    # np.max, unlike max(), lets a NaN radius through to fail the check.
-    worst = float(np.max([abs(closed_form_radius(s) - res.radius) for s, res in zip(specs, results)]))
-    return worst <= 1e-10, f"max |closed - bisection| = {worst:.2e}"
+    return check
 
 def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
     residuals = []
-    for i in range(19):
-        m = round(0.1 + 0.1 * i, 2)
+    for m in _TB_MS:
         r = closed_form_radius(tb_m(m))
         residuals.append(abs(m * r * r + 2.0 * r + (m - 2.0)))
     worst = float(np.max(residuals))
@@ -418,14 +373,18 @@ def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
     return ok, f"max quadratic residual = {worst:.2e}; |r(1) - (sqrt(2)-1)| = {ref:.2e}"
 
 def _check_jacobian_half(cfg: SolverConfig) -> tuple[bool, str]:
-    ms = [round(0.1 + 0.1 * i, 2) for i in range(19)]
+    # The textbook root of 4m r^2 + 4r + (m - 2) = 0, against which the
+    # halved tb-m closed form is measured.
+    gaps = [
+        abs(jacobian_radius(m) - (math.sqrt(1.0 + 2.0 * m - m * m) - 1.0) / (2.0 * m))
+        for m in _TB_MS
+    ]
     # np.max, unlike max(), lets a NaN through to fail the check.
-    worst = float(np.max([abs(jacobian_radius(m) - 0.5 * closed_form_radius(tb_m(m))) for m in ms]))
-    return worst <= 1e-15, f"max |jacobian - closed/2| = {worst:.2e}"
+    worst = float(np.max(gaps))
+    return worst <= 1e-15, f"max |jacobian - (sqrt(1 + 2m - m^2) - 1)/(2m)| = {worst:.2e}"
 
 def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
-    ms = [round(0.1 + 0.1 * i, 2) for i in range(19)]
-    deficits = [abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m)) for m in ms]
+    deficits = [abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m)) for m in _TB_MS]
     worst = float(np.max(deficits))
     # The functional is max|f| + r max|h'| + sum_{n>=2} |a_n| r^n of the
     # extremal on |z| = r, each term measured from its coefficients; it must
@@ -515,23 +474,25 @@ def _make_h_monotone_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
         ok = True
         for spec in _rep_specs(fam):
-            eq = build_equation(spec, cfg)
-            values = eq.h(np.linspace(0.0, 0.95, 100)).value
+            d = distance_bound(spec, tol=cfg.series_tol)
+            values = bohr_sum(spec, np.linspace(0.0, 0.95, 100), tol=cfg.series_tol).value - d.value
             ok = ok and bool(np.all(values[1:] > values[:-1]))
         return ok, "H strictly increasing on 100-point grids"
 
     return check
 
-def _h_signs(eq, rs: np.ndarray) -> np.ndarray:
-    """The sign of H on a grid of r, 0 where |H| is within its error bound."""
+def _h_signs(spec: ClassSpec, rs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """The sign of H = B - d* on a grid of r, 0 where |H| is within its
+    error bound."""
     # B(r) >= r makes H(r) >= r - d*: a free positivity certificate that
     # also avoids series evaluation close to r = 1 where truncation budgets
     # would blow up.
-    d = eq.d_star
+    d = distance_bound(spec, tol=cfg.series_tol)
     signs = np.ones_like(rs)
     near = ~(rs - d.value > d.error_bound + 1e-12)
-    hv = eq.h(rs[near])
-    signs[near] = np.where(np.abs(hv.value) <= hv.error_bound, 0.0, np.sign(hv.value))
+    b = bohr_sum(spec, rs[near], tol=cfg.series_tol)
+    h = b.value - d.value
+    signs[near] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
     return signs
 
 
@@ -540,9 +501,7 @@ def _make_sign_change_check(fam: Family):
         ok = True
         counts = []
         for spec in _rep_specs(fam):
-            eq = build_equation(spec, cfg)
-            rs = np.linspace(0.0, 1.0 - 1e-9, 1000)
-            signs = _h_signs(eq, rs)
+            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), cfg)
             nonzero = signs[signs != 0.0]
             changes = int(np.count_nonzero(np.diff(nonzero)))
             counts.append(changes)
@@ -582,8 +541,8 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
     ]
     gaps = []
     for rule in rules:
-        accel = alt_constant(rule, tol=1e-12, first_sign=-1)
-        direct = _direct_alt_pair_average(rule, 1_000_000, first_sign=-1)
+        accel = alt_constant(rule, tol=1e-12)
+        direct = _direct_alt_pair_average(rule, 1_000_000)
         gaps.append(abs(accel.value - direct))
     worst = float(np.max(gaps))
     return worst <= 1e-10, f"max |accelerated - direct| = {worst:.2e}"
@@ -651,7 +610,7 @@ def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
         spec = _rep_specs(fam)[1]
         est = distance_oracle(spec, rho=0.1, grid=72, n=2_000)
         env = growth_envelope(spec, 0.1, tol=cfg.series_tol)
-        tail = majorant_tail_bound(spec, 2_000, 0.1)
+        tail = _tail_bound(spec, 2_000, 0.1)
         margin = est.value - (env.lower - tail - env.error_bound)
         worst = min(worst, margin)
         # Polynomial extremals attain the floor exactly; leave room for
@@ -664,10 +623,26 @@ def _build_registry() -> list[tuple[str, tuple[Family, ...], Callable]]:
     all_fams = tuple(Family)
     registry: list[tuple[str, tuple[Family, ...], Callable]] = [
         ("radius-ph-alpha-0-reference", (Family.PH_ALPHA,), _check_radius_ph_reference),
-        ("reduction-wh-to-ph", (Family.WH_ALPHA, Family.PH_ALPHA), _check_reduction_wh),
-        ("reduction-gh-to-ph", (Family.GH_K_ALPHA, Family.PH_ALPHA), _check_reduction_gh),
-        ("closed-vs-bisection-gt-beta", (Family.GT_BETA,), _check_gt_closed_vs_bisection),
-        ("closed-vs-bisection-tb-m", (Family.TB_M,), _check_tb_closed_vs_bisection),
+        (
+            "reduction-wh-to-ph",
+            (Family.WH_ALPHA, Family.PH_ALPHA),
+            _make_reduction_check(wh_alpha(0.0)),
+        ),
+        (
+            "reduction-gh-to-ph",
+            (Family.GH_K_ALPHA, Family.PH_ALPHA),
+            _make_reduction_check(gh_k_alpha(1, 1.0)),
+        ),
+        (
+            "closed-vs-bisection-gt-beta",
+            (Family.GT_BETA,),
+            _make_closed_vs_bisection_check(STANDARD_GRIDS[Family.GT_BETA]),
+        ),
+        (
+            "closed-vs-bisection-tb-m",
+            (Family.TB_M,),
+            _make_closed_vs_bisection_check(tuple(tb_m(m) for m in _TB_MS)),
+        ),
         ("quadratic-residual-tb-m", (Family.TB_M,), _check_tb_quadratic_residual),
         ("jacobian-half-identity-tb-m", (Family.TB_M,), _check_jacobian_half),
         ("jacobian-majorant-deficit-tb-m", (Family.TB_M,), _check_jacobian_deficit),

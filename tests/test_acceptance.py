@@ -10,6 +10,7 @@ import time
 import pytest
 
 from harmbohr.classes import (
+    bohr_sum,
     distance_bound,
     gh_k_alpha,
     gt_beta,
@@ -21,8 +22,6 @@ from harmbohr.classes import (
 from harmbohr.cli import main as cli_main
 from harmbohr.solver import (
     SolverConfig,
-    build_equation,
-    closed_form_radius,
     jacobian_radius,
     solve_radius,
 )
@@ -98,7 +97,9 @@ def test_criterion_06_jacobian_half_identity():
     worst = 0.0
     for i in range(10):
         m = round(0.1 + 0.2 * i, 2)
-        gap = abs(jacobian_radius(m) - 0.5 * closed_form_radius(tb_m(m)))
+        # The textbook root of 4m r^2 + 4r + (m - 2) = 0, half the root of
+        # m r^2 + 2r + (m - 2) = 0.
+        gap = abs(jacobian_radius(m) - (math.sqrt(1.0 + 2.0 * m - m * m) - 1.0) / (2.0 * m))
         worst = max(worst, gap)
         assert gap <= 1e-15
     print(f"ACCEPTANCE 6 PASS — half identity holds within {worst:.2e} <= 1e-15")
@@ -141,9 +142,10 @@ def test_criterion_08_distance_oracle_converges():
 
 def test_criterion_09_weighted_class_root_report(capsys):
     result = solve_radius(wh_alpha(1.0))
-    eq = build_equation(wh_alpha(1.0))
-    hv = eq.h(result.radius)
-    residual = abs(hv.value) + hv.error_bound
+    cfg = SolverConfig()
+    b = bohr_sum(wh_alpha(1.0), result.radius, tol=cfg.series_tol)
+    d = distance_bound(wh_alpha(1.0), tol=cfg.series_tol)
+    residual = abs(b.value - d.value) + b.error_bound + d.error_bound
     assert residual <= 1e-10
     agreement = abs(result.radius - WH_ALPHA1_REFERENCE_DECIMAL) <= 1e-4
     flag = "AGREES" if agreement else "DISAGREES"

@@ -1,0 +1,54 @@
+"""The package's public surface: the names ``harmbohr`` exports, and the
+README's Python examples, which must run against them."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import harmbohr
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = {
+    # families and their parameters
+    "ph_alpha", "gt_beta", "wh_alpha", "gh_k_alpha", "tb_m", "ph_m",
+    "make_spec", "ClassSpec", "Family", "validate", "PH_M_SUP",
+    # what a family knows
+    "bohr_sum", "distance_bound", "growth_envelope", "extremal_coefficients",
+    "GrowthEnvelope", "ExtremalFunction", "SeriesValue",
+    # the solver
+    "Method", "RadiusResult", "SolverConfig", "solve_radius", "solve_radii",
+    "closed_form_radius", "jacobian_radius",
+    # errors
+    "HarmBohrError", "DomainError", "ValidationError", "ConvergenceError",
+}
+
+
+def test_all_is_the_kept_names():
+    assert len(harmbohr.__all__) == len(PUBLIC_NAMES) == 29
+    assert set(harmbohr.__all__) == PUBLIC_NAMES
+    for name in harmbohr.__all__:
+        assert getattr(harmbohr, name) is not None
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert len(python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(python_blocks())))
+def test_readme_python_block_runs(index):
+    exec(compile(python_blocks()[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_lists_every_export_and_no_other():
+    # The bullet list under "exports 29 names" in the README's Library section.
+    text = README.read_text()
+    start = text.index("`harmbohr` exports 29 names")
+    bullets = text[start:].split("\n\n")[1]
+    listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets))
+    assert listed == set(harmbohr.__all__)

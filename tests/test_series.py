@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from harmbohr import series
 from harmbohr.errors import ConvergenceError, DomainError
 from harmbohr.series import (
     CoefficientRule,
@@ -122,9 +123,10 @@ class TestSumPowerSeries:
         with pytest.raises(DomainError):
             sum_power_series(RULE_LOG, 0.5, tol=0.0)
 
-    def test_convergence_error_carries_partial_result(self):
+    def test_convergence_error_carries_partial_result(self, monkeypatch):
+        monkeypatch.setattr(series, "_MAX_TERMS", 64)
         with pytest.raises(ConvergenceError) as exc_info:
-            sum_power_series(RULE_LOG, 0.999, tol=1e-12, max_terms=64)
+            sum_power_series(RULE_LOG, 0.999, tol=1e-12)
         achieved = exc_info.value.achieved
         assert isinstance(achieved, SeriesValue)
         assert achieved.error_bound > 1e-12
@@ -256,10 +258,11 @@ class TestLanes:
             )
             assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
 
-    def test_failure_names_first_lane_and_carries_all(self):
+    def test_failure_names_first_lane_and_carries_all(self, monkeypatch):
+        monkeypatch.setattr(series, "_MAX_TERMS", 64)
         xs = np.array([0.5, 0.999, 0.9995])
         with pytest.raises(ConvergenceError, match="at x=0.999 ") as exc_info:
-            sum_power_series(RULE_LOG, xs, tol=1e-12, max_terms=64)
+            sum_power_series(RULE_LOG, xs, tol=1e-12)
         achieved = exc_info.value.achieved
         assert achieved.error_bound[0] <= 1e-12 < achieved.error_bound[1]
         assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12).value
@@ -269,28 +272,22 @@ class TestAltConstant:
     def test_log_rule_equals_two_log_two_minus_two(self):
         # sum_{n>=2} (-1)^(n-1) 2/n = 2(ln 2 - 1).
         rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        sv = alt_constant(rule, tol=1e-13, first_sign=-1)
+        sv = alt_constant(rule, tol=1e-13)
         expect = 2.0 * (math.log(2.0) - 1.0)
         assert abs(sv.value - expect) <= sv.error_bound + 1e-15
         assert sv.error_bound <= 1e-13
 
-    def test_first_sign_flips_value(self):
-        rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        neg = alt_constant(rule, first_sign=-1)
-        pos = alt_constant(rule, first_sign=+1)
-        assert pos.value == -neg.value
-
     def test_square_rule_equals_basel_remainder(self):
-        # sum_{n>=2} (-1)^n 2/n^2 = 2(1 - pi^2/12).
+        # sum_{n>=2} (-1)^(n-1) 2/n^2 = 2(pi^2/12 - 1).
         rule = CoefficientRule(lambda n: 2.0 / n**2, start=2)
-        sv = alt_constant(rule, tol=1e-13, first_sign=+1)
-        expect = 2.0 * (1.0 - math.pi**2 / 12.0)
+        sv = alt_constant(rule, tol=1e-13)
+        expect = 2.0 * (math.pi**2 / 12.0 - 1.0)
         assert abs(sv.value - expect) <= sv.error_bound + 1e-15
 
     def test_nn1_rule_equals_one_minus_log_four(self):
         # sum_{n>=2} (-1)^(n-1) 2/(n(n-1)) = 2(1 - ln 4).
         rule = CoefficientRule(lambda n: 2.0 / (n * (n - 1.0)), start=2)
-        sv = alt_constant(rule, tol=1e-13, first_sign=-1)
+        sv = alt_constant(rule, tol=1e-13)
         expect = 2.0 * (1.0 - math.log(4.0))
         assert abs(sv.value - expect) <= sv.error_bound + 1e-15
 
@@ -303,7 +300,8 @@ class TestAltConstant:
         ],
     )
     def test_agrees_with_million_term_direct_sum(self, rule, first_sign):
-        sv = alt_constant(rule, tol=1e-12, first_sign=first_sign)
+        # first_sign is the oracle's: alt_constant's first term is negative.
+        sv = alt_constant(rule, tol=1e-12)
         oracle = direct_alt_oracle(rule, 1_000_000, first_sign)
         assert abs(sv.value - oracle) <= 1e-10
 
@@ -316,10 +314,6 @@ class TestAltConstant:
         rule = CoefficientRule(lambda n: n - 10.0, start=2)
         with pytest.raises(DomainError):
             alt_constant(rule)
-
-    def test_bad_first_sign_rejected(self):
-        with pytest.raises(DomainError):
-            alt_constant(RULE_LOG, first_sign=0)
 
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):

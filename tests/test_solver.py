@@ -16,7 +16,9 @@ from scipy.optimize import brentq
 from scipy.special import spence
 
 from harmbohr.classes import (
+    FAMILIES,
     Family,
+    bohr_sum,
     distance_bound,
     gh_k_alpha,
     gt_beta,
@@ -26,10 +28,10 @@ from harmbohr.classes import (
     wh_alpha,
 )
 from harmbohr.errors import ConvergenceError, DomainError, ValidationError
+from harmbohr.series import SeriesValue
 from harmbohr.solver import (
     Method,
     SolverConfig,
-    build_equation,
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
@@ -57,6 +59,18 @@ def ph_m_h(m):
 
 def gt_h(beta):
     return lambda r: r + 2.0 * (1.0 - beta) * r * r / (1.0 - r) - beta
+
+
+def h(spec, r, cfg=SolverConfig()):
+    """H(r) = B(r) - d* with its error bound, at the solver's series tolerance."""
+    b = bohr_sum(spec, r, tol=cfg.series_tol)
+    d = distance_bound(spec, tol=cfg.series_tol)
+    return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
+
+
+def h_prime(spec, r, cfg=SolverConfig()):
+    """The family's upper bound on H'(r), as the solver's Newton steps use it."""
+    return FAMILIES[spec.family].h_prime(spec, r, cfg.series_tol)
 
 
 class TestSolverConfig:
@@ -91,29 +105,26 @@ class TestEquation:
         [ph_alpha(0.3), gt_beta(0.2), wh_alpha(0.5), gh_k_alpha(2, 1.0), tb_m(1.0), ph_m(0.9)],
     )
     def test_h_at_zero_is_minus_distance(self, spec):
-        eq = build_equation(spec)
-        h0 = eq.h(0.0)
-        assert h0.value == pytest.approx(-eq.d_star.value, abs=1e-15)
+        d = distance_bound(spec, tol=SolverConfig().series_tol)
+        assert h(spec, 0.0).value == pytest.approx(-d.value, abs=1e-15)
 
     @pytest.mark.parametrize(
         "spec",
         [ph_alpha(0.3), gt_beta(0.2), wh_alpha(0.5), gh_k_alpha(2, 1.0), tb_m(1.0), ph_m(0.9)],
     )
     def test_derivative_matches_finite_difference(self, spec):
-        eq = build_equation(spec)
         eps = 1e-6
         for r in (0.1, 0.4, 0.7):
-            fd = (eq.h(r + eps).value - eq.h(r - eps).value) / (2.0 * eps)
-            assert eq.h_prime(r) == pytest.approx(fd, abs=1e-5)
+            fd = (h(spec, r + eps).value - h(spec, r - eps).value) / (2.0 * eps)
+            assert h_prime(spec, r) == pytest.approx(fd, abs=1e-5)
 
     @pytest.mark.parametrize(
         "spec",
         [ph_alpha(0.3), gt_beta(0.2), wh_alpha(0.5), gh_k_alpha(2, 1.0), tb_m(1.0), ph_m(0.9)],
     )
     def test_derivative_at_least_one(self, spec):
-        eq = build_equation(spec)
         for r in (0.0, 0.3, 0.6, 0.9):
-            assert eq.h_prime(r) >= 1.0 - 1e-12
+            assert h_prime(spec, r) >= 1.0 - 1e-12
 
 
 class TestClosedFormRadius:
@@ -278,11 +289,10 @@ class TestSolveRadiusContracts:
         assert result.bracket_hi - result.bracket_lo <= cfg.tol
         assert result.residual <= cfg.tol
         assert result.iterations <= 10
-        assert result.d_star == build_equation(spec, cfg).d_star
+        assert result.d_star == distance_bound(spec, tol=cfg.series_tol)
         if result.method is Method.BISECTION_NEWTON:
             # The bracket ends carry the signs that enclose the root.
-            eq = build_equation(spec, cfg)
-            h_lo, h_hi = eq.h(result.bracket_lo), eq.h(result.bracket_hi)
+            h_lo, h_hi = h(spec, result.bracket_lo, cfg), h(spec, result.bracket_hi, cfg)
             assert h_lo.value <= h_lo.error_bound
             assert h_hi.value >= -h_hi.error_bound
 
@@ -323,7 +333,7 @@ class TestSolveRadiusContracts:
         # solver steps back to points it can evaluate.
         spec = gh_k_alpha(1, 1e5)
         with pytest.raises(ConvergenceError):
-            build_equation(spec).h(distance_bound(spec).value)
+            h(spec, distance_bound(spec).value)
         result = solve_radius(spec)
         assert result.radius == pytest.approx(0.9998143378169674, abs=1e-12)
         assert result.bracket_lo <= result.radius <= result.bracket_hi
@@ -346,8 +356,7 @@ class TestSolveRadiusContracts:
     def test_residual_contract_random_alpha(self, alpha):
         cfg = SolverConfig()
         result = solve_radius(ph_alpha(alpha), cfg)
-        eq = build_equation(ph_alpha(alpha), cfg)
-        hv = eq.h(result.radius)
+        hv = h(ph_alpha(alpha), result.radius, cfg)
         assert abs(hv.value) <= cfg.tol + hv.error_bound
 
     def test_monotone_in_ph_alpha(self):
@@ -424,8 +433,7 @@ class TestSolveRadii:
         # enclose the root with the right signs.
         spec = gh_k_alpha(k, 10.0**log_alpha)
         result = solve_radius(spec)
-        eq = build_equation(spec)
-        h_lo, h_hi = eq.h(result.bracket_lo), eq.h(result.bracket_hi)
+        h_lo, h_hi = h(spec, result.bracket_lo), h(spec, result.bracket_hi)
         assert h_lo.value <= h_lo.error_bound
         assert h_hi.value >= -h_hi.error_bound
         assert result.bracket_hi - result.bracket_lo <= 1e-12
@@ -434,8 +442,29 @@ class TestSolveRadii:
 class TestJacobian:
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_half_identity(self, m):
-        # 4m r^2 + 4r + (m-2) = 0 halves the root of m r^2 + 2r + (m-2) = 0.
-        assert abs(jacobian_radius(m) - 0.5 * closed_form_radius(tb_m(m))) <= 1e-15
+        # 4m r^2 + 4r + (m-2) = 0 halves the root of m r^2 + 2r + (m-2) = 0;
+        # measured against the textbook root of the former.
+        textbook = (math.sqrt(1.0 + 2.0 * m - m * m) - 1.0) / (2.0 * m)
+        assert abs(jacobian_radius(m) - textbook) <= 1e-15
+
+    def test_bit_identical_to_the_reference_formula(self):
+        # The tb-m-jacobian records must equal the benchmark's reference
+        # (2 - m) / (2 (1 + sqrt(1 + 2m - m^2))) bit for bit, here on 10^5
+        # random m in (0, 2) plus subnormals and the floats just below 2.
+        rng = np.random.default_rng(9)
+        below_two = 2.0 - np.arange(1, 2001) * 2.0**-52
+        ms = np.concatenate([
+            rng.uniform(0.0, 2.0, 100_000),
+            np.array([5e-324, 1e-320, 1e-310, 2.0**-1022, 1e-300, 1e-200, 1e-17]),
+            below_two,
+            2.0 - rng.uniform(0.0, 1e-6, 2000),
+        ])
+        ms = ms[(ms > 0.0) & (ms < 2.0)]
+        reference = [
+            (2.0 - m) / (2.0 * (1.0 + math.sqrt(1.0 + 2.0 * m - m * m))) for m in ms.tolist()
+        ]
+        assert jacobian_radius(ms).tolist() == reference
+        assert [jacobian_radius(m) for m in ms.tolist()] == reference
 
     def test_sqrt2_point(self):
         assert jacobian_radius(1.0) == pytest.approx(

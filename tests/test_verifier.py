@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from harmbohr.classes import (
-    ExtremalFunction,
     Family,
+    bohr_sum,
     distance_bound,
     extremal_coefficients,
     gh_k_alpha,
     gt_beta,
     growth_envelope,
-    majorant_tail_bound,
     ph_alpha,
     ph_m,
     tb_m,
@@ -32,7 +31,7 @@ from harmbohr.verifier import (
     _direct_alt_pair_average,
     _first_violation,
     _sharpness_reports,
-    bohr_scan,
+    _tail_bound,
     default_sharpness_tol,
     distance_oracle,
     envelope_check,
@@ -56,7 +55,7 @@ class TestEvaluateExtremal:
         n = 2000
         ext = extremal_coefficients(spec, n)
         expect = r + 2.0 * log_tail(r)
-        slack = majorant_tail_bound(spec, n, r) + 1e-13
+        slack = _tail_bound(spec, n, r) + 1e-13
         assert abs(evaluate_extremal(ext, r) - expect) <= slack
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -65,7 +64,7 @@ class TestEvaluateExtremal:
         n = 2000
         ext = extremal_coefficients(spec, n)
         expect = abs(r + 2.0 * alt_log_tail(r))  # |f(-r)| = |2 ln(1+r) - r|
-        slack = majorant_tail_bound(spec, n, r) + 1e-13
+        slack = _tail_bound(spec, n, r) + 1e-13
         assert abs(evaluate_extremal(ext, -r) - expect) <= slack
 
     def test_doubling_truncation_within_tail_bound(self):
@@ -74,14 +73,7 @@ class TestEvaluateExtremal:
         for n in (50, 100, 200):
             a = evaluate_extremal(extremal_coefficients(spec, n), r)
             b = evaluate_extremal(extremal_coefficients(spec, 2 * n), r)
-            assert abs(a - b) <= majorant_tail_bound(spec, n, r)
-
-    def test_co_analytic_part_contributes(self):
-        # f(z) = z + 0.5 conj(z)^2 at z = 0.5: 0.5 + 0.5*0.25 = 0.625.
-        ext = ExtremalFunction(
-            analytic=np.array([1.0]), co_analytic=np.array([0.5]), truncation=2
-        )
-        assert evaluate_extremal(ext, 0.5) == pytest.approx(0.625, abs=1e-15)
+            assert abs(a - b) <= _tail_bound(spec, n, r)
 
     def test_unit_disc_boundary_rejected(self):
         ext = extremal_coefficients(ph_alpha(0.0), 10)
@@ -168,54 +160,58 @@ class TestSharpness:
 
 
 class TestBohrScan:
+    """The first point of a uniform r grid where B(r) exceeds d*."""
+
+    CFG = SolverConfig()
+
     def test_ph_alpha_localises_radius(self):
-        report = bohr_scan(ph_alpha(0.0), r_max=0.5, steps=500)
-        assert report.first_violation == pytest.approx(0.2852, abs=1e-3)
+        fv = _first_violation(ph_alpha(0.0), 0.5, 500, self.CFG)
+        assert fv == pytest.approx(0.2852, abs=1e-3)
 
     def test_gt_beta_zero_violates_immediately(self):
-        report = bohr_scan(gt_beta(0.0), r_max=0.5, steps=100)
-        # d* = 0: the majorant exceeds it from the first positive grid point.
-        assert report.first_violation == pytest.approx(0.5 / 99, abs=1e-12)
-        assert report.grid[0].satisfied
+        # d* = 0: r = 0 satisfies the inequality, and the majorant exceeds
+        # d* from the first positive grid point on.
+        fv = _first_violation(gt_beta(0.0), 0.5, 100, self.CFG)
+        assert fv == pytest.approx(0.5 / 99, abs=1e-12)
 
     def test_tb_heavy_mass_tiny_radius(self):
-        report = bohr_scan(tb_m(1.9), r_max=0.2, steps=400)
+        fv = _first_violation(tb_m(1.9), 0.2, 400, self.CFG)
         expect = closed_form_radius(tb_m(1.9))
         step = 0.2 / 399
         assert expect == pytest.approx(0.047827, abs=1e-6)
-        assert abs(report.first_violation - expect) <= step + 1e-12
+        assert abs(fv - expect) <= step + 1e-12
 
     def test_rows_inside_radius_are_satisfied(self):
+        # Every grid point at or below the radius satisfies the inequality.
         spec = wh_alpha(0.5)
         r_f = solve_radius(spec).radius
-        report = bohr_scan(spec, r_max=0.6, steps=200)
-        for row in report.grid:
-            if row.r <= r_f:
-                assert row.satisfied
-        assert report.first_violation > r_f - 1e-9
+        assert _first_violation(spec, 0.6, 200, self.CFG) > r_f
 
     def test_no_violation_below_radius_window(self):
         spec = ph_alpha(0.5)
         r_f = solve_radius(spec).radius
-        report = bohr_scan(spec, r_max=0.9 * r_f, steps=50)
-        assert report.first_violation is None
-        assert all(row.satisfied for row in report.grid)
+        assert _first_violation(spec, 0.9 * r_f, 50, self.CFG) is None
 
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_first_violation_read_off_the_mask_matches_rows(self, index):
-        # The wh-alpha specs and windows of scan-localisation-wh-alpha.
+        # The wh-alpha specs and windows of scan-localisation-wh-alpha,
+        # against B and d* evaluated one grid point at a time.
         spec = STANDARD_GRIDS[Family.WH_ALPHA][index]
         r_max = min(1.5 * solve_radius(spec).radius, 0.95)
-        cfg = SolverConfig()
-        expect = bohr_scan(spec, r_max, 400, cfg).first_violation
-        assert expect is not None
-        assert _first_violation(spec, r_max, 400, cfg) == expect
+        tol = self.CFG.series_tol
+        d = distance_bound(spec, tol=tol)
+        rows = ((r, bohr_sum(spec, r, tol=tol)) for r in np.linspace(0.0, r_max, 400).tolist())
+        expect = next(
+            r for r, b in rows
+            if not b.value <= d.value + b.error_bound + d.error_bound + 1e-15
+        )
+        assert _first_violation(spec, r_max, 400, self.CFG) == expect
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            bohr_scan(ph_alpha(0.0), r_max=1.0, steps=10)
+            _first_violation(ph_alpha(0.0), 1.0, 10, self.CFG)
         with pytest.raises(DomainError):
-            bohr_scan(ph_alpha(0.0), r_max=0.5, steps=1)
+            _first_violation(ph_alpha(0.0), 0.5, 1, self.CFG)
 
 
 class TestEnvelopeCheck:
@@ -250,14 +246,15 @@ class TestEnvelopeCheck:
 class TestDirectAlternatingOracle:
     def test_agrees_with_accelerated_engine(self):
         rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        direct = _direct_alt_pair_average(rule, 1_000_000, first_sign=-1)
-        fast = alt_constant(rule, tol=1e-12, first_sign=-1)
+        direct = _direct_alt_pair_average(rule, 1_000_000)
+        fast = alt_constant(rule, tol=1e-12)
         assert abs(direct - fast.value) <= 1e-10
 
     def test_known_value(self):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        got = _direct_alt_pair_average(rule, 1_000_000, first_sign=+1)
-        assert got == pytest.approx(math.log(2.0), abs=1e-10)
+        # 1 - 1/2 + 1/3 - ... = ln 2, negated by the leading minus sign.
+        got = _direct_alt_pair_average(rule, 1_000_000)
+        assert got == pytest.approx(-math.log(2.0), abs=1e-10)
 
     @pytest.mark.parametrize("n_terms", [1_000_000, 999_999])
     def test_error_is_the_pair_average_truncation(self, n_terms):
@@ -265,7 +262,7 @@ class TestDirectAlternatingOracle:
         # ln 2 by about 1/(4N^2) = 2.5e-13; summation rounding must not
         # add to that visibly at either parity of N.
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        got = _direct_alt_pair_average(rule, n_terms, first_sign=+1)
+        got = -_direct_alt_pair_average(rule, n_terms)
         assert abs(got - math.log(2.0)) <= 2.6e-13
 
     @pytest.mark.parametrize(
@@ -275,13 +272,12 @@ class TestDirectAlternatingOracle:
     def test_short_sums_average_the_last_two_partial_sums(self, n_terms, expect):
         # Partial sums of 1 - 1/2 + 1/3 - 1/4: 1, 1/2, 5/6, 7/12 (S_0 = 0).
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        got = _direct_alt_pair_average(rule, n_terms, first_sign=+1)
-        assert got == pytest.approx(expect, abs=1e-15)
         assert _direct_alt_pair_average(rule, n_terms) == pytest.approx(-expect, abs=1e-15)
 
     @staticmethod
     def one_shot(rule, n_terms, first_sign):
-        # Every coefficient in one array, the pairs summed in one np.sum.
+        # Every coefficient in one array, the pairs summed in one np.sum,
+        # with the given sign on the first term.
         c = rule.terms(np.arange(rule.start, rule.start + n_terms, dtype=np.float64))
         m = n_terms // 2
         pairs = c[0 : 2 * m : 2] - c[1 : 2 * m : 2]
@@ -296,7 +292,8 @@ class TestDirectAlternatingOracle:
     def test_blocks_agree_with_one_shot_sum(self, n_terms, first_sign):
         rule = CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1)
         expect, magnitude = self.one_shot(rule, n_terms, first_sign)
-        got = _direct_alt_pair_average(rule, n_terms, first_sign=first_sign)
+        # The oracle's first term is negative: negate it for first_sign = +1.
+        got = -first_sign * _direct_alt_pair_average(rule, n_terms)
         assert abs(got - expect) <= 4.0 * np.spacing(magnitude)
 
     def test_memory_does_not_grow_with_terms(self):
@@ -383,6 +380,60 @@ class TestRunSuite:
         assert len(results) == 2
         assert not any(r.passed for r in results)
 
+    def test_closed_vs_bisection_needs_an_exact_zero(self, monkeypatch):
+        # gt_beta(0.0) has closed-form radius 0; a lane that solves to 1e-300
+        # instead is within 1e-10 of it but must still fail.
+        from harmbohr import verifier
+
+        solve_radii = verifier.solve_radii
+
+        def off_zero(specs, config=None):
+            results = solve_radii(specs, config)
+            return [
+                dataclasses.replace(res, radius=1e-300) if res.radius == 0.0 else res
+                for res in results
+            ]
+
+        monkeypatch.setattr(verifier, "solve_radii", off_zero)
+        gt, tb = run_suite(only="closed-vs-bisection").results
+        assert (gt.name, gt.passed) == ("closed-vs-bisection-gt-beta", False)
+        assert (tb.name, tb.passed) == ("closed-vs-bisection-tb-m", True)
+        assert gt.detail == "max |closed - bisection| = 5.55e-17"
+
+    @pytest.mark.parametrize("name", ["reduction-wh-to-ph", "reduction-gh-to-ph"])
+    def test_reduction_fails_when_the_reduced_radius_moves(self, monkeypatch, name):
+        from harmbohr import verifier
+
+        solve_radii = verifier.solve_radii
+
+        def moved(specs, config=None):
+            results = solve_radii(specs, config)
+            moved = [dataclasses.replace(res, radius=res.radius + 1e-8) for res in results]
+            return [m if s.family is not Family.PH_ALPHA else r
+                    for s, m, r in zip(specs, moved, results)]
+
+        monkeypatch.setattr(verifier, "solve_radii", moved)
+        (result,) = run_suite(only=name).results
+        assert not result.passed
+        assert result.detail.endswith("= 1.00e-08")
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda m: closed_form_radius(tb_m(m)),  # the closed form, not halved
+            lambda m: closed_form_radius(tb_m(m)) / 2.0 + 1e-14,
+        ],
+        ids=["unhalved", "shifted-1e-14"],
+    )
+    def test_jacobian_half_identity_fails_off_the_textbook_root(self, monkeypatch, mutant):
+        from harmbohr import verifier
+
+        (result,) = run_suite(only="jacobian-half-identity-tb-m").results
+        assert result.passed
+        monkeypatch.setattr(verifier, "jacobian_radius", mutant)
+        (result,) = run_suite(only="jacobian-half-identity-tb-m").results
+        assert not result.passed
+
     def test_failures_property(self):
         report = run_suite(only="jacobian")
         assert report.failures == ()
@@ -396,7 +447,7 @@ class TestRunSuite:
             ext = extremal_coefficients(spec, truncation)
             analytic = ext.analytic.copy()
             analytic[1] = spec.m / 3.0
-            return ExtremalFunction(analytic, ext.co_analytic, ext.truncation)
+            return dataclasses.replace(ext, analytic=analytic)
 
         monkeypatch.setattr(verifier, "extremal_coefficients", short_extremal)
         (result,) = run_suite(only="jacobian-majorant-deficit-tb-m").results
