@@ -11,12 +11,12 @@ each record is everything the package knows about its family:
   which the extremal map attains (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
   to the boundary of the image (``distance_bound``);
-* the majorant B(r) = r + sum c_n r^n, in closed form where one exists and
-  otherwise summed from c_n (``bohr_sum``), with an upper bound on H' for
-  the solver's Newton steps;
+* the majorant B(r) = r + sum c_n r^n, in closed form where one exists
+  (for gh-k-alpha a Lerch sum, ``series.lerch_sum``) and otherwise summed
+  from c_n (``bohr_sum``), with an upper bound on H' for the solver's
+  Newton steps;
 * sharp growth envelopes for |f| on |z| = r (``growth_envelope``);
-* the closed-form radius where one exists, and for gh-k-alpha a simpler
-  majorant whose root gives the solver a floor under the radius.
+* the closed-form radius where one exists.
 
 Every public function here is a lookup in ``FAMILIES``, so a new family is
 one entry; the one per-family branch left is the lacunary extremal of
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .series import (
     CoefficientRule,
     SeriesValue,
@@ -46,8 +46,10 @@ from .series import (
     alt_log_tail,
     alt_nn1_tail,
     as_param,
+    capped_product,
     g_alt_constant,
     lane_value,
+    lerch_sum,
     log_tail,
     nn1_tail,
     require,
@@ -61,6 +63,9 @@ LN4 = math.log(4.0)
 # Parameter supremum for the PH_M family: the distance constant
 # 1 + 2m(1 - ln 4) must stay positive.
 PH_M_SUP = 1.0 / (2.0 * (LN4 - 1.0))
+
+# Rounding allowance per unit of the parts of an H' bound that cancel.
+_ROUNDING = 8.0 * 2.0**-52
 
 
 class Family(str, Enum):
@@ -102,12 +107,10 @@ class FamilyDef:
     argument of ``coeff``.  ``domain`` holds (name, test, message) triples,
     checked in order.  The callables take a (lane) spec: ``coeff(n, p)``
     gives c_n, ``d_star(spec, tol)`` the distance constant and
-    ``h_prime(spec, r, tol)`` an upper bound on H'(r); ``majorant(spec, r)``
-    is B(r) - r in closed form (None: summed from ``coeff``),
+    ``h_prime(spec, r)`` an upper bound on H'(r); ``majorant(spec, r)`` is
+    B(r) - r in closed form, as a SeriesValue (None: summed from ``coeff``),
     ``envelope(spec, r, tol)`` the growth envelope and ``radius(spec)`` the
-    closed-form radius (None: solved).  ``floor(spec, r)`` gives a closed
-    form U >= B with its slope U', whose root of U = d* lies under the
-    radius (None: the floor is 0).
+    closed-form radius (None: solved).
     """
 
     params: tuple[str, ...]
@@ -118,7 +121,6 @@ class FamilyDef:
     envelope: Callable
     majorant: Callable | None = None
     radius: Callable | None = None
-    floor: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -163,29 +165,34 @@ def _gh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
     return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
 
 
-def _partial(rule: CoefficientRule, r, tol: float) -> SeriesValue:
-    # A series that misses tol still carries a rigorous, only looser, bound.
-    try:
-        return sum_power_series(rule, r, tol=tol)
-    except ConvergenceError as exc:
-        return exc.achieved
+def _wh_h_prime(spec: ClassSpec, r):
+    # B' = 1 + 2r sum_{m>=0} r^m / ((1 + alpha) + alpha m).
+    a = spec.alpha
+    s = lerch_sum(r, 1.0 + a, a)
+    return 1.0 + 2.0 * r * (s.value + s.error_bound)
 
 
-def _wh_h_prime(spec: ClassSpec, r, tol: float):
-    a = as_param(spec.alpha)
-    rule = CoefficientRule(lambda n, a: 2.0 / (1.0 + a * n), 1, "wh-derivative", (a,))
-    s = _partial(rule, r, max(tol, 1e-11))
-    return 1.0 + s.value + s.error_bound
+def _gh_majorant(spec: ClassSpec, r) -> SeriesValue:
+    # c_n = 2/(1 + (n-1) alpha) for n >= k + 1: B - r = 2 r^(k+1) L, with
+    # L = sum_{m>=0} r^m / (1 + (k + m) alpha).
+    s = lerch_sum(r, 1.0 + capped_product(spec.k, spec.alpha), spec.alpha)
+    scale = 2.0 * r ** (float(spec.k) + 1.0)
+    return lane_value(scale * s.value, scale * s.error_bound)
 
 
-def _gh_h_prime(spec: ClassSpec, r, tol: float):
-    # Differentiate the lacunary majorant term by term and split off the
-    # geometric part, valid for every alpha > 0.
-    a, k = spec.alpha, int(spec.k)
-    rule = CoefficientRule(lambda n, a: 1.0 / (1.0 + a * n), k, "gh-derivative", (as_param(a),))
-    s = _partial(rule, r, max(tol, 1e-11))
-    upper = r**k / (1.0 - r) - (1.0 - a) * s.value + np.abs(1.0 - a) * s.error_bound
-    return 1.0 + (2.0 / a) * upper
+def _gh_h_prime(spec: ClassSpec, r):
+    # B' = 1 + 2 sum_{j>=k} r^j (j + 1)/(1 + j alpha), and
+    # (j + 1)/(1 + j alpha) = 1/alpha + (1 - 1/alpha)/(1 + j alpha) gives
+    # B' = 1 + 2 r^k [1/(alpha (1 - r)) + (1 - 1/alpha) L].  For alpha < 1
+    # the bracket cancels, so it carries a rounding allowance of 8 eps of
+    # its parts.
+    a = spec.alpha
+    s = lerch_sum(r, 1.0 + capped_product(spec.k, a), a)
+    geometric = 1.0 / (a * (1.0 - r))
+    weight = 1.0 - 1.0 / a
+    parts = geometric + np.abs(weight) * s.value
+    upper = geometric + weight * s.value + np.abs(weight) * s.error_bound + _ROUNDING * parts
+    return 1.0 + 2.0 * r ** float(spec.k) * upper
 
 
 def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
@@ -219,25 +226,17 @@ def _gh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
     )
 
 
-def _gh_floor(spec: ClassSpec, r):
-    # c_n = 2/(1 + (n-1) alpha) <= 2/((n-1) alpha) for n >= 2, so
-    # B(r) <= U(r) = r - (2r/alpha) ln(1-r).
-    a = spec.alpha
-    log = np.log1p(-r)
-    return r - (2.0 * r / a) * log, 1.0 - (2.0 / a) * log + (2.0 * r / a) / (1.0 - r)
-
-
 FAMILIES: dict[Family, FamilyDef] = {
     Family.PH_ALPHA: FamilyDef(
         params=("alpha",),
         domain=(("alpha", lambda a: (0.0 <= a) & (a < 1.0), "alpha must satisfy 0 <= alpha < 1"),),
         coeff=lambda n, a: 2.0 * (1.0 - a) / n,
         d_star=lambda s, tol: lane_value(1.0 + 2.0 * (1.0 - s.alpha) * (LN2 - 1.0), 0.0),
-        h_prime=lambda s, r, tol: 1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
+        h_prime=lambda s, r: 1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
         envelope=lambda s, r, tol: GrowthEnvelope(
             r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), r + 2.0 * (1.0 - s.alpha) * log_tail(r)
         ),
-        majorant=lambda s, r: 2.0 * (1.0 - s.alpha) * log_tail(r),
+        majorant=lambda s, r: lane_value(2.0 * (1.0 - s.alpha) * log_tail(r), 0.0),
     ),
     Family.GT_BETA: FamilyDef(
         params=("beta",),
@@ -247,9 +246,9 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         coeff=lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n),
         d_star=lambda s, tol: lane_value(s.beta, 0.0),
-        h_prime=lambda s, r, tol: 1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
+        h_prime=lambda s, r: 1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
         envelope=_gt_envelope,
-        majorant=lambda s, r: 2.0 * (1.0 - s.beta) * r * r / (1.0 - r),
+        majorant=lambda s, r: lane_value(2.0 * (1.0 - s.beta) * r * r / (1.0 - r), 0.0),
         # The root of (1 - 2b) r^2 + (1 + b) r - b = 0, free of cancellation
         # for small b.
         radius=lambda s: 2.0 * s.beta / (
@@ -275,16 +274,16 @@ FAMILIES: dict[Family, FamilyDef] = {
         d_star=_gh_d_star,
         h_prime=_gh_h_prime,
         envelope=_gh_envelope,
-        floor=_gh_floor,
+        majorant=_gh_majorant,
     ),
     Family.TB_M: FamilyDef(
         params=("m",),
         domain=(("m", lambda m: (0.0 < m) & (m < 2.0), "m must satisfy 0 < m < 2"),),
         coeff=lambda n, m: np.where(n == 2.0, m / 2.0, 0.0),
         d_star=lambda s, tol: lane_value(1.0 - s.m / 2.0, 0.0),
-        h_prime=lambda s, r, tol: 1.0 + s.m * r,
+        h_prime=lambda s, r: 1.0 + s.m * r,
         envelope=lambda s, r, tol: GrowthEnvelope(r - 0.5 * s.m * r * r, r + 0.5 * s.m * r * r),
-        majorant=lambda s, r: 0.5 * s.m * r * r,
+        majorant=lambda s, r: lane_value(0.5 * s.m * r * r, 0.0),
         # The root of m r^2 + 2r + (m - 2) = 0, free of cancellation for small m.
         radius=lambda s: (2.0 - s.m) / (1.0 + np.sqrt(1.0 + 2.0 * s.m - s.m * s.m)),
     ),
@@ -299,11 +298,11 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         coeff=lambda n, m: 2.0 * m / (n * (n - 1.0)),
         d_star=lambda s, tol: lane_value(1.0 + 2.0 * s.m * (1.0 - LN4), 0.0),
-        h_prime=lambda s, r, tol: 1.0 - 2.0 * s.m * np.log1p(-r),
+        h_prime=lambda s, r: 1.0 - 2.0 * s.m * np.log1p(-r),
         envelope=lambda s, r, tol: GrowthEnvelope(
             r + 2.0 * s.m * alt_nn1_tail(r), r + 2.0 * s.m * nn1_tail(r)
         ),
-        majorant=lambda s, r: 2.0 * s.m * nn1_tail(r),
+        majorant=lambda s, r: lane_value(2.0 * s.m * nn1_tail(r), 0.0),
     ),
 }
 
@@ -481,23 +480,19 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     """The majorant sum B(r) = r + sum_{n>=start} c_n r^n for 0 <= r < 1.
 
     ``r`` is a float, or an array: a grid of radii for one spec, or one
-    radius per lane of a lane spec.  Where a series cannot reach tol, the
-    ConvergenceError carries B (not the bare series) for every lane.
+    radius per lane of a lane spec.  ``tol`` bounds the power series of
+    wh-alpha, the one family without a closed form, which raises
+    ConvergenceError where it cannot reach tol (r close to 1).
     """
     validate(spec)
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     majorant = FAMILIES[spec.family].majorant
-    if majorant is not None:
-        return lane_value(r + majorant(spec, r), 0.0)
-    try:
-        s = sum_power_series(coefficient_rule(spec), r, tol=tol)
-    except ConvergenceError as exc:
-        part = exc.achieved
-        raise ConvergenceError(
-            str(exc), achieved=lane_value(r + part.value, part.error_bound)
-        ) from None
-    return lane_value(r + s.value, s.error_bound)
+    if majorant is None:
+        tail = sum_power_series(coefficient_rule(spec), r, tol=tol)
+    else:
+        tail = majorant(spec, r)
+    return lane_value(r + tail.value, tail.error_bound)
 
 
 def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnvelope:

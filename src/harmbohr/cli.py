@@ -119,12 +119,7 @@ def resolve_tol(args) -> float:
 
 
 def _make_config(args) -> SolverConfig:
-    tol = resolve_tol(args)
-    return SolverConfig(
-        tol=tol,
-        series_tol=min(1e-13, 0.1 * tol),
-        max_iter=getattr(args, "max_iter", 200),
-    )
+    return SolverConfig(tol=resolve_tol(args), max_iter=getattr(args, "max_iter", 200))
 
 
 def _gather_params(args, tag: str, require_all: bool = True) -> dict[str, str]:

@@ -9,8 +9,9 @@ condition; Ostrowski, *Solution of Equations and Systems of Equations*,
 ch. 9), in five to seven steps.  Each H(x) in [v - e, v + e] certifies a
 bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
 root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket fall
-back to the midpoint; points where a series cannot be summed lower a
-ceiling and the iterate retreats below them.  Two families admit
+back to the midpoint.  Every B can be evaluated wherever Newton goes: the
+closed forms and gh-k-alpha's Lerch sum on all of [0, 1), and wh-alpha's
+power series up to its root d* <= pi^2/6 - 1.  Two families admit
 closed-form radii as roots of explicit quadratics, used both as fast paths
 and as cross-checks.
 
@@ -19,7 +20,7 @@ with the family's other parameters fixed; ``solve_radii`` stacks a grid of
 points into a lane spec and runs Newton on every lane at once, so each step
 is one numpy pass over the lanes still open (one B and one H' evaluation)
 instead of one Python solve per point.  Each lane keeps its own bracket,
-iterate, ceiling, step count and stopping rule, and lanes never share a
+iterate, step count and stopping rule, and lanes never share a
 reduction, so every lane ends exactly where it would alone:
 ``solve_radius`` is the one-lane case.
 """
@@ -66,26 +67,27 @@ class Method(str, Enum):
 class SolverConfig:
     """Tolerances and budgets for the root search.
 
-    ``tol`` bounds the final bracket width; ``series_tol`` is passed through
-    to every series evaluation; ``max_iter`` bounds the Newton and midpoint
-    steps together.
+    ``tol`` bounds the final bracket width; ``max_iter`` bounds the Newton
+    and midpoint steps together.
     """
 
     tol: float = 1e-12
-    series_tol: float = 1e-13
     max_iter: int = 200
     prefer_closed_form: bool = True
 
     def __post_init__(self):
-        for name in ("tol", "series_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise DomainError(f"{name} must be > 0, got {value}")
-            # An infinite tolerance certifies nothing, and JSON cannot carry it.
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        if not self.tol > 0.0:
+            raise DomainError(f"tol must be > 0, got {self.tol}")
+        # An infinite tolerance certifies nothing, and JSON cannot carry it.
+        if not math.isfinite(self.tol):
+            raise DomainError(f"tol must be finite, got {self.tol}")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+
+    @property
+    def series_tol(self) -> float:
+        """The tolerance of every series evaluation: tol / 10, at most 1e-13."""
+        return min(1e-13, 0.1 * self.tol)
 
 
 @dataclass(frozen=True)
@@ -124,42 +126,9 @@ def _float_or_array(x):
 
 
 def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
-    """H = v +- e at one x per lane, and which lanes B could not be summed at."""
-    try:
-        b = bohr_sum(spec, x, tol=series_tol)
-    except ConvergenceError as exc:
-        b = exc.achieved
-    return b.value - d_value, b.error_bound + d_error, b.error_bound > series_tol
-
-
-def _floor(spec: ClassSpec, d_lo: np.ndarray) -> np.ndarray:
-    """A certified lower bound on each lane's root, given d* >= d_lo > 0.
-
-    It is 0 unless the family's record gives a closed form U >= B (for
-    gh-k-alpha, U(r) = r - (2r/alpha) ln(1-r)); then the root of H lies at
-    or above the root of U = d_lo.  U is convex with U' >= 1 and U(r) >= r,
-    so Newton started at d_lo (or just below r = 1 where d_lo rounds to 1)
-    falls onto that root, which lies at or above r - max(U(r) - d_lo, 0)
-    for any r.  Near r = 1 this floor is close to the root, so a root that
-    no series can reach is known to be out of reach after one failed point.
-    """
-    bound = FAMILIES[spec.family].floor
-    if bound is None:
-        return np.zeros_like(d_lo)
-    r = np.minimum(d_lo, _BELOW_ONE)
-    for _ in range(30):
-        u, slope = bound(spec, r)
-        step = (u - d_lo) / slope
-        r = r - step
-        if np.all(np.abs(step) <= 4.0 * _EPS * r):
-            break
-    ur = bound(spec, r)[0]
-    excess = np.maximum(ur - d_lo + _ROUNDING * (ur + d_lo), 0.0)
-    return np.maximum(r - (excess + _ROUNDING * r), 0.0)
-
-
-def _lane_error(message: str, lo: float, hi: float) -> ConvergenceError:
-    return ConvergenceError(message, achieved=SeriesValue(0.5 * (lo + hi), hi - lo))
+    """H = v +- e at one x per lane."""
+    b = bohr_sum(spec, x, tol=series_tol)
+    return b.value - d_value, b.error_bound + d_error
 
 
 def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
@@ -170,47 +139,22 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     """
     dv, de = d.value, d.error_bound
     h_prime = FAMILIES[spec.family].h_prime
-    # B(r) >= r puts the root in [lo, d* + error].  Iterates stay at or
-    # below ``top``, which points where a series cannot be summed lower;
-    # they certify nothing, so they never become ``hi``.
+    # B(r) >= r puts the root in [0, d* + error].
     x = np.minimum(dv + de, _BELOW_ONE)
-    hi, top = x.copy(), x.copy()
-    lo = _floor(spec, dv - de)
-    # A lane retreats first to a floor it has not tried, then by halving.
-    fresh = lo > 0.0
+    lo, hi = np.zeros_like(dv), x.copy()
     radius, residual = np.zeros_like(dv), np.zeros_like(dv)
     steps = np.zeros(dv.size, dtype=np.int64)
     live = np.ones(dv.size, dtype=bool)
     recheck = np.zeros(dv.size, dtype=bool)  # stopped on a step: evaluate H there
-    errors: dict[int, ConvergenceError] = {}
     for step in range(1, cfg.max_iter + 1):
-        if (top < hi).any():  # some lane has met a point it cannot sum
-            stuck = live & (top < hi) & (top - lo <= cfg.tol)
-            for i in np.flatnonzero(stuck):
-                errors[int(i)] = _lane_error(
-                    f"series cannot be summed beyond r={float(top[i])!r}; the root is only "
-                    f"bracketed in [{float(lo[i])!r}, {float(hi[i])!r}]",
-                    lo[i], hi[i],
-                )
-            live &= ~stuck
         act = np.flatnonzero(live)
         if act.size == 0:
             break
         steps[act] = step
         sub = spec if act.size == live.size else take_lanes(spec, act)
         xa = x[act]
-        v, hb, failed = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
-        if failed.any():
-            # Series need more terms the larger r is: retreat left.
-            f = act[failed]
-            top[f] = x[f]
-            x[f] = np.where(fresh[f], lo[f], 0.5 * (lo[f] + top[f]))
-            fresh[f] = False
-            ok = ~failed
-            sub = take_lanes(sub, np.flatnonzero(ok))
-            act, xa, v, hb = act[ok], xa[ok], v[ok], hb[ok]
-
-        slope = h_prime(sub, xa, cfg.series_tol)
+        v, hb = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
+        slope = h_prime(sub, xa)
         av = np.abs(v)
         e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
@@ -218,34 +162,36 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         a_lo = np.where(v + e < 0.0, xa, np.maximum(lo[act], xa - (av + e)))
         a_hi = np.minimum(hi[act], xa + (av + e))
         a_hi = np.where(v - e > 0.0, np.minimum(a_hi, xa - (v - e) / slope), a_hi)
-        a_top = np.minimum(top[act], a_hi)
-        lo[act], hi[act], top[act] = a_lo, a_hi, a_top
+        lo[act], hi[act] = a_lo, a_hi
 
         # Series noise: x lies inside the bracket and is the radius.
         noise = av <= hb
         nxt = xa - v / slope
-        nxt = np.where((a_lo <= nxt) & (nxt <= a_top), nxt, 0.5 * (a_lo + a_top))
-        stop = ~noise & ((a_hi - a_lo <= cfg.tol) | (av <= e) | ((nxt == xa) & (a_top == a_hi)))
+        # A step that leaves the bracket, or stalls under half an ulp while
+        # the bracket is still wider than tol (H' too steep), falls back to
+        # the midpoint.
+        stalled = (nxt == xa) & (a_hi - a_lo > cfg.tol)
+        nxt = np.where((a_lo <= nxt) & (nxt <= a_hi) & ~stalled, nxt, 0.5 * (a_lo + a_hi))
+        stop = ~noise & ((a_hi - a_lo <= cfg.tol) | (av <= e) | (nxt == xa))
         radius[act] = np.where(noise, xa, np.minimum(np.maximum(nxt, a_lo), a_hi))
         residual[act] = av + hb
         recheck[act[stop]] = True
         live[act[noise | stop]] = False
         x[act] = nxt
 
-    for i in np.flatnonzero(live):
-        errors[int(i)] = _lane_error(
-            f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations",
-            lo[i], hi[i],
+    errors = {
+        int(i): ConvergenceError(
+            f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations; "
+            f"it is bracketed in [{float(lo[i])!r}, {float(hi[i])!r}]",
+            achieved=SeriesValue(0.5 * (lo[i] + hi[i]), hi[i] - lo[i]),
         )
+        for i in np.flatnonzero(live)
+    }
     # A lane that stopped on its last step reports the residual there.
     idx = np.flatnonzero(recheck)
     if idx.size:
-        v, hb, failed = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
+        v, hb = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
         residual[idx] = np.abs(v) + hb
-        for i in idx[failed]:
-            errors[int(i)] = _lane_error(
-                f"series cannot be summed at the radius r={float(radius[i])!r}", lo[i], hi[i]
-            )
     return radius, residual, lo, hi, steps, errors
 
 
@@ -277,7 +223,9 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     d_sub = SeriesValue(d.value[todo], d.error_bound[todo])
     r_cf = closed_form_radius(sub) if cfg.prefer_closed_form else None
     if r_cf is not None:
-        v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
+        # A root within half an ulp of 1 (tb-m at tiny m) rounds to 1.
+        r_cf = np.minimum(r_cf, _BELOW_ONE)
+        v, hb = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
         radius[todo], residual[todo], lo[todo], hi[todo] = r_cf, np.abs(v) + hb, r_cf, r_cf
     elif todo.size:
         out = _newton(sub, d_sub, cfg)
@@ -322,8 +270,8 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
     with quadratic closed forms use them when ``prefer_closed_form`` is set.
     Everything else runs safeguarded Newton from d*, which stops once the
     certified bracket is at most ``tol`` wide or H is below its error bound.
-    It raises ConvergenceError when ``max_iter`` steps do not suffice, or
-    when the series cannot be summed close enough to the root.  This is the
+    It raises ConvergenceError when d* cannot be certified at the series
+    tolerance, or when ``max_iter`` steps do not suffice.  This is the
     one-lane case of ``solve_radii``.
     """
     return solve_radii([spec], config)[0]

@@ -182,8 +182,9 @@ def distance_oracle(
 
 
 def default_sharpness_tol(spec: ClassSpec) -> float:
-    # Families whose majorant is itself a series carry the looser
-    # tolerance; closed-form families are checked near round-off.
+    # wh-alpha, whose majorant is a power series, carries the looser
+    # tolerance; closed forms and gh-k-alpha's Lerch sum are checked near
+    # round-off.
     return 1e-9 if FAMILIES[spec.family].majorant is None else 1e-12
 
 

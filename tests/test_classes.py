@@ -314,6 +314,10 @@ class TestBohrSum:
         sv = bohr_sum(spec, 0.0)
         assert sv.value == 0.0
 
+    @pytest.mark.parametrize("k,alpha", [(1, 1.0), (3, 0.5), (10**17, 1e300), (1, 1e-300)])
+    def test_lacunary_lerch_majorant_exact_at_zero(self, k, alpha):
+        assert bohr_sum(gh_k_alpha(k, alpha), 0.0) == SeriesValue(0.0, 0.0)
+
     def test_gt_beta_closed_value(self):
         # r + 2(1-beta) r^2/(1-r): beta=0.25, r=0.1 -> 0.1 + 1.5*0.01/0.9.
         sv = bohr_sum(gt_beta(0.25), 0.1)

@@ -426,19 +426,17 @@ class TestScanLanes:
             assert rc == 0
             assert alone == row + "\n"
 
-    def test_first_unsummable_point_fails_the_scan(self, capsys):
-        # alpha = 1e6 solves; 2e6 and 3e6 have roots beyond every r the
-        # series can sum.  The scan reports the first of them.
-        rc, out, err = run_cli(
-            capsys, "scan", "--class", "gh-k-alpha", "--k", "1", "--range", "1e6:3e6:1e6"
-        )
+    def test_first_failing_point_fails_the_scan(self, capsys):
+        # With one step allowed, alpha = 1e-300 solves (d* is below its
+        # error bound: radius 0, no step), while 1 and 2 are not localised.
+        # The scan reports the first of them.
+        argv = ("--class", "gh-k-alpha", "--k", "1", "--max-iter", "1")
+        rc, out, err = run_cli(capsys, "scan", *argv, "--alpha", "1e-300:2:1")
         assert rc == 3
         assert out == ""
-        single = [
-            run_cli(capsys, "radius", "--class", "gh-k-alpha", "--k", "1", "--alpha", a)
-            for a in ("1e6", "2e6", "3e6")
-        ]
+        single = [run_cli(capsys, "radius", *argv, "--alpha", a) for a in ("1e-300", "1", "2")]
         assert [code for code, _, _ in single] == [0, 3, 3]
+        assert "root not localised" in err
         assert err == single[1][2] != single[2][2]
 
     def test_convergence_failure_before_invalid_point_wins(self, capsys):
@@ -448,14 +446,35 @@ class TestScanLanes:
         assert run_cli(capsys, *argv)[0] == 2
 
     @pytest.mark.parametrize("k,alpha", [(1, "1e7"), (1, "1e8"), (1, "1e9"), (2, "1e7")])
-    def test_unsummable_root_fails_fast(self, capsys, k, alpha):
+    def test_failing_solve_fails_fast(self, capsys, k, alpha):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "gh-k-alpha", "--k", str(k), "--alpha", alpha,
+            "--max-iter", "1",
+        )
+        assert rc == 3
+        assert out == ""
+        assert "root not localised to tol=1e-12 within 1 iterations" in err
+        assert time.perf_counter() - t0 < 0.3
+
+    # Roots of B = d* next to r = 1 by mpmath (see tests/test_solver.py),
+    # where a power-series B would need more than 2^20 terms.
+    @pytest.mark.parametrize(
+        "k,alpha,root",
+        [
+            (1_000_000, "1", 0.99999002935826),
+            (1, "1e7", 0.99999729713770),
+            (1, "1e9", 0.99999996431655),
+            (2, "1e7", 0.99999754704706),
+        ],
+    )
+    def test_roots_next_to_one_are_solved(self, capsys, k, alpha, root):
         t0 = time.perf_counter()
         rc, out, err = run_cli(
             capsys, "radius", "--class", "gh-k-alpha", "--k", str(k), "--alpha", alpha
         )
-        assert rc == 3
-        assert out == ""
-        assert "series cannot be summed" in err
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["radius"] == pytest.approx(root, abs=1e-12)
         assert time.perf_counter() - t0 < 0.3
 
 
@@ -550,6 +569,45 @@ class TestScanFromLanes:
         assert rc == 0
         assert len(out.splitlines()) == 1 + 1001
         assert len(calls) <= 1
+
+
+def _edge_cases():
+    below = lambda x: math.nextafter(x, 0.0)  # noqa: E731
+    cases = [
+        ("ph-alpha", {"alpha": 0.0}), ("ph-alpha", {"alpha": below(1.0)}),
+        ("gt-beta", {"beta": 0.0}), ("gt-beta", {"beta": below(0.5)}),
+        ("wh-alpha", {"alpha": 0.0}), ("wh-alpha", {"alpha": 1.0}),
+        ("ph-m", {"m": 5e-324}), ("ph-m", {"m": below(harmbohr.PH_M_SUP)}),
+    ]
+    cases += [("gh-k-alpha", {"k": k, "alpha": a}) for k in (1, 10**17) for a in (1e-300, 1e300)]
+    cases += [(t, {"m": m}) for t in ("tb-m", "tb-m-jacobian") for m in (5e-324, 1e-17, 2 - 2**-52)]
+    return cases
+
+
+class TestDomainEdges:
+    """Each tag at the extremes of its valid parameters, warnings as errors:
+    a radius in [0, 1), or exit 3 with a message."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "tag,params", _edge_cases(), ids=lambda v: v if isinstance(v, str) else repr(v)
+    )
+    def test_extreme_parameters_solve_or_fail_cleanly(self, capsys, tag, params):
+        argv = [arg for name, value in params.items() for arg in (f"--{name}", repr(value))]
+        rc, out, err = run_cli(capsys, "radius", "--class", tag, *argv)
+        if rc == 0:
+            assert err == ""
+            assert 0.0 <= json.loads(out)["radius"] < 1.0
+        else:
+            assert (rc, out) == (3, "")
+            assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("m", ["1e-17", "1e-300", "5e-324"])
+    def test_tb_m_root_rounding_to_one_is_capped_below_it(self, capsys, m):
+        # The closed form rounds to 1.0 for m below about 1.1e-16.
+        rc, out, err = run_cli(capsys, "radius", "--class", "tb-m", "--m", m)
+        assert (rc, err) == (0, "")
+        assert 0.0 < json.loads(out)["radius"] < 1.0
 
 
 class TestBenchmarkSurface:

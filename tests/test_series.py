@@ -21,6 +21,7 @@ from harmbohr.series import (
     alt_log_tail,
     alt_nn1_tail,
     g_alt_constant,
+    lerch_sum,
     log_tail,
     nn1_tail,
     signed_power_series,
@@ -266,6 +267,61 @@ class TestLanes:
         achieved = exc_info.value.achieved
         assert achieved.error_bound[0] <= 1e-12 < achieved.error_bound[1]
         assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12).value
+
+
+class TestLerchSum:
+    """sum_{m>=0} r^m / (c + s m) against mpmath's Lerch transcendent,
+    (1/s) Phi(r, 1, c/s), inside the sum's own error bound."""
+
+    RS = (0.0, 0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12)
+    # (c, s): the shapes the families use (c = 1 + k alpha, s = alpha, and
+    # c = 1 + alpha, s = alpha with alpha = 0), a steep and a flat decay;
+    # (400, 1) at r = 0.999 puts E1's argument at 0.43, on its power series.
+    CS = ((1.0, 1.0), (3.5, 1.0), (1.0, 1e-3), (4e2, 1.0), (1e3, 1.0), (1e9 + 1.0, 1e9),
+          (2.0, 0.0), (1e17, 1.0))
+
+    @staticmethod
+    def reference(r, c, s):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        if r == 0.0:
+            return mp.mpf(1) / c
+        if s == 0.0:
+            return 1 / (c * (1 - mp.mpf(r)))
+        return mp.lerchphi(mp.mpf(r), 1, mp.mpf(c) / mp.mpf(s)) / mp.mpf(s)
+
+    @pytest.mark.parametrize("c,s", CS)
+    def test_within_its_bound_of_mpmath(self, c, s):
+        got = lerch_sum(np.array(self.RS), c, s)
+        for r, value, bound in zip(self.RS, got.value, got.error_bound):
+            ref = self.reference(r, c, s)
+            assert abs(value - ref) <= bound, (r, c, s)
+            # The bound itself is a few ulps of the value.
+            assert bound <= 1e-14 * abs(value)
+
+    def test_zero_argument_is_the_first_term(self):
+        assert lerch_sum(0.0, 4.0, 3.0).value == 0.25
+        assert lerch_sum(0.0, 3.0, 0.0).value == 1.0 / 3.0
+
+    def test_zero_slope_is_geometric(self):
+        # s = 0 (wh-alpha at alpha = 0) is 1/(c(1 - r)), with no division by s.
+        for r in (0.3, 0.9, 1.0 - 1e-9):
+            got = lerch_sum(r, 2.0, 0.0)
+            assert abs(got.value - 1.0 / (2.0 * (1.0 - r))) <= got.error_bound
+
+    def test_lanes_are_their_points(self):
+        rs = np.array([0.0, 0.2, 0.9, 1.0 - 1e-10, 0.5])
+        cs = np.array([1.0, 5.0, 1e6, 2.0, 3.0])
+        ss = np.array([1.0, 0.0, 1e-3, 1e9, 2.0])
+        got = lerch_sum(rs, cs, ss)
+        for i in range(rs.size):
+            assert SeriesValue(got.value[i], got.error_bound[i]) == lerch_sum(rs[i], cs[i], ss[i])
+        assert isinstance(lerch_sum(0.5, 1.0, 1.0).value, float)
+
+    def test_domain(self):
+        for r in (-0.1, 1.0, float("nan")):
+            with pytest.raises(DomainError):
+                lerch_sum(r, 1.0, 1.0)
 
 
 class TestAltConstant:

@@ -68,9 +68,9 @@ def h(spec, r, cfg=SolverConfig()):
     return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
 
 
-def h_prime(spec, r, cfg=SolverConfig()):
+def h_prime(spec, r):
     """The family's upper bound on H'(r), as the solver's Newton steps use it."""
-    return FAMILIES[spec.family].h_prime(spec, r, cfg.series_tol)
+    return FAMILIES[spec.family].h_prime(spec, r)
 
 
 class TestSolverConfig:
@@ -84,19 +84,23 @@ class TestSolverConfig:
         [
             {"tol": 0.0},
             {"tol": -1e-9},
-            {"series_tol": 0.0},
             {"max_iter": 0},
             {"max_iter": 2.5},
+            {"tol": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SolverConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["tol", "series_tol"])
+    @pytest.mark.parametrize("name", ["tol"])
     def test_rejects_infinite_tolerances(self, name):
         with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
             SolverConfig(**{name: math.inf})
+
+    @pytest.mark.parametrize("tol,series_tol", [(1e-12, 1e-13), (1e-3, 1e-13), (1e-14, 1e-15)])
+    def test_series_tol_is_derived_from_tol(self, tol, series_tol):
+        assert SolverConfig(tol=tol).series_tol == series_tol
 
 
 class TestEquation:
@@ -310,7 +314,7 @@ class TestSolveRadiusContracts:
         assert result.iterations > 0
 
     def test_loose_tolerance_still_brackets(self):
-        cfg = SolverConfig(tol=1e-3, series_tol=1e-6)
+        cfg = SolverConfig(tol=1e-3)
         tight = solve_radius(ph_alpha(0.2))
         loose = solve_radius(ph_alpha(0.2), cfg)
         assert abs(loose.radius - tight.radius) <= 1e-3
@@ -328,21 +332,44 @@ class TestSolveRadiusContracts:
         assert result.radius == pytest.approx(0.9999999669366164, abs=1e-12)
         assert result.bracket_lo <= result.radius <= result.bracket_hi
 
-    def test_retreats_where_series_cannot_be_summed(self):
-        # At r = d* the majorant series needs more than 2^20 terms; the
-        # solver steps back to points it can evaluate.
+    def test_newton_starts_where_d_star_sits_next_to_one(self):
+        # At r = d* the majorant's power series would need more than 2^20
+        # terms; the Lerch sum evaluates H there, and Newton starts from it.
         spec = gh_k_alpha(1, 1e5)
-        with pytest.raises(ConvergenceError):
-            h(spec, distance_bound(spec).value)
+        d = distance_bound(spec)
+        assert h(spec, d.value).error_bound <= 1e-14
         result = solve_radius(spec)
         assert result.radius == pytest.approx(0.9998143378169674, abs=1e-12)
         assert result.bracket_lo <= result.radius <= result.bracket_hi
         assert result.bracket_hi - result.bracket_lo <= 1e-12
 
-    def test_unsummable_root_raises(self):
-        # The root lies beyond every point where the series can be summed.
-        with pytest.raises(ConvergenceError, match="series cannot be summed"):
-            solve_radius(gh_k_alpha(1_000_000, 1.0))
+    # Roots of mpmath's H = r + 2 r^(k+1) lerchphi(r, 1, k + 1/alpha)/alpha - d*,
+    # with d* = 1 + 2 sum (-1)^n/(1 + n k alpha) by mpmath.nsum, at 40 digits.
+    @pytest.mark.parametrize(
+        "k,alpha,root",
+        [
+            (1_000_000, 1.0, 0.99999002935826),
+            (1, 1e7, 0.99999729713770),
+            (1, 1e9, 0.99999996431655),
+            (2, 1e7, 0.99999754704706),
+        ],
+    )
+    def test_roots_next_to_one_match_mpmath(self, k, alpha, root):
+        result = solve_radius(gh_k_alpha(k, alpha))
+        assert result.radius == pytest.approx(root, abs=1e-12)
+        assert result.bracket_lo <= result.radius <= result.bracket_hi
+        assert result.bracket_hi - result.bracket_lo <= 1e-12
+
+    def test_d_star_rounding_to_one(self):
+        # k = 10^17: d* rounds to 1 and H' reaches 10^11 next to 1, where a
+        # Newton step stalls under half an ulp; the midpoint still brackets
+        # the root to tol.
+        spec = gh_k_alpha(10**17, 1.0)
+        assert distance_bound(spec).value == 1.0
+        result = solve_radius(spec)
+        assert 0.0 < result.radius < 1.0
+        assert result.bracket_lo <= result.radius <= result.bracket_hi
+        assert result.bracket_hi - result.bracket_lo <= 1e-12
 
     def test_far_corner_of_lacunary_domain(self):
         # Large k*alpha pushes the root toward 1; the solver must still
@@ -383,8 +410,8 @@ class TestSolveRadiusContracts:
 
 class TestSolveRadii:
     def test_equals_one_lane_solves(self):
-        # Lanes of several families, closed forms, d* = 0 and a retreat
-        # where the series cannot be summed, in one call.
+        # Lanes of several families, closed forms, d* = 0 and a root next
+        # to 1, in one call.
         specs = (
             [wh_alpha(a) for a in (0.0, 0.3, 1.0)]
             + [gh_k_alpha(2, a) for a in (0.5, 1.3, 40.0)]
@@ -398,39 +425,45 @@ class TestSolveRadii:
         assert solve_radii([]) == []
 
     def test_raises_the_first_failure_in_order(self):
-        specs = [gh_k_alpha(1, 1.0), gh_k_alpha(1, 1e8), wh_alpha(0.5), gh_k_alpha(1, 1e7)]
+        # One step localises no iterative root: the closed forms solve, and
+        # the first iterative spec in the given order is the error raised.
+        cfg = SolverConfig(max_iter=1)
+        specs = [gt_beta(0.3), gh_k_alpha(1, 1e8), wh_alpha(0.5), gh_k_alpha(1, 1e7)]
         with pytest.raises(ConvergenceError) as lanes:
-            solve_radii(specs)
+            solve_radii(specs, cfg)
         with pytest.raises(ConvergenceError) as alone:
-            solve_radius(specs[1])
-        assert str(lanes.value) == str(alone.value)
+            solve_radius(specs[1], cfg)
+        with pytest.raises(ConvergenceError) as other:
+            solve_radius(specs[3], cfg)
+        assert str(lanes.value) == str(alone.value) != str(other.value)
+        assert lanes.value.achieved == alone.value.achieved
 
     def test_lane_arrays_and_lane_errors(self):
         from harmbohr.classes import stack_lanes
         from harmbohr.solver import _solve_lanes
 
-        specs = [gh_k_alpha(1, 1.0), gh_k_alpha(1, 1e8), gh_k_alpha(1, 3.0)]
-        lanes, errors = _solve_lanes(stack_lanes(specs), SolverConfig())
+        # alpha = 0.01 localises its root in 3 steps, 1.0 and 1e9 need more.
+        cfg = SolverConfig(max_iter=3)
+        specs = [gh_k_alpha(1, 0.01), gh_k_alpha(1, 1e9), gh_k_alpha(1, 1.0)]
+        lanes, errors = _solve_lanes(stack_lanes(specs), cfg)
         radius, residual, lo, hi, steps, closed, d_value, d_error = lanes
-        assert list(errors) == [1]
-        assert "series cannot be summed" in str(errors[1])
-        for i in (0, 2):
-            alone = solve_radius(specs[i])
-            assert (radius[i], residual[i], lo[i], hi[i], steps[i]) == (
-                alone.radius, alone.residual, alone.bracket_lo, alone.bracket_hi,
-                alone.iterations,
-            )
-            assert not closed[i] and alone.method is Method.BISECTION_NEWTON
-            assert (d_value[i], d_error[i]) == (alone.d_star.value, alone.d_star.error_bound)
+        assert list(errors) == [1, 2]
+        assert "within 3 iterations" in str(errors[1])
+        alone = solve_radius(specs[0], cfg)
+        assert (radius[0], residual[0], lo[0], hi[0], steps[0]) == (
+            alone.radius, alone.residual, alone.bracket_lo, alone.bracket_hi, alone.iterations,
+        )
+        assert not closed[0] and alone.method is Method.BISECTION_NEWTON
+        assert (d_value[0], d_error[0]) == (alone.d_star.value, alone.d_star.error_bound)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.integers(min_value=1, max_value=6),
         st.floats(min_value=-2.0, max_value=5.0),
     )
-    def test_lacunary_floor_stays_below_the_root(self, k, log_alpha):
-        # The bracket starts from a bound-derived floor; it must still
-        # enclose the root with the right signs.
+    def test_lacunary_bracket_encloses_the_root(self, k, log_alpha):
+        # The bracket starts at [0, d*]; it must end enclosing the root
+        # with the right signs.
         spec = gh_k_alpha(k, 10.0**log_alpha)
         result = solve_radius(spec)
         h_lo, h_hi = h(spec, result.bracket_lo), h(spec, result.bracket_hi)

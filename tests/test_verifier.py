@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from harmbohr.classes import (
+    FAMILIES,
     Family,
     bohr_sum,
     distance_bound,
@@ -144,8 +145,10 @@ class TestSharpness:
         assert abs(report.gap) <= 1e-12
 
     def test_default_tolerances_by_family(self):
+        # wh-alpha's majorant is a power series; gh-k-alpha's is a Lerch sum
+        # with an ulp-level bound, checked as closely as the closed forms.
         assert default_sharpness_tol(wh_alpha(0.5)) == 1e-9
-        assert default_sharpness_tol(gh_k_alpha(2, 1.0)) == 1e-9
+        assert default_sharpness_tol(gh_k_alpha(2, 1.0)) == 1e-12
         assert default_sharpness_tol(ph_alpha(0.0)) == 1e-12
 
     def test_radius_matches_solver(self):
@@ -470,6 +473,24 @@ class TestRunSuite:
         monkeypatch.setattr(verifier, "bohr_sum", raised)
         (result,) = run_suite(only="scan-localisation-wh-alpha").results
         assert not result.passed
+
+
+    def test_generic_sum_gh_fails_when_the_lerch_majorant_moves(self, monkeypatch):
+        # gh-k-alpha's B is a Lerch sum, independent of the power series the
+        # check sums from c_n: B raised by 1e-11 must fail it.
+        fam = FAMILIES[Family.GH_K_ALPHA]
+
+        def raised(spec, r):
+            b = fam.majorant(spec, r)
+            return dataclasses.replace(b, value=b.value + 1e-11)
+
+        name = "generic-sum-agreement-gh-k-alpha"
+        (result,) = run_suite(only=name).results
+        assert result.passed
+        monkeypatch.setitem(FAMILIES, Family.GH_K_ALPHA, dataclasses.replace(fam, majorant=raised))
+        (result,) = run_suite(only=name).results
+        assert not result.passed
+        assert float(result.detail.rsplit(" ", 1)[1]) >= 1e-11 - 1e-13
 
 
 class TestWorstCaseFoldsFailOnNaN:
