@@ -11,10 +11,10 @@ each record is everything the package knows about its family:
   which the extremal map attains (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
   to the boundary of the image (``distance_bound``);
-* the majorant B(r) = r + sum c_n r^n, in closed form where one exists
-  (for gh-k-alpha a Lerch sum, ``series.lerch_sum``) and otherwise summed
-  from c_n (``bohr_sum``), with an upper bound on H' for the solver's
-  Newton steps;
+* the majorant B(r) = r + sum c_n r^n (``bohr_sum``): a closed form for
+  four families, a Lerch sum (``series.lerch_sum``) for gh-k-alpha and the
+  power series of c_n for wh-alpha, returned by one call together with an
+  upper bound on B' for the solver's Newton steps;
 * sharp growth envelopes for |f| on |z| = r (``growth_envelope``);
 * the closed-form radius where one exists.
 
@@ -67,6 +67,10 @@ PH_M_SUP = 1.0 / (2.0 * (LN4 - 1.0))
 # Rounding allowance per unit of the parts of an H' bound that cancel.
 _ROUNDING = 8.0 * 2.0**-52
 
+# The least alpha whose gh-k-alpha slope bound is summed by partial
+# fractions (see _gh_majorant).
+_GH_TINY_ALPHA = 1e-280
+
 
 class Family(str, Enum):
     """The six families, keyed by their command-line tags."""
@@ -106,20 +110,19 @@ class FamilyDef:
     ``params`` lists the parameter names; the last is the swept one and the
     argument of ``coeff``.  ``domain`` holds (name, test, message) triples,
     checked in order.  The callables take a (lane) spec: ``coeff(n, p)``
-    gives c_n, ``d_star(spec, tol)`` the distance constant and
-    ``h_prime(spec, r)`` an upper bound on H'(r); ``majorant(spec, r)`` is
-    B(r) - r in closed form, as a SeriesValue (None: summed from ``coeff``),
-    ``envelope(spec, r, tol)`` the growth envelope and ``radius(spec)`` the
-    closed-form radius (None: solved).
+    gives c_n, ``d_star(spec, tol)`` the distance constant,
+    ``majorant(spec, r, tol)`` the pair (B(r) - r as a SeriesValue, an upper
+    bound on B'(r)) from one evaluation, ``envelope(spec, r, tol)`` the
+    growth envelope and ``radius(spec)`` the closed-form radius (None:
+    solved).  ``tol`` bounds the error of the summed series.
     """
 
     params: tuple[str, ...]
     domain: tuple[tuple[str, Callable, str], ...]
     coeff: Callable
     d_star: Callable
-    h_prime: Callable
+    majorant: Callable
     envelope: Callable
-    majorant: Callable | None = None
     radius: Callable | None = None
 
 
@@ -165,34 +168,37 @@ def _gh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
     return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
 
 
-def _wh_h_prime(spec: ClassSpec, r):
+def _wh_majorant(spec: ClassSpec, r, tol: float):
+    # B - r is the power series of c_n, and
     # B' = 1 + 2r sum_{m>=0} r^m / ((1 + alpha) + alpha m).
     a = spec.alpha
+    tail = sum_power_series(coefficient_rule(spec), r, tol=tol)
     s = lerch_sum(r, 1.0 + a, a)
-    return 1.0 + 2.0 * r * (s.value + s.error_bound)
+    return tail, 1.0 + 2.0 * r * (s.value + s.error_bound)
 
 
-def _gh_majorant(spec: ClassSpec, r) -> SeriesValue:
+def _gh_majorant(spec: ClassSpec, r, tol: float):
     # c_n = 2/(1 + (n-1) alpha) for n >= k + 1: B - r = 2 r^(k+1) L, with
-    # L = sum_{m>=0} r^m / (1 + (k + m) alpha).
-    s = lerch_sum(r, 1.0 + capped_product(spec.k, spec.alpha), spec.alpha)
-    scale = 2.0 * r ** (float(spec.k) + 1.0)
-    return lane_value(scale * s.value, scale * s.error_bound)
-
-
-def _gh_h_prime(spec: ClassSpec, r):
-    # B' = 1 + 2 sum_{j>=k} r^j (j + 1)/(1 + j alpha), and
-    # (j + 1)/(1 + j alpha) = 1/alpha + (1 - 1/alpha)/(1 + j alpha) gives
-    # B' = 1 + 2 r^k [1/(alpha (1 - r)) + (1 - 1/alpha) L].  For alpha < 1
-    # the bracket cancels, so it carries a rounding allowance of 8 eps of
-    # its parts.
-    a = spec.alpha
+    # L = sum_{m>=0} r^m / (1 + (k + m) alpha).  B' = 1 + 2 sum_{j>=k} r^j
+    # (j + 1)/(1 + j alpha), and (j + 1)/(1 + j alpha) = 1/alpha +
+    # (1 - 1/alpha)/(1 + j alpha) gives B' = 1 + 2 r^k [1/(alpha (1 - r)) +
+    # (1 - 1/alpha) L].  For alpha < 1 the bracket cancels, so it carries a
+    # rounding allowance of 8 eps of its parts.
+    a, k = spec.alpha, float(spec.k)
     s = lerch_sum(r, 1.0 + capped_product(spec.k, a), a)
+    scale = 2.0 * r ** (k + 1.0)
+    tail = lane_value(scale * s.value, scale * s.error_bound)
+    # Below _GH_TINY_ALPHA the bracket's parts, up to 2^53/alpha, could
+    # overflow; there (j + 1)/(1 + j alpha) <= j + 1 gives the bound
+    # B' <= 1 + 2 r^k (1 + k (1 - r))/(1 - r)^2 instead.
+    tiny = a < _GH_TINY_ALPHA
+    a = np.maximum(a, _GH_TINY_ALPHA)
     geometric = 1.0 / (a * (1.0 - r))
     weight = 1.0 - 1.0 / a
     parts = geometric + np.abs(weight) * s.value
     upper = geometric + weight * s.value + np.abs(weight) * s.error_bound + _ROUNDING * parts
-    return 1.0 + 2.0 * r ** float(spec.k) * upper
+    loose = 1.0 + 2.0 * (r**k * (1.0 + k * (1.0 - r))) / (1.0 - r) ** 2
+    return tail, np.where(tiny, loose, 1.0 + 2.0 * r**k * upper)
 
 
 def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
@@ -232,11 +238,13 @@ FAMILIES: dict[Family, FamilyDef] = {
         domain=(("alpha", lambda a: (0.0 <= a) & (a < 1.0), "alpha must satisfy 0 <= alpha < 1"),),
         coeff=lambda n, a: 2.0 * (1.0 - a) / n,
         d_star=lambda s, tol: lane_value(1.0 + 2.0 * (1.0 - s.alpha) * (LN2 - 1.0), 0.0),
-        h_prime=lambda s, r: 1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
+        majorant=lambda s, r, tol: (
+            lane_value(2.0 * (1.0 - s.alpha) * log_tail(r), 0.0),
+            1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
+        ),
         envelope=lambda s, r, tol: GrowthEnvelope(
             r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), r + 2.0 * (1.0 - s.alpha) * log_tail(r)
         ),
-        majorant=lambda s, r: lane_value(2.0 * (1.0 - s.alpha) * log_tail(r), 0.0),
     ),
     Family.GT_BETA: FamilyDef(
         params=("beta",),
@@ -246,9 +254,11 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         coeff=lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n),
         d_star=lambda s, tol: lane_value(s.beta, 0.0),
-        h_prime=lambda s, r: 1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
+        majorant=lambda s, r, tol: (
+            lane_value(2.0 * (1.0 - s.beta) * r * r / (1.0 - r), 0.0),
+            1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
+        ),
         envelope=_gt_envelope,
-        majorant=lambda s, r: lane_value(2.0 * (1.0 - s.beta) * r * r / (1.0 - r), 0.0),
         # The root of (1 - 2b) r^2 + (1 + b) r - b = 0, free of cancellation
         # for small b.
         radius=lambda s: 2.0 * s.beta / (
@@ -260,7 +270,7 @@ FAMILIES: dict[Family, FamilyDef] = {
         domain=(("alpha", lambda a: (0.0 <= a) & (a <= 1.0), "alpha must satisfy 0 <= alpha <= 1"),),
         coeff=lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
         d_star=_wh_d_star,
-        h_prime=_wh_h_prime,
+        majorant=_wh_majorant,
         envelope=_wh_envelope,
     ),
     Family.GH_K_ALPHA: FamilyDef(
@@ -272,18 +282,16 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         coeff=lambda n, a: 2.0 / (1.0 + (n - 1.0) * a),
         d_star=_gh_d_star,
-        h_prime=_gh_h_prime,
-        envelope=_gh_envelope,
         majorant=_gh_majorant,
+        envelope=_gh_envelope,
     ),
     Family.TB_M: FamilyDef(
         params=("m",),
         domain=(("m", lambda m: (0.0 < m) & (m < 2.0), "m must satisfy 0 < m < 2"),),
         coeff=lambda n, m: np.where(n == 2.0, m / 2.0, 0.0),
         d_star=lambda s, tol: lane_value(1.0 - s.m / 2.0, 0.0),
-        h_prime=lambda s, r: 1.0 + s.m * r,
+        majorant=lambda s, r, tol: (lane_value(0.5 * s.m * r * r, 0.0), 1.0 + s.m * r),
         envelope=lambda s, r, tol: GrowthEnvelope(r - 0.5 * s.m * r * r, r + 0.5 * s.m * r * r),
-        majorant=lambda s, r: lane_value(0.5 * s.m * r * r, 0.0),
         # The root of m r^2 + 2r + (m - 2) = 0, free of cancellation for small m.
         radius=lambda s: (2.0 - s.m) / (1.0 + np.sqrt(1.0 + 2.0 * s.m - s.m * s.m)),
     ),
@@ -298,11 +306,12 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         coeff=lambda n, m: 2.0 * m / (n * (n - 1.0)),
         d_star=lambda s, tol: lane_value(1.0 + 2.0 * s.m * (1.0 - LN4), 0.0),
-        h_prime=lambda s, r: 1.0 - 2.0 * s.m * np.log1p(-r),
+        majorant=lambda s, r, tol: (
+            lane_value(2.0 * s.m * nn1_tail(r), 0.0), 1.0 - 2.0 * s.m * np.log1p(-r)
+        ),
         envelope=lambda s, r, tol: GrowthEnvelope(
             r + 2.0 * s.m * alt_nn1_tail(r), r + 2.0 * s.m * nn1_tail(r)
         ),
-        majorant=lambda s, r: lane_value(2.0 * s.m * nn1_tail(r), 0.0),
     ),
 }
 
@@ -481,17 +490,13 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
 
     ``r`` is a float, or an array: a grid of radii for one spec, or one
     radius per lane of a lane spec.  ``tol`` bounds the power series of
-    wh-alpha, the one family without a closed form, which raises
+    wh-alpha, the one family summed term by term, which raises
     ConvergenceError where it cannot reach tol (r close to 1).
     """
     validate(spec)
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
-    majorant = FAMILIES[spec.family].majorant
-    if majorant is None:
-        tail = sum_power_series(coefficient_rule(spec), r, tol=tol)
-    else:
-        tail = majorant(spec, r)
+    tail, _ = FAMILIES[spec.family].majorant(spec, r, tol)
     return lane_value(r + tail.value, tail.error_bound)
 
 

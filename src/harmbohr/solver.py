@@ -18,11 +18,11 @@ and as cross-checks.
 The solver works on lanes.  A lane is one parameter point of one family,
 with the family's other parameters fixed; ``solve_radii`` stacks a grid of
 points into a lane spec and runs Newton on every lane at once, so each step
-is one numpy pass over the lanes still open (one B and one H' evaluation)
-instead of one Python solve per point.  Each lane keeps its own bracket,
-iterate, step count and stopping rule, and lanes never share a
-reduction, so every lane ends exactly where it would alone:
-``solve_radius`` is the one-lane case.
+is one numpy pass over the lanes still open (one call of the family's
+``majorant``, which gives B and a bound on H' together) instead of one
+Python solve per point.  Each lane keeps its own bracket, iterate, step
+count and stopping rule, and lanes never share a reduction, so every lane
+ends exactly where it would alone: ``solve_radius`` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from enum import Enum
 
 import numpy as np
 
+# bohr_sum is no longer called here; perfbench/test_perfbench.py reads it.
 from .classes import (
     FAMILIES,
     ClassSpec,
     Family,
-    bohr_sum,
+    bohr_sum,  # noqa: F401
     distance_bound,
     stack_lanes,
     take_lanes,
@@ -126,9 +127,11 @@ def _float_or_array(x):
 
 
 def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
-    """H = v +- e at one x per lane."""
-    b = bohr_sum(spec, x, tol=series_tol)
-    return b.value - d_value, b.error_bound + d_error
+    """H = v +- e at one x per lane, and an upper bound on H'(x), from one
+    ``majorant`` call."""
+    require((0.0 <= x) & (x < 1.0), x, "r must satisfy 0 <= r < 1")
+    tail, slope = FAMILIES[spec.family].majorant(spec, x, series_tol)
+    return (x + tail.value) - d_value, tail.error_bound + d_error, slope
 
 
 def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
@@ -138,7 +141,6 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     dict from lane index to the ConvergenceError that lane raises.
     """
     dv, de = d.value, d.error_bound
-    h_prime = FAMILIES[spec.family].h_prime
     # B(r) >= r puts the root in [0, d* + error].
     x = np.minimum(dv + de, _BELOW_ONE)
     lo, hi = np.zeros_like(dv), x.copy()
@@ -153,8 +155,7 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         steps[act] = step
         sub = spec if act.size == live.size else take_lanes(spec, act)
         xa = x[act]
-        v, hb = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
-        slope = h_prime(sub, xa)
+        v, hb, slope = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
         av = np.abs(v)
         e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
@@ -190,7 +191,7 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     # A lane that stopped on its last step reports the residual there.
     idx = np.flatnonzero(recheck)
     if idx.size:
-        v, hb = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
+        v, hb, _ = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
         residual[idx] = np.abs(v) + hb
     return radius, residual, lo, hi, steps, errors
 
@@ -225,7 +226,7 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     if r_cf is not None:
         # A root within half an ulp of 1 (tb-m at tiny m) rounds to 1.
         r_cf = np.minimum(r_cf, _BELOW_ONE)
-        v, hb = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
+        v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
         radius[todo], residual[todo], lo[todo], hi[todo] = r_cf, np.abs(v) + hb, r_cf, r_cf
     elif todo.size:
         out = _newton(sub, d_sub, cfg)

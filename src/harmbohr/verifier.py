@@ -19,7 +19,6 @@ import numpy as np
 
 from . import _kernels
 from .classes import (
-    FAMILIES,
     ClassSpec,
     ExtremalFunction,
     Family,
@@ -38,7 +37,7 @@ from .classes import (
     wh_alpha,
 )
 from .errors import DomainError, HarmBohrError
-from .series import CoefficientRule, alt_constant, g_alt_constant, sum_power_series
+from .series import CoefficientRule, alt_constant, g_alt_constant
 from .solver import (
     SolverConfig,
     closed_form_radius,
@@ -181,22 +180,15 @@ def distance_oracle(
     )
 
 
-def default_sharpness_tol(spec: ClassSpec) -> float:
-    # wh-alpha, whose majorant is a power series, carries the looser
-    # tolerance; closed forms and gh-k-alpha's Lerch sum are checked near
-    # round-off.
-    return 1e-9 if FAMILIES[spec.family].majorant is None else 1e-12
-
-
 def sharpness_check(
-    spec: ClassSpec, tol: float | None = None, config: SolverConfig | None = None
+    spec: ClassSpec, tol: float = 1e-12, config: SolverConfig | None = None
 ) -> SharpnessReport:
     """Check that bohr_sum(r_f) = d* within tol, and is violated just beyond."""
     return _sharpness_reports([spec], tol, config or SolverConfig())[0]
 
 
 def _sharpness_reports(
-    specs: list[ClassSpec], tol: float | None, cfg: SolverConfig
+    specs: list[ClassSpec], tol: float, cfg: SolverConfig
 ) -> list[SharpnessReport]:
     """``sharpness_check`` of each spec, with one batched solve for all of them."""
     reports = []
@@ -211,8 +203,7 @@ def _sharpness_reports(
             violation_gap = beyond.value - d.value
         else:  # pragma: no cover - radii stay well inside (0, 1)
             violation_gap = float("inf")
-        spec_tol = default_sharpness_tol(spec) if tol is None else tol
-        passed = abs(gap) <= spec_tol + slack and violation_gap > 0.0
+        passed = abs(gap) <= tol + slack and violation_gap > 0.0
         reports.append(
             SharpnessReport(
                 spec=spec,
@@ -408,7 +399,7 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
 
 def _make_sharpness_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
-        reports = _sharpness_reports(list(STANDARD_GRIDS[fam]), None, cfg)
+        reports = _sharpness_reports(list(STANDARD_GRIDS[fam]), 1e-12, cfg)
         ok = all(rep.passed for rep in reports)
         worst = max(abs(rep.gap) for rep in reports)
         return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(STANDARD_GRIDS[fam])} specs"
@@ -513,21 +504,29 @@ def _make_sign_change_check(fam: Family):
 
     return check
 
+# Terms of the direct sums of ``generic-sum-agreement-*``: at r <= 0.9
+# every family's tail beyond them is below 1e-15.
+_DIRECT_TERMS = 400
+
+
 def _make_generic_sum_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
-        # Agreement target is 1e-12; evaluating both sides at half that is
-        # enough and keeps large sums (constant coefficients near r = 1)
-        # inside the engine's rounding budget.
-        engine_tol = 5e-13
-        gaps = []
+        # B against r + sum c_n r^n as one plain dot of the first
+        # _DIRECT_TERMS coefficient bounds, which no series engine touches;
+        # the tail bound certifies the cut-off.  The target is 1e-12, and
+        # B's own series is summed to half that.
+        gaps, tails = [], []
         for spec in _rep_specs(fam):
             rule = coefficient_rule(spec)
+            ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
+            c = rule.terms(ns)
             for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-                direct = bohr_sum(spec, r, tol=engine_tol)
-                generic = r + sum_power_series(rule, r, tol=engine_tol).value
-                gaps.append(abs(direct.value - generic))
-        worst = float(np.max(gaps))
-        return worst <= 1e-12, f"max |closed - generic| = {worst:.2e}"
+                direct = r + float(c @ r**ns)
+                gaps.append(abs(bohr_sum(spec, r, tol=5e-13).value - direct))
+                tails.append(_tail_bound(spec, int(ns[-1]), r))
+        worst, tail = float(np.max(gaps)), float(np.max(tails))
+        ok = worst <= 1e-12 and tail <= 1e-15
+        return ok, f"max |B - direct sum| = {worst:.2e} (tail <= {tail:.1e})"
 
     return check
 

@@ -318,6 +318,34 @@ class TestBohrSum:
     def test_lacunary_lerch_majorant_exact_at_zero(self, k, alpha):
         assert bohr_sum(gh_k_alpha(k, alpha), 0.0) == SeriesValue(0.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300])
+    @pytest.mark.parametrize("r", [0.5, 0.999, 1.0 - 2.0**-53])
+    def test_lacunary_tiny_alpha_warns_nothing(self, alpha, r):
+        # Warnings are errors here: the slope bound behind every bohr_sum
+        # must neither divide by zero nor overflow at the smallest alphas,
+        # as one point or as lanes next to ordinary ones.
+        for k in (1, 3):
+            b = bohr_sum(gh_k_alpha(k, alpha), r)
+            assert math.isfinite(b.value) and b.value >= r
+            _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(gh_k_alpha(k, alpha), r, 1e-13)
+            assert np.isfinite(slope) and slope >= 1.0
+        lanes = stack_lanes([gh_k_alpha(2, a) for a in (1.0, alpha, 0.3, alpha)])
+        rs = np.full(4, r)
+        b = bohr_sum(lanes, rs)
+        for i, a in enumerate((1.0, alpha, 0.3, alpha)):
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(gh_k_alpha(2, a), r)
+        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(lanes, rs, 1e-13)
+        assert np.all(np.isfinite(slope)) and np.all(slope >= 1.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_lacunary_tiny_alpha_slope_is_the_derivative(self, k):
+        # At alpha below 1e-280 the slope bound is B' at alpha = 0, which
+        # differs from the true B' by O(alpha).
+        spec, r, h = gh_k_alpha(k, 1e-300), 0.5, 1e-6
+        fd = (bohr_sum(spec, r + h).value - bohr_sum(spec, r - h).value) / (2.0 * h)
+        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(spec, r, 1e-13)
+        assert slope == pytest.approx(fd, rel=1e-8)
+
     def test_gt_beta_closed_value(self):
         # r + 2(1-beta) r^2/(1-r): beta=0.25, r=0.1 -> 0.1 + 1.5*0.01/0.9.
         sv = bohr_sum(gt_beta(0.25), 0.1)

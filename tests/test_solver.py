@@ -68,9 +68,9 @@ def h(spec, r, cfg=SolverConfig()):
     return SeriesValue(b.value - d.value, b.error_bound + d.error_bound)
 
 
-def h_prime(spec, r):
+def h_prime(spec, r, cfg=SolverConfig()):
     """The family's upper bound on H'(r), as the solver's Newton steps use it."""
-    return FAMILIES[spec.family].h_prime(spec, r)
+    return FAMILIES[spec.family].majorant(spec, r, cfg.series_tol)[1]
 
 
 class TestSolverConfig:
@@ -470,6 +470,51 @@ class TestSolveRadii:
         assert h_lo.value <= h_lo.error_bound
         assert h_hi.value >= -h_hi.error_bound
         assert result.bracket_hi - result.bracket_lo <= 1e-12
+
+
+class TestOneMajorantPerStep:
+    """Each Newton step gets B and its H' bound from one majorant call, so
+    gh-k-alpha sums one Lerch sum per step, plus one for the final residual."""
+
+    @staticmethod
+    def count_lerch(monkeypatch):
+        from harmbohr import classes
+
+        calls = []
+        lerch_sum = classes.lerch_sum
+
+        def counted(*args):
+            calls.append(args)
+            return lerch_sum(*args)
+
+        monkeypatch.setattr(classes, "lerch_sum", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "k,alpha", [(1, 1.0), (2, 0.5), (3, 2.0), (1, 1e5), (1_000_000, 1.0)]
+    )
+    def test_gh_one_lerch_sum_per_step(self, monkeypatch, k, alpha):
+        calls = self.count_lerch(monkeypatch)
+        result = solve_radius(gh_k_alpha(k, alpha))
+        assert result.iterations <= len(calls) <= result.iterations + 1
+
+    @pytest.mark.parametrize(
+        "spec,lerch", [(gh_k_alpha(2, 1.0), 7), (wh_alpha(0.5), 5)]
+    )
+    def test_scan_grid(self, monkeypatch, spec, lerch):
+        # A 1001-lane grid in six (gh-k-alpha) or five (wh-alpha) steps:
+        # gh-k-alpha sums 7 Lerch sums where two per step took 13, and
+        # wh-alpha's slope bound stays one Lerch sum per step.
+        from harmbohr.classes import sweep_lanes
+        from harmbohr.solver import _solve_lanes
+
+        grid = np.linspace(0.5, 2.0, 1001) if spec.k else np.linspace(0.0, 1.0, 1001)
+        lanes, _ = sweep_lanes(spec, "alpha", grid)
+        calls = self.count_lerch(monkeypatch)
+        out, errors = _solve_lanes(lanes, SolverConfig())
+        assert not errors
+        assert len(calls) == lerch
+        assert int(out[4].max()) == (6 if spec.k else 5)
 
 
 class TestJacobian:

@@ -33,7 +33,6 @@ from harmbohr.verifier import (
     _first_violation,
     _sharpness_reports,
     _tail_bound,
-    default_sharpness_tol,
     distance_oracle,
     envelope_check,
     evaluate_extremal,
@@ -144,12 +143,23 @@ class TestSharpness:
         assert report.passed
         assert abs(report.gap) <= 1e-12
 
-    def test_default_tolerances_by_family(self):
-        # wh-alpha's majorant is a power series; gh-k-alpha's is a Lerch sum
-        # with an ulp-level bound, checked as closely as the closed forms.
-        assert default_sharpness_tol(wh_alpha(0.5)) == 1e-9
-        assert default_sharpness_tol(gh_k_alpha(2, 1.0)) == 1e-12
-        assert default_sharpness_tol(ph_alpha(0.0)) == 1e-12
+    def test_wh_alpha_fails_when_b_moves_by_1e_10(self, monkeypatch):
+        # Every family, wh-alpha's power series too, is held to 1e-12: B
+        # raised by 1e-10 where the verifier reads it must fail.
+        from harmbohr import verifier
+
+        bohr_sum = verifier.bohr_sum
+
+        def raised(spec, r, tol=1e-12):
+            b = bohr_sum(spec, r, tol=tol)
+            return dataclasses.replace(b, value=b.value + 1e-10)
+
+        name = "sharpness-wh-alpha"
+        (result,) = run_suite(only=name).results
+        assert result.passed
+        monkeypatch.setattr(verifier, "bohr_sum", raised)
+        (result,) = run_suite(only=name).results
+        assert not result.passed
 
     def test_radius_matches_solver(self):
         report = sharpness_check(ph_m(0.7))
@@ -158,7 +168,7 @@ class TestSharpness:
     @pytest.mark.parametrize("family", ["wh-alpha", "gh-k-alpha", "tb-m"])
     def test_batched_reports_equal_one_spec_checks(self, family):
         specs = list(STANDARD_GRIDS[Family(family)])
-        batched = _sharpness_reports(specs, None, SolverConfig())
+        batched = _sharpness_reports(specs, 1e-12, SolverConfig())
         assert batched == [sharpness_check(spec) for spec in specs]
 
 
@@ -476,13 +486,13 @@ class TestRunSuite:
 
 
     def test_generic_sum_gh_fails_when_the_lerch_majorant_moves(self, monkeypatch):
-        # gh-k-alpha's B is a Lerch sum, independent of the power series the
-        # check sums from c_n: B raised by 1e-11 must fail it.
+        # gh-k-alpha's B is a Lerch sum, independent of the direct sum the
+        # check makes from c_n: B raised by 1e-11 must fail it.
         fam = FAMILIES[Family.GH_K_ALPHA]
 
-        def raised(spec, r):
-            b = fam.majorant(spec, r)
-            return dataclasses.replace(b, value=b.value + 1e-11)
+        def raised(spec, r, tol):
+            b, slope = fam.majorant(spec, r, tol)
+            return dataclasses.replace(b, value=b.value + 1e-11), slope
 
         name = "generic-sum-agreement-gh-k-alpha"
         (result,) = run_suite(only=name).results
@@ -490,7 +500,23 @@ class TestRunSuite:
         monkeypatch.setitem(FAMILIES, Family.GH_K_ALPHA, dataclasses.replace(fam, majorant=raised))
         (result,) = run_suite(only=name).results
         assert not result.passed
-        assert float(result.detail.rsplit(" ", 1)[1]) >= 1e-11 - 1e-13
+        assert float(result.detail.split(" = ")[1].split()[0]) >= 1e-11 - 1e-13
+
+    def test_generic_sum_wh_fails_when_the_power_series_moves(self, monkeypatch):
+        # wh-alpha's B is the power series of c_n; the check's direct sum
+        # does not go through it, so a shift of 1e-11 in the engine must
+        # fail it.
+        from harmbohr import series
+
+        signed_power_series = series.signed_power_series
+
+        def shifted(rule, x, tol=1e-12):
+            s = signed_power_series(rule, x, tol=tol)
+            return dataclasses.replace(s, value=s.value + 1e-11)
+
+        monkeypatch.setattr(series, "signed_power_series", shifted)
+        (result,) = run_suite(only="generic-sum-agreement-wh-alpha").results
+        assert not result.passed
 
 
 class TestWorstCaseFoldsFailOnNaN:
@@ -526,16 +552,19 @@ class TestWorstCaseFoldsFailOnNaN:
 
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_generic_sum_nan(self, monkeypatch, family):
+        # A NaN in the direct sum's coefficients.
         from harmbohr import verifier
 
-        sum_power_series = verifier.sum_power_series
+        coefficient_rule = verifier.coefficient_rule
 
-        def nan_sum(rule, r, tol=1e-12):
-            s = sum_power_series(rule, r, tol=tol)
-            return dataclasses.replace(s, value=float("nan"))
+        def nan_rule(spec):
+            rule = coefficient_rule(spec)
+            return dataclasses.replace(rule, func=lambda n, *p: np.full_like(n, np.nan))
 
-        monkeypatch.setattr(verifier, "sum_power_series", nan_sum)
-        assert not self.run_one(f"generic-sum-agreement-{family}").passed
+        monkeypatch.setattr(verifier, "coefficient_rule", nan_rule)
+        result = self.run_one(f"generic-sum-agreement-{family}")
+        assert not result.passed
+        assert result.detail.startswith("max |B - direct sum| = nan")
 
     def test_quadratic_root_nan(self, monkeypatch):
         from harmbohr import verifier
