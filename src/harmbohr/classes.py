@@ -14,7 +14,8 @@ each record is everything the package knows about its family:
 * the majorant B(r) = r + sum c_n r^n (``bohr_sum``): a closed form for
   four families, a Lerch sum (``series.lerch_sum``) for gh-k-alpha and the
   power series of c_n for wh-alpha, returned by one call together with an
-  upper bound on B' for the solver's Newton steps;
+  upper bound on B' for the solver's Newton steps (for wh-alpha, from the
+  terms of the same power series);
 * sharp growth envelopes for |f| on |z| = r (``growth_envelope``);
 * the closed-form radius where one exists.
 
@@ -169,12 +170,11 @@ def _gh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
 
 
 def _wh_majorant(spec: ClassSpec, r, tol: float):
-    # B - r is the power series of c_n, and
-    # B' = 1 + 2r sum_{m>=0} r^m / ((1 + alpha) + alpha m).
-    a = spec.alpha
-    tail = sum_power_series(coefficient_rule(spec), r, tol=tol)
-    s = lerch_sum(r, 1.0 + a, a)
-    return tail, 1.0 + 2.0 * r * (s.value + s.error_bound)
+    # B - r is the power series of c_n, and B' - 1 its derivative, bounded
+    # from the same terms.  1 + slope may round down by half an ulp, so it
+    # is rounded up.
+    tail, slope = sum_power_series(coefficient_rule(spec), r, tol=tol)
+    return tail, np.nextafter(1.0 + slope, np.inf)
 
 
 def _gh_majorant(spec: ClassSpec, r, tol: float):
@@ -210,7 +210,7 @@ def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
 
 def _wh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
     rule = coefficient_rule(spec)
-    plus = sum_power_series(rule, r, tol=0.5 * tol)
+    plus = sum_power_series(rule, r, tol=0.5 * tol)[0]
     minus = signed_power_series(rule, -r, tol=0.5 * tol)
     return GrowthEnvelope(r - minus.value, r + plus.value, plus.error_bound + minus.error_bound)
 
@@ -225,7 +225,7 @@ def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
 def _gh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
     rule = _gh_lacunary_rule(spec)
     y = r**spec.k
-    plus = sum_power_series(rule, y, tol=0.5 * tol)
+    plus = sum_power_series(rule, y, tol=0.5 * tol)[0]
     minus = signed_power_series(rule, -y, tol=0.5 * tol)
     return GrowthEnvelope(
         r * (1.0 + minus.value), r * (1.0 + plus.value), r * (plus.error_bound + minus.error_bound)

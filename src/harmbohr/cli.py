@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import astuple, dataclass
 
+import numpy as np
+
 # distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
 from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes  # noqa: F401
 from .errors import ConvergenceError, DomainError, ValidationError
@@ -49,8 +51,19 @@ def _json_row(*fields) -> str:
     return json.dumps(dict(zip(_JSON_KEYS, fields)))
 
 
-def _csv_row(tag, name, value, radius, residual, method) -> str:
-    return f"{tag},{name},{value:.12g},{radius:.12g},{residual:.11e},{method}"
+def _json_template(tag: str, params: dict, name: str, tol: float) -> str:
+    """A scan's JSON row as a % template over (value, radius, residual,
+    method, d*): the fixed fields are dumped once, and %r prints a finite
+    float as json.dumps does."""
+    text = _json_row(tag, {**params, name: "\0"}, "\0", "\0", "\0", "\0", tol)
+    for slot in ("%r", "%r", "%r", '"%s"', "%r"):
+        text = text.replace('"\\u0000"', slot, 1)
+    return text + "\n"
+
+
+def _csv_template(tag: str, name: str) -> str:
+    """A CSV row as a % template over (value, radius, residual, method)."""
+    return f"{tag},{name},%.12g,%.12g,%.11e,%s"
 
 
 @dataclass(frozen=True)
@@ -70,9 +83,8 @@ class OutputRecord:
 
     def to_csv_row(self) -> str:
         name = _EXPECTED_PARAMS[self.class_tag][-1]
-        return _csv_row(
-            self.class_tag, name, self.params[name], self.radius, self.residual, self.method
-        )
+        row = self.params[name], self.radius, self.residual, self.method
+        return _csv_template(self.class_tag, name) % row
 
 
 def parse_grid(text: str) -> list[float]:
@@ -228,23 +240,27 @@ def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
 
 
 def cmd_scan(args) -> int:
-    """``scan`` and ``table``: rows formatted straight from the lane columns."""
+    """``scan`` and ``table``: rows formatted straight from the lane columns,
+    through one % template per scan, and streamed to stdout."""
     tag = args.class_tag
     cfg = _make_config(args)
     scalars, name, values = _sweep_values(args, tag)
     params, (radius, residual, method, d_star) = compute_records(tag, scalars, name, values, cfg)
     if args.format == "table":
         print(f"{name},radius")
-        for value, r in zip(values, radius):
-            print(f"{value:.12g},{r:.12g}")
+        template, columns = "%.12g,%.12g\n", (values, radius)
     elif args.format == "csv":
         print(CSV_HEADER)
-        for row in zip(values, radius, residual, method):
-            print(_csv_row(tag, name, *row))
+        template = _csv_template(tag, name) + "\n"
+        columns = values, radius, residual, method
     else:
-        for value, *row in zip(values, radius, residual, method, d_star):
-            params[name] = value
-            print(_json_row(tag, params, *row, cfg.tol))
+        template = _json_template(tag, params, name, cfg.tol)
+        columns = values, radius, residual, method, d_star
+        # json.dumps prints NaN and Infinity where %r prints nan and inf.
+        if not np.isfinite([radius, residual, d_star]).all():
+            rows = [_json_row(tag, {**params, name: v}, *row, cfg.tol) for v, *row in zip(*columns)]
+            template, columns = "%s\n", (rows,)
+    sys.stdout.writelines(template % row for row in zip(*columns))
     return 0
 
 

@@ -1,10 +1,11 @@
 """Series evaluation with explicit absolute error bounds, for one lane or many.
 
 Every infinite sum in the package flows through here: positive power series
-truncated against a geometric tail bound, Lerch sums sum_m r^m/(c + s m)
-by Euler-Maclaurin at a fixed cost, alternating constant series summed by the
-Cohen-Rodriguez Villegas-Zagier (CRVZ) acceleration, and the elementary
-closed forms for the logarithmic coefficient families.
+truncated against a geometric tail bound (with a bound on their derivative
+from the same terms), Lerch sums sum_m r^m/(c + s m) by Euler-Maclaurin at
+a fixed cost, alternating constant series summed by the Cohen-Rodriguez
+Villegas-Zagier (CRVZ) acceleration, and the elementary closed forms for the
+logarithmic coefficient families.
 
 A lane is one sum: one argument, with one set of coefficient parameters.
 The evaluators take a 1-D array of arguments and a rule whose parameters are
@@ -142,15 +143,9 @@ def _blocks(idx: np.ndarray, width: int):
         yield idx[i : i + step]
 
 
-def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=start} c_n x^n for -1 < x < 1, with error_bound <= tol.
-
-    ``x`` is a float, or a 1-D array with one entry per lane.  Each lane
-    sums terms up to the first N of the ladder max(start + 8, 16), doubled up
-    to _MAX_TERMS, whose geometric tail is at most tol / 4.  If any lane
-    misses tol, ConvergenceError names the first such lane and carries every
-    lane's value and bound.
-    """
+def _power_series(rule: CoefficientRule, x, tol: float):
+    """signed_power_series, and from the same terms an upper bound on
+    sum_{n>=start} n c_n |x|^(n-1) (a float, or an array over lanes)."""
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -164,25 +159,25 @@ def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesV
     # c_{N+1} x^{N+1} / (1 - x) is at most tol / 4, valid for nonnegative
     # nonincreasing c_n.
     level = np.zeros(xs.size, dtype=np.int64)
-    err = rule.terms(np.array([n_last[0] + 1.0])).reshape(-1) * (
-        x_abs ** (n_last[0] + 1) / (1.0 - x_abs)
-    )
+    c_next = np.zeros_like(xs) + rule.terms(np.array([n_last[0] + 1.0])).reshape(-1)
+    err = c_next * (x_abs ** (n_last[0] + 1) / (1.0 - x_abs))
     grow = np.flatnonzero(err > 0.25 * tol)
     for j in range(1, len(n_last)):
         if grow.size == 0:
             break
         n, ax = n_last[j] + 1, x_abs[grow]
         part = rule if grow.size == xs.size else rule.lanes(grow)
-        err[grow] = part.terms(np.array([float(n)])).reshape(-1) * (
-            ax**n / (1.0 - ax)
-        )
+        c_next[grow] = part.terms(np.array([float(n)])).reshape(-1)
+        err[grow] = c_next[grow] * (ax**n / (1.0 - ax))
         level[grow] = j
         grow = grow[err[grow] > 0.25 * tol]
 
     value = np.zeros_like(xs)
+    slope = np.zeros_like(xs)
     levels = sorted(set(level.tolist()))
     for j in levels:
-        ns = np.arange(rule.start, n_last[j] + 1, dtype=np.float64)
+        n = n_last[j]
+        ns = np.arange(rule.start, n + 1, dtype=np.float64)
         # Rounding budget: pairwise summation (log-depth) plus a couple of
         # ulps per term for the power and product.
         rounding = _EPS * (math.log2(ns.size) + 8.0)
@@ -191,7 +186,20 @@ def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesV
             part = rule if idx.size == xs.size else rule.lanes(idx)
             terms = part.terms(ns) * np.power(xs[idx, None], ns)
             value[idx] = terms.sum(axis=1)
-            err[idx] += rounding * np.abs(terms).sum(axis=1)
+            # One lanes x terms array: |t_n| and then n |t_n| overwrite it.
+            mags = np.abs(terms, out=terms)
+            err[idx] += rounding * mags.sum(axis=1)
+            # The slope: sum n |t_n| / |x| over the terms summed, and past N
+            # sum_{n>N} n c_n |x|^(n-1) <= c_{N+1} |x|^N ((N+1) - N|x|) / (1 - |x|)^2,
+            # again for nonincreasing c_n.  Twice the rounding budget covers
+            # the products by n, the division and the tail.
+            ax = x_abs[idx]
+            head = np.multiply(mags, ns, out=mags).sum(axis=1) / np.where(ax > 0.0, ax, 1.0)
+            tail = c_next[idx] * ax**n * ((n + 1.0) - n * ax) / (1.0 - ax) ** 2
+            slope[idx] = (head + tail) * (1.0 + 2.0 * rounding)
+    if rule.start == 1:
+        # At x = 0 the one term left of the derivative is c_1.
+        slope = np.where(x_abs > 0.0, slope, rule.terms(np.array([1.0])).reshape(-1))
 
     result = lane_value(value.reshape(np.shape(x)), err.reshape(np.shape(x)))
     failed = np.flatnonzero(err > tol)
@@ -203,14 +211,35 @@ def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesV
             f"with {n_last[level[i]] - rule.start + 1} terms (error bound {float(err[i]):g})",
             achieved=result,
         )
-    return result
+    return result, (slope.reshape(np.shape(x)) if np.ndim(x) else float(slope[0]))
 
 
-def sum_power_series(rule: CoefficientRule, r, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=start} c_n r^n for 0 <= r < 1 (a float or one r per lane), with error_bound <= tol."""
+def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesValue:
+    """sum_{n>=start} c_n x^n for -1 < x < 1, with error_bound <= tol.
+
+    ``x`` is a float, or a 1-D array with one entry per lane.  Each lane
+    sums terms up to the first N of the ladder max(start + 8, 16), doubled up
+    to _MAX_TERMS, whose geometric tail is at most tol / 4.  If any lane
+    misses tol, ConvergenceError names the first such lane and carries every
+    lane's value and bound.
+    """
+    return _power_series(rule, x, tol)[0]
+
+
+def sum_power_series(
+    rule: CoefficientRule, r, tol: float = 1e-12
+) -> tuple[SeriesValue, float | np.ndarray]:
+    """sum_{n>=start} c_n r^n for 0 <= r < 1 (a float or one r per lane), with
+    error_bound <= tol, and an upper bound on its derivative
+    sum_{n>=start} n c_n r^(n-1) from the same terms.
+
+    Returns (SeriesValue, slope), the slope a float or an array over lanes:
+    0 at r = 0 when start >= 2.  It bounds the derivative for the rules the
+    engine takes (c_n >= 0 and nonincreasing), even where n c_n grows.
+    """
     rs = np.asarray(r, dtype=np.float64)
     require((0.0 <= rs) & (rs < 1.0), rs, "argument must satisfy 0 <= r < 1")
-    return signed_power_series(rule, rs, tol=tol)
+    return _power_series(rule, rs, tol)
 
 
 def lane_value(value, error_bound) -> SeriesValue:
@@ -306,10 +335,13 @@ def lerch_sum(r, c, s) -> SeriesValue:
     r = np.asarray(r, dtype=np.float64)
     require((0.0 <= r) & (r < 1.0), r, "argument must satisfy 0 <= r < 1")
     shape = np.broadcast(r, c, s).shape
-    r, c, s = (np.ravel(v) for v in (r, c, s))
+    r, c, s = (np.broadcast_to(v, shape).ravel() for v in (r, c, s))
+    head = np.empty_like(r)
     # c + s m past the float range is inf, and its term the limit 0.
     with np.errstate(over="ignore"):
-        head = (np.power(r[:, None], _LERCH_M) / (c[:, None] + s[:, None] * _LERCH_M)).sum(axis=1)
+        for idx in _blocks(np.arange(r.size), _LERCH_M.size):
+            terms = np.power(r[idx, None], _LERCH_M) / (c[idx, None] + s[idx, None] * _LERCH_M)
+            head[idx] = terms.sum(axis=1)
         w = c + s * _LERCH_M.size
     # Finite at r = 0 too, where r^N = 0 multiplies every use of it.
     lam = -np.log(np.maximum(r, np.finfo(np.float64).smallest_subnormal))

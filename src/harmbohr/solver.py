@@ -11,9 +11,12 @@ bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
 root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket fall
 back to the midpoint.  Every B can be evaluated wherever Newton goes: the
 closed forms and gh-k-alpha's Lerch sum on all of [0, 1), and wh-alpha's
-power series up to its root d* <= pi^2/6 - 1.  Two families admit
-closed-form radii as roots of explicit quadratics, used both as fast paths
-and as cross-checks.
+power series up to its root d* <= pi^2/6 - 1.  Each comes with its bound on
+H' from the same evaluation: wh-alpha's from that power series' terms,
+gh-k-alpha's from the same Lerch sum.  Where that bound bounds the bracket
+it gets 2 eps more, since it may round below H' by up to an ulp.  Two
+families admit closed-form radii as roots of explicit quadratics, used both
+as fast paths and as cross-checks.
 
 The solver works on lanes.  A lane is one parameter point of one family,
 with the family's other parameters fixed; ``solve_radii`` stacks a grid of
@@ -159,10 +162,14 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         av = np.abs(v)
         e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
-        # puts the root left of the Newton step from x.
+        # puts the root left of the Newton step from x.  That step needs
+        # H'(x) at most the slope, and a family's bound can round below H'
+        # by up to an ulp: 2 eps more covers it.
         a_lo = np.where(v + e < 0.0, xa, np.maximum(lo[act], xa - (av + e)))
         a_hi = np.minimum(hi[act], xa + (av + e))
-        a_hi = np.where(v - e > 0.0, np.minimum(a_hi, xa - (v - e) / slope), a_hi)
+        a_hi = np.where(
+            v - e > 0.0, np.minimum(a_hi, xa - (v - e) / (slope * (1.0 + 2.0 * _EPS))), a_hi
+        )
         lo[act], hi[act] = a_lo, a_hi
 
         # Series noise: x lies inside the bracket and is the radius.

@@ -570,6 +570,30 @@ class TestScanFromLanes:
         assert len(out.splitlines()) == 1 + 1001
         assert len(calls) <= 1
 
+    def test_json_rows_with_non_finite_floats_print_as_json_dumps(self, capsys, monkeypatch):
+        # A row's floats go through one %r template, which prints nan and
+        # inf; a non-finite one must print as json.dumps does (NaN, Infinity).
+        from harmbohr import cli
+
+        compute_records = cli.compute_records
+
+        def non_finite(*args):
+            params, (radius, residual, method, d_star) = compute_records(*args)
+            residual[1], d_star[2] = float("nan"), float("inf")
+            return params, (radius, residual, method, d_star)
+
+        argv = ("scan", "--class", "gh-k-alpha", "--k", "2", "--alpha", "0.5:1.5:0.25")
+        rc, finite, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        monkeypatch.setattr(cli, "compute_records", non_finite)
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        rows, expected = out.splitlines(), finite.splitlines()
+        assert '"residual": NaN' in rows[1] and '"d_star": Infinity' in rows[2]
+        nan_row, inf_row = json.loads(expected[1]), json.loads(expected[2])
+        nan_row["residual"], inf_row["d_star"] = float("nan"), float("inf")
+        assert rows == [expected[0], json.dumps(nan_row), json.dumps(inf_row), *expected[3:]]
+
 
 def _edge_cases():
     below = lambda x: math.nextafter(x, 0.0)  # noqa: E731

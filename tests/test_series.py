@@ -32,6 +32,7 @@ RULE_LOG = CoefficientRule(lambda n: 1.0 / n, start=2, name="1/n")
 RULE_SQUARE = CoefficientRule(lambda n: 1.0 / n**2, start=2, name="1/n^2")
 RULE_NN1 = CoefficientRule(lambda n: 1.0 / (n * (n - 1.0)), start=2, name="1/(n(n-1))")
 RULE_CONST = CoefficientRule(lambda n: np.full_like(n, 0.75), start=2, name="const")
+RULE_FROM_ONE = CoefficientRule(lambda n: 0.5 / n, start=1, name="1/(2n) from n=1")
 
 
 def direct_power_sum(rule: CoefficientRule, x: float, n_terms: int) -> float:
@@ -83,32 +84,32 @@ class TestCoefficientRule:
 
 class TestSumPowerSeries:
     def test_zero_argument_is_exact_zero(self):
-        sv = sum_power_series(RULE_LOG, 0.0)
+        sv, _ = sum_power_series(RULE_LOG, 0.0)
         assert sv.value == 0.0
         assert sv.error_bound == 0.0
 
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_matches_log_closed_form(self, r):
-        sv = sum_power_series(RULE_LOG, r, tol=1e-13)
+        sv, _ = sum_power_series(RULE_LOG, r, tol=1e-13)
         assert sv.error_bound <= 1e-13
         assert abs(sv.value - log_tail(r)) <= sv.error_bound + 1e-15
 
     @pytest.mark.parametrize("r", [0.2, 0.6, 0.95])
     def test_matches_nn1_closed_form(self, r):
-        sv = sum_power_series(RULE_NN1, r, tol=1e-13)
+        sv, _ = sum_power_series(RULE_NN1, r, tol=1e-13)
         assert abs(sv.value - nn1_tail(r)) <= sv.error_bound + 1e-15
 
     @pytest.mark.parametrize("r", [0.25, 0.8])
     def test_matches_geometric_closed_form(self, r):
         # sum_{n>=2} 0.75 r^n = 0.75 r^2 / (1 - r)
-        sv = sum_power_series(RULE_CONST, r, tol=1e-13)
+        sv, _ = sum_power_series(RULE_CONST, r, tol=1e-13)
         expect = 0.75 * r * r / (1.0 - r)
         assert abs(sv.value - expect) <= sv.error_bound + 4e-16 * expect
 
     def test_error_bound_is_honest(self):
         # Compare against a much longer plain sum whose own tail is < 1e-18.
         r = 0.5
-        sv = sum_power_series(RULE_SQUARE, r, tol=1e-12)
+        sv, _ = sum_power_series(RULE_SQUARE, r, tol=1e-12)
         oracle = direct_power_sum(RULE_SQUARE, r, 80)
         assert abs(sv.value - oracle) <= sv.error_bound + 1e-15
 
@@ -137,11 +138,38 @@ class TestSumPowerSeries:
         # The partial value is still in the right neighbourhood.
         assert abs(achieved.value - log_tail(0.999)) <= achieved.error_bound
 
+    # sum_{n>=start} n c_n r^(n-1) in closed form, for mpmath.
+    DERIVATIVES = {
+        RULE_LOG.name: lambda r, mp: r / (1 - r),
+        RULE_SQUARE.name: lambda r, mp: (-mp.log1p(-r) - r) / r if r else mp.mpf(0),
+        RULE_NN1.name: lambda r, mp: -mp.log1p(-r),
+        RULE_CONST.name: lambda r, mp: 0.75 * (1 / (1 - r) ** 2 - 1),
+        RULE_FROM_ONE.name: lambda r, mp: 0.5 / (1 - r),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-4])
+    @pytest.mark.parametrize(
+        "rule", [RULE_LOG, RULE_SQUARE, RULE_NN1, RULE_CONST, RULE_FROM_ONE], ids=lambda u: u.name
+    )
+    def test_slope_bounds_the_derivative(self, rule, tol):
+        # RULE_CONST's n c_n grows; tol = 1e-4 cuts the sums short, so the
+        # slope's tail bound carries a visible share.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rs = np.array([0.0, 1e-8, 1e-5, 0.3, 0.645, 0.9])
+        _, slope = sum_power_series(rule, rs, tol=tol)
+        for r, got in zip(rs, slope):
+            exact = self.DERIVATIVES[rule.name](mp.mpf(r), mp)
+            assert exact <= got <= exact * (1 + 1e-12) + 100 * tol, (r, got)
+        # At r = 0 it is the derivative exactly: 0 from start 2 on, else c_1.
+        assert slope[0] == self.DERIVATIVES[rule.name](mp.mpf(0), mp)
+        assert sum_power_series(rule, 0.0, tol=tol)[1] == slope[0]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.0, max_value=0.95))
     def test_monotone_in_r(self, r):
-        lo = sum_power_series(RULE_LOG, r, tol=1e-12)
-        hi = sum_power_series(RULE_LOG, min(r + 0.01, 0.96), tol=1e-12)
+        lo, _ = sum_power_series(RULE_LOG, r, tol=1e-12)
+        hi, _ = sum_power_series(RULE_LOG, min(r + 0.01, 0.96), tol=1e-12)
         assert hi.value >= lo.value - lo.error_bound - hi.error_bound
 
 
@@ -157,7 +185,7 @@ class TestSignedPowerSeries:
 
     def test_positive_argument_agrees_with_unsigned(self):
         a = signed_power_series(RULE_SQUARE, 0.6, tol=1e-13)
-        b = sum_power_series(RULE_SQUARE, 0.6, tol=1e-13)
+        b, _ = sum_power_series(RULE_SQUARE, 0.6, tol=1e-13)
         assert a.value == b.value
 
     def test_domain_rejects_abs_one(self):
@@ -250,11 +278,11 @@ class TestLanes:
 
     def test_per_lane_parameters_are_their_rules(self):
         xs = np.array([0.1, 0.6, 0.9, 0.3])
-        power = sum_power_series(self.RULE_LANES, xs, tol=1e-13)
+        power, slope = sum_power_series(self.RULE_LANES, xs, tol=1e-13)
         alt = alt_constant(self.RULE_LANES, tol=1e-13)
         for i, a in enumerate((0.0, 0.5, 1.0, 3.0)):
             rule = CoefficientRule(lambda n, a=a: 2.0 / (n * (1.0 + a * (n - 1.0))), start=2)
-            assert SeriesValue(power.value[i], power.error_bound[i]) == sum_power_series(
+            assert (SeriesValue(power.value[i], power.error_bound[i]), slope[i]) == sum_power_series(
                 rule, xs[i], tol=1e-13
             )
             assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
@@ -266,7 +294,7 @@ class TestLanes:
             sum_power_series(RULE_LOG, xs, tol=1e-12)
         achieved = exc_info.value.achieved
         assert achieved.error_bound[0] <= 1e-12 < achieved.error_bound[1]
-        assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12).value
+        assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12)[0].value
 
 
 class TestLerchSum:
@@ -317,6 +345,15 @@ class TestLerchSum:
         for i in range(rs.size):
             assert SeriesValue(got.value[i], got.error_bound[i]) == lerch_sum(rs[i], cs[i], ss[i])
         assert isinstance(lerch_sum(0.5, 1.0, 1.0).value, float)
+
+    def test_head_in_lane_blocks(self, monkeypatch):
+        # Blocks of two lanes sum every lane as the one-block call does.
+        rs = np.linspace(0.0, 0.999, 7)
+        whole = lerch_sum(rs, 1.5, 0.5)
+        monkeypatch.setattr(series, "_BLOCK", 2 * len(series._LERCH_M))
+        blocked = lerch_sum(rs, 1.5, 0.5)
+        assert np.array_equal(blocked.value, whole.value)
+        assert np.array_equal(blocked.error_bound, whole.error_bound)
 
     def test_domain(self):
         for r in (-0.1, 1.0, float("nan")):

@@ -499,12 +499,12 @@ class TestOneMajorantPerStep:
         assert result.iterations <= len(calls) <= result.iterations + 1
 
     @pytest.mark.parametrize(
-        "spec,lerch", [(gh_k_alpha(2, 1.0), 7), (wh_alpha(0.5), 5)]
+        "spec,lerch", [(gh_k_alpha(2, 1.0), 7), (wh_alpha(0.5), 0)]
     )
     def test_scan_grid(self, monkeypatch, spec, lerch):
         # A 1001-lane grid in six (gh-k-alpha) or five (wh-alpha) steps:
         # gh-k-alpha sums 7 Lerch sums where two per step took 13, and
-        # wh-alpha's slope bound stays one Lerch sum per step.
+        # wh-alpha none: its slope bound comes from its power series' terms.
         from harmbohr.classes import sweep_lanes
         from harmbohr.solver import _solve_lanes
 
@@ -515,6 +515,55 @@ class TestOneMajorantPerStep:
         assert not errors
         assert len(calls) == lerch
         assert int(out[4].max()) == (6 if spec.k else 5)
+
+
+def mp_b_prime(spec, r):
+    """B'(r) at 40 digits: closed forms for ph-alpha and ph-m, and
+    sum n c_n r^(n-1) summed until its terms fall under 1e-45 for wh-alpha
+    and gh-k-alpha."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r = mp.mpf(r)
+    if spec.family is Family.PH_ALPHA:
+        return 1 + 2 * (1 - mp.mpf(spec.alpha)) * r / (1 - r)
+    if spec.family is Family.PH_M:
+        return 1 - 2 * mp.mpf(spec.m) * mp.log1p(-r)
+    a = mp.mpf(spec.alpha)
+    # c_n = 2/(n (1 + a(n - 1))) from n = 2 (wh), 2/(1 + (n - 1) a) from n = k + 1 (gh).
+    n = 2 if spec.family is Family.WH_ALPHA else spec.k + 1
+    total, power = mp.mpf(1), r ** (n - 1)
+    while power * n > mp.mpf(10) ** -45 or n < 4:
+        c = 2 / (n * (1 + a * (n - 1))) if spec.family is Family.WH_ALPHA else 2 / (1 + (n - 1) * a)
+        total += n * c * power
+        n, power = n + 1, power * r
+    return total
+
+
+SLOPE_RS = (0.0, 1e-12, 1e-8, 1e-5, 0.3, 0.645, 0.9)
+
+
+class TestSlopeBoundsBPrime:
+    """Every Newton family's H' bound, with the 2 eps the solver adds to it
+    where it bounds the bracket, lies above B' by mpmath."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ph_alpha(0.0), ph_alpha(0.7), ph_m(0.9), ph_m(1e-3), wh_alpha(0.0), wh_alpha(0.5),
+         gh_k_alpha(1, 1.0), gh_k_alpha(2, 0.5), gh_k_alpha(3, 1e5), gh_k_alpha(1, 1e-300)],
+        ids=lambda s: f"{s.family.value}-{s.params()}",
+    )
+    def test_with_the_solver_allowance(self, spec):
+        for r in SLOPE_RS:
+            assert h_prime(spec, r) * (1.0 + 2.0 * 2.0**-52) >= mp_b_prime(spec, r), r
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.5, 1.0])
+    def test_wh_alpha_alone(self, alpha):
+        # wh-alpha's slope comes from its power series' terms, rounded up:
+        # it bounds B' with no allowance, and stays within 1e-13 of it.
+        spec = wh_alpha(alpha)
+        for r in SLOPE_RS:
+            exact = mp_b_prime(spec, r)
+            assert exact <= h_prime(spec, r) <= exact * (1 + 1e-13), r
 
 
 class TestJacobian:

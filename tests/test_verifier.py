@@ -506,15 +506,15 @@ class TestRunSuite:
         # wh-alpha's B is the power series of c_n; the check's direct sum
         # does not go through it, so a shift of 1e-11 in the engine must
         # fail it.
-        from harmbohr import series
+        from harmbohr import classes
 
-        signed_power_series = series.signed_power_series
+        sum_power_series = classes.sum_power_series
 
-        def shifted(rule, x, tol=1e-12):
-            s = signed_power_series(rule, x, tol=tol)
-            return dataclasses.replace(s, value=s.value + 1e-11)
+        def shifted(rule, r, tol=1e-12):
+            s, slope = sum_power_series(rule, r, tol=tol)
+            return dataclasses.replace(s, value=s.value + 1e-11), slope
 
-        monkeypatch.setattr(series, "signed_power_series", shifted)
+        monkeypatch.setattr(classes, "sum_power_series", shifted)
         (result,) = run_suite(only="generic-sum-agreement-wh-alpha").results
         assert not result.passed
 
