@@ -10,13 +10,17 @@ each record is everything the package knows about its family:
 * the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``),
   which the extremal map attains (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
-  to the boundary of the image (``distance_bound``);
+  to the boundary of the image (``distance_bound``): for wh-alpha and
+  gh-k-alpha, 1 plus the alternating sum of c_n (``series.alt_constant``);
 * the majorant B(r) = r + sum c_n r^n (``bohr_sum``): a closed form for
   four families, a Lerch sum (``series.lerch_sum``) for gh-k-alpha and the
   power series of c_n for wh-alpha, returned by one call together with an
   upper bound on B' for the solver's Newton steps (for wh-alpha, from the
   terms of the same power series);
-* sharp growth envelopes for |f| on |z| = r (``growth_envelope``);
+* sharp growth envelopes for |f| on |z| = r (``growth_envelope``): for
+  wh-alpha and gh-k-alpha the lower side is the same alternating sum with
+  each term times r^n (or y^j, y = r^k), so d* is its limit at r = 1, and
+  gh-k-alpha's upper side is the Lerch sum of its majorant;
 * the closed-form radius where one exists.
 
 Every public function here is a lookup in ``FAMILIES``, so a new family is
@@ -48,13 +52,11 @@ from .series import (
     alt_nn1_tail,
     as_param,
     capped_product,
-    g_alt_constant,
     lane_value,
     lerch_sum,
     log_tail,
     nn1_tail,
     require,
-    signed_power_series,
     sum_power_series,
 )
 
@@ -159,14 +161,11 @@ def _fits_float(k) -> bool:
     return True
 
 
-def _wh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
-    alt = alt_constant(coefficient_rule(spec), tol=tol)
+def _alt_d_star(rule: CoefficientRule, tol: float) -> SeriesValue:
+    # d* is |f| at the extremal's lower touch point on the unit circle:
+    # 1 plus the alternating sum of its rule.
+    alt = alt_constant(rule, tol=tol)
     return lane_value(1.0 + alt.value, alt.error_bound)
-
-
-def _gh_d_star(spec: ClassSpec, tol: float) -> SeriesValue:
-    g = g_alt_constant(spec.k, spec.alpha, tol=0.5 * tol)
-    return lane_value(1.0 + 2.0 * g.value, 2.0 * g.error_bound)
 
 
 def _wh_majorant(spec: ClassSpec, r, tol: float):
@@ -209,26 +208,31 @@ def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
 
 
 def _wh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+    # |f(r)| = r + sum c_n r^n and |f(-r)| = r + sum c_n (-1)^(n-1) r^n.
     rule = coefficient_rule(spec)
     plus = sum_power_series(rule, r, tol=0.5 * tol)[0]
-    minus = signed_power_series(rule, -r, tol=0.5 * tol)
-    return GrowthEnvelope(r - minus.value, r + plus.value, plus.error_bound + minus.error_bound)
+    minus = alt_constant(rule, r, tol=0.5 * tol)
+    return GrowthEnvelope(r + minus.value, r + plus.value, plus.error_bound + minus.error_bound)
 
 
 def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
     # Coefficients of the lacunary extremal reindexed by j: term j carries
-    # 2 / (1 + j*k*alpha) against y^j with y = r^k.
-    ka = int(spec.k) * spec.alpha
-    return CoefficientRule(lambda j: 2.0 / (1.0 + j * ka), 1, "gh-lacunary")
+    # 2 / (1 + j*k*alpha) against y^j with y = r^k; one row per lane.
+    ka = as_param(capped_product(spec.k, spec.alpha))
+    return CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
 
 
 def _gh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
-    rule = _gh_lacunary_rule(spec)
+    # With y = r^k the extremal is r (1 + sum_j 2 (+-y)^j / (1 + j k alpha)):
+    # the + side is 2 y times the Lerch sum of B, the - side alternates.
     y = r**spec.k
-    plus = sum_power_series(rule, y, tol=0.5 * tol)[0]
-    minus = signed_power_series(rule, -y, tol=0.5 * tol)
+    ka = capped_product(spec.k, spec.alpha)
+    plus = lerch_sum(y, 1.0 + ka, ka)
+    minus = alt_constant(_gh_lacunary_rule(spec), y, tol=0.5 * tol)
     return GrowthEnvelope(
-        r * (1.0 + minus.value), r * (1.0 + plus.value), r * (plus.error_bound + minus.error_bound)
+        r * (1.0 + minus.value),
+        r * (1.0 + 2.0 * y * plus.value),
+        r * (2.0 * y * plus.error_bound + minus.error_bound),
     )
 
 
@@ -269,7 +273,7 @@ FAMILIES: dict[Family, FamilyDef] = {
         params=("alpha",),
         domain=(("alpha", lambda a: (0.0 <= a) & (a <= 1.0), "alpha must satisfy 0 <= alpha <= 1"),),
         coeff=lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
-        d_star=_wh_d_star,
+        d_star=lambda s, tol: _alt_d_star(coefficient_rule(s), tol),
         majorant=_wh_majorant,
         envelope=_wh_envelope,
     ),
@@ -281,7 +285,7 @@ FAMILIES: dict[Family, FamilyDef] = {
             ("alpha", lambda a: a > 0.0, "alpha must be > 0"),
         ),
         coeff=lambda n, a: 2.0 / (1.0 + (n - 1.0) * a),
-        d_star=_gh_d_star,
+        d_star=lambda s, tol: _alt_d_star(_gh_lacunary_rule(s), tol),
         majorant=_gh_majorant,
         envelope=_gh_envelope,
     ),
@@ -501,7 +505,13 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
 
 
 def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnvelope:
-    """Sharp lower/upper bounds on |f(z)| at |z| = r for the family."""
+    """Sharp lower/upper bounds on |f(z)| at |z| = r for the family.
+
+    ``error_bound`` bounds the error of the summed series.  ``tol`` bounds
+    each power series and alternating sum; gh-k-alpha's upper side is a
+    Lerch sum, as its B is, and carries that sum's own bound, which can
+    exceed ``tol`` for alpha near 0 and r near 1.
+    """
     validate(spec)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")

@@ -1,11 +1,14 @@
 """Series evaluation with explicit absolute error bounds, for one lane or many.
 
-Every infinite sum in the package flows through here: positive power series
-truncated against a geometric tail bound (with a bound on their derivative
-from the same terms), Lerch sums sum_m r^m/(c + s m) by Euler-Maclaurin at
-a fixed cost, alternating constant series summed by the Cohen-Rodriguez
-Villegas-Zagier (CRVZ) acceleration, and the elementary closed forms for the
-logarithmic coefficient families.
+Every infinite sum in the package flows through here: power series
+sum c_n r^n with 0 <= r < 1, truncated against a geometric tail bound (with
+a bound on their derivative from the same terms); Lerch sums
+sum_m r^m/(c + s m) by Euler-Maclaurin at a fixed cost; alternating series
+sum (-1)^n c_n x^n with 0 <= x <= 1, summed by the Cohen-Rodriguez
+Villegas-Zagier (CRVZ) acceleration, which give the distance constants
+(x = 1) and the lower growth envelopes (x = r) by one path; and the
+elementary closed forms for the logarithmic coefficient families.  No
+evaluator takes a negative argument.
 
 A lane is one sum: one argument, with one set of coefficient parameters.
 The evaluators take a 1-D array of arguments and a rule whose parameters are
@@ -33,6 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 # Most terms a power series sums per lane.
 _MAX_TERMS = 1 << 20
@@ -143,87 +147,18 @@ def _blocks(idx: np.ndarray, width: int):
         yield idx[i : i + step]
 
 
-def _power_series(rule: CoefficientRule, x, tol: float):
-    """signed_power_series, and from the same terms an upper bound on
-    sum_{n>=start} n c_n |x|^(n-1) (a float, or an array over lanes)."""
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    xs = np.asarray(x, dtype=np.float64).reshape(-1)
-    x_abs = np.abs(xs)
-    require(x_abs < 1.0, xs, "argument must satisfy |x| < 1")
+def _underflow_floor(x, c_start, count):
+    """Absolute error, beyond the relative budgets, of ``count`` terms c_n x^n
+    with x >= 0 (a float or an array over lanes).
 
-    n_last = [max(rule.start + 8, 16)]
-    while n_last[-1] < _MAX_TERMS:
-        n_last.append(min(2 * n_last[-1], _MAX_TERMS))
-    # Each lane's term count: the first N on the ladder whose tail bound
-    # c_{N+1} x^{N+1} / (1 - x) is at most tol / 4, valid for nonnegative
-    # nonincreasing c_n.
-    level = np.zeros(xs.size, dtype=np.int64)
-    c_next = np.zeros_like(xs) + rule.terms(np.array([n_last[0] + 1.0])).reshape(-1)
-    err = c_next * (x_abs ** (n_last[0] + 1) / (1.0 - x_abs))
-    grow = np.flatnonzero(err > 0.25 * tol)
-    for j in range(1, len(n_last)):
-        if grow.size == 0:
-            break
-        n, ax = n_last[j] + 1, x_abs[grow]
-        part = rule if grow.size == xs.size else rule.lanes(grow)
-        c_next[grow] = part.terms(np.array([float(n)])).reshape(-1)
-        err[grow] = c_next[grow] * (ax**n / (1.0 - ax))
-        level[grow] = j
-        grow = grow[err[grow] > 0.25 * tol]
-
-    value = np.zeros_like(xs)
-    slope = np.zeros_like(xs)
-    levels = sorted(set(level.tolist()))
-    for j in levels:
-        n = n_last[j]
-        ns = np.arange(rule.start, n + 1, dtype=np.float64)
-        # Rounding budget: pairwise summation (log-depth) plus a couple of
-        # ulps per term for the power and product.
-        rounding = _EPS * (math.log2(ns.size) + 8.0)
-        lanes = np.arange(xs.size) if len(levels) == 1 else np.flatnonzero(level == j)
-        for idx in _blocks(lanes, ns.size):
-            part = rule if idx.size == xs.size else rule.lanes(idx)
-            terms = part.terms(ns) * np.power(xs[idx, None], ns)
-            value[idx] = terms.sum(axis=1)
-            # One lanes x terms array: |t_n| and then n |t_n| overwrite it.
-            mags = np.abs(terms, out=terms)
-            err[idx] += rounding * mags.sum(axis=1)
-            # The slope: sum n |t_n| / |x| over the terms summed, and past N
-            # sum_{n>N} n c_n |x|^(n-1) <= c_{N+1} |x|^N ((N+1) - N|x|) / (1 - |x|)^2,
-            # again for nonincreasing c_n.  Twice the rounding budget covers
-            # the products by n, the division and the tail.
-            ax = x_abs[idx]
-            head = np.multiply(mags, ns, out=mags).sum(axis=1) / np.where(ax > 0.0, ax, 1.0)
-            tail = c_next[idx] * ax**n * ((n + 1.0) - n * ax) / (1.0 - ax) ** 2
-            slope[idx] = (head + tail) * (1.0 + 2.0 * rounding)
-    if rule.start == 1:
-        # At x = 0 the one term left of the derivative is c_1.
-        slope = np.where(x_abs > 0.0, slope, rule.terms(np.array([1.0])).reshape(-1))
-
-    result = lane_value(value.reshape(np.shape(x)), err.reshape(np.shape(x)))
-    failed = np.flatnonzero(err > tol)
-    if failed.size:
-        i = failed[0]
-        name = f" {rule.name!r}" if rule.name else ""
-        raise ConvergenceError(
-            f"power series{name} at x={float(xs[i])!r} did not reach tol={tol:g} "
-            f"with {n_last[level[i]] - rule.start + 1} terms (error bound {float(err[i]):g})",
-            achieved=result,
-        )
-    return result, (slope.reshape(np.shape(x)) if np.ndim(x) else float(slope[0]))
-
-
-def signed_power_series(rule: CoefficientRule, x, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=start} c_n x^n for -1 < x < 1, with error_bound <= tol.
-
-    ``x`` is a float, or a 1-D array with one entry per lane.  Each lane
-    sums terms up to the first N of the ladder max(start + 8, 16), doubled up
-    to _MAX_TERMS, whose geometric tail is at most tol / 4.  If any lane
-    misses tol, ConvergenceError names the first such lane and carries every
-    lane's value and bound.
+    A term whose power x^n is subnormal is only as exact as the subnormal
+    grid: the power, scaled by c_n <= c_start, and the product each err by
+    up to a smallest subnormal, and a term that underflows to 0 loses all of
+    itself.  Twice that covers the rounding of the allowance too.  At x = 0
+    every term is exactly 0.  Arithmetic on subnormals is slow, so the
+    lanes see one product with them.
     """
-    return _power_series(rule, x, tol)[0]
+    return np.where(x > 0.0, (1.0 + c_start) * (2.0 * count * _TINY), 0.0)
 
 
 def sum_power_series(
@@ -236,10 +171,83 @@ def sum_power_series(
     Returns (SeriesValue, slope), the slope a float or an array over lanes:
     0 at r = 0 when start >= 2.  It bounds the derivative for the rules the
     engine takes (c_n >= 0 and nonincreasing), even where n c_n grows.
+
+    Each lane sums terms up to the first N of the ladder max(start + 8, 16),
+    doubled up to _MAX_TERMS, whose geometric tail is at most tol / 4.  If
+    any lane misses tol, ConvergenceError names the first such lane and
+    carries every lane's value and bound.
     """
-    rs = np.asarray(r, dtype=np.float64)
+    if tol <= 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+    rs = np.asarray(r, dtype=np.float64).reshape(-1)
     require((0.0 <= rs) & (rs < 1.0), rs, "argument must satisfy 0 <= r < 1")
-    return _power_series(rule, rs, tol)
+
+    n_last = [max(rule.start + 8, 16)]
+    while n_last[-1] < _MAX_TERMS:
+        n_last.append(min(2 * n_last[-1], _MAX_TERMS))
+    # Each lane's term count: the first N on the ladder whose tail bound
+    # c_{N+1} r^{N+1} / (1 - r) is at most tol / 4, valid for nonnegative
+    # nonincreasing c_n.
+    level = np.zeros(rs.size, dtype=np.int64)
+    c_next = np.zeros_like(rs) + rule.terms(np.array([n_last[0] + 1.0])).reshape(-1)
+    err = c_next * (rs ** (n_last[0] + 1) / (1.0 - rs))
+    grow = np.flatnonzero(err > 0.25 * tol)
+    for j in range(1, len(n_last)):
+        if grow.size == 0:
+            break
+        n, rg = n_last[j] + 1, rs[grow]
+        part = rule if grow.size == rs.size else rule.lanes(grow)
+        c_next[grow] = part.terms(np.array([float(n)])).reshape(-1)
+        err[grow] = c_next[grow] * (rg**n / (1.0 - rg))
+        level[grow] = j
+        grow = grow[err[grow] > 0.25 * tol]
+
+    value = np.zeros_like(rs)
+    slope = np.zeros_like(rs)
+    levels = sorted(set(level.tolist()))
+    for j in levels:
+        n = n_last[j]
+        ns = np.arange(rule.start, n + 1, dtype=np.float64)
+        # Rounding budget: pairwise summation (log-depth) plus a couple of
+        # ulps per term for the power and product.
+        rounding = _EPS * (math.log2(ns.size) + 8.0)
+        lanes = np.arange(rs.size) if len(levels) == 1 else np.flatnonzero(level == j)
+        for idx in _blocks(lanes, ns.size):
+            part = rule if idx.size == rs.size else rule.lanes(idx)
+            ri = rs[idx]
+            c = part.terms(ns)
+            c_start = c[..., 0]
+            terms = np.power(ri[:, None], ns)
+            terms *= c
+            # Every term is >= 0, so the sum is also the sum of magnitudes
+            # that the rounding budget scales.
+            value[idx] = terms.sum(axis=1)
+            err[idx] += rounding * value[idx] + _underflow_floor(ri, c_start, ns.size)
+            # The slope: sum n t_n / r over the terms summed, and past N
+            # sum_{n>N} n c_n r^(n-1) <= c_{N+1} r^N ((N+1) - N r) / (1 - r)^2,
+            # again for nonincreasing c_n.  Twice the rounding budget covers
+            # the products by n, the division and the tail; n times each
+            # term's underflow allowance covers that.  The terms array
+            # becomes n t_n in place.
+            head = np.multiply(terms, ns, out=terms).sum(axis=1)
+            head += _underflow_floor(ri, c_start, ns.sum())
+            tail = c_next[idx] * ri**n * ((n + 1.0) - n * ri) / (1.0 - ri) ** 2
+            slope[idx] = (head / np.where(ri > 0.0, ri, 1.0) + tail) * (1.0 + 2.0 * rounding)
+    if rule.start == 1:
+        # At r = 0 the one term left of the derivative is c_1.
+        slope = np.where(rs > 0.0, slope, rule.terms(np.array([1.0])).reshape(-1))
+
+    result = lane_value(value.reshape(np.shape(r)), err.reshape(np.shape(r)))
+    failed = np.flatnonzero(err > tol)
+    if failed.size:
+        i = failed[0]
+        name = f" {rule.name!r}" if rule.name else ""
+        raise ConvergenceError(
+            f"power series{name} at x={float(rs[i])!r} did not reach tol={tol:g} "
+            f"with {n_last[level[i]] - rule.start + 1} terms (error bound {float(err[i]):g})",
+            achieved=result,
+        )
+    return result, (slope.reshape(np.shape(r)) if np.ndim(r) else float(slope[0]))
 
 
 def lane_value(value, error_bound) -> SeriesValue:
@@ -405,51 +413,66 @@ def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return level[:, 0], nodes
 
 
-def alt_constant(rule: CoefficientRule, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=start} (-1)^(n-start+1) c_n: the signs alternate, and the
-    first is -1.
+def alt_constant(rule: CoefficientRule, x=1.0, tol: float = 1e-12) -> SeriesValue:
+    """sum_{n>=start} (-1)^(n-start+1) c_n x^n for 0 <= x <= 1: the signs
+    alternate, and the first is -1.
 
     Summed by the CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier,
-    *Exp. Math.* 9, 2000, Algorithm 1).  Its precondition is that the c_n
-    are moments c_{start+k} = int_0^1 t^k dmu(t) of a positive measure mu on
-    [0, 1]; every rule in this package meets it (1/n and 1/(1 + a n) are
-    moments, and so are products of moment sequences).  Then n terms leave a
-    truncation error of at most 2 c_start / (3 + sqrt 8)^n, so about 20
-    terms reach 1e-13; the rounding bound covers the weights, the terms and
-    every partial sum.  The consequences c_n > 0 and nonincreasing
-    are checked on the terms used.  A rule with per-lane parameters gives
-    one sum per lane, each with its own term count.
+    *Exp. Math.* 9, 2000, Algorithm 1).  Its precondition is that the terms
+    are moments c_{start+k} x^(start+k) = int_0^1 t^k dnu(t) of a positive
+    measure nu on [0, 1].  Every rule in this package has c_n moments of
+    some mu (1/n and 1/(1 + a n) are moments, and so are products of moment
+    sequences), and then so are the c_n x^n: nu is x^start times the
+    push-forward of mu by t -> x t.  So x = 1 gives the distance constants
+    and x = r the lower growth envelopes, by one path.  n terms leave a
+    truncation error of at most 2 c_start x^start / (3 + sqrt 8)^n, so
+    about 20 terms reach 1e-13; the rounding bound covers the weights, the
+    terms and every partial sum, and an absolute allowance covers the terms
+    whose power x^n is subnormal.  The consequences c_n > 0 and
+    nonincreasing are checked on the c_n used.
+
+    ``x`` is a float or a 1-D array, one sum per lane, and a rule with
+    per-lane parameters gives one sum per lane too; each lane has its own
+    term count.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
+    xs = np.asarray(x, dtype=np.float64)
+    require((0.0 <= xs) & (xs <= 1.0), xs, "argument must satisfy 0 <= x <= 1")
 
     c0 = rule.terms(np.array([float(rule.start)])).reshape(-1)
     if not np.all(c0 > 0.0):
         raise DomainError("alternating sum requires strictly positive terms")
+    # The first term of each lane.
+    first = c0 * xs.reshape(-1) ** rule.start
     # The fewest terms whose truncation bound is at most tol / 8.
-    n_terms = np.ceil(np.log(16.0 * c0 / tol) / math.log(_CRVZ_RATE))
+    n_terms = np.ceil(np.log(16.0 * np.maximum(first, _TINY) / tol) / math.log(_CRVZ_RATE))
     n_terms = np.clip(n_terms, 1, _CRVZ_MAX_TERMS).astype(np.int64)
 
-    value = np.empty_like(c0)
-    err = np.empty_like(c0)
+    value = np.empty_like(first)
+    err = np.empty_like(first)
     for n in sorted(set(n_terms.tolist())):
         idx = np.flatnonzero(n_terms == n)
         ns = np.arange(rule.start, rule.start + n, dtype=np.float64)
-        part = rule if idx.size == c0.size else rule.lanes(idx)
+        part = rule if idx.size == first.size else rule.lanes(idx)
         c = np.atleast_2d(part.terms(ns))
         if not np.all(c > 0.0):
             raise DomainError("alternating sum requires strictly positive terms")
         if np.any(np.diff(c, axis=1) > _EPS * c[:, :1]):
             raise DomainError("alternating sum requires nonincreasing terms")
-        terms = _crvz_weights(int(n)) * c
+        # One x for all lanes, or each lane's own.
+        xi = xs[idx] if xs.ndim else xs
+        terms = _crvz_weights(int(n)) * np.power(xi[..., None], ns) * c
         total, nodes = _tree_sum(terms)
         value[idx] = -total
-        # Rounding: an ulp or two each for the weight, the coefficient and
-        # the product, and half an ulp of every partial sum in the tree.
+        # Rounding: an ulp or two each for the weight, the coefficient, the
+        # power and the products, and half an ulp of every partial sum in
+        # the tree.
         rounding = _EPS * (4.0 * np.abs(terms).sum(axis=1) + nodes)
-        err[idx] = 2.0 * c[:, 0] / _CRVZ_RATE**n + rounding
+        floor = _underflow_floor(xi, c[:, 0], n)
+        err[idx] = 2.0 * first[idx] / _CRVZ_RATE**n + rounding + floor
 
-    shape = c0.shape if rule.per_lane else ()
+    shape = first.shape if rule.per_lane or np.ndim(x) else ()
     best = lane_value(value.reshape(shape), err.reshape(shape))
     failed = np.flatnonzero(err > tol)
     if failed.size:
@@ -466,20 +489,3 @@ def capped_product(k, alpha):
     """k * alpha for integer k >= 1 and alpha > 0, capped at 1e300 so that it
     stays finite: the lacunary sums 1/(1 + n k alpha) are below 1e-300 there."""
     return np.minimum(alpha, 1e300 / float(k)) * float(k)
-
-
-def g_alt_constant(k: int, alpha, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=1} (-1)^n / (1 + n*k*alpha) for integer k >= 1 and alpha > 0.
-
-    ``alpha`` may be a 1-D array, one sum per lane.  Equals
-    -integral_0^1 t^(k*alpha) / (1 + t^(k*alpha)) dt, which makes a
-    convenient independent cross-check; the accelerated alternating sum is
-    the implementation.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    require(alpha > 0.0, alpha, "alpha must be > 0")
-    ka = as_param(capped_product(k, alpha))
-    rule = CoefficientRule(lambda n, ka: 1.0 / (1.0 + n * ka), 1, "g-alt", (ka,))
-    return alt_constant(rule, tol=tol)

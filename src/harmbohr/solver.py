@@ -222,14 +222,16 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     radius, residual = np.zeros(n), np.abs(d.value)
     lo, hi = np.zeros(n), np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
-    closed = np.ones(n, dtype=bool)
     errors: dict[int, ConvergenceError] = {}
     # d* <= error: B(0) = 0 already attains the constant; no positive radius
-    # exists, and the lane keeps radius 0.
+    # exists, and the lane keeps radius 0.  Its method is still the one its
+    # family takes, and its d* is reported as at least 0, which a distance
+    # is, though the sum may round below it.
     todo = np.flatnonzero(d.value > d.error_bound)
     sub = take_lanes(spec, todo)
     d_sub = SeriesValue(d.value[todo], d.error_bound[todo])
     r_cf = closed_form_radius(sub) if cfg.prefer_closed_form else None
+    closed = np.full(n, r_cf is not None)
     if r_cf is not None:
         # A root within half an ulp of 1 (tb-m at tiny m) rounds to 1.
         r_cf = np.minimum(r_cf, _BELOW_ONE)
@@ -238,9 +240,8 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     elif todo.size:
         out = _newton(sub, d_sub, cfg)
         radius[todo], residual[todo], lo[todo], hi[todo], steps[todo] = out[:5]
-        closed[todo] = False
         errors = {int(todo[i]): exc for i, exc in out[5].items()}
-    return (radius, residual, lo, hi, steps, closed, d.value, d.error_bound), errors
+    return (radius, residual, lo, hi, steps, closed, np.maximum(d.value, 0.0), d.error_bound), errors
 
 
 def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:

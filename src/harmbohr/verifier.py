@@ -37,7 +37,7 @@ from .classes import (
     wh_alpha,
 )
 from .errors import DomainError, HarmBohrError
-from .series import CoefficientRule, alt_constant, g_alt_constant
+from .series import CoefficientRule, alt_constant
 from .solver import (
     SolverConfig,
     closed_form_radius,
@@ -597,9 +597,11 @@ def _make_scan_check(fam: Family):
     return check
 
 def _check_g_alt_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
+    # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha).
     ok = True
     for k in (1, 2, 3):
-        values = [g_alt_constant(k, a).value for a in (0.5, 1.0, 2.0, 4.0)]
+        specs = [gh_k_alpha(k, a) for a in (0.5, 1.0, 2.0, 4.0)]
+        values = [distance_bound(s, tol=cfg.series_tol).value - 1.0 for s in specs]
         ok = ok and all(b > a for a, b in zip(values, values[1:])) and values[-1] < 0.0
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 

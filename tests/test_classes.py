@@ -439,6 +439,58 @@ class TestGrowthEnvelope:
         env = growth_envelope(ph_alpha(alpha), r)
         assert env.lower <= r <= env.upper + 1e-15
 
+    @pytest.mark.parametrize(
+        "spec", [wh_alpha(0.0), wh_alpha(0.5), wh_alpha(1.0), gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0)]
+    )
+    def test_lower_tends_to_distance_constant(self, spec):
+        # The lower side is |f(-r)| (wh) or |f(r e^(i pi/k))| (gh), whose
+        # limit at r = 1 is d*; both have slope at most 1 in r there.
+        d = distance_bound(spec)
+        gaps = []
+        for r in (0.9, 0.99, 0.999, 0.9999):
+            env = growth_envelope(spec, r)
+            gaps.append(abs(env.lower - d.value))
+            assert gaps[-1] <= (1.0 - r) + env.error_bound + d.error_bound
+        assert gaps == sorted(gaps, reverse=True)
+
+    def test_lacunary_upper_side_is_the_lerch_sum(self):
+        # r (1 + 2 y Phi(y, 1, (1 + k alpha)/(k alpha)) / (k alpha)), y = r^k:
+        # alpha = 1e-3 at r = 0.999 is beyond a power series' reach at tol.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        r, ka = mp.mpf(0.999), mp.mpf(1e-3)
+        exact = r * (1 + 2 * r * mp.lerchphi(r, 1, (1 + ka) / ka) / ka)
+        env = growth_envelope(gh_k_alpha(1, 1e-3), 0.999)
+        assert abs(env.upper - exact) <= env.error_bound
+        assert env.error_bound <= 1e-11
+
+    @staticmethod
+    def mp_envelope(spec, r):
+        # Both sides by 60 terms at 50 digits, for r far below 1: |f(-r)| and
+        # |f(r)| for wh, and r |1 + sum 2 (+-y)^j / (1 + j k alpha)| for gh.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        r = mp.mpf(r)
+        if spec.family is Family.GH_K_ALPHA:
+            y, ka = r**spec.k, spec.k * mp.mpf(spec.alpha)
+            side = [r * (1 + sum(2 * (s * y) ** j / (1 + j * ka) for j in range(1, 61))) for s in (-1, 1)]
+        else:
+            a = mp.mpf(spec.alpha)
+            side = [r + s * sum(2 * (s * r) ** n / (n * (1 + a * (n - 1))) for n in range(2, 62)) for s in (-1, 1)]
+        return [float(v) for v in side]
+
+    @pytest.mark.parametrize("spec", [wh_alpha(0.0), wh_alpha(1.0), gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0)])
+    @pytest.mark.parametrize("r", [0.0, 1e-200, 1e-155, 1e-3])
+    def test_tiny_radii(self, spec, r):
+        # Exactly 0 at r = 0; elsewhere within the bound and an ulp of the
+        # sums, also where the terms underflow.
+        env = growth_envelope(spec, r)
+        lower, upper = self.mp_envelope(spec, r)
+        if r == 0.0:
+            assert (env.lower, env.upper) == (0.0, 0.0)
+        assert abs(env.lower - lower) <= env.error_bound + math.ulp(lower)
+        assert abs(env.upper - upper) <= env.error_bound + math.ulp(upper)
+
     def test_envelope_dataclass_guards(self):
         with pytest.raises(DomainError):
             GrowthEnvelope(lower=0.5, upper=0.4)

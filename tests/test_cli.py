@@ -120,6 +120,18 @@ class TestRadiusCommand:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "5e-324"])
+    def test_degenerate_lacunary_record_is_iterative_with_d_star_zero(self, capsys, alpha):
+        # d* sums to -5.6e-15, inside its error bound: radius 0 with no step.
+        # gh-k-alpha has no closed form, and a distance is never negative.
+        rc, out, err = run_cli(capsys, "radius", "--class", "gh-k-alpha", "--k", "1", "--alpha", alpha)
+        assert (rc, err) == (0, "")
+        assert out == (
+            f'{{"class": "gh-k-alpha", "params": {{"k": 1, "alpha": {float(alpha)!r}}}, '
+            '"radius": 0.0, "residual": 5.551115123125783e-15, "method": "BISECTION_NEWTON", '
+            '"d_star": 0.0, "tol": 1e-12}\n'
+        )
+
 
 class TestExitCodes:
     def test_unknown_class_is_usage_error(self, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from harmbohr import series
+from harmbohr.classes import coefficient_rule, distance_bound, gh_k_alpha, ph_alpha, ph_m
 from harmbohr.errors import ConvergenceError, DomainError
 from harmbohr.series import (
     CoefficientRule,
@@ -20,11 +21,9 @@ from harmbohr.series import (
     alt_constant,
     alt_log_tail,
     alt_nn1_tail,
-    g_alt_constant,
     lerch_sum,
     log_tail,
     nn1_tail,
-    signed_power_series,
     sum_power_series,
 )
 
@@ -174,28 +173,34 @@ class TestSumPowerSeries:
 
 
 class TestSignedPowerSeries:
+    """sum c_n x^n for -1 < x < 1: ``sum_power_series`` for x >= 0, and for
+    x < 0 minus ``alt_constant(rule, -x)``, whose first term is negative."""
+
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_matches_alt_log_closed_form(self, r):
-        sv = signed_power_series(RULE_LOG, -r, tol=1e-13)
-        # sum (-r)^n / n over n>=2 = -(ln(1+r) - r) = -alt_log_tail(r)... with
-        # sign bookkeeping: sum_{n>=2} (-1)^n r^n / n = r - ln(1+r).
-        expect = r - math.log1p(r)
-        assert abs(sv.value - expect) <= sv.error_bound + 1e-15
-        assert abs(sv.value + alt_log_tail(r)) <= sv.error_bound + 1e-15
-
-    def test_positive_argument_agrees_with_unsigned(self):
-        a = signed_power_series(RULE_SQUARE, 0.6, tol=1e-13)
-        b, _ = sum_power_series(RULE_SQUARE, 0.6, tol=1e-13)
-        assert a.value == b.value
+        sv = alt_constant(RULE_LOG, r, tol=1e-13)
+        # sum_{n>=2} (-1)^(n-1) r^n / n = ln(1+r) - r, and
+        # sum_{n>=2} (-r)^n / n is minus that, r - ln(1+r).
+        assert sv.error_bound <= 1e-13
+        assert abs(-sv.value - (r - math.log1p(r))) <= sv.error_bound + 1e-15
+        assert abs(sv.value - alt_log_tail(r)) <= sv.error_bound + 1e-15
 
     def test_domain_rejects_abs_one(self):
+        # No series takes a negative argument, and the alternating sum stops at 1.
+        for x in (-1.0, -0.5, 1.0 + 1e-12, float("nan")):
+            with pytest.raises(DomainError):
+                alt_constant(RULE_LOG, x)
         with pytest.raises(DomainError):
-            signed_power_series(RULE_LOG, -1.0)
+            sum_power_series(RULE_LOG, -0.5)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=-0.9, max_value=0.9))
     def test_agrees_with_direct_sum(self, x):
-        sv = signed_power_series(RULE_SQUARE, x, tol=1e-12)
+        if x >= 0.0:
+            sv, _ = sum_power_series(RULE_SQUARE, x, tol=1e-12)
+        else:
+            alt = alt_constant(RULE_SQUARE, -x, tol=1e-12)
+            sv = SeriesValue(-alt.value, alt.error_bound)
         # 2000 plain terms leave a tail below 0.9^2000 ~ 1e-92.
         oracle = direct_power_sum(RULE_SQUARE, x, 2000)
         assert abs(sv.value - oracle) <= sv.error_bound + 1e-14
@@ -269,23 +274,33 @@ class TestLanes:
     )
 
     def test_argument_array_is_its_points(self):
-        xs = np.array([0.0, -0.3, 0.5, 0.97, 0.2])
-        sv = signed_power_series(RULE_SQUARE, xs, tol=1e-13)
+        xs = np.array([0.0, 0.3, 0.5, 0.97, 0.2, 1e-160])
+        power, slope = sum_power_series(RULE_SQUARE, xs, tol=1e-13)
+        alt = alt_constant(RULE_SQUARE, np.append(xs, 1.0), tol=1e-13)
+        assert alt.value.shape == (xs.size + 1,)
         for i, x in enumerate(xs):
-            assert SeriesValue(sv.value[i], sv.error_bound[i]) == signed_power_series(
+            assert (SeriesValue(power.value[i], power.error_bound[i]), slope[i]) == sum_power_series(
                 RULE_SQUARE, x, tol=1e-13
             )
+            assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(
+                RULE_SQUARE, x, tol=1e-13
+            )
+        assert SeriesValue(alt.value[-1], alt.error_bound[-1]) == alt_constant(RULE_SQUARE, tol=1e-13)
 
     def test_per_lane_parameters_are_their_rules(self):
         xs = np.array([0.1, 0.6, 0.9, 0.3])
         power, slope = sum_power_series(self.RULE_LANES, xs, tol=1e-13)
         alt = alt_constant(self.RULE_LANES, tol=1e-13)
+        alt_x = alt_constant(self.RULE_LANES, xs, tol=1e-13)
         for i, a in enumerate((0.0, 0.5, 1.0, 3.0)):
             rule = CoefficientRule(lambda n, a=a: 2.0 / (n * (1.0 + a * (n - 1.0))), start=2)
             assert (SeriesValue(power.value[i], power.error_bound[i]), slope[i]) == sum_power_series(
                 rule, xs[i], tol=1e-13
             )
             assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
+            assert SeriesValue(alt_x.value[i], alt_x.error_bound[i]) == alt_constant(
+                rule, xs[i], tol=1e-13
+            )
 
     def test_failure_names_first_lane_and_carries_all(self, monkeypatch):
         monkeypatch.setattr(series, "_MAX_TERMS", 64)
@@ -425,44 +440,81 @@ class TestAltConstant:
             sv = alt_constant(RULE_LOG, tol=tol)
             assert sv.error_bound <= tol
 
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.1, 0.5, 0.9, 0.999, 1.0])
+    def test_argument_matches_the_ph_closed_forms(self, x):
+        # c_n x^n are moments when the c_n are: the ph-alpha and ph-m lower
+        # envelopes, sum c_n (-1)^(n-1) x^n, in closed form.
+        cases = (
+            (coefficient_rule(ph_alpha(0.3)), 1.4 * alt_log_tail(x)),
+            (coefficient_rule(ph_m(1.0)), 2.0 * alt_nn1_tail(x)),
+        )
+        for rule, expect in cases:
+            sv = alt_constant(rule, x, tol=1e-13)
+            assert sv.error_bound <= 1e-13
+            assert abs(sv.value - expect) <= sv.error_bound + 4.0 * np.finfo(float).eps * x
+
+    def test_zero_argument_is_exact_zero(self):
+        sv = alt_constant(RULE_LOG, 0.0)
+        assert (sv.value, sv.error_bound) == (0.0, 0.0)
+
+
+class TestUnderflow:
+    """Where r^start is subnormal the terms are only as exact as the
+    subnormal grid: each bound still holds, against mpmath at 40 digits,
+    for 1/n from n = 2 (r^2 from 1e-310 down to below the least subnormal)."""
+
+    RS = (1e-155, 1e-160, 1e-162)
+
+    @staticmethod
+    def exact(r, sign):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        r = mp.mpf(r)
+        return mp.fsum(sign ** (n - 1) * r**n / n for n in range(2, 12)), r / (1 - r)
+
+    @pytest.mark.parametrize("r", RS)
+    def test_power_series_and_slope(self, r):
+        sv, slope = sum_power_series(RULE_LOG, r, tol=1e-13)
+        value, derivative = self.exact(r, 1)
+        assert abs(sv.value - value) <= sv.error_bound
+        assert slope >= derivative
+
+    @pytest.mark.parametrize("r", RS)
+    def test_alternating_sum(self, r):
+        sv = alt_constant(RULE_LOG, r, tol=1e-13)
+        value, _ = self.exact(r, -1)
+        assert abs(sv.value - value) <= sv.error_bound
+
 
 class TestGAltConstant:
+    """gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha), the
+    alternating sum of its lacunary rule."""
+
     def test_ka_one_equals_log_two_minus_one(self):
         # sum_{n>=1} (-1)^n / (1+n) = ln 2 - 1.
-        sv = g_alt_constant(1, 1.0)
-        assert abs(sv.value - (math.log(2.0) - 1.0)) <= sv.error_bound + 1e-15
+        d = distance_bound(gh_k_alpha(1, 1.0))
+        assert abs(d.value - (1.0 + 2.0 * (math.log(2.0) - 1.0))) <= d.error_bound + 2e-15
 
     def test_ka_two_equals_quarter_pi_minus_one(self):
         # sum_{n>=1} (-1)^n / (1+2n) = pi/4 - 1 (Leibniz).
-        sv = g_alt_constant(2, 1.0)
-        assert abs(sv.value - (math.pi / 4.0 - 1.0)) <= sv.error_bound + 1e-15
+        d = distance_bound(gh_k_alpha(2, 1.0))
+        assert abs(d.value - (1.0 + 2.0 * (math.pi / 4.0 - 1.0))) <= d.error_bound + 2e-15
 
     def test_depends_only_on_product(self):
-        assert g_alt_constant(4, 0.5).value == g_alt_constant(2, 1.0).value
-        assert g_alt_constant(1, 3.0).value == g_alt_constant(3, 1.0).value
+        d = lambda k, a: distance_bound(gh_k_alpha(k, a)).value  # noqa: E731
+        assert d(4, 0.5) == d(2, 1.0)
+        assert d(1, 3.0) == d(3, 1.0)
 
     @pytest.mark.parametrize("ka", [0.05, 0.5, 1.0, 3.0, 12.0])
     def test_matches_integral_oracle(self, ka):
         # sum_{n>=1} (-1)^n/(1+n*ka) = -int_0^1 t^ka / (1 + t^ka) dt.
-        sv = g_alt_constant(1, ka)
+        d = distance_bound(gh_k_alpha(1, ka))
         integral, quad_err = quad(
             lambda t: t**ka / (1.0 + t**ka), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13
         )
-        assert abs(sv.value + integral) <= sv.error_bound + quad_err + 1e-12
+        assert abs(d.value - (1.0 - 2.0 * integral)) <= d.error_bound + 2.0 * quad_err + 2e-12
 
     def test_monotone_toward_zero_in_alpha(self):
-        values = [g_alt_constant(1, a).value for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        values = [distance_bound(gh_k_alpha(1, a)).value - 1.0 for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(v < 0.0 for v in values)
         assert values == sorted(values)  # increasing toward 0
-
-    def test_domain_rejects_bad_k(self):
-        with pytest.raises(DomainError):
-            g_alt_constant(0, 1.0)
-        with pytest.raises(DomainError):
-            g_alt_constant(1.5, 1.0)
-
-    def test_domain_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            g_alt_constant(1, 0.0)
-        with pytest.raises(DomainError):
-            g_alt_constant(1, -2.0)

@@ -251,6 +251,20 @@ class TestSolveRadiusAgainstOracles:
         assert result.method is Method.CLOSED_FORM
         assert result.iterations == 0
 
+    def test_zero_radius_lanes_name_the_method_of_their_family(self):
+        # d* within its error bound gives radius 0 with no step, but the
+        # method is the family's: gt-beta's closed form unless it is turned
+        # off, and gh-k-alpha's iteration, whose d* (here -5.6e-15 as
+        # summed) is reported as 0.
+        assert solve_radius(gt_beta(0.0), SolverConfig(prefer_closed_form=False)).method is (
+            Method.BISECTION_NEWTON
+        )
+        tiny, ordinary = solve_radii([gh_k_alpha(1, 1e-300), gh_k_alpha(1, 1.0)])
+        assert (tiny.radius, tiny.iterations, tiny.method) == (0.0, 0, Method.BISECTION_NEWTON)
+        assert tiny.d_star.value == 0.0
+        assert tiny.residual == 5.551115123125783e-15
+        assert ordinary == solve_radius(gh_k_alpha(1, 1.0))
+
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 1.5, 1.9])
     def test_tb_quadratic_residual(self, m):
         result = solve_radius(tb_m(m))

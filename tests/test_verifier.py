@@ -518,6 +518,24 @@ class TestRunSuite:
         (result,) = run_suite(only="generic-sum-agreement-wh-alpha").results
         assert not result.passed
 
+    def test_g_alt_monotonicity_fails_when_d_star_stops_increasing(self, monkeypatch):
+        # gh-k-alpha's d* is increasing in alpha; a d* that falls at
+        # alpha = 4 must fail the check, under the same name and detail.
+        from harmbohr import verifier
+
+        name = "g-alt-alpha-monotonicity"
+        detail = "strictly increasing toward 0 in alpha for k in {1,2,3}"
+        (result,) = run_suite(only=name).results
+        assert (result.name, result.passed, result.detail) == (name, True, detail)
+
+        def falling(spec, tol=1e-12):
+            d = distance_bound(spec, tol=tol)
+            return dataclasses.replace(d, value=d.value - 0.5) if spec.alpha == 4.0 else d
+
+        monkeypatch.setattr(verifier, "distance_bound", falling)
+        (result,) = run_suite(only=name).results
+        assert (result.name, result.passed, result.detail) == (name, False, detail)
+
 
 class TestWorstCaseFoldsFailOnNaN:
     """A NaN in any folded worst case fails its check instead of vanishing."""
