@@ -284,7 +284,8 @@ FAMILIES: dict[Family, FamilyDef] = {
             ("k", _fits_float, "k must convert to a finite float"),
             ("alpha", lambda a: a > 0.0, "alpha must be > 0"),
         ),
-        coeff=lambda n, a: 2.0 / (1.0 + (n - 1.0) * a),
+        # n >= k + 1 >= 2; (n - 1) alpha is capped so that it stays finite.
+        coeff=lambda n, a: 2.0 / (1.0 + capped_product(n - 1.0, a)),
         d_star=lambda s, tol: _alt_d_star(_gh_lacunary_rule(s), tol),
         majorant=_gh_majorant,
         envelope=_gh_envelope,

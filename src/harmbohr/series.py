@@ -486,6 +486,8 @@ def alt_constant(rule: CoefficientRule, x=1.0, tol: float = 1e-12) -> SeriesValu
 
 
 def capped_product(k, alpha):
-    """k * alpha for integer k >= 1 and alpha > 0, capped at 1e300 so that it
-    stays finite: the lacunary sums 1/(1 + n k alpha) are below 1e-300 there."""
-    return np.minimum(alpha, 1e300 / float(k)) * float(k)
+    """k * alpha for k >= 1 (an integer, or an array of them) and alpha > 0,
+    capped at 1e300 so that it stays finite: the sums 1/(1 + n k alpha) are
+    below 1e-300 there.  Below the cap it is the plain product."""
+    k = np.asarray(k, dtype=np.float64)
+    return np.minimum(alpha, 1e300 / k) * k

@@ -4,9 +4,16 @@ For each family the radius is the unique root in (0, 1) of H(r) = B(r) - d*,
 where B is the majorant sum and d* the distance constant from
 :mod:`harmbohr.classes`.  All coefficient bounds are nonnegative, so H is
 convex and increasing with H' >= 1, and B(r) >= r puts the root in [0, d*]:
-Newton's method started at d* falls monotonically onto it (Fourier's
-condition; Ostrowski, *Solution of Equations and Systems of Equations*,
-ch. 9), in five to seven steps.  Each H(x) in [v - e, v + e] certifies a
+Newton's method started anywhere right of the root falls monotonically onto
+it (Fourier's condition; Ostrowski, *Solution of Equations and Systems of
+Equations*, ch. 9).  It starts near the root: the first 16 terms P of B lie
+below B, so P's root lies right of B's, and three Newton steps on P, by
+Horner from the bracket's right end, give the first iterate
+(``_warm_start``).  From there wh-alpha takes two steps and gh-k-alpha two
+or three for moderate k alpha, against five to seven from d*.  A start that
+rounds left of the root only raises the bracket's left end; the
+certificate never depends on it, and ``iterations`` counts only the steps
+that evaluate B.  Each H(x) in [v - e, v + e] certifies a
 bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
 root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket fall
 back to the midpoint.  Every B can be evaluated wherever Newton goes: the
@@ -42,6 +49,7 @@ from .classes import (
     ClassSpec,
     Family,
     bohr_sum,  # noqa: F401
+    coefficient_rule,
     distance_bound,
     stack_lanes,
     take_lanes,
@@ -58,6 +66,11 @@ _ROUNDING = 8.0 * _EPS
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
+# The warm start: _WARM_STEPS Newton steps on the majorant's first
+# _WARM_TERMS terms.
+_WARM_TERMS = 16
+_WARM_STEPS = 3
+
 
 class Method(str, Enum):
     """How a radius was obtained; ``BISECTION_NEWTON`` names the certified
@@ -72,7 +85,7 @@ class SolverConfig:
     """Tolerances and budgets for the root search.
 
     ``tol`` bounds the final bracket width; ``max_iter`` bounds the Newton
-    and midpoint steps together.
+    and midpoint steps together, not counting the warm start's.
     """
 
     tol: float = 1e-12
@@ -100,7 +113,8 @@ class RadiusResult:
 
     ``residual`` is |H(radius)| plus the series error bound at that point;
     ``bracket_lo``/``bracket_hi`` enclose the root; ``iterations`` counts
-    Newton and midpoint steps together (0 for closed forms); ``d_star`` is
+    Newton and midpoint steps together, each one evaluation of B (0 for
+    closed forms; the warm start's steps are not counted); ``d_star`` is
     the distance constant the equation was solved against.
     """
 
@@ -137,6 +151,37 @@ def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
     return (x + tail.value) - d_value, tail.error_bound + d_error, slope
 
 
+def _warm_start(spec: ClassSpec, target, hi):
+    """The first Newton iterate of every lane: _WARM_STEPS Newton steps on
+    P(r) - target from ``hi``, each clipped to [0, hi], where P(r) = r +
+    sum c_n r^n over the first _WARM_TERMS coefficient bounds.
+
+    Every c_n >= 0, so P <= B and P's root lies right of B's: Newton from
+    there still falls monotonically onto B's root.  P and P' come by Horner
+    over the coefficients, one lane vector per index, elementwise.
+    """
+    rule = coefficient_rule(spec)
+    n0 = float(rule.start)
+    # n of shape (_WARM_TERMS, 1, 1) broadcasts against the (L, 1) lane
+    # parameters: row j of coeffs holds c_(n0+j) of every lane.
+    coeffs = rule.terms(n0 + np.arange(_WARM_TERMS).reshape(-1, 1, 1))
+    coeffs = coeffs.reshape(_WARM_TERMS, -1)
+    x = hi
+    for _ in range(_WARM_STEPS):
+        # q = sum_j c_(n0+j) x^j and its derivative dq.
+        q, dq = np.zeros_like(x) + coeffs[-1], np.zeros_like(x)
+        for c in coeffs[-2::-1]:
+            dq *= x
+            dq += q
+            q *= x
+            q += c
+        lead = x ** (n0 - 1.0)
+        p = x + lead * x * q
+        dp = 1.0 + lead * (n0 * q + x * dq)
+        x = np.minimum(np.maximum(x - (p - target) / dp, 0.0), hi)
+    return x
+
+
 def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     """Certified Newton on every lane of a lane spec at once.
 
@@ -145,8 +190,9 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
     """
     dv, de = d.value, d.error_bound
     # B(r) >= r puts the root in [0, d* + error].
-    x = np.minimum(dv + de, _BELOW_ONE)
-    lo, hi = np.zeros_like(dv), x.copy()
+    hi = np.minimum(dv + de, _BELOW_ONE)
+    lo = np.zeros_like(dv)
+    x = _warm_start(spec, dv + de, hi)
     radius, residual = np.zeros_like(dv), np.zeros_like(dv)
     steps = np.zeros(dv.size, dtype=np.int64)
     live = np.ones(dv.size, dtype=bool)
@@ -277,8 +323,9 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
 
     Degenerate parameters with d* = 0 return radius 0 directly; families
     with quadratic closed forms use them when ``prefer_closed_form`` is set.
-    Everything else runs safeguarded Newton from d*, which stops once the
-    certified bracket is at most ``tol`` wide or H is below its error bound.
+    Everything else runs safeguarded Newton from its warm start, which stops
+    once the certified bracket is at most ``tol`` wide or H is below its
+    error bound.
     It raises ConvergenceError when d* cannot be certified at the series
     tolerance, or when ``max_iter`` steps do not suffice.  This is the
     one-lane case of ``solve_radii``.

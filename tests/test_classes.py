@@ -222,6 +222,22 @@ class TestCoefficientBound:
         assert coefficient_bound(gh_k_alpha(2, 1.0), 3) == pytest.approx(2.0 / 3.0, abs=1e-16)
         assert coefficient_bound(gh_k_alpha(1, 2.0), 2) == pytest.approx(2.0 / 3.0, abs=1e-16)
 
+    def test_gh_extreme_parameters_stay_finite(self):
+        # (n - 1) alpha = 1e17 * 1e300 overflows a float; it is capped at
+        # 1e300 as the lacunary products are, and warnings are errors here.
+        k = 10**17
+        spec = gh_k_alpha(k, 1e300)
+        assert coefficient_bound(spec, k + 1) == 2.0 / (1.0 + 1e300)
+        ns = np.array([k + 1.0, 1e300])
+        assert np.array_equal(coefficient_rule(spec).terms(ns), [2.0 / (1.0 + 1e300)] * 2)
+
+    @pytest.mark.parametrize("k,alpha", [(1, 1e-300), (2, 1.0), (3, 0.5), (10**6, 1e9), (1, 1e298)])
+    def test_gh_below_the_cap_is_the_plain_quotient(self, k, alpha):
+        # Bit for bit 2/(1 + (n - 1) alpha) where (n - 1) alpha stays below 1e300.
+        ns = np.arange(k + 1.0, k + 41.0)
+        plain = 2.0 / (1.0 + (ns - 1.0) * alpha)
+        assert np.array_equal(coefficient_rule(gh_k_alpha(k, alpha)).terms(ns), plain)
+
     def test_tb_single_nonzero_index(self):
         spec = tb_m(1.2)
         assert coefficient_bound(spec, 2) == 0.6

@@ -456,13 +456,14 @@ class TestSolveRadii:
         from harmbohr.classes import stack_lanes
         from harmbohr.solver import _solve_lanes
 
-        # alpha = 0.01 localises its root in 3 steps, 1.0 and 1e9 need more.
-        cfg = SolverConfig(max_iter=3)
+        # From the warm start alpha = 0.01 localises its root in 1 step,
+        # 1e9 and 1.0 need more.
+        cfg = SolverConfig(max_iter=1)
         specs = [gh_k_alpha(1, 0.01), gh_k_alpha(1, 1e9), gh_k_alpha(1, 1.0)]
         lanes, errors = _solve_lanes(stack_lanes(specs), cfg)
         radius, residual, lo, hi, steps, closed, d_value, d_error = lanes
         assert list(errors) == [1, 2]
-        assert "within 3 iterations" in str(errors[1])
+        assert "within 1 iterations" in str(errors[1])
         alone = solve_radius(specs[0], cfg)
         assert (radius[0], residual[0], lo[0], hi[0], steps[0]) == (
             alone.radius, alone.residual, alone.bracket_lo, alone.bracket_hi, alone.iterations,
@@ -513,22 +514,35 @@ class TestOneMajorantPerStep:
         assert result.iterations <= len(calls) <= result.iterations + 1
 
     @pytest.mark.parametrize(
-        "spec,lerch", [(gh_k_alpha(2, 1.0), 7), (wh_alpha(0.5), 0)]
+        "spec,passes,lerch,steps",
+        [(gh_k_alpha(2, 1.0), 4, 4, 3), (wh_alpha(0.5), 2, 0, 2)],
+        ids=["gh-k-alpha", "wh-alpha"],
     )
-    def test_scan_grid(self, monkeypatch, spec, lerch):
-        # A 1001-lane grid in six (gh-k-alpha) or five (wh-alpha) steps:
-        # gh-k-alpha sums 7 Lerch sums where two per step took 13, and
-        # wh-alpha none: its slope bound comes from its power series' terms.
+    def test_scan_grid(self, monkeypatch, spec, passes, lerch, steps):
+        # A 1001-lane grid in three (gh-k-alpha) or two (wh-alpha) steps
+        # from the warm start, where six and five steps from d* took 7 and
+        # 5 majorant passes: gh-k-alpha sums one Lerch sum per pass, and
+        # wh-alpha none, since its slope bound comes from its power series.
+        import dataclasses
+
         from harmbohr.classes import sweep_lanes
         from harmbohr.solver import _solve_lanes
 
         grid = np.linspace(0.5, 2.0, 1001) if spec.k else np.linspace(0.0, 1.0, 1001)
         lanes, _ = sweep_lanes(spec, "alpha", grid)
         calls = self.count_lerch(monkeypatch)
+        family = FAMILIES[spec.family]
+        majorants = []
+
+        def counted(*args):
+            majorants.append(args)
+            return family.majorant(*args)
+
+        monkeypatch.setitem(FAMILIES, spec.family, dataclasses.replace(family, majorant=counted))
         out, errors = _solve_lanes(lanes, SolverConfig())
         assert not errors
-        assert len(calls) == lerch
-        assert int(out[4].max()) == (6 if spec.k else 5)
+        assert (len(majorants), len(calls)) == (passes, lerch)
+        assert int(out[4].max()) == steps
 
 
 def mp_b_prime(spec, r):
@@ -578,6 +592,107 @@ class TestSlopeBoundsBPrime:
         for r in SLOPE_RS:
             exact = mp_b_prime(spec, r)
             assert exact <= h_prime(spec, r) <= exact * (1 + 1e-13), r
+
+
+class TestSlopeAllowance:
+    def test_a_slope_one_ulp_short_keeps_the_root_bracketed(self, monkeypatch):
+        # H(r) = S r - D exactly, with B - r = (S - 1) r.  The majorant
+        # reports B high by 0.9 of the solver's rounding allowance, which
+        # that allowance covers, and H' one ulp short, which the 2 eps on the
+        # slope covers.  From r = d* the convexity step puts the bracket's
+        # right end 11 eps (relative) above the root; without the 2 eps it
+        # lands 6.6 eps below it.
+        import dataclasses
+        from fractions import Fraction
+
+        from harmbohr import solver
+        from harmbohr.classes import stack_lanes
+
+        s, d, eps = 8.1875, 0.7, 2.0**-52
+
+        def majorant(spec, r, tol):
+            tail = (s - 1.0) * r
+            high = 0.9 * 8.0 * eps * (np.abs(r + tail - d) + 2.0 * d)
+            return SeriesValue(tail + high, np.zeros_like(r)), np.full_like(r, np.nextafter(s, 0.0))
+
+        tb = dataclasses.replace(FAMILIES[Family.TB_M], majorant=majorant)
+        monkeypatch.setitem(FAMILIES, Family.TB_M, tb)
+        monkeypatch.setattr(solver, "_warm_start", lambda spec, target, hi: hi.copy())
+        d_star = SeriesValue(np.array([d]), np.array([0.0]))
+        _, _, lo, hi, _, errors = solver._newton(stack_lanes([tb_m(1.0)]), d_star, SolverConfig())
+        assert not errors
+        assert Fraction(float(lo[0])) <= Fraction(d) / Fraction(s) <= Fraction(float(hi[0]))
+
+
+class TestWarmStart:
+    """The first iterate: Newton on the majorant's first 16 terms from the
+    bracket's right end."""
+
+    @staticmethod
+    def bracket_end(spec, cfg=SolverConfig()):
+        from harmbohr.solver import _BELOW_ONE
+
+        d = distance_bound(spec, tol=cfg.series_tol)
+        target = d.value + d.error_bound
+        return target, np.minimum(target, _BELOW_ONE)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0).map(wh_alpha),
+            st.builds(
+                lambda k, e: gh_k_alpha(k, 10.0**e),
+                st.integers(min_value=1, max_value=6),
+                st.floats(min_value=-3.0, max_value=3.0),
+            ),
+        )
+    )
+    def test_starts_right_of_the_root(self, spec):
+        # The start the solver takes, copied from inside solve_radius
+        # before the iteration moves it.
+        from harmbohr import solver
+
+        starts = []
+
+        def recorded(*args):
+            x = warm_start(*args)
+            starts.append(x.copy())
+            return x
+
+        warm_start = solver._warm_start
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_warm_start", recorded)
+            solve_radius(spec)
+        _, hi = self.bracket_end(spec)
+        (x,) = starts[0]
+        assert 0.0 < x <= hi
+        hx = h(spec, float(x))
+        assert hx.value >= -hx.error_bound
+
+    def test_memory_per_lane_is_below_one_majorant_pass(self):
+        import tracemalloc
+
+        from harmbohr.classes import sweep_lanes
+        from harmbohr.solver import _WARM_TERMS, _warm_start
+
+        lanes = 10**5
+        spec, _ = sweep_lanes(wh_alpha(0.5), "alpha", np.linspace(0.0, 1.0, lanes))
+        target, hi = self.bracket_end(spec)
+        tol = SolverConfig().series_tol
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                return f(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        x, warm = peak(lambda: _warm_start(spec, target, hi))
+        _, majorant = peak(lambda: FAMILIES[Family.WH_ALPHA].majorant(spec, x, tol))
+        # The coefficient rows, one temporary of their size while the rule
+        # computes them, and a few Horner temporaries: lane vectors all.
+        assert warm <= (2 * _WARM_TERMS + 8) * 8 * lanes
+        assert warm < majorant
 
 
 class TestJacobian:

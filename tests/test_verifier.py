@@ -411,7 +411,7 @@ class TestRunSuite:
         gt, tb = run_suite(only="closed-vs-bisection").results
         assert (gt.name, gt.passed) == ("closed-vs-bisection-gt-beta", False)
         assert (tb.name, tb.passed) == ("closed-vs-bisection-tb-m", True)
-        assert gt.detail == "max |closed - bisection| = 5.55e-17"
+        assert gt.detail == "max |closed - bisection| = 2.78e-17"
 
     @pytest.mark.parametrize("name", ["reduction-wh-to-ph", "reduction-gh-to-ph"])
     def test_reduction_fails_when_the_reduced_radius_moves(self, monkeypatch, name):
