@@ -12,7 +12,6 @@ once (``solve_radii``) and cross-checked by the oracles in
 from .classes import (
     PH_M_SUP,
     ClassSpec,
-    ExtremalFunction,
     Family,
     GrowthEnvelope,
     bohr_sum,
@@ -52,7 +51,6 @@ __all__ = [
     "ClassSpec",
     "ConvergenceError",
     "DomainError",
-    "ExtremalFunction",
     "Family",
     "GrowthEnvelope",
     "HarmBohrError",

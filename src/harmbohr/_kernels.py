@@ -1,4 +1,4 @@
-"""Circle-evaluation kernels for the verifier's oracles.
+"""The circle-evaluation kernel of the verifier's oracles.
 
 The boundary-distance oracle and the growth-envelope checks evaluate a
 truncated power series (up to 10^5 coefficients) on a uniform circle grid.
@@ -6,22 +6,16 @@ On the grid theta_k = 2*pi*k/M, the sum over j of a_j rho^j e^{i j theta_k}
 depends on j only modulo M, so the weighted coefficients fold into M bins
 and one length-M FFT evaluates every grid point (Cooley & Tukey, Math. Comp.
 19, 1965).  The grid must therefore be ``linspace(0, 2*pi, M, endpoint=False)``.
+A point the checks need, such as a touch point of a growth envelope, is
+read off a grid that contains it.
 
-Both kernels keep only the first J terms, those with max|a| * rho^j at or
+The kernel keeps only the first J terms, those with max|a| * rho^j at or
 above 2^-1022, the smallest normal double.  Every later term is zero or
 subnormal, under half an ulp of any sum above 2^-969, so dropping them
-leaves ``abs_on_circle`` bit for bit unchanged on the verifier's inputs.  It thus
-costs O(min(N, J) + M log M) for N coefficients, and ``eval_point``
-O(min(N, J)).  J is about 1022 / -log2(rho) for coefficients of order
-one: about 6,700 terms at rho = 0.9 and 1,000 at rho = 0.5.
-
-``eval_point`` builds the powers z^1..z^n by doubling,
-``w[k:k+s] = w[:s] * w[k-1]``: about log2(n) vector products instead of n
-complex pows.  z^1 is exact, and each z^j is one complex product of two
-earlier entries whose exponents add to j.  A complex product adds a
-relative error of at most sqrt(5) u (Brent, Percival & Zimmermann,
-Math. Comp. 76, 2007), so to first order z^j carries at most
-(j - 1) sqrt(5) u: the same O(j u) as the j |log z| u of an exp/log pow.
+leaves ``abs_on_circle`` bit for bit unchanged on the verifier's inputs.  It
+thus costs O(min(N, J) + M log M) for N coefficients.  J is about
+1022 / -log2(rho) for coefficients of order one: about 6,700 terms at
+rho = 0.9 and 1,000 at rho = 0.5.
 """
 
 from __future__ import annotations
@@ -75,20 +69,3 @@ def abs_on_circle(coeffs: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndar
     j = np.arange(1, n + 1)
     folded = np.bincount(j % m, weights=coeffs[:n] * float(rho) ** j, minlength=m)
     return np.abs(np.fft.ifft(folded) * m)
-
-
-def eval_point(coeffs: np.ndarray, z: complex) -> complex:
-    """sum_{j>=1} coeffs[j-1] * z^j at a single complex point."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    z = complex(z)
-    n = _live_terms(coeffs, abs(z))
-    if n == 0:
-        return 0j
-    w = np.empty(n, dtype=np.complex128)
-    w[0] = z
-    k = 1  # w[:k] holds z^1..z^k
-    while k < n:
-        s = min(k, n - k)
-        np.multiply(w[:s], w[k - 1], out=w[k : k + s])
-        k += s
-    return complex(np.dot(coeffs[:n], w))

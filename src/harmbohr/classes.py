@@ -519,23 +519,13 @@ def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnve
     return FAMILIES[spec.family].envelope(spec, r, tol)
 
 
-@dataclass(frozen=True)
-class ExtremalFunction:
-    """Truncated coefficients of the map attaining the family's bounds.
+def extremal_coefficients(spec: ClassSpec, truncation: int) -> np.ndarray:
+    """Coefficients a_1..a_N of the extremal map, N = ``truncation``.
 
-    ``analytic[j]`` is the coefficient of z^(j+1) (so analytic[0] = 1).
-    Every family's extremal here is analytic: its co-analytic part is zero.
-    """
-
-    analytic: np.ndarray
-    truncation: int
-
-
-def extremal_coefficients(spec: ClassSpec, truncation: int) -> ExtremalFunction:
-    """Coefficients a_1..a_N of the extremal map.
-
-    It is z + sum c_n z^n, except for gh-k-alpha, whose extremal carries
-    only the powers z^(jk+1).
+    Entry j is the coefficient of z^(j+1), so entry 0 is 1.  The map is
+    z + sum c_n z^n, except for gh-k-alpha, whose extremal carries only the
+    powers z^(jk+1).  Every family's extremal here is analytic: its
+    co-analytic part is zero.
     """
     validate(spec)
     if int(truncation) != truncation or truncation < 1:
@@ -550,4 +540,4 @@ def extremal_coefficients(spec: ClassSpec, truncation: int) -> ExtremalFunction:
     elif n_top >= 2:
         ns = np.arange(2, n_top + 1, dtype=np.float64)
         a[1:] = coefficient_rule(spec).terms(ns)
-    return ExtremalFunction(analytic=a, truncation=n_top)
+    return a

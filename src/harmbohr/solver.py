@@ -15,7 +15,8 @@ rounds left of the root only raises the bracket's left end; the
 certificate never depends on it, and ``iterations`` counts only the steps
 that evaluate B.  Each H(x) in [v - e, v + e] certifies a
 bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
-root <= x - (v - e)/H'(x) when v > e.  Steps that leave the bracket fall
+root <= x - (v - e)/H'(x) when v > e; each bracket end computed so moves
+one ulp outward for its own rounding.  Steps that leave the bracket fall
 back to the midpoint.  Every B can be evaluated wherever Newton goes: the
 closed forms and gh-k-alpha's Lerch sum on all of [0, 1), and wh-alpha's
 power series up to its root d* <= pi^2/6 - 1.  Each comes with its bound on
@@ -210,12 +211,14 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
         # puts the root left of the Newton step from x.  That step needs
         # H'(x) at most the slope, and a family's bound can round below H'
-        # by up to an ulp: 2 eps more covers it.
-        a_lo = np.where(v + e < 0.0, xa, np.maximum(lo[act], xa - (av + e)))
-        a_hi = np.minimum(hi[act], xa + (av + e))
-        a_hi = np.where(
-            v - e > 0.0, np.minimum(a_hi, xa - (v - e) / (slope * (1.0 + 2.0 * _EPS))), a_hi
+        # by up to an ulp: 2 eps more covers it.  Each end computed here is
+        # moved one ulp outward, for its own rounding.
+        a_lo = np.where(
+            v + e < 0.0, xa, np.maximum(lo[act], np.nextafter(xa - (av + e), -np.inf))
         )
+        a_hi = np.minimum(hi[act], np.nextafter(xa + (av + e), np.inf))
+        step_hi = np.nextafter(xa - (v - e) / (slope * (1.0 + 2.0 * _EPS)), np.inf)
+        a_hi = np.where(v - e > 0.0, np.minimum(a_hi, step_hi), a_hi)
         lo[act], hi[act] = a_lo, a_hi
 
         # Series noise: x lies inside the bracket and is the radius.

@@ -20,7 +20,6 @@ import numpy as np
 from . import _kernels
 from .classes import (
     ClassSpec,
-    ExtremalFunction,
     Family,
     bohr_sum,
     coefficient_rule,
@@ -137,14 +136,6 @@ class SuiteReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def evaluate_extremal(f: ExtremalFunction, z: complex) -> float:
-    """|f(z)| for a truncated extremal."""
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError(f"z must satisfy |z| < 1, got |z| = {abs(z)}")
-    return float(abs(_kernels.eval_point(f.analytic, z)))
-
-
 def _tail_bound(spec: ClassSpec, n: int, r: float) -> float:
     """c_{n+1} r^(n+1) / (1 - r): the majorant mass beyond index n at r."""
     return coefficient_rule(spec).term(n + 1) * r ** (n + 1) / (1.0 - r)
@@ -169,7 +160,7 @@ def distance_oracle(
         raise DomainError(f"n must be an integer >= {n0}, got {n!r}")
     ext = extremal_coefficients(spec, int(n))
     thetas = np.linspace(0.0, 2.0 * math.pi, int(grid), endpoint=False)
-    values = _kernels.abs_on_circle(ext.analytic, float(rho), thetas)
+    values = _kernels.abs_on_circle(ext, float(rho), thetas)
     idx = int(np.argmin(values))
     return OracleEstimate(
         value=float(values[idx]),
@@ -236,12 +227,6 @@ def _first_violation(
     return float(rs[bad[0]]) if bad.size else None
 
 
-def lower_touch_angle(spec: ClassSpec) -> float:
-    """Angle where the extremal attains the lower growth envelope."""
-    validate(spec)
-    return math.pi / (spec.k or 1)
-
-
 def envelope_check(
     spec: ClassSpec,
     samples: Iterable[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
@@ -251,10 +236,14 @@ def envelope_check(
 ) -> EnvelopeReport:
     """Check envelope containment and touch-point equality for the extremal.
 
-    At each sample radius the extremal is evaluated on a circle grid for
-    containment, at angle 0 for upper equality, and at the family's lower
-    touch angle for lower equality, all within tol plus the truncation
-    bound of the coefficient cutoff.
+    At each sample radius the extremal is evaluated once, on a circle grid
+    of 24 k points, where k is the gap of its powers (``start_index`` - 1:
+    1 for every family but gh-k-alpha).  Containment is checked over the
+    whole grid, upper equality at angle 0 (point 0) and lower equality at
+    pi/k (point 12), all within tol plus the truncation bound of the
+    coefficient cutoff.  A gap of ``truncation`` or more leaves the
+    truncated extremal z alone, with |f| = r at every angle, and a grid of
+    24 points.
     """
     cfg = config or SolverConfig()
     validate(spec)
@@ -262,17 +251,16 @@ def envelope_check(
     if any(not 0.0 < r < 1.0 for r in samples):
         raise DomainError("all samples must lie in (0, 1)")
     ext = extremal_coefficients(spec, truncation)
-    angle = lower_touch_angle(spec)
+    k = start_index(spec) - 1
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
     rows = []
     passed = True
     for r in samples:
         env = growth_envelope(spec, r, tol=cfg.series_tol)
         tail = _tail_bound(spec, truncation, r)
         slack = tol + tail + env.error_bound
-        at_upper = evaluate_extremal(ext, r)
-        at_lower = evaluate_extremal(ext, r * complex(math.cos(angle), math.sin(angle)))
-        thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-        values = _kernels.abs_on_circle(ext.analytic, r, thetas)
+        values = _kernels.abs_on_circle(ext, r, thetas)
+        at_upper, at_lower = float(values[0]), float(values[12])
         contained = bool(
             np.all(values >= env.lower - slack) and np.all(values <= env.upper + slack)
         )
@@ -384,7 +372,7 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
     slacks = []
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     for m in (0.5, 1.0, 1.5):
-        a = extremal_coefficients(tb_m(m), 2).analytic
+        a = extremal_coefficients(tb_m(m), 2)
         ns = np.arange(1, a.size + 1, dtype=np.float64)
         for r in (0.1, 0.3, 0.5):
             max_f = float(np.max(_kernels.abs_on_circle(a, r, thetas)))

@@ -1,4 +1,4 @@
-"""Tests for the circle-evaluation kernels."""
+"""Tests for the circle-evaluation kernel."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harmbohr import extremal_coefficients, gh_k_alpha, ph_alpha
-from harmbohr._kernels import abs_on_circle, eval_point
+from harmbohr._kernels import abs_on_circle
 from harmbohr.errors import DomainError
 
 COEFFS = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
@@ -27,13 +27,6 @@ def full_fold_abs(coeffs, rho, thetas):
     j = np.arange(1, coeffs.size + 1)
     folded = np.bincount(j % m, weights=coeffs * rho**j, minlength=m)
     return np.abs(np.fft.ifft(folded) * m)
-
-
-def horner_point(coeffs, z):
-    acc = 0j
-    for a in coeffs[::-1]:
-        acc = acc * z + a
-    return acc * z
 
 
 def horner_abs(coeffs, rho, thetas):
@@ -60,7 +53,7 @@ class TestAbsOnCircle:
 
     def test_oracle_size_matches_horner(self):
         # The size the distance oracle runs at: 10^5 terms, 720 points.
-        coeffs = extremal_coefficients(ph_alpha(0.3), 100_000).analytic
+        coeffs = extremal_coefficients(ph_alpha(0.3), 100_000)
         thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         got = abs_on_circle(coeffs, 0.999, thetas)
         expect = horner_abs(coeffs, 0.999, thetas)
@@ -74,7 +67,7 @@ class TestAbsOnCircle:
         # zero or subnormal and cannot move a bin holding normal terms.
         thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         for spec in (ph_alpha(0.3), gh_k_alpha(2, 1.0)):
-            coeffs = extremal_coefficients(spec, 10_000).analytic
+            coeffs = extremal_coefficients(spec, 10_000)
             got = abs_on_circle(coeffs, rho, thetas)
             assert np.array_equal(got, full_fold_abs(coeffs, rho, thetas))
 
@@ -90,7 +83,6 @@ class TestAbsOnCircle:
         coeffs[1_039] = 2.0**100
         out = abs_on_circle(coeffs, 0.5, THETAS)
         assert np.allclose(out, 2.0**-940, rtol=1e-12, atol=0.0)
-        assert eval_point(coeffs, 0.5) == 2.0**-940
 
     def test_smallest_normal_term_counts(self):
         # 0.5^1022 = 2^-1022 is the last term the cutoff must keep.
@@ -98,7 +90,6 @@ class TestAbsOnCircle:
         coeffs[1_021] = 1.0
         out = abs_on_circle(coeffs, 0.5, THETAS)
         assert np.allclose(out, 2.0**-1022, rtol=1e-12, atol=0.0)
-        assert eval_point(coeffs, 0.5) == 2.0**-1022
 
     def test_non_uniform_grid_rejected(self):
         for thetas in (
@@ -140,34 +131,3 @@ class TestAbsOnCircle:
     def test_empty_grid_gives_empty_result(self):
         out = abs_on_circle(COEFFS, 0.5, np.array([]))
         assert out.shape == (0,)
-
-
-class TestEvalPoint:
-    def test_matches_polyval(self):
-        z = 0.3 + 0.4j
-        # coeffs[j] multiplies z^(j+1): compare with numpy's polynomial eval.
-        full = np.concatenate(([0.0], COEFFS))  # constant term zero
-        expect = np.polyval(full[::-1], z)
-        assert eval_point(COEFFS, z) == pytest.approx(expect, abs=1e-15)
-
-    def test_zero_point(self):
-        assert eval_point(COEFFS, 0.0) == 0.0
-
-    def test_identity_series(self):
-        assert eval_point(np.array([1.0]), 0.5 + 0.25j) == 0.5 + 0.25j
-
-    @pytest.mark.parametrize("radius", [0.9, 0.99])
-    def test_long_series_matches_horner(self, radius):
-        # 10^4 terms: the doubling table of powers is used to its full depth.
-        rng = np.random.default_rng(2024)
-        coeffs = rng.uniform(-1.0, 1.0, size=10_000)
-        for angle in (0.0, 0.3, 1.0, math.pi / 2.0, 2.5, math.pi):
-            z = radius * complex(math.cos(angle), math.sin(angle))
-            assert abs(eval_point(coeffs, z) - horner_point(coeffs, z)) <= 1e-12
-
-    def test_powers_of_every_order(self):
-        # n = 1..9 covers every split of the last doubling step.
-        z = 0.6 - 0.7j
-        for n in range(1, 10):
-            expect = sum(z**j for j in range(1, n + 1))
-            assert eval_point(np.ones(n), z) == pytest.approx(expect, abs=1e-15)

@@ -1,12 +1,14 @@
 """The package's public surface: the names ``harmbohr`` exports, and the
 README's Python examples, which must run against them."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import harmbohr
+from harmbohr import _kernels
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,7 +18,7 @@ PUBLIC_NAMES = {
     "make_spec", "ClassSpec", "Family", "validate", "PH_M_SUP",
     # what a family knows
     "bohr_sum", "distance_bound", "growth_envelope", "extremal_coefficients",
-    "GrowthEnvelope", "ExtremalFunction", "SeriesValue",
+    "GrowthEnvelope", "SeriesValue",
     # the solver
     "Method", "RadiusResult", "SolverConfig", "solve_radius", "solve_radii",
     "closed_form_radius", "jacobian_radius",
@@ -26,10 +28,20 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_the_kept_names():
-    assert len(harmbohr.__all__) == len(PUBLIC_NAMES) == 29
+    assert len(harmbohr.__all__) == len(PUBLIC_NAMES) == 28
     assert set(harmbohr.__all__) == PUBLIC_NAMES
     for name in harmbohr.__all__:
         assert getattr(harmbohr, name) is not None
+
+
+def test_one_circle_evaluator():
+    # Every circle evaluation goes through the one FFT kernel.
+    public = {
+        name
+        for name, fn in inspect.getmembers(_kernels, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == _kernels.__name__
+    }
+    assert public == {"abs_on_circle"}
 
 
 def python_blocks() -> list[str]:
@@ -46,9 +58,9 @@ def test_readme_python_block_runs(index):
 
 
 def test_readme_lists_every_export_and_no_other():
-    # The bullet list under "exports 29 names" in the README's Library section.
+    # The bullet list under "exports 28 names" in the README's Library section.
     text = README.read_text()
-    start = text.index("`harmbohr` exports 29 names")
+    start = text.index("`harmbohr` exports 28 names")
     bullets = text[start:].split("\n\n")[1]
     listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets))
     assert listed == set(harmbohr.__all__)

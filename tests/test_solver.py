@@ -623,6 +623,53 @@ class TestSlopeAllowance:
         assert not errors
         assert Fraction(float(lo[0])) <= Fraction(d) / Fraction(s) <= Fraction(float(hi[0]))
 
+    def test_bracket_ends_hold_the_root_at_the_edge_of_the_error_model(self, monkeypatch):
+        # H(r) = S r - D exactly.  The majorant reports B as high as the
+        # solver's error model allows (the true H not below v - e, for the
+        # v and e the solver forms) and H' one ulp short; the first Newton
+        # step starts at x between the root and D.  Without the one-ulp
+        # widening of each computed end, the convexity bound rounds below
+        # the exact rational root in 4 of these 600 cases.
+        import dataclasses
+        from fractions import Fraction
+
+        from harmbohr import solver
+
+        rounding = solver._ROUNDING
+
+        def highest_tail(s, d, x):
+            true_h = Fraction(s) * Fraction(x) - Fraction(d)
+            t = (s - 1.0) * x + 2.0 * rounding * (abs(s * x - d) + 2.0 * d)
+            while True:
+                v = (x + t) - d
+                e = rounding * (abs(v) + 2.0 * d)
+                if Fraction(v) - Fraction(e) <= true_h:
+                    return t
+                t = np.nextafter(t, -np.inf)
+
+        rng = np.random.default_rng(7)
+        cfg = SolverConfig(prefer_closed_form=False)
+        outside = []
+        for _ in range(600):
+            s, d = rng.uniform(1.0, 8.0), rng.uniform(0.01, 0.9)
+            x0 = d / s * rng.uniform(1.0, s)
+
+            def majorant(spec, r, tol, s=s, d=d):
+                tail = np.array([highest_tail(s, d, float(x)) for x in r])
+                return SeriesValue(tail, np.zeros_like(r)), np.full_like(r, np.nextafter(s, 0.0))
+
+            def d_star(spec, tol, d=d):
+                return SeriesValue(np.full(np.shape(spec.m), d), np.zeros(np.shape(spec.m)))
+
+            tb = dataclasses.replace(FAMILIES[Family.TB_M], majorant=majorant, d_star=d_star)
+            monkeypatch.setitem(FAMILIES, Family.TB_M, tb)
+            monkeypatch.setattr(solver, "_warm_start", lambda spec, t, hi, x0=x0: np.minimum(x0, hi))
+            res = solve_radius(tb_m(1.0), cfg)
+            root = Fraction(d) / Fraction(s)
+            if not Fraction(res.bracket_lo) <= root <= Fraction(res.bracket_hi):
+                outside.append((s, d, x0))
+        assert outside == []
+
 
 class TestWarmStart:
     """The first iterate: Newton on the majorant's first 16 terms from the

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harmbohr._kernels import abs_on_circle
 from harmbohr.classes import (
     FAMILIES,
     Family,
@@ -35,52 +36,48 @@ from harmbohr.verifier import (
     _tail_bound,
     distance_oracle,
     envelope_check,
-    evaluate_extremal,
-    lower_touch_angle,
     run_suite,
     sharpness_check,
 )
 
 
 class TestEvaluateExtremal:
+    """The truncated extremal on circles, through the one circle kernel."""
+
+    THETAS = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+
     def test_origin_is_zero(self):
         ext = extremal_coefficients(ph_alpha(0.0), 100)
-        assert evaluate_extremal(ext, 0.0) == 0.0
+        assert not abs_on_circle(ext, 0.0, self.THETAS).any()
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
     def test_ph_alpha_along_positive_axis(self, r):
-        # On the positive axis the extremal value is r + 2 * log-tail(r),
+        # Point 0 is z = r, where the extremal value is r + 2 * log-tail(r),
         # up to the truncation tail.
         spec = ph_alpha(0.0)
         n = 2000
-        ext = extremal_coefficients(spec, n)
+        at_zero = abs_on_circle(extremal_coefficients(spec, n), r, self.THETAS)[0]
         expect = r + 2.0 * log_tail(r)
         slack = _tail_bound(spec, n, r) + 1e-13
-        assert abs(evaluate_extremal(ext, r) - expect) <= slack
+        assert abs(at_zero - expect) <= slack
 
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
     def test_ph_alpha_along_negative_axis(self, r):
+        # Point 12 of the 24 is z = -r.
         spec = ph_alpha(0.0)
         n = 2000
-        ext = extremal_coefficients(spec, n)
+        at_pi = abs_on_circle(extremal_coefficients(spec, n), r, self.THETAS)[12]
         expect = abs(r + 2.0 * alt_log_tail(r))  # |f(-r)| = |2 ln(1+r) - r|
         slack = _tail_bound(spec, n, r) + 1e-13
-        assert abs(evaluate_extremal(ext, -r) - expect) <= slack
+        assert abs(at_pi - expect) <= slack
 
     def test_doubling_truncation_within_tail_bound(self):
         spec = wh_alpha(0.5)
         r = 0.9
         for n in (50, 100, 200):
-            a = evaluate_extremal(extremal_coefficients(spec, n), r)
-            b = evaluate_extremal(extremal_coefficients(spec, 2 * n), r)
-            assert abs(a - b) <= _tail_bound(spec, n, r)
-
-    def test_unit_disc_boundary_rejected(self):
-        ext = extremal_coefficients(ph_alpha(0.0), 10)
-        with pytest.raises(DomainError):
-            evaluate_extremal(ext, 1.0)
-        with pytest.raises(DomainError):
-            evaluate_extremal(ext, 0.8 + 0.7j)
+            a = abs_on_circle(extremal_coefficients(spec, n), r, self.THETAS)
+            b = abs_on_circle(extremal_coefficients(spec, 2 * n), r, self.THETAS)
+            assert np.max(np.abs(a - b)) <= _tail_bound(spec, n, r)
 
 
 class TestDistanceOracle:
@@ -244,12 +241,33 @@ class TestEnvelopeCheck:
         report = envelope_check(ph_m(1.0), samples=(0.9,), truncation=10_000, tol=1e-6)
         assert report.passed
 
-    def test_lacunary_touch_at_rotated_angle(self):
-        assert lower_touch_angle(gh_k_alpha(2, 1.0)) == pytest.approx(math.pi / 2, abs=0.0)
-        assert lower_touch_angle(gh_k_alpha(4, 0.5)) == pytest.approx(math.pi / 4, abs=0.0)
-        assert lower_touch_angle(ph_alpha(0.0)) == math.pi
-        report = envelope_check(gh_k_alpha(2, 1.0), samples=(0.3, 0.7), truncation=10_000)
-        assert report.passed
+    def test_lacunary_touch_at_rotated_angle(self, monkeypatch):
+        # The lower envelope is attained at angle pi/k: point 12 of the one
+        # 24 k-point grid, the upper one at point 0.  A gap beyond the
+        # truncation leaves z alone, |f| = r everywhere, on 24 points.
+        from harmbohr import _kernels
+
+        grids = []
+
+        def recorded(coeffs, rho, thetas):
+            grids.append(thetas.size)
+            return abs_on_circle(coeffs, rho, thetas)
+
+        monkeypatch.setattr(_kernels, "abs_on_circle", recorded)
+        for spec, points in (
+            (ph_alpha(0.0), 24),
+            (gh_k_alpha(2, 1.0), 48),
+            (gh_k_alpha(4, 0.5), 96),
+            (gh_k_alpha(5, 1.0), 120),
+            (gh_k_alpha(10**17, 1.0), 24),
+        ):
+            grids.clear()
+            report = envelope_check(spec, samples=(0.3, 0.7), truncation=10_000)
+            assert report.passed
+            assert grids == [points, points]
+            for row in report.rows:
+                assert row.at_lower_point == pytest.approx(row.lower, abs=1e-8)
+                assert row.at_upper_point == pytest.approx(row.upper, abs=1e-8)
 
     def test_bad_sample_rejected(self):
         with pytest.raises(DomainError):
@@ -458,9 +476,8 @@ class TestRunSuite:
 
         def short_extremal(spec, truncation):
             ext = extremal_coefficients(spec, truncation)
-            analytic = ext.analytic.copy()
-            analytic[1] = spec.m / 3.0
-            return dataclasses.replace(ext, analytic=analytic)
+            ext[1] = spec.m / 3.0
+            return ext
 
         monkeypatch.setattr(verifier, "extremal_coefficients", short_extremal)
         (result,) = run_suite(only="jacobian-majorant-deficit-tb-m").results
@@ -535,6 +552,25 @@ class TestRunSuite:
         monkeypatch.setattr(verifier, "distance_bound", falling)
         (result,) = run_suite(only=name).results
         assert (result.name, result.passed, result.detail) == (name, False, detail)
+
+    @pytest.mark.parametrize("side,shift", [("lower", 1e-6), ("upper", -1e-6)])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_envelope_fails_when_a_side_moves_inward(self, monkeypatch, family, side, shift):
+        # Each side is attained by the extremal, so moving it inward by
+        # 1e-6, far beyond the check's 1e-8, leaves a touch point outside.
+        from harmbohr import verifier
+
+        name = f"envelope-{family.value}"
+        (result,) = run_suite(only=name).results
+        assert result.passed
+
+        def moved(spec, r, tol=1e-12):
+            env = growth_envelope(spec, r, tol=tol)
+            return dataclasses.replace(env, **{side: getattr(env, side) + shift})
+
+        monkeypatch.setattr(verifier, "growth_envelope", moved)
+        (result,) = run_suite(only=name).results
+        assert not result.passed
 
 
 class TestWorstCaseFoldsFailOnNaN:
