@@ -117,7 +117,9 @@ class FamilyDef:
     ``majorant(spec, r, tol)`` the pair (B(r) - r as a SeriesValue, an upper
     bound on B'(r)) from one evaluation, ``envelope(spec, r, tol)`` the
     growth envelope and ``radius(spec)`` the closed-form radius (None:
-    solved).  ``tol`` bounds the error of the summed series.
+    solved).  ``r`` is an array (0-d for one radius), and each entry of a
+    result is computed from its own r and lane alone.  ``tol`` bounds the
+    error of the summed series.
     """
 
     params: tuple[str, ...]
@@ -131,18 +133,27 @@ class FamilyDef:
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
-    """Sharp bounds on |f(z)| over |z| = r: lower <= |f| <= upper."""
+    """Sharp bounds on |f(z)| over |z| = r: lower <= |f| <= upper.
+
+    Floats for one r; for many, arrays of one shape with an entry per r,
+    each checked on its own.
+    """
 
     lower: float
     upper: float
     error_bound: float = 0.0
 
     def __post_init__(self):
+        fields = np.broadcast_arrays(self.lower, self.upper, self.error_bound)
+        for name, value in zip(("lower", "upper", "error_bound"), fields):
+            value = float(value) if value.ndim == 0 else np.array(value, dtype=np.float64)
+            object.__setattr__(self, name, value)
         slack = self.error_bound + 1e-15
-        if not (-slack <= self.lower <= self.upper + 2.0 * slack):
-            raise DomainError(
-                f"envelope must satisfy 0 <= lower <= upper, got ({self.lower}, {self.upper})"
-            )
+        ok = (-slack <= self.lower) & (self.lower <= self.upper + 2.0 * slack)
+        if not (ok if isinstance(ok, bool) else ok.all()):
+            i = np.argmin(np.reshape(ok, -1))
+            lower, upper = (float(np.reshape(v, -1)[i]) for v in (self.lower, self.upper))
+            raise DomainError(f"envelope must satisfy 0 <= lower <= upper, got ({lower}, {upper})")
 
 
 def _is_count(k) -> bool:
@@ -200,14 +211,14 @@ def _gh_majorant(spec: ClassSpec, r, tol: float):
     return tail, np.where(tiny, loose, 1.0 + 2.0 * r**k * upper)
 
 
-def _gt_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+def _gt_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
     b = spec.beta
     lower = b * r + (1.0 - b) * r * (1.0 - r) / (1.0 + r)
     upper = b * r + (1.0 - b) * r * (1.0 + r) / (1.0 - r)
     return GrowthEnvelope(lower, upper)
 
 
-def _wh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+def _wh_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
     # |f(r)| = r + sum c_n r^n and |f(-r)| = r + sum c_n (-1)^(n-1) r^n.
     rule = coefficient_rule(spec)
     plus = sum_power_series(rule, r, tol=0.5 * tol)[0]
@@ -222,7 +233,7 @@ def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
     return CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
 
 
-def _gh_envelope(spec: ClassSpec, r: float, tol: float) -> GrowthEnvelope:
+def _gh_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
     # With y = r^k the extremal is r (1 + sum_j 2 (+-y)^j / (1 + j k alpha)):
     # the + side is 2 y times the Lerch sum of B, the - side alternates.
     y = r**spec.k
@@ -373,6 +384,8 @@ def stack_lanes(specs) -> ClassSpec:
     entry (a lane) per given spec.  It is validated lane by lane.
     """
     specs = list(specs)
+    if not specs:
+        raise DomainError("lanes need at least one spec, got 0 specs")
     first = specs[0]
     if any(s.family is not first.family or s.k != first.k for s in specs):
         raise DomainError("lanes must share one family and one k")
@@ -410,6 +423,11 @@ def _broadcast(spec: ClassSpec, r) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     for lanes in (spec.alpha, spec.beta, spec.m):
         if isinstance(lanes, np.ndarray) and r.shape != lanes.shape:
+            if r.ndim:
+                raise DomainError(
+                    "r must be one radius or one per lane, "
+                    f"got {r.size} radii for {lanes.size} lanes"
+                )
             return np.broadcast_to(r, lanes.shape)
     return r
 
@@ -505,17 +523,19 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     return lane_value(r + tail.value, tail.error_bound)
 
 
-def growth_envelope(spec: ClassSpec, r: float, tol: float = 1e-12) -> GrowthEnvelope:
+def growth_envelope(spec: ClassSpec, r, tol: float = 1e-12) -> GrowthEnvelope:
     """Sharp lower/upper bounds on |f(z)| at |z| = r for the family.
 
+    ``r`` is a float, giving floats, or an array, as for ``bohr_sum``,
+    giving arrays: each entry is bit for bit its own float call.
     ``error_bound`` bounds the error of the summed series.  ``tol`` bounds
     each power series and alternating sum; gh-k-alpha's upper side is a
     Lerch sum, as its B is, and carries that sum's own bound, which can
     exceed ``tol`` for alpha near 0 and r near 1.
     """
     validate(spec)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must satisfy 0 <= r < 1, got {r}")
+    r = _broadcast(spec, r)
+    require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     return FAMILIES[spec.family].envelope(spec, r, tol)
 
 

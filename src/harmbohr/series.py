@@ -266,14 +266,14 @@ def log_tail(r):
     return (-np.log1p(-r) - r)[()]
 
 
-def alt_log_tail(r: float) -> float:
-    """sum_{n>=2} (-1)^(n-1) r^n / n = ln(1+r) - r for 0 <= r <= 1.
+def alt_log_tail(r):
+    """sum_{n>=2} (-1)^(n-1) r^n / n = ln(1+r) - r for 0 <= r <= 1, elementwise on arrays.
 
     Converges at r = 1 (value ln 2 - 1) by the alternating series test.
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"argument must satisfy 0 <= r <= 1, got {r}")
-    return math.log1p(r) - r
+    r = np.asarray(r, dtype=np.float64)
+    require((0.0 <= r) & (r <= 1.0), r, "argument must satisfy 0 <= r <= 1")
+    return (np.log1p(r) - r)[()]
 
 
 def nn1_tail(r):
@@ -287,11 +287,12 @@ def nn1_tail(r):
     return np.where(r < 1.0, inside + (1.0 - inside) * np.log1p(-inside), 1.0)[()]
 
 
-def alt_nn1_tail(r: float) -> float:
-    """sum_{n>=2} (-1)^(n-1) r^n / (n(n-1)) = r - (1+r) ln(1+r) for 0 <= r <= 1."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"argument must satisfy 0 <= r <= 1, got {r}")
-    return r - (1.0 + r) * math.log1p(r)
+def alt_nn1_tail(r):
+    """sum_{n>=2} (-1)^(n-1) r^n / (n(n-1)) = r - (1+r) ln(1+r) for 0 <= r <= 1,
+    elementwise on arrays."""
+    r = np.asarray(r, dtype=np.float64)
+    require((0.0 <= r) & (r <= 1.0), r, "argument must satisfy 0 <= r <= 1")
+    return (r - (1.0 + r) * np.log1p(r))[()]
 
 
 def _scaled_e1(z):

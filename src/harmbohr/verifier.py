@@ -6,6 +6,13 @@ by circle minima, sharpness is checked by recomputing both sides of the
 defining equation, and the named check suite behind ``harmbohr verify``
 cross-validates closed forms, series engines, and reductions between
 families against each other.
+
+The checks hand whole grids to the series engines as lane calls: all the
+sample radii of a spec in one ``growth_envelope`` or ``bohr_sum`` call, and
+specs of one family and k stacked into one lane spec (``stack_lanes``).
+Each lane comes out bit for bit as its own call would, so batching changes
+no verdict or detail; circle values stay one ``abs_on_circle`` call per
+radius.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .classes import (
     gt_beta,
     ph_alpha,
     ph_m,
+    stack_lanes,
     start_index,
     tb_m,
     validate,
@@ -136,8 +144,9 @@ class SuiteReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _tail_bound(spec: ClassSpec, n: int, r: float) -> float:
-    """c_{n+1} r^(n+1) / (1 - r): the majorant mass beyond index n at r."""
+def _tail_bound(spec: ClassSpec, n: int, r):
+    """c_{n+1} r^(n+1) / (1 - r): the majorant mass beyond index n at r, for
+    a float r or elementwise over an array of them."""
     return coefficient_rule(spec).term(n + 1) * r ** (n + 1) / (1.0 - r)
 
 
@@ -181,31 +190,37 @@ def sharpness_check(
 def _sharpness_reports(
     specs: list[ClassSpec], tol: float, cfg: SolverConfig
 ) -> list[SharpnessReport]:
-    """``sharpness_check`` of each spec, with one batched solve for all of them."""
-    reports = []
-    for spec, result in zip(specs, solve_radii(specs, cfg)):
-        b = bohr_sum(spec, result.radius, tol=cfg.series_tol)
-        d = result.d_star
-        gap = b.value - d.value
-        slack = b.error_bound + d.error_bound
-        step_out = 1e-6
-        if result.radius + step_out < 1.0:
-            beyond = bohr_sum(spec, result.radius + step_out, tol=cfg.series_tol)
-            violation_gap = beyond.value - d.value
-        else:  # pragma: no cover - radii stay well inside (0, 1)
-            violation_gap = float("inf")
-        passed = abs(gap) <= tol + slack and violation_gap > 0.0
-        reports.append(
-            SharpnessReport(
-                spec=spec,
-                passed=passed,
-                radius=result.radius,
-                bohr_at_radius=b.value,
+    """``sharpness_check`` of each spec, with one batched solve for all of
+    them and one B evaluation per family and k, at every r_f and one step
+    beyond it."""
+    specs = list(specs)
+    results = solve_radii(specs, cfg)
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.family, spec.k), []).append(i)
+    reports: list = [None] * len(specs)
+    step_out = 1e-6
+    for idx in groups.values():
+        radii = np.array([results[i].radius for i in idx])
+        # Radii stay well inside (0, 1); a step past 1 would count as violated.
+        inside = radii + step_out < 1.0
+        rs = np.concatenate([radii, np.where(inside, radii + step_out, 0.0)])
+        b = bohr_sum(stack_lanes([specs[i] for i in idx] * 2), rs, tol=cfg.series_tol)
+        for j, i in enumerate(idx):
+            d = results[i].d_star
+            value, beyond = float(b.value[j]), float(b.value[len(idx) + j])
+            gap = value - d.value
+            slack = float(b.error_bound[j]) + d.error_bound
+            violation_gap = beyond - d.value if inside[j] else float("inf")
+            reports[i] = SharpnessReport(
+                spec=specs[i],
+                passed=abs(gap) <= tol + slack and violation_gap > 0.0,
+                radius=results[i].radius,
+                bohr_at_radius=value,
                 d_star=d.value,
                 gap=gap,
                 violation_gap=violation_gap,
             )
-        )
     return reports
 
 
@@ -236,6 +251,7 @@ def envelope_check(
 ) -> EnvelopeReport:
     """Check envelope containment and touch-point equality for the extremal.
 
+    Both envelopes at every sample come from one ``growth_envelope`` call.
     At each sample radius the extremal is evaluated once, on a circle grid
     of 24 k points, where k is the gap of its powers (``start_index`` - 1:
     1 for every family but gh-k-alpha).  Containment is checked over the
@@ -253,24 +269,19 @@ def envelope_check(
     ext = extremal_coefficients(spec, truncation)
     k = start_index(spec) - 1
     thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
+    # Both envelopes and the truncation bound at every sample at once.
+    rs = np.array(samples)
+    env = growth_envelope(spec, rs, tol=cfg.series_tol)
+    slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
     rows = []
     passed = True
-    for r in samples:
-        env = growth_envelope(spec, r, tol=cfg.series_tol)
-        tail = _tail_bound(spec, truncation, r)
-        slack = tol + tail + env.error_bound
+    for r, lower, upper, slack in zip(samples, env.lower.tolist(), env.upper.tolist(), slacks):
         values = _kernels.abs_on_circle(ext, r, thetas)
         at_upper, at_lower = float(values[0]), float(values[12])
-        contained = bool(
-            np.all(values >= env.lower - slack) and np.all(values <= env.upper + slack)
-        )
-        ok = (
-            contained
-            and abs(at_upper - env.upper) <= slack
-            and abs(at_lower - env.lower) <= slack
-        )
+        contained = bool(np.all(values >= lower - slack) and np.all(values <= upper + slack))
+        ok = contained and abs(at_upper - upper) <= slack and abs(at_lower - lower) <= slack
         passed = passed and ok
-        rows.append(EnvelopeRow(r, env.lower, env.upper, at_lower, at_upper, contained))
+        rows.append(EnvelopeRow(r, lower, upper, at_lower, at_upper, contained))
     return EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows))
 
 
@@ -461,13 +472,12 @@ def _make_h_monotone_check(fam: Family):
 
     return check
 
-def _h_signs(spec: ClassSpec, rs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _h_signs(spec: ClassSpec, rs: np.ndarray, d, cfg: SolverConfig) -> np.ndarray:
     """The sign of H = B - d* on a grid of r, 0 where |H| is within its
-    error bound."""
+    error bound; ``d`` is the spec's d*."""
     # B(r) >= r makes H(r) >= r - d*: a free positivity certificate that
     # also avoids series evaluation close to r = 1 where truncation budgets
     # would blow up.
-    d = distance_bound(spec, tol=cfg.series_tol)
     signs = np.ones_like(rs)
     near = ~(rs - d.value > d.error_bound + 1e-12)
     b = bohr_sum(spec, rs[near], tol=cfg.series_tol)
@@ -481,12 +491,13 @@ def _make_sign_change_check(fam: Family):
         ok = True
         counts = []
         for spec in _rep_specs(fam):
-            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), cfg)
+            d = distance_bound(spec, tol=cfg.series_tol)
+            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), d, cfg)
             nonzero = signs[signs != 0.0]
             changes = int(np.count_nonzero(np.diff(nonzero)))
             counts.append(changes)
             # Degenerate parameters sit at the root from the start.
-            expected = 0 if distance_bound(spec).value == 0.0 else 1
+            expected = 0 if d.value == 0.0 else 1
             ok = ok and changes == expected
         return ok, f"sign changes per spec: {counts}"
 
@@ -504,14 +515,15 @@ def _make_generic_sum_check(fam: Family):
         # the tail bound certifies the cut-off.  The target is 1e-12, and
         # B's own series is summed to half that.
         gaps, tails = [], []
+        rs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         for spec in _rep_specs(fam):
             rule = coefficient_rule(spec)
             ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
             c = rule.terms(ns)
-            for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-                direct = r + float(c @ r**ns)
-                gaps.append(abs(bohr_sum(spec, r, tol=5e-13).value - direct))
-                tails.append(_tail_bound(spec, int(ns[-1]), r))
+            b = bohr_sum(spec, rs, tol=5e-13)
+            for r, b_r in zip(rs.tolist(), b.value.tolist()):
+                gaps.append(abs(b_r - (r + float(c @ r**ns))))
+            tails.append(_tail_bound(spec, int(ns[-1]), rs))
         worst, tail = float(np.max(gaps)), float(np.max(tails))
         ok = worst <= 1e-12 and tail <= 1e-15
         return ok, f"max |B - direct sum| = {worst:.2e} (tail <= {tail:.1e})"
@@ -588,8 +600,8 @@ def _check_g_alt_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
     # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha).
     ok = True
     for k in (1, 2, 3):
-        specs = [gh_k_alpha(k, a) for a in (0.5, 1.0, 2.0, 4.0)]
-        values = [distance_bound(s, tol=cfg.series_tol).value - 1.0 for s in specs]
+        lanes = stack_lanes(gh_k_alpha(k, a) for a in (0.5, 1.0, 2.0, 4.0))
+        values = (distance_bound(lanes, tol=cfg.series_tol).value - 1.0).tolist()
         ok = ok and all(b > a for a, b in zip(values, values[1:])) and values[-1] < 0.0
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 
@@ -703,5 +715,6 @@ def run_suite(
             passed, detail = fn(cfg)
         except HarmBohrError as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, perf_counter() - t0))
+        # A numpy bool would not print through json.
+        results.append(CheckResult(name, bool(passed), detail, perf_counter() - t0))
     return SuiteReport(tuple(results))

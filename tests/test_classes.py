@@ -513,6 +513,43 @@ class TestGrowthEnvelope:
         with pytest.raises(DomainError):
             GrowthEnvelope(lower=-0.1, upper=0.4)
 
+    def test_envelope_dataclass_checks_every_lane(self):
+        env = GrowthEnvelope(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert env.error_bound.tolist() == [0.0, 0.0]
+        with pytest.raises(DomainError, match=r"got \(0\.5, 0\.4\)"):
+            GrowthEnvelope(np.array([0.1, 0.5]), np.array([0.3, 0.4]))
+        with pytest.raises(DomainError, match=r"got \(nan, 0\.4\)"):
+            GrowthEnvelope(np.array([0.1, np.nan]), np.array([0.3, 0.4]))
+
+    SIX = [ph_alpha(0.3), gt_beta(0.2), wh_alpha(0.5), gh_k_alpha(2, 1.0), tb_m(1.0), ph_m(0.7)]
+
+    @pytest.mark.parametrize("spec", SIX, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("r", [0.3, np.float64(0.3), 0.999])
+    def test_float_r_gives_floats(self, spec, r):
+        env = growth_envelope(spec, r)
+        assert [type(v) for v in (env.lower, env.upper, env.error_bound)] == [float] * 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        SIX + [wh_alpha(0.0), wh_alpha(1.0), gh_k_alpha(1, 0.5), gh_k_alpha(3, 2.0)],
+        ids=lambda s: f"{s.family.value}-{s.k}-{s.params()}",
+    )
+    def test_array_r_is_each_float_call(self, spec):
+        # Bit for bit: every side and bound of the array call is the float
+        # call at that r.
+        rs = np.array([0.0, 1e-200, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999])
+        env = growth_envelope(spec, rs)
+        assert env.lower.shape == env.upper.shape == env.error_bound.shape == rs.shape
+        for i, r in enumerate(rs.tolist()):
+            one = growth_envelope(spec, r)
+            assert (env.lower[i], env.upper[i], env.error_bound[i]) == (
+                one.lower, one.upper, one.error_bound
+            )
+
+    def test_array_r_domain_error_names_the_first_bad_radius(self):
+        with pytest.raises(DomainError, match="got 1.0"):
+            growth_envelope(ph_alpha(0.3), np.array([0.5, 1.0, -0.1]))
+
     def test_domain_rejected(self):
         with pytest.raises(DomainError):
             growth_envelope(tb_m(1.0), 1.0)
@@ -647,6 +684,40 @@ class TestLanes:
             stack_lanes([gh_k_alpha(1, 1.0), gh_k_alpha(2, 1.0)])
         with pytest.raises(DomainError):
             stack_lanes([ph_alpha(0.1), wh_alpha(0.1)])
+
+    def test_no_lanes_rejected(self):
+        with pytest.raises(DomainError, match="got 0 specs"):
+            stack_lanes([])
+
+    @pytest.mark.parametrize("evaluate", [bohr_sum, growth_envelope])
+    def test_one_radius_per_lane_or_one_for_all(self, evaluate):
+        lanes = stack_lanes(wh_alpha(a) for a in (0.0, 0.5, 1.0))
+        with pytest.raises(DomainError, match="got 2 radii for 3 lanes"):
+            evaluate(lanes, np.array([0.1, 0.2]))
+        evaluate(lanes, 0.1)
+
+    @pytest.mark.parametrize("specs", GRIDS)
+    def test_lane_envelopes_are_their_points(self, specs):
+        rs = np.array([0.0, 0.5, 0.9])
+        env = growth_envelope(stack_lanes(specs), rs)
+        for i, spec in enumerate(specs):
+            one = growth_envelope(spec, rs[i])
+            assert (env.lower[i], env.upper[i], env.error_bound[i]) == (
+                one.lower, one.upper, one.error_bound
+            )
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_doubled_lane_spec_is_each_spec(self, family):
+        # The sharpness checks stack each grid twice, at r and one step
+        # beyond: every lane is the one-spec call bit for bit.
+        from harmbohr.verifier import STANDARD_GRIDS
+
+        specs = [s for s in STANDARD_GRIDS[family] if s.k in (None, 2)]
+        rs = np.linspace(0.05, 0.6, len(specs))
+        rs = np.concatenate([rs, rs + 1e-6])
+        b = bohr_sum(stack_lanes(specs * 2), rs, tol=1e-13)
+        for i, (spec, r) in enumerate(zip(specs * 2, rs.tolist())):
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, r, tol=1e-13)
 
 
 class TestDistanceAccuracy:

@@ -375,6 +375,21 @@ class TestVerifyCommand:
         assert err == "failing checks: jacobian-half-identity-tb-m\n"
 
 
+    def test_json_prints_a_numpy_verdict(self, capsys, monkeypatch):
+        # A check may compute its verdict in numpy; the record still
+        # prints a JSON boolean.
+        import numpy as np
+
+        from harmbohr import verifier
+
+        check = ("numpy-verdict", tuple(verifier.Family), lambda cfg: (np.bool_(True), "ok"))
+        monkeypatch.setattr(verifier, "_build_registry", lambda: [check])
+        rc, out, err = run_cli(capsys, "verify", "--json")
+        assert rc == 0 and err == ""
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["passed"] is True
+
+
 class TestEnvironmentOverrides:
     def test_tol_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("BOHR_TOL", "1e-6")

@@ -255,6 +255,21 @@ class TestClosedFormTails:
         with pytest.raises(DomainError):
             log_tail(-0.2)
 
+    @pytest.mark.parametrize("fn", [alt_log_tail, alt_nn1_tail])
+    def test_alternating_tails_are_elementwise(self, fn):
+        # Each entry is the scalar call bit for bit, 0 and 1 included.
+        rs = np.concatenate([[0.0, 5e-324, 1e-200, 1.0], np.linspace(0.0, 1.0, 1001)])
+        values = fn(rs)
+        assert values.shape == rs.shape
+        assert values.tolist() == [fn(r) for r in rs.tolist()]
+
+    @pytest.mark.parametrize("fn", [alt_log_tail, alt_nn1_tail])
+    def test_alternating_tails_name_the_first_bad_lane(self, fn):
+        with pytest.raises(DomainError, match="got 1.5"):
+            fn(np.array([0.5, 1.5, -0.5]))
+        with pytest.raises(DomainError, match="got nan"):
+            fn(np.array([0.5, np.nan]))
+
     def test_unit_argument_allowed_only_where_finite(self):
         # The three tails that converge at r=1 accept it; beyond is rejected.
         for fn in (alt_log_tail, nn1_tail, alt_nn1_tail):

@@ -538,6 +538,8 @@ class TestRunSuite:
     def test_g_alt_monotonicity_fails_when_d_star_stops_increasing(self, monkeypatch):
         # gh-k-alpha's d* is increasing in alpha; a d* that falls at
         # alpha = 4 must fail the check, under the same name and detail.
+        # The check reads each k's four alphas as one lane spec, so only
+        # the alpha = 4 lane is lowered.
         from harmbohr import verifier
 
         name = "g-alt-alpha-monotonicity"
@@ -547,7 +549,7 @@ class TestRunSuite:
 
         def falling(spec, tol=1e-12):
             d = distance_bound(spec, tol=tol)
-            return dataclasses.replace(d, value=d.value - 0.5) if spec.alpha == 4.0 else d
+            return dataclasses.replace(d, value=np.where(spec.alpha == 4.0, d.value - 0.5, d.value))
 
         monkeypatch.setattr(verifier, "distance_bound", falling)
         (result,) = run_suite(only=name).results
@@ -571,6 +573,42 @@ class TestRunSuite:
         monkeypatch.setattr(verifier, "growth_envelope", moved)
         (result,) = run_suite(only=name).results
         assert not result.passed
+
+
+class TestLaneCallsPerSuite:
+    """verify hands each check's radii and spec groups to the engines in
+    lane calls: one full suite makes a fixed, small number of engine calls,
+    so a per-point loop that comes back shows here."""
+
+    def test_engine_calls_of_one_full_suite(self, monkeypatch):
+        from harmbohr import classes, verifier
+
+        counts = dict.fromkeys(
+            ("growth_envelope", "bohr_sum", "lerch_sum", "sum_power_series", "alt_constant"), 0
+        )
+
+        def counted(module, name):
+            engine = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return engine(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("growth_envelope", "bohr_sum"):
+            counted(verifier, name)
+        for name in ("lerch_sum", "sum_power_series", "alt_constant"):
+            counted(classes, name)
+        counted(verifier, "alt_constant")
+        report = run_suite()
+        assert len(report.results) == 51 and report.passed
+        # Six envelope checks of three specs each, plus six floor checks.
+        assert counts["growth_envelope"] == 24
+        assert counts["bohr_sum"] <= 80
+        assert counts["lerch_sum"] <= 39
+        assert counts["sum_power_series"] <= 25
+        assert counts["alt_constant"] <= 46
 
 
 class TestWorstCaseFoldsFailOnNaN:
