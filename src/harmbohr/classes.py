@@ -52,6 +52,7 @@ from .series import (
     alt_nn1_tail,
     as_param,
     capped_product,
+    fields_equal,
     lane_value,
     lerch_sum,
     log_tail,
@@ -142,6 +143,8 @@ class GrowthEnvelope:
     lower: float
     upper: float
     error_bound: float = 0.0
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         fields = np.broadcast_arrays(self.lower, self.upper, self.error_bound)

@@ -10,6 +10,7 @@ class or parameters, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -342,10 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused by every later one: the
+# tree is the same on every call, and argparse formats help, usage and
+# errors only when asked, through the streams and terminal of that call.
+# build_parser() still returns a new parser to any other caller.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line; every call parses its own argv into a fresh
+    namespace and reads ``BOHR_TOL`` anew."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -27,7 +27,7 @@ uncertainty instead of guessing at it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -70,6 +70,21 @@ _E1_SERIES_N = np.arange(1.0, 21.0)
 _E1_SERIES = (-1.0) ** (_E1_SERIES_N + 1) / (_E1_SERIES_N * np.cumprod(_E1_SERIES_N))
 
 
+def fields_equal(self, other) -> bool:
+    """``==`` for a frozen result whose fields are floats or lane arrays:
+    field by field, a float as the generated ``==`` compares it, an array
+    by shape and every entry (``np.array_equal``, so NaN is unequal)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        np.array_equal(a, b)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+        else a is b or a == b
+        for a, b in pairs
+    )
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """A numeric value with a rigorous absolute error bound, or arrays of
@@ -77,6 +92,10 @@ class SeriesValue:
 
     value: float
     error_bound: float
+
+    # The generated == would ask numpy for the truth of an array.  Floats
+    # still hash as the tuple of fields; arrays do not hash.
+    __eq__ = fields_equal
 
     def __post_init__(self):
         ok = self.error_bound >= 0.0

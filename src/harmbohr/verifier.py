@@ -39,12 +39,13 @@ from .classes import (
     ph_m,
     stack_lanes,
     start_index,
+    take_lanes,
     tb_m,
     validate,
     wh_alpha,
 )
 from .errors import DomainError, HarmBohrError
-from .series import CoefficientRule, alt_constant
+from .series import CoefficientRule, SeriesValue, alt_constant
 from .solver import (
     SolverConfig,
     closed_form_radius,
@@ -195,12 +196,9 @@ def _sharpness_reports(
     beyond it."""
     specs = list(specs)
     results = solve_radii(specs, cfg)
-    groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.family, spec.k), []).append(i)
     reports: list = [None] * len(specs)
     step_out = 1e-6
-    for idx in groups.values():
+    for idx in _spec_groups(specs):
         radii = np.array([results[i].radius for i in idx])
         # Radii stay well inside (0, 1); a step past 1 would count as violated.
         inside = radii + step_out < 1.0
@@ -224,22 +222,58 @@ def _sharpness_reports(
     return reports
 
 
-def _first_violation(
-    spec: ClassSpec, r_max: float, steps: int, cfg: SolverConfig
-) -> Optional[float]:
-    """The first r of ``steps`` uniform points on [0, r_max] where the Bohr
-    inequality B(r) <= d* fails beyond both error bounds (a NaN fails it
-    too), or None."""
-    validate(spec)
-    if not 0.0 < r_max < 1.0:
-        raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
+def _spec_groups(specs: list[ClassSpec]) -> list[list[int]]:
+    """The indices of ``specs`` by family and k, as ``solve_radii`` groups
+    them: each group stacks into one lane spec."""
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.family, spec.k), []).append(i)
+    return list(groups.values())
+
+
+def _bohr_on_grids(
+    specs: list[ClassSpec], grids: list[np.ndarray], cfg: SolverConfig
+) -> list[tuple[SeriesValue, SeriesValue]]:
+    """(B over ``grids[i]``, d*) for each spec i, from one ``distance_bound``
+    per family and k on the group's lane stack, and one ``bohr_sum`` whose
+    lanes repeat each spec of the group across its grid (picked by index,
+    not stacked spec by spec)."""
+    found: list = [None] * len(specs)
+    for idx in _spec_groups(specs):
+        lanes = stack_lanes(specs[i] for i in idx)
+        d = distance_bound(lanes, tol=cfg.series_tol)
+        sizes = [grids[i].size for i in idx]
+        each = take_lanes(lanes, np.repeat(np.arange(len(idx)), sizes))
+        b = bohr_sum(each, np.concatenate([grids[i] for i in idx]), tol=cfg.series_tol)
+        ends = np.cumsum(sizes).tolist()
+        for j, i in enumerate(idx):
+            part = slice(ends[j] - sizes[j], ends[j])
+            found[i] = (
+                SeriesValue(b.value[part], b.error_bound[part]),
+                SeriesValue(float(d.value[j]), float(d.error_bound[j])),
+            )
+    return found
+
+
+def _first_violations(
+    specs: Iterable[ClassSpec], r_maxes: Iterable[float], steps: int, cfg: SolverConfig
+) -> list[Optional[float]]:
+    """For each spec, the first r of ``steps`` uniform points on
+    [0, r_max] where the Bohr inequality B(r) <= d* fails beyond both error
+    bounds (a NaN fails it too), or None."""
+    specs, r_maxes = list(specs), list(r_maxes)
+    for spec, r_max in zip(specs, r_maxes, strict=True):
+        validate(spec)
+        if not 0.0 < r_max < 1.0:
+            raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
     if int(steps) != steps or steps < 2:
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    d = distance_bound(spec, tol=cfg.series_tol)
-    rs = np.linspace(0.0, r_max, int(steps))
-    b = bohr_sum(spec, rs, tol=cfg.series_tol)
-    bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
-    return float(rs[bad[0]]) if bad.size else None
+    grids = [np.linspace(0.0, r_max, int(steps)) for r_max in r_maxes]
+    found = []
+    for rs, (b, d) in zip(grids, _bohr_on_grids(specs, grids, cfg)):
+        bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
+        found.append(float(rs[bad[0]]) if bad.size else None)
+    return found
 
 
 def envelope_check(
@@ -287,34 +321,37 @@ def envelope_check(
 
 # Terms per block of the direct alternating oracle.  Even, so that a
 # cancelled pair never straddles two blocks.
-_ORACLE_BLOCK = 1 << 16
+_ORACLE_BLOCK = 1 << 14
 
 
-def _direct_alt_pair_average(rule: CoefficientRule, n_terms: int) -> float:
-    """Plain alternating partial sums, averaged over the last two, with
-    the signs of ``alt_constant`` (the first term negative).
+def _direct_alt_pair_average(rules: Iterable[CoefficientRule], n_terms: int) -> np.ndarray:
+    """For each rule, plain alternating partial sums over its first
+    ``n_terms`` terms, averaged over the last two, with the signs of
+    ``alt_constant`` (the first term negative).
 
     The averaging of one trailing pair keeps the error of a direct
     ~n_terms-term sum at the level of c'_n ~ c_n / n instead of c_n, which
     is what makes a 1e6-term direct oracle meaningful at 1e-10.
 
-    The coefficients are made and summed in blocks of 2^16 terms, small
-    enough to stay in cache, so memory is a few blocks of 512 KiB
-    whatever n_terms is.
+    All rules step through one block of 2^14 term offsets at a time, so
+    each temporary is 128 KiB and stays in cache, whatever n_terms is.
     """
+    rules = list(rules)
     if int(n_terms) != n_terms or n_terms < 1:
         raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     n_terms = int(n_terms)
     # S_{2m}, the sum of the m cancelled pairs, is the partial sum through
     # the last term (n_terms even) or the one before it (odd); either way
     # the mean of the last two partial sums is S_{2m} + c_last / 2.
-    pairs = 0.0
+    pairs, last = [0.0] * len(rules), [0.0] * len(rules)
     for lo in range(0, n_terms, _ORACLE_BLOCK):
-        hi = min(lo + _ORACLE_BLOCK, n_terms)
-        c = rule.terms(np.arange(rule.start + lo, rule.start + hi, dtype=np.float64))
-        m = c.size // 2
-        pairs += float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
-    return -(pairs + 0.5 * float(c[-1]))
+        offsets = np.arange(lo, min(lo + _ORACLE_BLOCK, n_terms), dtype=np.float64)
+        m = offsets.size // 2
+        for j, rule in enumerate(rules):
+            c = rule.terms(offsets + rule.start)
+            pairs[j] += float(np.sum(c[0 : 2 * m : 2] - c[1 : 2 * m : 2]))
+            last[j] = float(c[-1])
+    return -(np.array(pairs) + 0.5 * np.array(last))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +501,10 @@ def _rep_specs(fam: Family) -> tuple[ClassSpec, ...]:
 def _make_h_monotone_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
         ok = True
-        for spec in _rep_specs(fam):
-            d = distance_bound(spec, tol=cfg.series_tol)
-            values = bohr_sum(spec, np.linspace(0.0, 0.95, 100), tol=cfg.series_tol).value - d.value
+        specs = list(_rep_specs(fam))
+        grids = [np.linspace(0.0, 0.95, 100)] * len(specs)
+        for b, d in _bohr_on_grids(specs, grids, cfg):
+            values = b.value - d.value
             ok = ok and bool(np.all(values[1:] > values[:-1]))
         return ok, "H strictly increasing on 100-point grids"
 
@@ -539,12 +577,8 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
         CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1, "g-alt-0.5"),
         CoefficientRule(lambda n: 1.0 / (1.0 + 2.0 * n), 1, "g-alt-2"),
     ]
-    gaps = []
-    for rule in rules:
-        accel = alt_constant(rule, tol=1e-12)
-        direct = _direct_alt_pair_average(rule, 1_000_000)
-        gaps.append(abs(accel.value - direct))
-    worst = float(np.max(gaps))
+    accel = np.array([alt_constant(rule, tol=1e-12).value for rule in rules])
+    worst = float(np.max(np.abs(accel - _direct_alt_pair_average(rules, 1_000_000))))
     return worst <= 1e-10, f"max |accelerated - direct| = {worst:.2e}"
 
 def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
@@ -574,18 +608,16 @@ def _make_scan_check(fam: Family):
         ok = True
         details = []
         specs = _rep_specs(fam)
-        for spec, result in zip(specs, solve_radii(specs, cfg)):
-            r_f = result.radius
+        radii = [result.radius for result in solve_radii(specs, cfg)]
+        # A zero radius (d* = 0) is scanned on [0, 0.5].
+        r_maxes = [0.5 if r_f == 0.0 else min(1.5 * r_f, 0.95) for r_f in radii]
+        for r_f, r_max, fv in zip(radii, r_maxes, _first_violations(specs, r_maxes, 400, cfg)):
+            grid_step = r_max / 399.0
             if r_f == 0.0:
-                fv = _first_violation(spec, 0.5, 400, cfg)
-                grid_step = 0.5 / 399.0
                 ok = ok and fv is not None
                 ok = ok and abs(fv - grid_step) <= 1e-12
                 details.append("violation at first positive grid point")
                 continue
-            r_max = min(1.5 * r_f, 0.95)
-            fv = _first_violation(spec, r_max, 400, cfg)
-            grid_step = r_max / 399.0
             ok = ok and fv is not None
             if fv is not None:
                 # The first violating grid point sits just past the root:

@@ -5,6 +5,7 @@ Closed-form expectations are derived in comments; series-backed quantities
 are cross-checked against plain partial sums computed in-test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -652,6 +653,27 @@ class TestLanes:
         b = bohr_sum(specs[1], rs, tol=1e-13)
         for i, r in enumerate(rs):
             assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(specs[1], r, tol=1e-13)
+
+    def test_lane_results_compare_entry_by_entry(self):
+        # == on two lane results is a plain bool over every entry, where
+        # the generated == asked numpy for the truth of an array.
+        def lanes():
+            return bohr_sum(stack_lanes([wh_alpha(0.1), wh_alpha(0.2)]), 0.3)
+
+        def envelopes():
+            return growth_envelope(wh_alpha(0.5), np.array([0.1, 0.2]))
+
+        for a, b in ((lanes(), lanes()), (envelopes(), envelopes())):
+            assert (a == b) is True and (a != b) is False
+            name = dataclasses.fields(a)[0].name
+            changed = getattr(b, name).copy()
+            changed[1] = np.nextafter(changed[1], 1.0)
+            assert (a == dataclasses.replace(b, **{name: changed})) is False
+            # One lane is not the same result as two.
+            one_lane = {f.name: getattr(b, f.name)[:1] for f in dataclasses.fields(b)}
+            assert a != dataclasses.replace(b, **one_lane)
+        assert growth_envelope(ph_alpha(0.0), 0.5) == growth_envelope(ph_alpha(0.0), 0.5)
+        assert hash(GrowthEnvelope(0.1, 0.2)) == hash((0.1, 0.2, 0.0))
 
     def test_invalid_lane_named(self):
         spec = ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0]))

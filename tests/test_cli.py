@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, grid sweeps, environment overrides, and stream separation."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import harmbohr
+from harmbohr import cli
 from harmbohr.cli import CSV_HEADER, OutputRecord, main, parse_grid
 from harmbohr.errors import DomainError
 
@@ -429,6 +432,85 @@ class TestEntrypoint:
         assert exc_info.value.code == 0
 
 
+class TestParserBuiltOnce:
+    """main builds its parser on the first call and reuses it; each call
+    still parses its own argv, reads BOHR_TOL and formats help, usage and
+    errors for its own streams and terminal width."""
+
+    # (argv, environment) per call, over DEFAULT_ENV: None unsets a variable.
+    DEFAULT_ENV = {"COLUMNS": "80", "BOHR_TOL": None}
+    SEQUENCE = [
+        (["radius", "--class", "wh-alpha", "--alpha", "0.5"], {}),
+        (["radius", "--class", "gh-k-alpha", "--k", "2", "--alpha", "1", "--format", "csv"], {}),
+        (["scan", "--class", "wh-alpha", "--alpha", "0:0.2:0.1", "--format", "csv"], {}),
+        (["scan", "--class", "gh-k-alpha", "--k", "2", "--range", "1:1.5:0.25"], {}),
+        (["table", "--class", "tb-m", "--range", "0.5:1:0.25"], {}),
+        (["verify", "--only", "reduction"], {}),
+        (["radius", "--class", "gt-beta", "--beta", "0.5"], {}),
+        (["radius", "--class", "wh-alpha", "--alpha", "0.5", "--tol", "1e-14"], {}),
+        (["radius", "--class", "nope", "--alpha", "0"], {}),
+        (["radius", "--help"], {"COLUMNS": "200"}),
+        (["radius", "--help"], {"COLUMNS": "60"}),
+        (["radius", "--class", "gt-beta", "--beta", "0.3"], {"BOHR_TOL": "1e-6"}),
+        (["radius", "--class", "gt-beta", "--beta", "0.3"], {"BOHR_TOL": None}),
+    ]
+
+    def run_sequence(self, capsys, monkeypatch):
+        runs = []
+        for argv, env in self.SEQUENCE:
+            for name, value in {**self.DEFAULT_ENV, **env}.items():
+                if value is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, value)
+            rc = main(argv)
+            runs.append((rc, *capsys.readouterr()))
+        return runs
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            expect = self.run_sequence(capsys, monkeypatch)
+        assert [run[0] for run in expect] == [0, 0, 0, 0, 0, 0, 2, 3, 2, 0, 0, 0, 0]
+        # The two help texts differ: the width is read when help is printed.
+        assert expect[9] != expect[10]
+        assert json.loads(expect[11][1])["tol"] == 1e-6
+        assert json.loads(expect[12][1])["tol"] == 1e-12
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert self.run_sequence(capsys, monkeypatch) == expect
+        assert cli._parser() is cli._parser()
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        main(["radius", "--class", "tb-m", "--m", "1"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (
+            ["radius", "--class", "tb-m", "--m", "1"],
+            ["radius", "--class", "ph-alpha", "--alpha", "0.2", "--format", "csv"],
+            ["scan", "--class", "gt-beta", "--beta", "0:0.2:0.1"],
+            ["table", "--class", "ph-m", "--range", "0.1:0.3:0.1"],
+            ["radius", "--class", "gt-beta", "--beta", "0.5"],
+        ):
+            main(argv)
+        capsys.readouterr()
+        assert built == []
+        # The counter sees a parser being built.
+        cli.build_parser()
+        assert built
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() is not first and cli._parser() is not second
+
+
 class TestScanLanes:
     """A scan solves its whole grid at once, one lane per point."""
 
@@ -701,16 +783,48 @@ class TestBenchmarkSurface:
         assert out.splitlines()[2] == record.to_csv_row()
 
 
+def run_python(*args):
+    """A fresh interpreter with this package's sources on its path."""
+    src = str(Path(harmbohr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["harmbohr", "harmbohr.cli"])
     def test_python_dash_m_prints_the_record(self, capsys, module):
-        src = str(Path(harmbohr.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         argv = ["radius", "--class", "tb-m", "--m", "1"]
-        proc = subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", module, *argv)
         assert proc.returncode == 0
-        assert proc.stdout == run_cli(capsys, *argv)[1]
+        # In process, the first call may build the parser and the second
+        # reuses it; a cold process builds its own.
+        assert proc.stdout == run_cli(capsys, *argv)[1] == run_cli(capsys, *argv)[1]
         assert json.loads(proc.stdout)["radius"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
+
+    def test_fresh_interpreter_builds_one_parser_tree(self):
+        # Importing the CLI builds no parser; main builds one tree on its
+        # first call, as many parsers as one build_parser() makes, and no
+        # more on later calls.
+        proc = run_python("-c", textwrap.dedent("""
+            import argparse, contextlib, io, json
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(parser, *args, **kwargs):
+                built.append(parser)
+                init(parser, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import harmbohr.cli as cli
+            at_import = len(built)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["radius", "--class", "tb-m", "--m", "1"]) for _ in range(3)]
+            after_main = len(built)
+            cli.build_parser()
+            print(json.dumps([at_import, after_main, len(built) - after_main, codes]))
+        """))
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_main, one_tree, codes = json.loads(proc.stdout)
+        assert at_import == 0
+        assert after_main == one_tree > 0
+        assert codes == [0, 0, 0]

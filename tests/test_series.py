@@ -67,6 +67,26 @@ class TestSeriesValue:
         with pytest.raises(DomainError):
             SeriesValue(1.0, -1e-16)
 
+    def test_floats_compare_and_hash_as_their_fields(self):
+        sv = SeriesValue(1.5, 1e-12)
+        assert sv == SeriesValue(1.5, 1e-12) and sv != SeriesValue(1.5, 2e-12)
+        assert hash(sv) == hash((1.5, 1e-12))
+        assert sv != (1.5, 1e-12)
+        nan = float("nan")
+        # As a tuple compares its items: one NaN object equals itself.
+        assert SeriesValue(nan, 0.0) == SeriesValue(nan, 0.0)
+        assert SeriesValue(nan, 0.0) != SeriesValue(float("nan"), 0.0)
+
+    def test_arrays_compare_by_shape_and_entries(self):
+        a = SeriesValue(np.array([1.0, 2.0]), np.zeros(2))
+        assert (a == SeriesValue(np.array([1.0, 2.0]), np.zeros(2))) is True
+        assert a != SeriesValue(np.array([1.0, 3.0]), np.zeros(2))
+        assert a != SeriesValue(np.array([1.0]), np.zeros(1))
+        assert a != SeriesValue(1.0, 0.0)
+        assert SeriesValue(np.array([np.nan]), np.zeros(1)) != SeriesValue(np.array([np.nan]), np.zeros(1))
+        with pytest.raises(TypeError):
+            hash(a)
+
 
 class TestCoefficientRule:
     def test_terms_vectorised(self):

@@ -30,8 +30,9 @@ from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
 from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
+    _bohr_on_grids,
     _direct_alt_pair_average,
-    _first_violation,
+    _first_violations,
     _sharpness_reports,
     _tail_bound,
     distance_oracle,
@@ -175,17 +176,17 @@ class TestBohrScan:
     CFG = SolverConfig()
 
     def test_ph_alpha_localises_radius(self):
-        fv = _first_violation(ph_alpha(0.0), 0.5, 500, self.CFG)
+        fv = _first_violations([ph_alpha(0.0)], [0.5], 500, self.CFG)[0]
         assert fv == pytest.approx(0.2852, abs=1e-3)
 
     def test_gt_beta_zero_violates_immediately(self):
         # d* = 0: r = 0 satisfies the inequality, and the majorant exceeds
         # d* from the first positive grid point on.
-        fv = _first_violation(gt_beta(0.0), 0.5, 100, self.CFG)
+        fv = _first_violations([gt_beta(0.0)], [0.5], 100, self.CFG)[0]
         assert fv == pytest.approx(0.5 / 99, abs=1e-12)
 
     def test_tb_heavy_mass_tiny_radius(self):
-        fv = _first_violation(tb_m(1.9), 0.2, 400, self.CFG)
+        fv = _first_violations([tb_m(1.9)], [0.2], 400, self.CFG)[0]
         expect = closed_form_radius(tb_m(1.9))
         step = 0.2 / 399
         assert expect == pytest.approx(0.047827, abs=1e-6)
@@ -195,12 +196,12 @@ class TestBohrScan:
         # Every grid point at or below the radius satisfies the inequality.
         spec = wh_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violation(spec, 0.6, 200, self.CFG) > r_f
+        assert _first_violations([spec], [0.6], 200, self.CFG)[0] > r_f
 
     def test_no_violation_below_radius_window(self):
         spec = ph_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violation(spec, 0.9 * r_f, 50, self.CFG) is None
+        assert _first_violations([spec], [0.9 * r_f], 50, self.CFG)[0] is None
 
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_first_violation_read_off_the_mask_matches_rows(self, index):
@@ -215,13 +216,48 @@ class TestBohrScan:
             r for r, b in rows
             if not b.value <= d.value + b.error_bound + d.error_bound + 1e-15
         )
-        assert _first_violation(spec, r_max, 400, self.CFG) == expect
+        assert _first_violations([spec], [r_max], 400, self.CFG)[0] == expect
+
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_grouped_lanes_equal_one_spec_calls(self, family):
+        # Three specs with grids of different sizes; gh-k-alpha's differ in
+        # k and so form three groups.
+        specs = [STANDARD_GRIDS[Family(family)][i] for i in (0, -1, 1)]
+        grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.9, 7), (0.3, 2))]
+        tol = self.CFG.series_tol
+        got = _bohr_on_grids(specs, grids, self.CFG)
+        for spec, rs, (b, d) in zip(specs, grids, got):
+            assert b == bohr_sum(spec, rs, tol=tol)
+            assert d == distance_bound(spec, tol=tol)
+
+    def test_one_lane_call_per_family_and_k(self, monkeypatch):
+        from harmbohr import verifier
+
+        calls = []
+
+        def counted(name):
+            engine = getattr(verifier, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return engine(*args, **kwargs)
+
+            monkeypatch.setattr(verifier, name, call)
+
+        counted("bohr_sum")
+        counted("distance_bound")
+        specs = [wh_alpha(0.0), gh_k_alpha(2, 1.0), wh_alpha(1.0), gh_k_alpha(2, 3.0)]
+        found = _first_violations(specs, [0.6, 0.6, 0.6, 0.6], 100, self.CFG)
+        assert sorted(calls) == ["bohr_sum"] * 2 + ["distance_bound"] * 2
+        calls.clear()
+        assert found == [_first_violations([s], [0.6], 100, self.CFG)[0] for s in specs]
+        assert len(calls) == 8
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            _first_violation(ph_alpha(0.0), 1.0, 10, self.CFG)
+            _first_violations([ph_alpha(0.0)], [1.0], 10, self.CFG)
         with pytest.raises(DomainError):
-            _first_violation(ph_alpha(0.0), 0.5, 1, self.CFG)
+            _first_violations([ph_alpha(0.0)], [0.5], 1, self.CFG)
 
 
 class TestEnvelopeCheck:
@@ -277,14 +313,14 @@ class TestEnvelopeCheck:
 class TestDirectAlternatingOracle:
     def test_agrees_with_accelerated_engine(self):
         rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        direct = _direct_alt_pair_average(rule, 1_000_000)
+        direct = _direct_alt_pair_average([rule], 1_000_000)[0]
         fast = alt_constant(rule, tol=1e-12)
         assert abs(direct - fast.value) <= 1e-10
 
     def test_known_value(self):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
         # 1 - 1/2 + 1/3 - ... = ln 2, negated by the leading minus sign.
-        got = _direct_alt_pair_average(rule, 1_000_000)
+        got = _direct_alt_pair_average([rule], 1_000_000)[0]
         assert got == pytest.approx(-math.log(2.0), abs=1e-10)
 
     @pytest.mark.parametrize("n_terms", [1_000_000, 999_999])
@@ -293,7 +329,7 @@ class TestDirectAlternatingOracle:
         # ln 2 by about 1/(4N^2) = 2.5e-13; summation rounding must not
         # add to that visibly at either parity of N.
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        got = -_direct_alt_pair_average(rule, n_terms)
+        got = -_direct_alt_pair_average([rule], n_terms)[0]
         assert abs(got - math.log(2.0)) <= 2.6e-13
 
     @pytest.mark.parametrize(
@@ -303,7 +339,7 @@ class TestDirectAlternatingOracle:
     def test_short_sums_average_the_last_two_partial_sums(self, n_terms, expect):
         # Partial sums of 1 - 1/2 + 1/3 - 1/4: 1, 1/2, 5/6, 7/12 (S_0 = 0).
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        assert _direct_alt_pair_average(rule, n_terms) == pytest.approx(-expect, abs=1e-15)
+        assert _direct_alt_pair_average([rule], n_terms)[0] == pytest.approx(-expect, abs=1e-15)
 
     @staticmethod
     def one_shot(rule, n_terms, first_sign):
@@ -318,20 +354,35 @@ class TestDirectAlternatingOracle:
     @pytest.mark.parametrize("first_sign", [+1, -1])
     @pytest.mark.parametrize(
         "n_terms",
-        [1, 2, 3, 4, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, 999_999, 1_000_000],
+        [1, 2, 3, 4, 2**14 - 1, 2**14, 2**14 + 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, 999_999, 1_000_000],
     )
     def test_blocks_agree_with_one_shot_sum(self, n_terms, first_sign):
         rule = CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1)
         expect, magnitude = self.one_shot(rule, n_terms, first_sign)
         # The oracle's first term is negative: negate it for first_sign = +1.
-        got = -first_sign * _direct_alt_pair_average(rule, n_terms)
+        got = -first_sign * _direct_alt_pair_average([rule], n_terms)[0]
         assert abs(got - expect) <= 4.0 * np.spacing(magnitude)
+
+    def test_rules_share_blocks_and_keep_their_own_starts(self):
+        # Rules from n = 1 and n = 2 summed in one call, each against its
+        # one-shot sum and bit for bit against its own call.
+        rules = [
+            CoefficientRule(lambda n: 1.0 / n, start=1),
+            CoefficientRule(lambda n: 2.0 / n, start=2),
+            CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1),
+        ]
+        n_terms = 3 * 2**14 + 5
+        got = _direct_alt_pair_average(rules, n_terms)
+        for rule, value in zip(rules, got.tolist()):
+            expect, magnitude = self.one_shot(rule, n_terms, -1)
+            assert abs(value - expect) <= 4.0 * np.spacing(magnitude)
+            assert value == _direct_alt_pair_average([rule], n_terms)[0]
 
     def test_memory_does_not_grow_with_terms(self):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
         tracemalloc.start()
         try:
-            _direct_alt_pair_average(rule, 1_000_000)
+            _direct_alt_pair_average([rule], 1_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -341,7 +392,7 @@ class TestDirectAlternatingOracle:
     def test_fewer_than_one_term_rejected(self, n_terms):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
         with pytest.raises(DomainError):
-            _direct_alt_pair_average(rule, n_terms)
+            _direct_alt_pair_average([rule], n_terms)
 
 
 class TestStandardGrids:
@@ -584,7 +635,9 @@ class TestLaneCallsPerSuite:
         from harmbohr import classes, verifier
 
         counts = dict.fromkeys(
-            ("growth_envelope", "bohr_sum", "lerch_sum", "sum_power_series", "alt_constant"), 0
+            ("growth_envelope", "bohr_sum", "distance_bound", "lerch_sum", "sum_power_series",
+             "alt_constant"),
+            0,
         )
 
         def counted(module, name):
@@ -596,7 +649,7 @@ class TestLaneCallsPerSuite:
 
             monkeypatch.setattr(module, name, call)
 
-        for name in ("growth_envelope", "bohr_sum"):
+        for name in ("growth_envelope", "bohr_sum", "distance_bound"):
             counted(verifier, name)
         for name in ("lerch_sum", "sum_power_series", "alt_constant"):
             counted(classes, name)
@@ -605,10 +658,11 @@ class TestLaneCallsPerSuite:
         assert len(report.results) == 51 and report.passed
         # Six envelope checks of three specs each, plus six floor checks.
         assert counts["growth_envelope"] == 24
-        assert counts["bohr_sum"] <= 80
+        assert counts["bohr_sum"] <= 60
+        assert counts["distance_bound"] <= 38
         assert counts["lerch_sum"] <= 39
-        assert counts["sum_power_series"] <= 25
-        assert counts["alt_constant"] <= 46
+        assert counts["sum_power_series"] <= 21
+        assert counts["alt_constant"] <= 42
 
 
 class TestWorstCaseFoldsFailOnNaN:
