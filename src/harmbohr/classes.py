@@ -402,6 +402,15 @@ def stack_lanes(specs) -> ClassSpec:
     return spec
 
 
+def lane_groups(specs) -> list[list[int]]:
+    """The indices of ``specs`` by family and k, in order of first
+    appearance: the specs of each group stack into one lane spec."""
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.family, spec.k), []).append(i)
+    return list(groups.values())
+
+
 def sweep_lanes(spec: ClassSpec, name: str, values) -> tuple[ClassSpec, int]:
     """``spec`` with ``name`` swept over ``values``, one lane each, stopping
     before the first value the family's domain tests reject; and the count

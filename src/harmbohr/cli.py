@@ -22,9 +22,10 @@ import numpy as np
 # distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
 from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes  # noqa: F401
 from .errors import ConvergenceError, DomainError, ValidationError
+from .series import SeriesValue
 # solve_radius is not called here either; perfbench/test_perfbench.py reads it.
-from .solver import Method, SolverConfig, _solve_lanes, jacobian_functional, jacobian_radius
-from .solver import solve_radius  # noqa: F401
+from .solver import Method, RadiusResult, SolverConfig, _solve_lanes, _split_lanes
+from .solver import jacobian_functional, jacobian_radius, solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
 CLASS_TAGS = tuple(f.value for f in FAMILIES) + (JACOBIAN_TAG,)
@@ -52,19 +53,17 @@ def _json_row(*fields) -> str:
     return json.dumps(dict(zip(_JSON_KEYS, fields)))
 
 
-def _json_template(tag: str, params: dict, name: str, tol: float) -> str:
+def _json_template(tag: str, params: dict, name: str, method: str, tol: float) -> str:
     """A scan's JSON row as a % template over (value, radius, residual,
-    method, d*): the fixed fields are dumped once, and %r prints a finite
-    float as json.dumps does."""
-    text = _json_row(tag, {**params, name: "\0"}, "\0", "\0", "\0", "\0", tol)
-    for slot in ("%r", "%r", "%r", '"%s"', "%r"):
-        text = text.replace('"\\u0000"', slot, 1)
-    return text + "\n"
+    d*): the fixed fields are dumped once, and %r prints a finite float as
+    json.dumps does."""
+    text = _json_row(tag, {**params, name: "\0"}, "\0", "\0", method, "\0", tol)
+    return text.replace('"\\u0000"', "%r") + "\n"
 
 
-def _csv_template(tag: str, name: str) -> str:
-    """A CSV row as a % template over (value, radius, residual, method)."""
-    return f"{tag},{name},%.12g,%.12g,%.11e,%s"
+def _csv_template(tag: str, name: str, method: str) -> str:
+    """A CSV row as a % template over (value, radius, residual)."""
+    return f"{tag},{name},%.12g,%.12g,%.11e,{method}"
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,8 @@ class OutputRecord:
 
     def to_csv_row(self) -> str:
         name = _EXPECTED_PARAMS[self.class_tag][-1]
-        row = self.params[name], self.radius, self.residual, self.method
-        return _csv_template(self.class_tag, name) % row
+        row = self.params[name], self.radius, self.residual
+        return _csv_template(self.class_tag, name, self.method) % row
 
 
 def parse_grid(text: str) -> list[float]:
@@ -159,26 +158,25 @@ def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg
 
     A failure raises what solving point by point would: the first lane's
     ConvergenceError, else ``make_spec``'s error for the first invalid point.
-    Returns the first point's parameters as records print them, and the
-    columns radius, residual, method and d* as lists, one entry per value.
+    Returns the first point's parameters as records print them, and a
+    RadiusResult of lane arrays, one lane per value.
     """
     family = Family.TB_M if tag == JACOBIAN_TAG else Family(tag)
     first = make_spec(family, **scalars, **{name: values[0]})
     spec, n = sweep_lanes(first, name, values)
     if tag == JACOBIAN_TAG:
         radius = jacobian_radius(spec.m)
-        d_star = 1.0 - 0.5 * spec.m
-        residual = abs(jacobian_functional(spec.m, radius) - d_star)
-        methods = [Method.CLOSED_FORM.value] * n
+        d_star = SeriesValue(1.0 - 0.5 * spec.m, np.zeros(n))
+        residual = abs(jacobian_functional(spec.m, radius) - d_star.value)
+        steps = np.zeros(n, dtype=np.int64)
+        lanes = RadiusResult(radius, residual, radius, radius, steps, Method.CLOSED_FORM, d_star)
     else:
-        (radius, residual, _, _, _, closed, d_star, _), errors = _solve_lanes(spec, cfg)
+        lanes, errors = _solve_lanes(spec, cfg)
         if errors:
             raise errors[min(errors)]
-        names = (Method.BISECTION_NEWTON.value, Method.CLOSED_FORM.value)
-        methods = [names[c] for c in closed.tolist()]
     if n < len(values):
         make_spec(family, **scalars, **{name: values[n]})  # raises for the invalid point
-    return first.params(), (radius.tolist(), residual.tolist(), methods, d_star.tolist())
+    return first.params(), lanes
 
 
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:
@@ -187,8 +185,11 @@ def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> Out
     if name not in params:
         raise ValidationError(f"missing parameter {name!r} for {tag}")
     scalars = {key: value for key, value in params.items() if key != name}
-    params, columns = compute_records(tag, scalars, name, [params[name]], cfg)
-    return OutputRecord(tag, params, *(column[0] for column in columns), tol)
+    params, lanes = compute_records(tag, scalars, name, [params[name]], cfg)
+    (res,) = _split_lanes(lanes)
+    return OutputRecord(
+        tag, params, res.radius, res.residual, res.method.value, res.d_star.value, tol
+    )
 
 
 def cmd_radius(args) -> int:
@@ -241,25 +242,29 @@ def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
 
 
 def cmd_scan(args) -> int:
-    """``scan`` and ``table``: rows formatted straight from the lane columns,
-    through one % template per scan, and streamed to stdout."""
+    """``scan`` and ``table``: rows formatted straight from the solver's
+    lane arrays, through one % template per scan that holds the lane
+    record's one method, and streamed to stdout."""
     tag = args.class_tag
     cfg = _make_config(args)
     scalars, name, values = _sweep_values(args, tag)
-    params, (radius, residual, method, d_star) = compute_records(tag, scalars, name, values, cfg)
+    params, lanes = compute_records(tag, scalars, name, values, cfg)
+    method, d = lanes.method.value, lanes.d_star
+    radius, residual, d_star = (a.tolist() for a in (lanes.radius, lanes.residual, d.value))
     if args.format == "table":
         print(f"{name},radius")
         template, columns = "%.12g,%.12g\n", (values, radius)
     elif args.format == "csv":
         print(CSV_HEADER)
-        template = _csv_template(tag, name) + "\n"
-        columns = values, radius, residual, method
+        template = _csv_template(tag, name, method) + "\n"
+        columns = values, radius, residual
     else:
-        template = _json_template(tag, params, name, cfg.tol)
-        columns = values, radius, residual, method, d_star
+        template = _json_template(tag, params, name, method, cfg.tol)
+        columns = values, radius, residual, d_star
         # json.dumps prints NaN and Infinity where %r prints nan and inf.
         if not np.isfinite([radius, residual, d_star]).all():
-            rows = [_json_row(tag, {**params, name: v}, *row, cfg.tol) for v, *row in zip(*columns)]
+            rows = [_json_row(tag, {**params, name: v}, r, res, method, dv, cfg.tol)
+                    for v, r, res, dv in zip(*columns)]
             template, columns = "%s\n", (rows,)
     sys.stdout.writelines(template % row for row in zip(*columns))
     return 0

@@ -34,6 +34,9 @@ is one numpy pass over the lanes still open (one call of the family's
 Python solve per point.  Each lane keeps its own bracket, iterate, step
 count and stopping rule, and lanes never share a reduction, so every lane
 ends exactly where it would alone: ``solve_radius`` is the one-lane case.
+The lane pass returns one ``RadiusResult`` whose fields are lane arrays,
+with one method for the whole lane spec, and ``solve_radii`` splits it into
+one float ``RadiusResult`` per spec.
 """
 
 from __future__ import annotations
@@ -49,15 +52,17 @@ from .classes import (
     FAMILIES,
     ClassSpec,
     Family,
+    _is_count,
     bohr_sum,  # noqa: F401
     coefficient_rule,
     distance_bound,
+    lane_groups,
     stack_lanes,
     take_lanes,
     validate,
 )
 from .errors import ConvergenceError, DomainError
-from .series import SeriesValue, require
+from .series import SeriesValue, fields_equal, require
 
 _EPS = 2.0**-52
 
@@ -99,8 +104,9 @@ class SolverConfig:
         # An infinite tolerance certifies nothing, and JSON cannot carry it.
         if not math.isfinite(self.tol):
             raise DomainError(f"tol must be finite, got {self.tol}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        if not _is_count(self.max_iter):
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
     @property
     def series_tol(self) -> float:
@@ -117,6 +123,10 @@ class RadiusResult:
     Newton and midpoint steps together, each one evaluation of B (0 for
     closed forms; the warm start's steps are not counted); ``d_star`` is
     the distance constant the equation was solved against.
+
+    Floats from ``solve_radius`` and ``solve_radii``; inside the lane pass,
+    an array per field with an entry per lane (``d_star`` a lane
+    SeriesValue), and one ``method`` for every lane.
     """
 
     radius: float
@@ -126,6 +136,16 @@ class RadiusResult:
     iterations: int
     method: Method
     d_star: SeriesValue
+
+    __eq__ = fields_equal
+
+
+def _split_lanes(lanes: RadiusResult) -> list[RadiusResult]:
+    """One float RadiusResult per lane of a lane record."""
+    d = lanes.d_star
+    columns = lanes.radius, lanes.residual, lanes.bracket_lo, lanes.bracket_hi, lanes.iterations
+    rows = zip(*(a.tolist() for a in (*columns, d.value, d.error_bound)))
+    return [RadiusResult(*row, lanes.method, SeriesValue(dv, de)) for *row, dv, de in rows]
 
 
 def closed_form_radius(spec: ClassSpec):
@@ -255,9 +275,9 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
 def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     """Solve every lane of a lane spec at once.
 
-    Returns the lane arrays radius, residual, bracket low and high, steps,
-    closed-form flag, d* value and d* error, and a dict from lane index to
-    the ConvergenceError that lane raises (its array entries mean nothing).
+    Returns a RadiusResult of lane arrays with the family's one method, and
+    a dict from lane index to the ConvergenceError that lane raises (its
+    entries in the arrays mean nothing).
     """
     try:
         d = distance_bound(spec, tol=cfg.series_tol)
@@ -279,43 +299,39 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     todo = np.flatnonzero(d.value > d.error_bound)
     sub = take_lanes(spec, todo)
     d_sub = SeriesValue(d.value[todo], d.error_bound[todo])
-    r_cf = closed_form_radius(sub) if cfg.prefer_closed_form else None
-    closed = np.full(n, r_cf is not None)
-    if r_cf is not None:
+    closed = cfg.prefer_closed_form and FAMILIES[spec.family].radius is not None
+    if closed:
         # A root within half an ulp of 1 (tb-m at tiny m) rounds to 1.
-        r_cf = np.minimum(r_cf, _BELOW_ONE)
+        r_cf = np.minimum(closed_form_radius(sub), _BELOW_ONE)
         v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
         radius[todo], residual[todo], lo[todo], hi[todo] = r_cf, np.abs(v) + hb, r_cf, r_cf
     elif todo.size:
-        out = _newton(sub, d_sub, cfg)
-        radius[todo], residual[todo], lo[todo], hi[todo], steps[todo] = out[:5]
-        errors = {int(todo[i]): exc for i, exc in out[5].items()}
-    return (radius, residual, lo, hi, steps, closed, np.maximum(d.value, 0.0), d.error_bound), errors
+        *lanes, lane_errors = _newton(sub, d_sub, cfg)
+        radius[todo], residual[todo], lo[todo], hi[todo], steps[todo] = lanes
+        errors = {int(todo[i]): exc for i, exc in lane_errors.items()}
+    method = Method.CLOSED_FORM if closed else Method.BISECTION_NEWTON
+    d_star = SeriesValue(np.maximum(d.value, 0.0), d.error_bound)
+    return RadiusResult(radius, residual, lo, hi, steps, method, d_star), errors
 
 
 def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
     """Solve H(r) = 0 for many parameter points at once, one lane each.
 
-    Specs of one family and one k are stacked into a lane spec and solved
-    by one ``_solve_lanes`` call; the results are built from its lane
-    arrays and come back in the order given, each bit for bit what
-    ``solve_radius`` returns for that spec alone.  If any spec fails, this
-    raises the error of the first failing spec in that order.
+    Specs of one family and one k (``lane_groups``) are stacked into a lane
+    spec and solved by one ``_solve_lanes`` call; the results are split
+    from its lane record and come back in the order given, each bit for
+    bit what ``solve_radius`` returns for that spec alone.  If any spec
+    fails, this raises the error of the first failing spec in that order.
     """
     cfg = config or SolverConfig()
     specs = list(specs)
-    groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.family, spec.k), []).append(i)
     results: list[RadiusResult | None] = [None] * len(specs)
     errors: dict[int, ConvergenceError] = {}
-    for idx in groups.values():
+    for idx in lane_groups(specs):
         lanes, lane_errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
         errors.update((idx[j], exc) for j, exc in lane_errors.items())
-        rows = zip(*(a.tolist() for a in lanes))
-        for i, (r, res, b_lo, b_hi, it, c, dval, derr) in zip(idx, rows):
-            method = Method.CLOSED_FORM if c else Method.BISECTION_NEWTON
-            results[i] = RadiusResult(r, res, b_lo, b_hi, it, method, SeriesValue(dval, derr))
+        for i, result in zip(idx, _split_lanes(lanes)):
+            results[i] = result
     if errors:
         raise errors[min(errors)]
     return results

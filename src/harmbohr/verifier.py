@@ -9,10 +9,10 @@ families against each other.
 
 The checks hand whole grids to the series engines as lane calls: all the
 sample radii of a spec in one ``growth_envelope`` or ``bohr_sum`` call, and
-specs of one family and k stacked into one lane spec (``stack_lanes``).
-Each lane comes out bit for bit as its own call would, so batching changes
-no verdict or detail; circle values stay one ``abs_on_circle`` call per
-radius.
+specs of one family and k (``lane_groups``) stacked into one lane spec
+(``stack_lanes``).  Each lane comes out bit for bit as its own call would,
+so batching changes no verdict or detail; circle values stay one
+``abs_on_circle`` call per radius.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .classes import (
     gh_k_alpha,
     growth_envelope,
     gt_beta,
+    lane_groups,
     ph_alpha,
     ph_m,
     stack_lanes,
@@ -198,7 +199,7 @@ def _sharpness_reports(
     results = solve_radii(specs, cfg)
     reports: list = [None] * len(specs)
     step_out = 1e-6
-    for idx in _spec_groups(specs):
+    for idx in lane_groups(specs):
         radii = np.array([results[i].radius for i in idx])
         # Radii stay well inside (0, 1); a step past 1 would count as violated.
         inside = radii + step_out < 1.0
@@ -222,15 +223,6 @@ def _sharpness_reports(
     return reports
 
 
-def _spec_groups(specs: list[ClassSpec]) -> list[list[int]]:
-    """The indices of ``specs`` by family and k, as ``solve_radii`` groups
-    them: each group stacks into one lane spec."""
-    groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.family, spec.k), []).append(i)
-    return list(groups.values())
-
-
 def _bohr_on_grids(
     specs: list[ClassSpec], grids: list[np.ndarray], cfg: SolverConfig
 ) -> list[tuple[SeriesValue, SeriesValue]]:
@@ -239,7 +231,7 @@ def _bohr_on_grids(
     lanes repeat each spec of the group across its grid (picked by index,
     not stacked spec by spec)."""
     found: list = [None] * len(specs)
-    for idx in _spec_groups(specs):
+    for idx in lane_groups(specs):
         lanes = stack_lanes(specs[i] for i in idx)
         d = distance_bound(lanes, tol=cfg.series_tol)
         sizes = [grids[i].size for i in idx]

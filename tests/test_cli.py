@@ -687,9 +687,9 @@ class TestScanFromLanes:
         compute_records = cli.compute_records
 
         def non_finite(*args):
-            params, (radius, residual, method, d_star) = compute_records(*args)
-            residual[1], d_star[2] = float("nan"), float("inf")
-            return params, (radius, residual, method, d_star)
+            params, lanes = compute_records(*args)
+            lanes.residual[1], lanes.d_star.value[2] = float("nan"), float("inf")
+            return params, lanes
 
         argv = ("scan", "--class", "gh-k-alpha", "--k", "2", "--alpha", "0.5:1.5:0.25")
         rc, finite, _ = run_cli(capsys, *argv)

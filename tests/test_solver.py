@@ -86,12 +86,22 @@ class TestSolverConfig:
             {"tol": -1e-9},
             {"max_iter": 0},
             {"max_iter": 2.5},
+            {"max_iter": True},
+            {"max_iter": math.nan},
+            {"max_iter": math.inf},
             {"tol": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             SolverConfig(**kwargs)
+
+    def test_integral_float_max_iter_is_stored_as_an_int(self):
+        # A float budget would reach range(); 2.0 solves as 2 does.
+        cfg = SolverConfig(max_iter=2.0)
+        assert type(cfg.max_iter) is int and cfg.max_iter == 2
+        as_int = SolverConfig(max_iter=2)
+        assert solve_radius(wh_alpha(0.5), cfg) == solve_radius(wh_alpha(0.5), as_int)
 
     @pytest.mark.parametrize("name", ["tol"])
     def test_rejects_infinite_tolerances(self, name):
@@ -461,15 +471,54 @@ class TestSolveRadii:
         cfg = SolverConfig(max_iter=1)
         specs = [gh_k_alpha(1, 0.01), gh_k_alpha(1, 1e9), gh_k_alpha(1, 1.0)]
         lanes, errors = _solve_lanes(stack_lanes(specs), cfg)
-        radius, residual, lo, hi, steps, closed, d_value, d_error = lanes
         assert list(errors) == [1, 2]
         assert "within 1 iterations" in str(errors[1])
         alone = solve_radius(specs[0], cfg)
-        assert (radius[0], residual[0], lo[0], hi[0], steps[0]) == (
+        first = (lanes.radius[0], lanes.residual[0], lanes.bracket_lo[0], lanes.bracket_hi[0])
+        assert (*first, lanes.iterations[0]) == (
             alone.radius, alone.residual, alone.bracket_lo, alone.bracket_hi, alone.iterations,
         )
-        assert not closed[0] and alone.method is Method.BISECTION_NEWTON
-        assert (d_value[0], d_error[0]) == (alone.d_star.value, alone.d_star.error_bound)
+        assert lanes.method is Method.BISECTION_NEWTON and alone.method is Method.BISECTION_NEWTON
+        d = lanes.d_star
+        assert (d.value[0], d.error_bound[0]) == (alone.d_star.value, alone.d_star.error_bound)
+
+    @pytest.mark.parametrize(
+        "specs,prefer_closed_form,method",
+        [
+            ([ph_alpha(a) for a in (0.0, 0.5, 0.9)], True, Method.BISECTION_NEWTON),
+            ([gt_beta(0.0), gt_beta(0.2)], True, Method.CLOSED_FORM),
+            ([gt_beta(0.0), gt_beta(0.2)], False, Method.BISECTION_NEWTON),
+            ([wh_alpha(a) for a in (0.0, 0.5, 1.0)], True, Method.BISECTION_NEWTON),
+            ([gh_k_alpha(1, 1e-300), gh_k_alpha(1, 1.0)], True, Method.BISECTION_NEWTON),
+            ([tb_m(m) for m in (0.1, 1.0, 1.9)], True, Method.CLOSED_FORM),
+            ([ph_m(m) for m in (0.1, 0.5, 1.2)], True, Method.BISECTION_NEWTON),
+        ],
+        ids=["ph-alpha", "gt-beta", "gt-beta-iterated", "wh-alpha", "gh-k-alpha", "tb-m", "ph-m"],
+    )
+    def test_lane_record_equals_one_lane_solves(self, specs, prefer_closed_form, method):
+        # Every field of the lane record, lane by lane, is solve_radius's
+        # for that spec, degenerate d* = 0 lanes (gt-beta at beta = 0,
+        # gh-k-alpha at alpha = 1e-300) included; the one method is the
+        # family's, and every lane's.
+        from harmbohr.classes import stack_lanes
+        from harmbohr.solver import _solve_lanes
+
+        cfg = SolverConfig(prefer_closed_form=prefer_closed_form)
+        lanes, errors = _solve_lanes(stack_lanes(specs), cfg)
+        assert not errors and lanes.method is method
+        assert lanes.iterations.dtype == np.int64
+        for j, spec in enumerate(specs):
+            alone = solve_radius(spec, cfg)
+            assert alone.method is method
+            assert lanes.radius[j] == alone.radius
+            assert lanes.residual[j] == alone.residual
+            assert lanes.bracket_lo[j] == alone.bracket_lo
+            assert lanes.bracket_hi[j] == alone.bracket_hi
+            assert lanes.iterations[j] == alone.iterations
+            assert lanes.d_star.value[j] == alone.d_star.value
+            assert lanes.d_star.error_bound[j] == alone.d_star.error_bound
+        if specs[0] in (gt_beta(0.0), gh_k_alpha(1, 1e-300)):
+            assert (lanes.radius[0], lanes.iterations[0], lanes.d_star.value[0]) == (0.0, 0, 0.0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -542,7 +591,7 @@ class TestOneMajorantPerStep:
         out, errors = _solve_lanes(lanes, SolverConfig())
         assert not errors
         assert (len(majorants), len(calls)) == (passes, lerch)
-        assert int(out[4].max()) == steps
+        assert int(out.iterations.max()) == steps
 
 
 def mp_b_prime(spec, r):
