@@ -6,7 +6,8 @@ f = h + conj(g) on the unit disk, normalised so f(0) = 0 and h'(0) = 1.
 each record is everything the package knows about its family:
 
 * its parameters, the last of them the one grid commands sweep, and their
-  domain (``make_spec``, ``validate``);
+  domain, which every :class:`ClassSpec` passes where it is built
+  (``validate``), so no function here checks a spec it is given;
 * the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``),
   which the extremal map attains (``extremal_coefficients``);
 * the distance constant d*, a sharp lower bound on the distance from f(0)
@@ -75,6 +76,9 @@ _ROUNDING = 8.0 * 2.0**-52
 # fractions (see _gh_majorant).
 _GH_TINY_ALPHA = 1e-280
 
+# The parameters a lane spec may sweep; k stays one integer for all lanes.
+_LANE_PARAMS = ("alpha", "beta", "m")
+
 
 class Family(str, Enum):
     """The six families, keyed by their command-line tags."""
@@ -89,11 +93,17 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """A family together with a concrete parameter choice.
+    """A family together with a concrete parameter choice, valid by
+    construction.
 
-    In a lane spec (see ``stack_lanes``) alpha, beta and m are 1-D arrays
-    holding one parameter point per lane; ``bohr_sum``, ``distance_bound``
-    and ``coefficient_rule`` then work on all lanes at once.
+    Building one (directly, by ``dataclasses.replace`` or by any helper
+    here) stores alpha, beta and m as floats and an integral k as an int,
+    then runs ``validate``: an invalid spec raises ValidationError and is
+    never made, so no engine checks a spec again.  In a lane spec (see
+    ``stack_lanes``) alpha, beta and m are read-only float64 copies of 1-D
+    arrays holding one parameter point per lane; ``bohr_sum``,
+    ``distance_bound`` and ``coefficient_rule`` then work on all lanes at
+    once.
     """
 
     family: Family
@@ -101,6 +111,18 @@ class ClassSpec:
     beta: float | None = None
     m: float | None = None
     k: int | None = None
+
+    def __post_init__(self):
+        for name in _LANE_PARAMS:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) and value.ndim:
+                value = np.array(value, dtype=np.float64)
+                value.flags.writeable = False
+            elif value is not None:
+                value = float(value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "k", _as_count(self.k))
+        validate(self)
 
     def params(self) -> dict[str, float]:
         """The parameters relevant to this family, in canonical order."""
@@ -334,35 +356,22 @@ FAMILIES: dict[Family, FamilyDef] = {
     ),
 }
 
-# The parameters a lane spec may sweep; k stays one integer for all lanes.
-_LANE_PARAMS = ("alpha", "beta", "m")
-
-
-def _require_finite(name: str, value):
-    # A float for one point, a float array for the lanes of a lane spec.
-    if value is None:
-        raise ValidationError(f"{name} is required for this family")
-    if isinstance(value, np.ndarray):
-        value = value.astype(np.float64, copy=False)
-        _check(np.isfinite(value), value, f"{name} must be finite")
-    else:
-        value = float(value)
-        _check(math.isfinite(value), value, f"{name} must be finite")
-    return value
-
-
 def validate(spec: ClassSpec) -> None:
     """Raise ValidationError naming the violated bound if spec is invalid.
 
-    For a lane spec every lane is checked, and the error names the first
-    failing lane's value.
+    Every ClassSpec runs this once, when it is built; a later call checks
+    it again.  Each float parameter is first required and finite, then
+    tested; for a lane spec every lane is checked, and the error names the
+    first failing lane's value.
     """
-    values: dict = {}
+    finite = set()
     for name, test, message in FAMILIES[spec.family].domain:
-        if name not in values:
-            value = getattr(spec, name)
-            values[name] = _require_finite(name, value) if name in _LANE_PARAMS else value
-        value = values[name]
+        value = getattr(spec, name)
+        if name in _LANE_PARAMS and name not in finite:
+            if value is None:
+                raise ValidationError(f"{name} is required for this family")
+            _check(np.isfinite(value), value, f"{name} must be finite")
+            finite.add(name)
         if name in _LANE_PARAMS:
             _check(test(value), value, message)
         elif not test(value):
@@ -384,7 +393,7 @@ def stack_lanes(specs) -> ClassSpec:
     """One lane spec for specs of one family that agree on k.
 
     A lane spec is a ClassSpec whose swept parameters are 1-D arrays, one
-    entry (a lane) per given spec.  It is validated lane by lane.
+    entry (a lane) per given spec.
     """
     specs = list(specs)
     if not specs:
@@ -393,13 +402,11 @@ def stack_lanes(specs) -> ClassSpec:
     if any(s.family is not first.family or s.k != first.k for s in specs):
         raise DomainError("lanes must share one family and one k")
     lanes = {
-        name: np.array([getattr(s, name) for s in specs], dtype=np.float64)
+        name: np.array([getattr(s, name) for s in specs])
         for name in _LANE_PARAMS
         if getattr(first, name) is not None
     }
-    spec = replace(first, **lanes)
-    validate(spec)
-    return spec
+    return replace(first, **lanes)
 
 
 def lane_groups(specs) -> list[list[int]]:
@@ -456,18 +463,12 @@ def _as_count(k):
 
 
 def make_spec(family: Family, **params) -> ClassSpec:
-    """Build and validate a spec from keyword parameters."""
+    """Build a spec from keyword parameters."""
     names = FAMILIES[family].params
     for name in names:
         if name not in params:
             raise ValidationError(f"missing parameter {name!r} for {family.value}")
-    values = {
-        name: float(params[name]) if name in _LANE_PARAMS else _as_count(params[name])
-        for name in names
-    }
-    spec = ClassSpec(family, **values)
-    validate(spec)
-    return spec
+    return ClassSpec(family, **{name: params[name] for name in names})
 
 
 def ph_alpha(alpha: float) -> ClassSpec:
@@ -497,8 +498,7 @@ def ph_m(m: float) -> ClassSpec:
 def start_index(spec: ClassSpec) -> int:
     """First index n with a nonzero coefficient bound beyond the leading z:
     2, or k + 1 past a gap of length k."""
-    validate(spec)
-    return int(spec.k) + 1 if "k" in FAMILIES[spec.family].params else 2
+    return spec.k + 1 if "k" in FAMILIES[spec.family].params else 2
 
 
 def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
@@ -516,7 +516,6 @@ def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
     Closed forms where they exist; accelerated alternating sums otherwise.
     A lane spec gives arrays, one d* per lane.
     """
-    validate(spec)
     return FAMILIES[spec.family].d_star(spec, tol)
 
 
@@ -528,7 +527,6 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     wh-alpha, the one family summed term by term, which raises
     ConvergenceError where it cannot reach tol (r close to 1).
     """
-    validate(spec)
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     tail, _ = FAMILIES[spec.family].majorant(spec, r, tol)
@@ -545,7 +543,6 @@ def growth_envelope(spec: ClassSpec, r, tol: float = 1e-12) -> GrowthEnvelope:
     Lerch sum, as its B is, and carries that sum's own bound, which can
     exceed ``tol`` for alpha near 0 and r near 1.
     """
-    validate(spec)
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     return FAMILIES[spec.family].envelope(spec, r, tol)
@@ -559,14 +556,13 @@ def extremal_coefficients(spec: ClassSpec, truncation: int) -> np.ndarray:
     powers z^(jk+1).  Every family's extremal here is analytic: its
     co-analytic part is zero.
     """
-    validate(spec)
     if int(truncation) != truncation or truncation < 1:
         raise DomainError(f"truncation must be an integer >= 1, got {truncation!r}")
     n_top = int(truncation)
     a = np.zeros(n_top, dtype=np.float64)
     a[0] = 1.0
     if spec.family is Family.GH_K_ALPHA:
-        k = int(spec.k)
+        k = spec.k
         js = np.arange(1, (n_top - 1) // k + 1, dtype=np.float64)
         a[(js * k).astype(np.int64)] = _gh_lacunary_rule(spec).terms(js)
     elif n_top >= 2:

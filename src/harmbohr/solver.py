@@ -42,6 +42,7 @@ one float ``RadiusResult`` per spec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,7 +60,6 @@ from .classes import (
     lane_groups,
     stack_lanes,
     take_lanes,
-    validate,
 )
 from .errors import ConvergenceError, DomainError
 from .series import SeriesValue, fields_equal, require
@@ -99,11 +99,14 @@ class SolverConfig:
     prefer_closed_form: bool = True
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise DomainError(f"tol must be a real number, got {self.tol!r}")
         if not self.tol > 0.0:
             raise DomainError(f"tol must be > 0, got {self.tol}")
         # An infinite tolerance certifies nothing, and JSON cannot carry it.
         if not math.isfinite(self.tol):
             raise DomainError(f"tol must be finite, got {self.tol}")
+        object.__setattr__(self, "tol", float(self.tol))
         if not _is_count(self.max_iter):
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
@@ -155,7 +158,6 @@ def closed_form_radius(spec: ClassSpec):
     lane spec.  The expressions are arranged to avoid cancellation for small
     parameters.
     """
-    validate(spec)
     radius = FAMILIES[spec.family].radius
     return None if radius is None else _float_or_array(radius(spec))
 
@@ -360,7 +362,7 @@ def jacobian_radius(m):
     halved, which is exact in binary.  A 1-D array of m gives one root per
     lane.
     """
-    return closed_form_radius(ClassSpec(Family.TB_M, m=np.asarray(m, dtype=np.float64))) / 2.0
+    return closed_form_radius(ClassSpec(Family.TB_M, m=np.asarray(m))) / 2.0
 
 
 def jacobian_functional(m, r):
@@ -368,7 +370,7 @@ def jacobian_functional(m, r):
 
     Lanes as in ``jacobian_radius``, with one r per lane.
     """
-    m = np.asarray(m, dtype=np.float64)
-    validate(ClassSpec(Family.TB_M, m=m))
+    # A tb-m spec checks m's domain.
+    m = ClassSpec(Family.TB_M, m=np.asarray(m)).m
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     return _float_or_array(2.0 * m * r * r + 2.0 * r)

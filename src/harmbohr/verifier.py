@@ -42,7 +42,6 @@ from .classes import (
     start_index,
     take_lanes,
     tb_m,
-    validate,
     wh_alpha,
 )
 from .errors import DomainError, HarmBohrError
@@ -161,7 +160,6 @@ def distance_oracle(
     constant d* for these extremals, approaching it from below along the
     ray of minimum modulus.
     """
-    validate(spec)
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must satisfy 0 < rho < 1, got {rho}")
     if int(grid) != grid or grid < 8:
@@ -254,8 +252,7 @@ def _first_violations(
     [0, r_max] where the Bohr inequality B(r) <= d* fails beyond both error
     bounds (a NaN fails it too), or None."""
     specs, r_maxes = list(specs), list(r_maxes)
-    for spec, r_max in zip(specs, r_maxes, strict=True):
-        validate(spec)
+    for _, r_max in zip(specs, r_maxes, strict=True):
         if not 0.0 < r_max < 1.0:
             raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
     if int(steps) != steps or steps < 2:
@@ -288,7 +285,6 @@ def envelope_check(
     24 points.
     """
     cfg = config or SolverConfig()
-    validate(spec)
     samples = tuple(float(r) for r in samples)
     if any(not 0.0 < r < 1.0 for r in samples):
         raise DomainError("all samples must lie in (0, 1)")

@@ -174,6 +174,88 @@ class TestValidation:
             gh_k_alpha(10**exponent, 1e-300)
 
 
+class TestValidByConstruction:
+    """A ClassSpec checks its parameters where it is built, and only there."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (
+                lambda: ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0])),
+                "^alpha must satisfy 0 <= alpha <= 1, got 1.5$",
+            ),
+            (
+                lambda: dataclasses.replace(
+                    stack_lanes([wh_alpha(0.1), wh_alpha(0.2)]), alpha=np.array([0.3, -1.0, 2.0])
+                ),
+                "^alpha must satisfy 0 <= alpha <= 1, got -1.0$",
+            ),
+            (
+                lambda: ClassSpec(Family.GT_BETA, beta=np.array([0.1, np.inf, np.nan])),
+                "^beta must be finite, got inf$",
+            ),
+            (lambda: dataclasses.replace(tb_m(1.0), m=2.0), "^m must satisfy 0 < m < 2, got 2.0$"),
+            (lambda: dataclasses.replace(gh_k_alpha(2, 1.0), k=0), "^k must be an integer >= 1, got 0$"),
+            (lambda: ClassSpec(Family.PH_ALPHA), "^alpha is required for this family$"),
+        ],
+        ids=["direct-lanes", "replaced-lanes", "first-non-finite", "replaced", "replaced-k", "missing"],
+    )
+    def test_invalid_spec_raises_where_built(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    def test_lane_arrays_are_read_only_float64_copies(self):
+        given = np.array([0.1, 0.2, 0.3])
+        built = {
+            "ClassSpec": ClassSpec(Family.WH_ALPHA, alpha=given),
+            "stack_lanes": stack_lanes(wh_alpha(a) for a in given),
+            "sweep_lanes": sweep_lanes(wh_alpha(0.5), "alpha", given)[0],
+            "take_lanes": take_lanes(ClassSpec(Family.WH_ALPHA, alpha=given), [0, 2]),
+            "replace": dataclasses.replace(wh_alpha(0.5), alpha=given),
+            "int-array": ClassSpec(Family.TB_M, m=np.array([1, 1])),
+        }
+        for how, spec in built.items():
+            lanes = spec.params()[FAMILIES[spec.family].params[-1]]
+            assert lanes.dtype == np.float64 and not lanes.flags.writeable, how
+            assert not np.shares_memory(lanes, given), how
+            with pytest.raises(ValueError, match="read-only"):
+                lanes[0] = 7.0
+        # The caller's array is copied, not frozen in place.
+        assert given.flags.writeable
+        given[0] = 0.9
+        assert built["ClassSpec"].alpha.tolist() == [0.1, 0.2, 0.3]
+
+    def test_parameters_are_normalised(self):
+        spec = ClassSpec(Family.GH_K_ALPHA, k=2.0, alpha=1)
+        assert spec == gh_k_alpha(2, 1.0)
+        assert type(spec.k) is int and type(spec.alpha) is float
+
+    def test_engines_do_not_recheck_a_built_spec(self, monkeypatch):
+        import harmbohr.classes as classes
+        from harmbohr.solver import closed_form_radius
+
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return validate(spec)
+
+        monkeypatch.setattr(classes, "validate", counted)
+        wh_alpha(0.5)
+        assert len(calls) == 1  # building a spec is counted
+        lanes = [stack_lanes(specs) for specs in TestLanes.GRIDS]
+        calls.clear()
+        for spec in ALL_SAMPLE_SPECS + lanes:
+            bohr_sum(spec, 0.3)
+            distance_bound(spec)
+            growth_envelope(spec, 0.3)
+            coefficient_rule(spec)
+            closed_form_radius(spec)
+        for spec in ALL_SAMPLE_SPECS:
+            extremal_coefficients(spec, 16)
+        assert calls == []
+
+
 class TestFamilyRecords:
     """Each family is defined once, in FAMILIES; the rest is derived."""
 
@@ -676,9 +758,8 @@ class TestLanes:
         assert hash(GrowthEnvelope(0.1, 0.2)) == hash((0.1, 0.2, 0.0))
 
     def test_invalid_lane_named(self):
-        spec = ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0]))
         with pytest.raises(ValidationError, match="got 1.5"):
-            validate(spec)
+            ClassSpec(Family.WH_ALPHA, alpha=np.array([0.5, 1.5, 2.0]))
 
     @pytest.mark.parametrize(
         "spec,name,values,kept",

@@ -103,6 +103,29 @@ class TestSolverConfig:
         as_int = SolverConfig(max_iter=2)
         assert solve_radius(wh_alpha(0.5), cfg) == solve_radius(wh_alpha(0.5), as_int)
 
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            (True, "tol must be a real number, got True"),
+            ("1e-9", "tol must be a real number, got '1e-9'"),
+            (None, "tol must be a real number, got None"),
+            (math.nan, "tol must be > 0, got nan"),
+            (math.inf, "tol must be finite, got inf"),
+            (0, "tol must be > 0, got 0"),
+            (-1e-12, "tol must be > 0, got -1e-12"),
+        ],
+        ids=["true", "string", "none", "nan", "inf", "zero", "negative"],
+    )
+    def test_rejects_each_bad_tolerance(self, tol, message):
+        # A bool is no tolerance, and a string must not escape as a
+        # TypeError from the comparison.
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SolverConfig(tol=tol)
+
+    def test_integral_tol_is_stored_as_a_float(self):
+        cfg = SolverConfig(tol=1)
+        assert type(cfg.tol) is float and cfg.tol == 1.0
+
     @pytest.mark.parametrize("name", ["tol"])
     def test_rejects_infinite_tolerances(self, name):
         with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
