@@ -112,6 +112,9 @@ class ClassSpec:
     m: float | None = None
     k: int | None = None
 
+    # The generated == would ask numpy for the truth of a lane array.
+    __eq__ = fields_equal
+
     def __post_init__(self):
         for name in _LANE_PARAMS:
             value = getattr(self, name)
@@ -123,6 +126,11 @@ class ClassSpec:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "k", _as_count(self.k))
         validate(self)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so a
+        # copy's lane arrays are read-only and checked like the original's.
+        return type(self), (self.family, self.alpha, self.beta, self.m, self.k)
 
     def params(self) -> dict[str, float]:
         """The parameters relevant to this family, in canonical order."""

@@ -10,7 +10,9 @@ class or parameters, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
+import gc
 import json
 import math
 import os
@@ -373,7 +375,23 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
+def _freeze_collector_at_exit() -> None:
+    """Register ``gc.freeze`` to run at interpreter exit, once per process.
+
+    Finalization then skips its full collections over the objects numpy
+    and harmbohr leave tracked: reference counting still frees them, the
+    interpreter flushes stdout and stderr before it tears modules down,
+    and no harmbohr object owns a resource that needs a finalizer, so only
+    cyclic garbage still alive at exit is left to the operating system.
+    """
+    atexit.register(gc.freeze)
+
+
 def entrypoint() -> None:
+    """The ``harmbohr`` process: ``main`` on ``sys.argv``, its code as the
+    exit status.  Unlike ``main``, it also freezes the collector at exit."""
+    _freeze_collector_at_exit()
     raise SystemExit(main(sys.argv[1:]))
 
 

@@ -5,8 +5,10 @@ Closed-form expectations are derived in comments; series-backed quantities
 are cross-checked against plain partial sums computed in-test.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -224,6 +226,41 @@ class TestValidByConstruction:
         assert given.flags.writeable
         given[0] = 0.9
         assert built["ClassSpec"].alpha.tolist() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_rebuilt_through_the_constructor(self, rebuild, monkeypatch):
+        import harmbohr.classes as classes
+
+        calls = []
+        monkeypatch.setattr(classes, "validate", calls.append)
+        lanes = stack_lanes([gh_k_alpha(2, 0.1), gh_k_alpha(2, 0.2)])
+        for spec in (lanes, gh_k_alpha(3, 0.5)):
+            calls.clear()
+            copied = rebuild(spec)
+            assert calls == [copied]  # checked again, like a spec built anew
+            assert copied == spec
+            assert type(copied.k) is int and copied.family is spec.family
+        copied = rebuild(lanes)
+        assert not np.shares_memory(copied.alpha, lanes.alpha)
+        assert copied.alpha.dtype == np.float64 and not copied.alpha.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copied.alpha[0] = 7.0
+
+    def test_lane_specs_compare_by_fields(self):
+        grid = [wh_alpha(0.1), wh_alpha(0.2), wh_alpha(0.3)]
+        assert stack_lanes(grid) == stack_lanes(grid)
+        assert stack_lanes(grid) != stack_lanes([*grid[:2], wh_alpha(0.4)])
+        assert stack_lanes(grid) != stack_lanes(grid[:2])
+        assert stack_lanes(grid) != stack_lanes([ph_alpha(s.alpha) for s in grid])
+        assert stack_lanes(grid[:1]) != grid[0]  # one lane is not a float spec
+        # Float specs still compare and hash as the tuple of their fields.
+        assert gh_k_alpha(2, 1.0) == gh_k_alpha(2.0, 1) and gh_k_alpha(2, 1.0) != gh_k_alpha(3, 1.0)
+        assert hash(gh_k_alpha(2, 1.0)) == hash(gh_k_alpha(2.0, 1))
+        assert {wh_alpha(0.5): 1}[wh_alpha(0.5)] == 1
 
     def test_parameters_are_normalised(self):
         spec = ClassSpec(Family.GH_K_ALPHA, k=2.0, alpha=1)

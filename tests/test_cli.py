@@ -2,6 +2,7 @@
 codes, grid sweeps, environment overrides, and stream separation."""
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -427,9 +428,18 @@ class TestEntrypoint:
         monkeypatch.setattr(
             sys, "argv", ["harmbohr", "radius", "--class", "tb-m", "--m", "1"]
         )
+        before = gc.get_freeze_count(), gc.isenabled()
         with pytest.raises(SystemExit) as exc_info:
             entrypoint()
         assert exc_info.value.code == 0
+        # The collector is frozen only once the interpreter exits.
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        for argv in (["radius", "--class", "wh-alpha", "--alpha", "0.5"], ["radius", "--bad"]):
+            main(argv)
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestParserBuiltOnce:
@@ -802,6 +812,28 @@ class TestModuleEntryPoints:
         # reuses it; a cold process builds its own.
         assert proc.stdout == run_cli(capsys, *argv)[1] == run_cli(capsys, *argv)[1]
         assert json.loads(proc.stdout)["radius"] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
+
+    # An atexit probe registered before harmbohr is imported runs after every
+    # handler harmbohr registers (last in, first out), and prints whether
+    # the collector was frozen by then.
+    EXIT_PROBE = textwrap.dedent("""
+        import atexit, gc, sys
+        atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+        from harmbohr import cli
+        sys.argv[1:] = ["radius", "--class", "tb-m", "--m", "1"]
+        {call}
+    """)
+
+    @pytest.mark.parametrize(
+        "call,frozen",
+        [("cli.entrypoint()", True), ("sys.exit(cli.main(sys.argv[1:]))", False)],
+        ids=["entrypoint", "main"],
+    )
+    def test_only_the_entry_point_freezes_the_collector_at_exit(self, capsys, call, frozen):
+        proc = run_python("-c", self.EXIT_PROBE.format(call=call))
+        assert proc.returncode == 0, proc.stderr
+        record = run_cli(capsys, "radius", "--class", "tb-m", "--m", "1")[1]
+        assert proc.stdout == f"{record}frozen at exit: {frozen}\n"
 
     def test_fresh_interpreter_builds_one_parser_tree(self):
         # Importing the CLI builds no parser; main builds one tree on its

@@ -1,5 +1,6 @@
 """Golden-output tests: ``cli.main`` run in process, its stdout and exit
-code compared byte for byte with files under ``tests/golden/``.
+code compared byte for byte with files under ``tests/golden/``, and a few
+cases run again as a ``python -m harmbohr`` process.
 
 Each case writes ``<name>.out`` (stdout) and an entry in
 ``exit_codes.json``.  To regenerate after a deliberate output change:
@@ -13,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +72,24 @@ def test_golden(name, monkeypatch):
     rc, out = run(CASES[name])
     assert rc == json.loads(EXIT_CODES.read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# Cases run again as a ``python -m harmbohr`` process: a solved and a
+# closed-form radius, and each failure exit code.
+PROCESS_CASES = ("radius-wh-alpha", "radius-tb-m", "radius-bad-domain", "radius-max-iter-1")
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_golden_process(name):
+    env = {k: v for k, v in os.environ.items() if k != "BOHR_TOL"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "harmbohr", *CASES[name]],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == json.loads(EXIT_CODES.read_text())[name]
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def regenerate(names) -> None:
