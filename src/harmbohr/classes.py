@@ -8,21 +8,25 @@ each record is everything the package knows about its family:
 * its parameters, the last of them the one grid commands sweep, and their
   domain, which every :class:`ClassSpec` passes where it is built
   (``validate``), so no function here checks a spec it is given;
-* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``),
-  which the extremal map attains (``extremal_coefficients``);
-* the distance constant d*, a sharp lower bound on the distance from f(0)
-  to the boundary of the image (``distance_bound``): for wh-alpha and
-  gh-k-alpha, 1 plus the alternating sum of c_n (``series.alt_constant``);
+* the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``)
+  and the extremal map built from it (``extremal_coefficients``);
 * the majorant B(r) = r + sum c_n r^n (``bohr_sum``): a closed form for
   four families, a Lerch sum (``series.lerch_sum``) for gh-k-alpha and the
   power series of c_n for wh-alpha, returned by one call together with an
   upper bound on B' for the solver's Newton steps (for wh-alpha, from the
   terms of the same power series);
-* sharp growth envelopes for |f| on |z| = r (``growth_envelope``): for
-  wh-alpha and gh-k-alpha the lower side is the same alternating sum with
-  each term times r^n (or y^j, y = r^k), so d* is its limit at r = 1, and
-  gh-k-alpha's upper side is the Lerch sum of its majorant;
+* the lower growth envelope, |f| at the extremal's lower touch point on
+  |z| = r for 0 <= r <= 1 (``lower``): a closed form, or for wh-alpha and
+  gh-k-alpha an alternating sum of c_n r^n (or of the lacunary terms in
+  y^j, y = r^k; ``series.alt_constant``).  Its value at r = 1 is the
+  distance constant d*, a sharp lower bound on the distance from f(0) to
+  the boundary of the image (``distance_bound``);
 * the closed-form radius where one exists.
+
+The upper growth envelope is B itself (``growth_envelope`` pairs it with
+the lower one), except for gh-k-alpha: for k >= 2 its lacunary extremal
+does not attain B, so that record alone sets ``upper``, a Lerch sum in y.
+So each d* and each B is written once.
 
 Every public function here is a lookup in ``FAMILIES``, so a new family is
 one entry; the one per-family branch left is the lacunary extremal of
@@ -38,6 +42,7 @@ parameter points (lanes) at once through lane specs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -62,7 +67,6 @@ from .series import (
     sum_power_series,
 )
 
-LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
 # Parameter supremum for the PH_M family: the distance constant
@@ -116,6 +120,8 @@ class ClassSpec:
     __eq__ = fields_equal
 
     def __post_init__(self):
+        for name in (*_LANE_PARAMS, "k"):
+            _require_real(name, getattr(self, name))
         for name in _LANE_PARAMS:
             value = getattr(self, name)
             if isinstance(value, np.ndarray) and value.ndim:
@@ -144,11 +150,15 @@ class FamilyDef:
     ``params`` lists the parameter names; the last is the swept one and the
     argument of ``coeff``.  ``domain`` holds (name, test, message) triples,
     checked in order.  The callables take a (lane) spec: ``coeff(n, p)``
-    gives c_n, ``d_star(spec, tol)`` the distance constant,
-    ``majorant(spec, r, tol)`` the pair (B(r) - r as a SeriesValue, an upper
-    bound on B'(r)) from one evaluation, ``envelope(spec, r, tol)`` the
-    growth envelope and ``radius(spec)`` the closed-form radius (None:
-    solved).  ``r`` is an array (0-d for one radius), and each entry of a
+    gives c_n, ``majorant(spec, r, tol)`` the pair (B(r) - r as a
+    SeriesValue, an upper bound on B'(r)) from one evaluation,
+    ``lower(spec, r, tol)`` |f| at the extremal's lower touch point on
+    |z| = r as a SeriesValue, for 0 <= r <= 1, so that d* is its value at
+    r = 1, and ``radius(spec)`` the closed-form radius (None: solved).
+    ``upper(spec, r, tol)``, like ``lower`` but at the upper touch point, is
+    set only where the extremal's |f| there is not r + (B(r) - r): for
+    gh-k-alpha with k >= 2 the lacunary extremal does not attain B.  ``r``
+    is an array (0-d for one radius) or the float 1.0, and each entry of a
     result is computed from its own r and lane alone.  ``tol`` bounds the
     error of the summed series.
     """
@@ -156,10 +166,10 @@ class FamilyDef:
     params: tuple[str, ...]
     domain: tuple[tuple[str, Callable, str], ...]
     coeff: Callable
-    d_star: Callable
     majorant: Callable
-    envelope: Callable
+    lower: Callable
     radius: Callable | None = None
+    upper: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,17 @@ class GrowthEnvelope:
             raise DomainError(f"envelope must satisfy 0 <= lower <= upper, got ({lower}, {upper})")
 
 
+def _require_real(name: str, value) -> None:
+    # None, a real number or an array of reals; float() would also take a
+    # bool or a numeric string.
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iuf"
+    else:
+        ok = value is None or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not ok:
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 def _is_count(k) -> bool:
     # An integer >= 1, given as an int or an integral float.
     try:
@@ -205,11 +226,10 @@ def _fits_float(k) -> bool:
     return True
 
 
-def _alt_d_star(rule: CoefficientRule, tol: float) -> SeriesValue:
-    # d* is |f| at the extremal's lower touch point on the unit circle:
-    # 1 plus the alternating sum of its rule.
-    alt = alt_constant(rule, tol=tol)
-    return lane_value(1.0 + alt.value, alt.error_bound)
+def _wh_lower(spec: ClassSpec, r, tol: float) -> SeriesValue:
+    # |f(-r)| = r + sum c_n (-1)^(n-1) r^n.
+    alt = alt_constant(coefficient_rule(spec), r, tol=tol)
+    return lane_value(r + alt.value, alt.error_bound)
 
 
 def _wh_majorant(spec: ClassSpec, r, tol: float):
@@ -244,21 +264,6 @@ def _gh_majorant(spec: ClassSpec, r, tol: float):
     return tail, np.where(tiny, loose, 1.0 + 2.0 * r**k * upper)
 
 
-def _gt_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
-    b = spec.beta
-    lower = b * r + (1.0 - b) * r * (1.0 - r) / (1.0 + r)
-    upper = b * r + (1.0 - b) * r * (1.0 + r) / (1.0 - r)
-    return GrowthEnvelope(lower, upper)
-
-
-def _wh_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
-    # |f(r)| = r + sum c_n r^n and |f(-r)| = r + sum c_n (-1)^(n-1) r^n.
-    rule = coefficient_rule(spec)
-    plus = sum_power_series(rule, r, tol=0.5 * tol)[0]
-    minus = alt_constant(rule, r, tol=0.5 * tol)
-    return GrowthEnvelope(r + minus.value, r + plus.value, plus.error_bound + minus.error_bound)
-
-
 def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
     # Coefficients of the lacunary extremal reindexed by j: term j carries
     # 2 / (1 + j*k*alpha) against y^j with y = r^k; one row per lane.
@@ -266,18 +271,20 @@ def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
     return CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
 
 
-def _gh_envelope(spec: ClassSpec, r, tol: float) -> GrowthEnvelope:
+def _gh_lower(spec: ClassSpec, r, tol: float) -> SeriesValue:
     # With y = r^k the extremal is r (1 + sum_j 2 (+-y)^j / (1 + j k alpha)):
-    # the + side is 2 y times the Lerch sum of B, the - side alternates.
+    # at its lower touch point the signs alternate.
+    alt = alt_constant(_gh_lacunary_rule(spec), r**spec.k, tol=tol)
+    return lane_value(r * (1.0 + alt.value), r * alt.error_bound)
+
+
+def _gh_upper(spec: ClassSpec, r, tol: float) -> SeriesValue:
+    # At the upper touch point the sum is the Lerch sum
+    # 2 y sum_{m>=0} y^m / (1 + (m + 1) k alpha).
     y = r**spec.k
     ka = capped_product(spec.k, spec.alpha)
     plus = lerch_sum(y, 1.0 + ka, ka)
-    minus = alt_constant(_gh_lacunary_rule(spec), y, tol=0.5 * tol)
-    return GrowthEnvelope(
-        r * (1.0 + minus.value),
-        r * (1.0 + 2.0 * y * plus.value),
-        r * (2.0 * y * plus.error_bound + minus.error_bound),
-    )
+    return lane_value(r * (1.0 + 2.0 * y * plus.value), r * (2.0 * y * plus.error_bound))
 
 
 FAMILIES: dict[Family, FamilyDef] = {
@@ -285,14 +292,11 @@ FAMILIES: dict[Family, FamilyDef] = {
         params=("alpha",),
         domain=(("alpha", lambda a: (0.0 <= a) & (a < 1.0), "alpha must satisfy 0 <= alpha < 1"),),
         coeff=lambda n, a: 2.0 * (1.0 - a) / n,
-        d_star=lambda s, tol: lane_value(1.0 + 2.0 * (1.0 - s.alpha) * (LN2 - 1.0), 0.0),
         majorant=lambda s, r, tol: (
             lane_value(2.0 * (1.0 - s.alpha) * log_tail(r), 0.0),
             1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
         ),
-        envelope=lambda s, r, tol: GrowthEnvelope(
-            r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), r + 2.0 * (1.0 - s.alpha) * log_tail(r)
-        ),
+        lower=lambda s, r, tol: lane_value(r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), 0.0),
     ),
     Family.GT_BETA: FamilyDef(
         params=("beta",),
@@ -301,12 +305,14 @@ FAMILIES: dict[Family, FamilyDef] = {
             ("beta", lambda b: b < 0.5, "beta must be < 1/2"),
         ),
         coeff=lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n),
-        d_star=lambda s, tol: lane_value(s.beta, 0.0),
         majorant=lambda s, r, tol: (
             lane_value(2.0 * (1.0 - s.beta) * r * r / (1.0 - r), 0.0),
             1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
         ),
-        envelope=_gt_envelope,
+        # Exactly beta at r = 1, however small beta is.
+        lower=lambda s, r, tol: lane_value(
+            s.beta * r + (1.0 - s.beta) * r * (1.0 - r) / (1.0 + r), 0.0
+        ),
         # The root of (1 - 2b) r^2 + (1 + b) r - b = 0, free of cancellation
         # for small b.
         radius=lambda s: 2.0 * s.beta / (
@@ -317,9 +323,8 @@ FAMILIES: dict[Family, FamilyDef] = {
         params=("alpha",),
         domain=(("alpha", lambda a: (0.0 <= a) & (a <= 1.0), "alpha must satisfy 0 <= alpha <= 1"),),
         coeff=lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
-        d_star=lambda s, tol: _alt_d_star(coefficient_rule(s), tol),
         majorant=_wh_majorant,
-        envelope=_wh_envelope,
+        lower=_wh_lower,
     ),
     Family.GH_K_ALPHA: FamilyDef(
         params=("k", "alpha"),
@@ -330,17 +335,16 @@ FAMILIES: dict[Family, FamilyDef] = {
         ),
         # n >= k + 1 >= 2; (n - 1) alpha is capped so that it stays finite.
         coeff=lambda n, a: 2.0 / (1.0 + capped_product(n - 1.0, a)),
-        d_star=lambda s, tol: _alt_d_star(_gh_lacunary_rule(s), tol),
         majorant=_gh_majorant,
-        envelope=_gh_envelope,
+        lower=_gh_lower,
+        upper=_gh_upper,
     ),
     Family.TB_M: FamilyDef(
         params=("m",),
         domain=(("m", lambda m: (0.0 < m) & (m < 2.0), "m must satisfy 0 < m < 2"),),
         coeff=lambda n, m: np.where(n == 2.0, m / 2.0, 0.0),
-        d_star=lambda s, tol: lane_value(1.0 - s.m / 2.0, 0.0),
         majorant=lambda s, r, tol: (lane_value(0.5 * s.m * r * r, 0.0), 1.0 + s.m * r),
-        envelope=lambda s, r, tol: GrowthEnvelope(r - 0.5 * s.m * r * r, r + 0.5 * s.m * r * r),
+        lower=lambda s, r, tol: lane_value(r - 0.5 * s.m * r * r, 0.0),
         # The root of m r^2 + 2r + (m - 2) = 0, free of cancellation for small m.
         radius=lambda s: (2.0 - s.m) / (1.0 + np.sqrt(1.0 + 2.0 * s.m - s.m * s.m)),
     ),
@@ -354,13 +358,10 @@ FAMILIES: dict[Family, FamilyDef] = {
             ),
         ),
         coeff=lambda n, m: 2.0 * m / (n * (n - 1.0)),
-        d_star=lambda s, tol: lane_value(1.0 + 2.0 * s.m * (1.0 - LN4), 0.0),
         majorant=lambda s, r, tol: (
             lane_value(2.0 * s.m * nn1_tail(r), 0.0), 1.0 - 2.0 * s.m * np.log1p(-r)
         ),
-        envelope=lambda s, r, tol: GrowthEnvelope(
-            r + 2.0 * s.m * alt_nn1_tail(r), r + 2.0 * s.m * nn1_tail(r)
-        ),
+        lower=lambda s, r, tol: lane_value(r + 2.0 * s.m * alt_nn1_tail(r), 0.0),
     ),
 }
 
@@ -463,7 +464,7 @@ def _as_count(k):
     # An integral k becomes an int, so records print "k": 2; anything else
     # is left as given for validate to reject.
     try:
-        if not isinstance(k, bool) and int(k) == float(k):
+        if int(k) == float(k):
             return int(k)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -521,10 +522,11 @@ def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
 def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
     """The distance constant d*: a sharp lower bound on dist(f(0), boundary).
 
-    Closed forms where they exist; accelerated alternating sums otherwise.
-    A lane spec gives arrays, one d* per lane.
+    d* is the lower growth envelope at r = 1, the limit of the least |f| on
+    |z| = r: a closed form where one exists, an accelerated alternating sum
+    otherwise.  A lane spec gives arrays, one d* per lane.
     """
-    return FAMILIES[spec.family].d_star(spec, tol)
+    return FAMILIES[spec.family].lower(spec, 1.0, tol)
 
 
 def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
@@ -544,16 +546,26 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
 def growth_envelope(spec: ClassSpec, r, tol: float = 1e-12) -> GrowthEnvelope:
     """Sharp lower/upper bounds on |f(z)| at |z| = r for the family.
 
-    ``r`` is a float, giving floats, or an array, as for ``bohr_sum``,
-    giving arrays: each entry is bit for bit its own float call.
-    ``error_bound`` bounds the error of the summed series.  ``tol`` bounds
-    each power series and alternating sum; gh-k-alpha's upper side is a
-    Lerch sum, as its B is, and carries that sum's own bound, which can
-    exceed ``tol`` for alpha near 0 and r near 1.
+    The lower side is the family's ``lower``; the upper side is r plus the
+    majorant's tail, B(r), except for gh-k-alpha, whose ``upper`` is the
+    lacunary extremal's own.  ``r`` is a float, giving floats, or an array,
+    as for ``bohr_sum``, giving arrays: each entry is bit for bit its own
+    float call.  ``error_bound`` is the sum of the two sides' error bounds.
+    Each side is summed to ``tol``/2, where it is a power series or an
+    alternating sum; gh-k-alpha's upper side is a Lerch sum and carries
+    that sum's own bound, which can exceed ``tol`` for alpha near 0 and r
+    near 1.
     """
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
-    return FAMILIES[spec.family].envelope(spec, r, tol)
+    fam = FAMILIES[spec.family]
+    low = fam.lower(spec, r, 0.5 * tol)
+    if fam.upper is not None:
+        up = fam.upper(spec, r, 0.5 * tol)
+    else:
+        tail = fam.majorant(spec, r, 0.5 * tol)[0]
+        up = SeriesValue(r + tail.value, tail.error_bound)
+    return GrowthEnvelope(low.value, up.value, low.error_bound + up.error_bound)
 
 
 def extremal_coefficients(spec: ClassSpec, truncation: int) -> np.ndarray:

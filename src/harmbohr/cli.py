@@ -21,11 +21,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-# distance_bound is no longer called here; perfbench/test_perfbench.py reads it.
-from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes  # noqa: F401
+from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes
 from .errors import ConvergenceError, DomainError, ValidationError
-from .series import SeriesValue
-# solve_radius is not called here either; perfbench/test_perfbench.py reads it.
+# solve_radius is not called here; perfbench/test_perfbench.py reads it.
 from .solver import Method, RadiusResult, SolverConfig, _solve_lanes, _split_lanes
 from .solver import jacobian_functional, jacobian_radius, solve_radius  # noqa: F401
 
@@ -168,7 +166,7 @@ def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg
     spec, n = sweep_lanes(first, name, values)
     if tag == JACOBIAN_TAG:
         radius = jacobian_radius(spec.m)
-        d_star = SeriesValue(1.0 - 0.5 * spec.m, np.zeros(n))
+        d_star = distance_bound(spec)
         residual = abs(jacobian_functional(spec.m, radius) - d_star.value)
         steps = np.zeros(n, dtype=np.int64)
         lanes = RadiusResult(radius, residual, radius, radius, steps, Method.CLOSED_FORM, d_star)

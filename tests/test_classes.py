@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from harmbohr.classes import (
     gh_k_alpha,
     growth_envelope,
     gt_beta,
+    lane_groups,
     make_spec,
     ph_alpha,
     ph_m,
@@ -40,7 +42,8 @@ from harmbohr.classes import (
     wh_alpha,
 )
 from harmbohr.errors import DomainError, ValidationError
-from harmbohr.series import SeriesValue
+from harmbohr.series import CoefficientRule, SeriesValue, alt_constant, capped_product
+from harmbohr.solver import jacobian_radius
 from harmbohr.verifier import _tail_bound
 
 ALL_SAMPLE_SPECS = [
@@ -262,6 +265,38 @@ class TestValidByConstruction:
         assert hash(gh_k_alpha(2, 1.0)) == hash(gh_k_alpha(2.0, 1))
         assert {wh_alpha(0.5): 1}[wh_alpha(0.5)] == 1
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: tb_m(True), "m"),
+            (lambda: gt_beta(False), "beta"),
+            (lambda: ph_alpha("0.3"), "alpha"),
+            (lambda: gh_k_alpha("3", 1.0), "k"),
+            (lambda: gh_k_alpha(3, "1"), "alpha"),
+            (lambda: gh_k_alpha(True, 1.0), "k"),
+            (lambda: wh_alpha(np.True_), "alpha"),
+            (lambda: ph_m(0.5 + 0j), "m"),
+            (lambda: ClassSpec(Family.WH_ALPHA, alpha=np.array([True, False])), "alpha"),
+            (lambda: ClassSpec(Family.TB_M, m=np.array(True)), "m"),
+            (lambda: ClassSpec(Family.TB_M, m=np.array(["1.0"])), "m"),
+        ],
+        ids=[
+            "bool", "false", "str", "str-k", "str-alpha", "bool-k", "numpy-bool", "complex",
+            "bool-lanes", "bool-0d", "str-lanes",
+        ],
+    )
+    def test_bool_and_non_numeric_parameters_are_rejected(self, build, name):
+        # float() takes True and "0.3", so each would otherwise solve as a number.
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+            build()
+
+    def test_real_numbers_and_real_arrays_are_accepted(self):
+        assert tb_m(np.float32(1.0)) == tb_m(Fraction(1)) == tb_m(np.int64(1)) == tb_m(1.0)
+        assert gh_k_alpha(np.int64(3), Fraction(1, 2)) == gh_k_alpha(3, 0.5)
+        # A 0-d array is one point, as jacobian_radius builds it.
+        assert ClassSpec(Family.TB_M, m=np.asarray(1.0)) == tb_m(1.0)
+        assert jacobian_radius(1.0) == jacobian_radius(np.asarray(1.0))
+
     def test_parameters_are_normalised(self):
         spec = ClassSpec(Family.GH_K_ALPHA, k=2.0, alpha=1)
         assert spec == gh_k_alpha(2, 1.0)
@@ -383,7 +418,63 @@ class TestCoefficientBound:
         assert np.array_equal(from_rule, np.asarray(pointwise))
 
 
+def written_d_star(spec):
+    """(d*, its error bound) as the closed forms and alternating sums write it."""
+    fam = spec.family
+    if fam is Family.PH_ALPHA:
+        return 1.0 + 2.0 * (1.0 - spec.alpha) * (math.log(2.0) - 1.0), 0.0
+    if fam is Family.PH_M:
+        return 1.0 + 2.0 * spec.m * (1.0 - math.log(4.0)), 0.0
+    if fam is Family.TB_M:
+        return 1.0 - spec.m / 2.0, 0.0
+    if fam is Family.GT_BETA:
+        return spec.beta, 0.0
+    if fam is Family.WH_ALPHA:
+        rule = coefficient_rule(spec)
+    else:
+        # The lacunary extremal's coefficients 2 / (1 + j k alpha), j >= 1.
+        ka = capped_product(spec.k, spec.alpha)
+        rule = CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
+    alt = alt_constant(rule)
+    return 1.0 + alt.value, alt.error_bound
+
+
+def d_star_sample(fam, seed):
+    """Twelve seeded points of the family's domain, plus its edges (per k for gh-k-alpha)."""
+    rng = np.random.default_rng(seed)
+    below = math.nextafter
+    if fam is Family.GH_K_ALPHA:
+        alphas = [1e-300, 1e-3, 1.0, 1e300, *(10.0 ** rng.uniform(-3.0, 3.0, 12))]
+        return [gh_k_alpha(k, float(a)) for k in (1, 2, 5) for a in alphas]
+    edges, hi = {
+        Family.PH_ALPHA: ([0.0, 5e-324, below(1.0, 0.0)], 1.0),
+        # A lower side written r - 2(1 - beta) r^2 / (1 + r) would round
+        # d* to 0 below beta = 1e-16.
+        Family.GT_BETA: ([0.0, 5e-324, 1e-300, 1e-17, below(0.5, 0.0)], 0.5),
+        Family.WH_ALPHA: ([0.0, 5e-324, 1.0], 1.0),
+        Family.TB_M: ([5e-324, 1e-300, below(2.0, 0.0)], 2.0),
+        Family.PH_M: ([5e-324, 1e-300, below(PH_M_SUP, 0.0)], PH_M_SUP),
+    }[fam]
+    name = FAMILIES[fam].params[-1]
+    return [make_spec(fam, **{name: float(v)}) for v in [*edges, *rng.uniform(0.0, hi, 12)]]
+
+
 class TestDistanceBound:
+    @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+    def test_d_star_is_its_written_formula_bit_for_bit(self, fam):
+        # d* is the lower envelope at r = 1; at every point, one at a time
+        # and as lanes, it is exactly the formula written out above.
+        specs = d_star_sample(fam, seed=list(Family).index(fam))
+        for spec in specs:
+            d = distance_bound(spec)
+            assert (d.value, d.error_bound) == written_d_star(spec), spec
+            assert type(d.value) is float and type(d.error_bound) is float
+        for idx in lane_groups(specs):
+            d = distance_bound(stack_lanes(specs[i] for i in idx))
+            assert list(zip(d.value.tolist(), d.error_bound.tolist())) == [
+                written_d_star(specs[i]) for i in idx
+            ]
+
     def test_ph_alpha_closed_form(self):
         # 1 + 2(1-alpha)(ln 2 - 1): alpha=0 -> 2 ln 2 - 1.
         d = distance_bound(ph_alpha(0.0))
@@ -576,11 +667,27 @@ class TestGrowthEnvelope:
         assert env.lower <= r <= env.upper + 1e-15
 
     @pytest.mark.parametrize(
-        "spec", [wh_alpha(0.0), wh_alpha(0.5), wh_alpha(1.0), gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0)]
+        "spec",
+        [
+            wh_alpha(0.0),
+            wh_alpha(0.5),
+            wh_alpha(1.0),
+            gh_k_alpha(1, 0.5),
+            gh_k_alpha(2, 1.0),
+            ph_alpha(0.0),
+            ph_alpha(0.3),
+            gt_beta(0.0),
+            gt_beta(0.2),
+            tb_m(1.0),
+            tb_m(1.9),
+            ph_m(0.7),
+            ph_m(1.29),
+        ],
     )
     def test_lower_tends_to_distance_constant(self, spec):
-        # The lower side is |f(-r)| (wh) or |f(r e^(i pi/k))| (gh), whose
-        # limit at r = 1 is d*; both have slope at most 1 in r there.
+        # The lower side is |f| at the extremal's lower touch point (at
+        # z = r e^(i pi/k) for gh, at z = -r for the rest), whose limit at
+        # r = 1 is d*; each has slope at most 1 in r there.
         d = distance_bound(spec)
         gaps = []
         for r in (0.9, 0.99, 0.999, 0.9999):

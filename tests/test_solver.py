@@ -730,10 +730,11 @@ class TestSlopeAllowance:
                 tail = np.array([highest_tail(s, d, float(x)) for x in r])
                 return SeriesValue(tail, np.zeros_like(r)), np.full_like(r, np.nextafter(s, 0.0))
 
-            def d_star(spec, tol, d=d):
+            def lower(spec, r, tol, d=d):
+                # The same d at every r, so d* = d.
                 return SeriesValue(np.full(np.shape(spec.m), d), np.zeros(np.shape(spec.m)))
 
-            tb = dataclasses.replace(FAMILIES[Family.TB_M], majorant=majorant, d_star=d_star)
+            tb = dataclasses.replace(FAMILIES[Family.TB_M], majorant=majorant, lower=lower)
             monkeypatch.setitem(FAMILIES, Family.TB_M, tb)
             monkeypatch.setattr(solver, "_warm_start", lambda spec, t, hi, x0=x0: np.minimum(x0, hi))
             res = solve_radius(tb_m(1.0), cfg)

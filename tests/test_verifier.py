@@ -625,6 +625,27 @@ class TestRunSuite:
         (result,) = run_suite(only=name).results
         assert not result.passed
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ph_alpha(0.3), gt_beta(0.2), wh_alpha(0.5), gh_k_alpha(2, 1.0), tb_m(1.0), ph_m(0.5)],
+        ids=lambda s: s.family.value,
+    )
+    def test_a_slip_in_lower_moves_d_star_and_fails_the_envelope_check(self, monkeypatch, spec):
+        # d* is the family's lower envelope at r = 1, and envelope-* checks
+        # that envelope at the extremal's touch points; so a 1% slip in
+        # ``lower`` moves d* and fails the check.
+        fam = FAMILIES[spec.family]
+
+        def slipped(s, r, tol):
+            low = fam.lower(s, r, tol)
+            return dataclasses.replace(low, value=1.01 * low.value)
+
+        before = distance_bound(spec)
+        monkeypatch.setitem(FAMILIES, spec.family, dataclasses.replace(fam, lower=slipped))
+        assert distance_bound(spec).value == 1.01 * before.value != before.value
+        (result,) = run_suite(only=f"envelope-{spec.family.value}").results
+        assert not result.passed
+
 
 class TestLaneCallsPerSuite:
     """verify hands each check's radii and spec groups to the engines in
