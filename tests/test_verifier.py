@@ -4,8 +4,8 @@ check suite."""
 
 import dataclasses
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,13 +25,15 @@ from harmbohr.classes import (
     wh_alpha,
 )
 from harmbohr.errors import DomainError
-from harmbohr.series import CoefficientRule, alt_constant, alt_log_tail, log_tail
+from harmbohr.series import CoefficientRule, SeriesValue, alt_constant, alt_log_tail, log_tail
 from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
 from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
     _bohr_on_grids,
-    _direct_alt_pair_average,
+    _EULER_K,
+    _ORACLE_TERMS,
+    _direct_alt_euler_mean,
     _first_violations,
     _sharpness_reports,
     _tail_bound,
@@ -40,6 +42,8 @@ from harmbohr.verifier import (
     run_suite,
     sharpness_check,
 )
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class TestEvaluateExtremal:
@@ -230,6 +234,25 @@ class TestBohrScan:
             assert b == bohr_sum(spec, rs, tol=tol)
             assert d == distance_bound(spec, tol=tol)
 
+    def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self, monkeypatch):
+        # gh-k-alpha's representative specs differ in k: each is its own
+        # group, and B is summed on the spec itself over its own grid.
+        from harmbohr import verifier
+
+        calls = []
+
+        def recorded(spec, r, tol):
+            calls.append((spec, r))
+            return bohr_sum(spec, r, tol=tol)
+
+        monkeypatch.setattr(verifier, "bohr_sum", recorded)
+        specs = [gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0), gh_k_alpha(3, 2.0)]
+        grids = [np.linspace(0.0, 0.95, n) for n in (100, 7, 2)]
+        _bohr_on_grids(specs, grids, self.CFG)
+        assert len(calls) == 3
+        for (spec, r), want, grid in zip(calls, specs, grids):
+            assert spec is want and r is grid
+
     def test_one_lane_call_per_family_and_k(self, monkeypatch):
         from harmbohr import verifier
 
@@ -311,26 +334,48 @@ class TestEnvelopeCheck:
 
 
 class TestDirectAlternatingOracle:
+    @staticmethod
+    def one(rule, n_terms=_ORACLE_TERMS, k=_EULER_K):
+        found = _direct_alt_euler_mean([rule], n_terms, k)
+        return float(found.value[0]), float(found.error_bound[0])
+
     def test_agrees_with_accelerated_engine(self):
         rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        direct = _direct_alt_pair_average([rule], 1_000_000)[0]
+        direct, bound = self.one(rule)
         fast = alt_constant(rule, tol=1e-12)
-        assert abs(direct - fast.value) <= 1e-10
+        assert abs(direct - fast.value) <= bound + fast.error_bound
+        assert bound <= 1e-13
 
     def test_known_value(self):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
         # 1 - 1/2 + 1/3 - ... = ln 2, negated by the leading minus sign.
-        got = _direct_alt_pair_average([rule], 1_000_000)[0]
-        assert got == pytest.approx(-math.log(2.0), abs=1e-10)
+        got, bound = self.one(rule)
+        assert abs(got + math.log(2.0)) <= bound + _EPS
+
+    @pytest.mark.parametrize(
+        "func, start, expect",
+        [
+            # sum_{n>=2} (-1)^(n-1) 2/n and sum_{n>=2} (-1)^(n-1) 2/(n(n-1)).
+            (lambda n: 2.0 / n, 2, 2.0 * (math.log(2.0) - 1.0)),
+            (lambda n: 2.0 / (n * (n - 1.0)), 2, 2.0 * (1.0 - math.log(4.0))),
+        ],
+        ids=["2/n", "2/(n(n-1))"],
+    )
+    def test_closed_forms_within_bound(self, func, start, expect):
+        got, bound = self.one(CoefficientRule(func, start))
+        # The closed form itself is a few roundings off in floats.
+        assert abs(got - expect) <= bound + 4.0 * _EPS
+        assert bound <= 1e-13
 
     @pytest.mark.parametrize("n_terms", [1_000_000, 999_999])
     def test_error_is_the_pair_average_truncation(self, n_terms):
-        # The mean of the last two partial sums of sum (-1)^(n+1)/n is off
-        # ln 2 by about 1/(4N^2) = 2.5e-13; summation rounding must not
-        # add to that visibly at either parity of N.
+        # k = 1 is the mean of the last two partial sums of
+        # sum (-1)^(n+1)/n, off ln 2 by about 1/(4N^2) = 2.5e-13; its bound,
+        # |Delta a_N| / 2 plus rounding, covers that at either parity of N.
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        got = -_direct_alt_pair_average([rule], n_terms)[0]
-        assert abs(got - math.log(2.0)) <= 2.6e-13
+        got, bound = self.one(rule, n_terms, 1)
+        assert abs(got + math.log(2.0)) <= min(2.6e-13, bound)
+        assert bound <= 6e-13
 
     @pytest.mark.parametrize(
         "n_terms, expect",
@@ -339,17 +384,17 @@ class TestDirectAlternatingOracle:
     def test_short_sums_average_the_last_two_partial_sums(self, n_terms, expect):
         # Partial sums of 1 - 1/2 + 1/3 - 1/4: 1, 1/2, 5/6, 7/12 (S_0 = 0).
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        assert _direct_alt_pair_average([rule], n_terms)[0] == pytest.approx(-expect, abs=1e-15)
+        assert self.one(rule, n_terms, 1)[0] == pytest.approx(-expect, abs=1e-15)
 
     @staticmethod
     def one_shot(rule, n_terms, first_sign):
-        # Every coefficient in one array, the pairs summed in one np.sum,
-        # with the given sign on the first term.
+        # The mean of the last two partial sums with S_{n-1} summed exactly
+        # (math.fsum), with the given sign on the first term.
         c = rule.terms(np.arange(rule.start, rule.start + n_terms, dtype=np.float64))
-        m = n_terms // 2
-        pairs = c[0 : 2 * m : 2] - c[1 : 2 * m : 2]
-        magnitude = float(np.sum(np.abs(pairs))) + 0.5 * abs(float(c[-1]))
-        return first_sign * (float(np.sum(pairs)) + 0.5 * float(c[-1])), magnitude
+        signed = np.where(np.arange(n_terms) % 2 == 0, c, -c)
+        head = math.fsum(signed[:-1].tolist())
+        magnitude = float(np.sum(np.abs(c[:-1:2] - c[1::2]))) + abs(float(c[-1]))
+        return first_sign * (head + 0.5 * float(signed[-1])), magnitude
 
     @pytest.mark.parametrize("first_sign", [+1, -1])
     @pytest.mark.parametrize(
@@ -357,42 +402,85 @@ class TestDirectAlternatingOracle:
         [1, 2, 3, 4, 2**14 - 1, 2**14, 2**14 + 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3, 999_999, 1_000_000],
     )
     def test_blocks_agree_with_one_shot_sum(self, n_terms, first_sign):
+        # k = 1, its partial sum taken as pair differences summed by numpy,
+        # against the exactly summed one, at both parities and about powers
+        # of two.
         rule = CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1)
         expect, magnitude = self.one_shot(rule, n_terms, first_sign)
         # The oracle's first term is negative: negate it for first_sign = +1.
-        got = -first_sign * _direct_alt_pair_average([rule], n_terms)[0]
+        got = -first_sign * self.one(rule, n_terms, 1)[0]
         assert abs(got - expect) <= 4.0 * np.spacing(magnitude)
 
     def test_rules_share_blocks_and_keep_their_own_starts(self):
-        # Rules from n = 1 and n = 2 summed in one call, each against its
-        # one-shot sum and bit for bit against its own call.
+        # Rules from n = 1 and n = 2 summed in one call, each bit for bit
+        # as its own call, and each within its bound of the exact sum.
         rules = [
             CoefficientRule(lambda n: 1.0 / n, start=1),
             CoefficientRule(lambda n: 2.0 / n, start=2),
-            CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1),
+            CoefficientRule(lambda n: 2.0 / (n * (n - 1.0)), start=2),
         ]
-        n_terms = 3 * 2**14 + 5
-        got = _direct_alt_pair_average(rules, n_terms)
-        for rule, value in zip(rules, got.tolist()):
-            expect, magnitude = self.one_shot(rule, n_terms, -1)
-            assert abs(value - expect) <= 4.0 * np.spacing(magnitude)
-            assert value == _direct_alt_pair_average([rule], n_terms)[0]
+        exact = [-math.log(2.0), 2.0 * (math.log(2.0) - 1.0), 2.0 * (1.0 - math.log(4.0))]
+        got = _direct_alt_euler_mean(rules, _ORACLE_TERMS, _EULER_K)
+        for rule, value, bound, expect in zip(
+            rules, got.value.tolist(), got.error_bound.tolist(), exact
+        ):
+            assert (value, bound) == self.one(rule)
+            assert abs(value - expect) <= bound + 4.0 * _EPS
 
-    def test_memory_does_not_grow_with_terms(self):
-        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
-        tracemalloc.start()
-        try:
-            _direct_alt_pair_average([rule], 1_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+    # mpmath forms of the rules, the exact sums against which the bound is
+    # held: (float rule, mpmath coefficient, start).
+    MP_RULES = {
+        "1/n": (lambda n: 1.0 / n, lambda n: 1 / mpmath.mpf(n), 1),
+        "1/(1+n/2)": (lambda n: 1.0 / (1.0 + 0.5 * n), lambda n: 1 / (1 + mpmath.mpf(n) / 2), 1),
+        "2/(n(n-1))": (lambda n: 2.0 / (n * (n - 1.0)), lambda n: 2 / (mpmath.mpf(n) * (n - 1)), 2),
+    }
+
+    @pytest.mark.parametrize("n_plain, k", [(64, 1), (200, 3)])
+    @pytest.mark.parametrize("name", list(MP_RULES))
+    def test_bound_holds_against_mpmath(self, name, n_plain, k):
+        # The error lies between half of and all of 2^-k |Delta^k a_N|,
+        # which far exceeds the rounding at these N; the returned bound
+        # covers it.
+        func, coeff, start = self.MP_RULES[name]
+        got, bound = self.one(CoefficientRule(func, start), n_plain + k, k)
+        with mpmath.workdps(40):
+            exact = -mpmath.nsum(lambda j: (-1) ** int(j) * coeff(start + j), [0, mpmath.inf])
+            diff = sum(
+                math.comb(k, i) * (-1) ** (k - i) * coeff(start + n_plain + i)
+                for i in range(k + 1)
+            )
+            truncation = float(abs(diff) / 2**k)
+            error = float(abs(got - exact))
+        assert error <= bound
+        assert 0.5 * truncation <= error * (1.0 + 1e-6)
+        assert bound <= 1.01 * truncation
 
     @pytest.mark.parametrize("n_terms", [0, -1, 2.5])
     def test_fewer_than_one_term_rejected(self, n_terms):
         rule = CoefficientRule(lambda n: 1.0 / n, start=1)
         with pytest.raises(DomainError):
-            _direct_alt_pair_average([rule], n_terms)
+            _direct_alt_euler_mean([rule], n_terms, 1)
+
+    @pytest.mark.parametrize("n_terms, k", [(2, 3), (3, 4), (10, 0), (10, -1), (10, 1.5)])
+    def test_bad_order_or_fewer_terms_than_order_rejected(self, n_terms, k):
+        rule = CoefficientRule(lambda n: 1.0 / n, start=1)
+        with pytest.raises(DomainError):
+            _direct_alt_euler_mean([rule], n_terms, k)
+
+    @pytest.mark.parametrize("shift", [2e-13, -2e-13])
+    def test_check_fails_when_the_engine_is_off_by_2e_13(self, monkeypatch, shift):
+        # Every rule's engine bound plus oracle bound is below 1.1e-13, so
+        # an engine off by 2e-13 fails the check; it passed the old 1e-10.
+        from harmbohr import verifier
+
+        def shifted(*args, **kwargs):
+            sv = alt_constant(*args, **kwargs)
+            return dataclasses.replace(sv, value=sv.value + shift)
+
+        monkeypatch.setattr(verifier, "alt_constant", shifted)
+        (result,) = run_suite(only="alt-engine-vs-direct-sum").results
+        assert not result.passed
+        assert result.detail.startswith("max |accelerated - direct| = 2.00e-13;")
 
 
 class TestStandardGrids:
@@ -698,10 +786,11 @@ class TestWorstCaseFoldsFailOnNaN:
     def test_direct_oracle_nan(self, monkeypatch):
         from harmbohr import verifier
 
-        monkeypatch.setattr(verifier, "_direct_alt_pair_average", lambda *a, **k: float("nan"))
+        nan = SeriesValue(np.full(6, np.nan), np.zeros(6))
+        monkeypatch.setattr(verifier, "_direct_alt_euler_mean", lambda *a, **k: nan)
         result = self.run_one("alt-engine-vs-direct-sum")
         assert not result.passed
-        assert result.detail == "max |accelerated - direct| = nan"
+        assert result.detail.startswith("max |accelerated - direct| = nan;")
 
     def test_jacobian_radius_nan(self, monkeypatch):
         from harmbohr import verifier
