@@ -11,10 +11,10 @@ each record is everything the package knows about its family:
 * the sharp per-index bound c_n on |a_n| + |b_n| (``coefficient_rule``)
   and the extremal map built from it (``extremal_coefficients``);
 * the majorant B(r) = r + sum c_n r^n (``bohr_sum``): a closed form for
-  four families, a Lerch sum (``series.lerch_sum``) for gh-k-alpha and the
-  power series of c_n for wh-alpha, returned by one call together with an
-  upper bound on B' for the solver's Newton steps (for wh-alpha, from the
-  terms of the same power series);
+  four families, and a fixed-cost Euler-Maclaurin sum for the other two,
+  a Lerch sum (``series.lerch_sum``) for gh-k-alpha and for wh-alpha
+  ``series._wh_sums``, returned by one call together with an upper bound
+  on B' for the solver's Newton steps (for both, from the same Lerch sum);
 * the lower growth envelope, |f| at the extremal's lower touch point on
   |z| = r for 0 <= r <= 1 (``lower``): a closed form, or for wh-alpha and
   gh-k-alpha an alternating sum of c_n r^n (or of the lacunary terms in
@@ -53,6 +53,7 @@ from .errors import DomainError, ValidationError
 from .series import (
     CoefficientRule,
     SeriesValue,
+    _wh_sums,
     alt_constant,
     alt_log_tail,
     alt_nn1_tail,
@@ -64,7 +65,6 @@ from .series import (
     log_tail,
     nn1_tail,
     require,
-    sum_power_series,
 )
 
 LN4 = math.log(4.0)
@@ -160,7 +160,8 @@ class FamilyDef:
     gh-k-alpha with k >= 2 the lacunary extremal does not attain B.  ``r``
     is an array (0-d for one radius) or the float 1.0, and each entry of a
     result is computed from its own r and lane alone.  ``tol`` bounds the
-    error of the summed series.
+    error of an alternating sum; the majorants, closed forms and fixed-cost
+    sums, do not read it.
     """
 
     params: tuple[str, ...]
@@ -233,11 +234,12 @@ def _wh_lower(spec: ClassSpec, r, tol: float) -> SeriesValue:
 
 
 def _wh_majorant(spec: ClassSpec, r, tol: float):
-    # B - r is the power series of c_n, and B' - 1 its derivative, bounded
-    # from the same terms.  1 + slope may round down by half an ulp, so it
-    # is rounded up.
-    tail, slope = sum_power_series(coefficient_rule(spec), r, tol=tol)
-    return tail, np.nextafter(1.0 + slope, np.inf)
+    # c_n = 2/(n (1 + (n - 1) alpha)): B - r = 2 S and B' = 1 + 2 S', both
+    # from one fixed-cost evaluation.  1 + 2 S' may round down by half an
+    # ulp, so it is rounded up.
+    s, slope = _wh_sums(r, spec.alpha)
+    tail = lane_value(2.0 * s.value, 2.0 * s.error_bound)
+    return tail, np.nextafter(1.0 + 2.0 * (slope.value + slope.error_bound), np.inf)
 
 
 def _gh_majorant(spec: ClassSpec, r, tol: float):
@@ -533,9 +535,11 @@ def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
     """The majorant sum B(r) = r + sum_{n>=start} c_n r^n for 0 <= r < 1.
 
     ``r`` is a float, or an array: a grid of radii for one spec, or one
-    radius per lane of a lane spec.  ``tol`` bounds the power series of
-    wh-alpha, the one family summed term by term, which raises
-    ConvergenceError where it cannot reach tol (r close to 1).
+    radius per lane of a lane spec.  Every family's majorant is a closed
+    form or an Euler-Maclaurin sum at a fixed cost, which ``tol`` does not
+    steer and which never raises ConvergenceError: wh-alpha's and
+    gh-k-alpha's carry their own honest bound.  For wh-alpha that bound is
+    within 1e-13 up to r = 0.9999; beyond, it grows as r nears 1.
     """
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
@@ -551,10 +555,10 @@ def growth_envelope(spec: ClassSpec, r, tol: float = 1e-12) -> GrowthEnvelope:
     lacunary extremal's own.  ``r`` is a float, giving floats, or an array,
     as for ``bohr_sum``, giving arrays: each entry is bit for bit its own
     float call.  ``error_bound`` is the sum of the two sides' error bounds.
-    Each side is summed to ``tol``/2, where it is a power series or an
-    alternating sum; gh-k-alpha's upper side is a Lerch sum and carries
-    that sum's own bound, which can exceed ``tol`` for alpha near 0 and r
-    near 1.
+    A lower side that is an alternating sum is summed to ``tol``/2; an upper
+    side that is an Euler-Maclaurin sum (wh-alpha's and gh-k-alpha's)
+    carries that sum's own bound, which can exceed ``tol`` next to r = 1,
+    and for gh-k-alpha at alpha near 0.
     """
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")

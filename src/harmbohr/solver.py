@@ -18,13 +18,13 @@ bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
 root <= x - (v - e)/H'(x) when v > e; each bracket end computed so moves
 one ulp outward for its own rounding.  Steps that leave the bracket fall
 back to the midpoint.  Every B can be evaluated wherever Newton goes: the
-closed forms and gh-k-alpha's Lerch sum on all of [0, 1), and wh-alpha's
-power series up to its root d* <= pi^2/6 - 1.  Each comes with its bound on
-H' from the same evaluation: wh-alpha's from that power series' terms,
-gh-k-alpha's from the same Lerch sum.  Where that bound bounds the bracket
-it gets 2 eps more, since it may round below H' by up to an ulp.  Two
-families admit closed-form radii as roots of explicit quadratics, used both
-as fast paths and as cross-checks.
+closed forms, and the Euler-Maclaurin sums of gh-k-alpha and wh-alpha, at
+a fixed cost on all of [0, 1).  Each comes with its bound on H' from the
+same evaluation: gh-k-alpha's and wh-alpha's from the Lerch sum of that
+evaluation.  Where that bound bounds the bracket it gets 2 eps more, since
+it may round below H' by up to an ulp.  Two families admit closed-form
+radii as roots of explicit quadratics, used both as fast paths and as
+cross-checks.
 
 The solver works on lanes.  A lane is one parameter point of one family,
 with the family's other parameters fixed; ``solve_radii`` stacks a grid of

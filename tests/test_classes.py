@@ -573,6 +573,21 @@ class TestBohrSum:
         _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(spec, r, 1e-13)
         assert slope == pytest.approx(fd, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.49, 0.5, 1.0])
+    def test_wh_alpha_returns_next_to_one(self, alpha):
+        # wh-alpha's majorant is summed at a fixed cost, so it returns next
+        # to r = 1, where a term-by-term sum would need over 2^20 terms; its
+        # bound is its own there, and within tol = 1e-13 up to r = 0.9999.
+        spec = wh_alpha(alpha)
+        for r in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+            b = bohr_sum(spec, r, tol=1e-13)
+            env = growth_envelope(spec, r, tol=1e-13)
+            assert math.isfinite(b.value) and b.value >= r and b.error_bound <= 1e-12
+            assert env.upper == b.value and env.error_bound <= 1e-12
+        rs = np.array([0.1, 0.5, 0.9, 0.99, 0.999, 0.9999])
+        assert np.all(bohr_sum(spec, rs, tol=1e-13).error_bound <= 1e-13)
+        assert np.all(growth_envelope(spec, rs, tol=1e-13).error_bound <= 1e-13)
+
     def test_gt_beta_closed_value(self):
         # r + 2(1-beta) r^2/(1-r): beta=0.25, r=0.1 -> 0.1 + 1.5*0.01/0.9.
         sv = bohr_sum(gt_beta(0.25), 0.1)

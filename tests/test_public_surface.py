@@ -1,8 +1,12 @@
-"""The package's public surface: the names ``harmbohr`` exports, and the
-README's Python examples, which must run against them."""
+"""The package's public surface: the names ``harmbohr`` exports, the
+README's Python examples, which must run against them, and its one runtime
+dependency, numpy."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,21 @@ def test_readme_lists_every_export_and_no_other():
     bullets = text[start:].split("\n\n")[1]
     listed = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets))
     assert listed == set(harmbohr.__all__)
+
+
+def test_a_solve_imports_neither_scipy_nor_mpmath():
+    # scipy and mpmath are test references only: a wh-alpha radius, whose
+    # majorant's tail needs E_p, runs in a fresh interpreter without them.
+    code = (
+        "import sys\n"
+        "from harmbohr.cli import main\n"
+        "assert main(['radius', '--class', 'wh-alpha', '--alpha', '0.7']) == 0\n"
+        "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    src = str(Path(harmbohr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,4 @@
-"""Tests for the power-series and alternating-sum engines.
+"""Tests for the Euler-Maclaurin and alternating-sum engines.
 
 Every expected value here is either a closed form checked by hand or an
 independent oracle computed in-test (plain partial sums with rigorous
@@ -18,20 +18,18 @@ from harmbohr.errors import ConvergenceError, DomainError
 from harmbohr.series import (
     CoefficientRule,
     SeriesValue,
+    _wh_sums,
     alt_constant,
     alt_log_tail,
     alt_nn1_tail,
     lerch_sum,
     log_tail,
     nn1_tail,
-    sum_power_series,
 )
 
 RULE_LOG = CoefficientRule(lambda n: 1.0 / n, start=2, name="1/n")
 RULE_SQUARE = CoefficientRule(lambda n: 1.0 / n**2, start=2, name="1/n^2")
 RULE_NN1 = CoefficientRule(lambda n: 1.0 / (n * (n - 1.0)), start=2, name="1/(n(n-1))")
-RULE_CONST = CoefficientRule(lambda n: np.full_like(n, 0.75), start=2, name="const")
-RULE_FROM_ONE = CoefficientRule(lambda n: 0.5 / n, start=1, name="1/(2n) from n=1")
 
 
 def direct_power_sum(rule: CoefficientRule, x: float, n_terms: int) -> float:
@@ -110,99 +108,64 @@ class TestCoefficientRule:
 
 
 class TestSumPowerSeries:
+    """wh-alpha's power series S = sum_{n>=2} r^n / (n (1 - alpha + alpha n)),
+    the one power series the package sums, and its derivative S', both by
+    ``_wh_sums`` at a fixed cost: alpha = 0 gives sum r^n / n and
+    sum r^(n-1), alpha = 1 gives sum r^n / n^2."""
+
     def test_zero_argument_is_exact_zero(self):
-        sv, _ = sum_power_series(RULE_LOG, 0.0)
-        assert sv.value == 0.0
-        assert sv.error_bound == 0.0
+        for alpha in (0.0, 0.3, 1.0):
+            s, slope = _wh_sums(0.0, alpha)
+            assert (s.value, s.error_bound) == (0.0, 0.0)
+            assert (slope.value, slope.error_bound) == (0.0, 0.0)
 
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_matches_log_closed_form(self, r):
-        sv, _ = sum_power_series(RULE_LOG, r, tol=1e-13)
+        sv, _ = _wh_sums(r, 0.0)
         assert sv.error_bound <= 1e-13
         assert abs(sv.value - log_tail(r)) <= sv.error_bound + 1e-15
 
     @pytest.mark.parametrize("r", [0.2, 0.6, 0.95])
     def test_matches_nn1_closed_form(self, r):
-        sv, _ = sum_power_series(RULE_NN1, r, tol=1e-13)
-        assert abs(sv.value - nn1_tail(r)) <= sv.error_bound + 1e-15
+        # 1/(n(n-1)) = 1/(n-1) - 1/n turns sum r^n/(n(n-1)) into
+        # r (S + r) - S = r^2 - (1 - r) S with S = sum r^n / n, alpha = 0.
+        sv, _ = _wh_sums(r, 0.0)
+        got = r * r - (1.0 - r) * sv.value
+        assert abs(got - nn1_tail(r)) <= (1.0 - r) * sv.error_bound + 4e-16
 
     @pytest.mark.parametrize("r", [0.25, 0.8])
     def test_matches_geometric_closed_form(self, r):
-        # sum_{n>=2} 0.75 r^n = 0.75 r^2 / (1 - r)
-        sv, _ = sum_power_series(RULE_CONST, r, tol=1e-13)
-        expect = 0.75 * r * r / (1.0 - r)
-        assert abs(sv.value - expect) <= sv.error_bound + 4e-16 * expect
+        # At alpha = 0, S' = sum_{n>=2} r^(n-1) = r / (1 - r).
+        _, slope = _wh_sums(r, 0.0)
+        expect = r / (1.0 - r)
+        assert abs(slope.value - expect) <= slope.error_bound + 4e-16 * expect
 
     def test_error_bound_is_honest(self):
         # Compare against a much longer plain sum whose own tail is < 1e-18.
         r = 0.5
-        sv, _ = sum_power_series(RULE_SQUARE, r, tol=1e-12)
+        sv, _ = _wh_sums(r, 1.0)
         oracle = direct_power_sum(RULE_SQUARE, r, 80)
         assert abs(sv.value - oracle) <= sv.error_bound + 1e-15
 
     def test_domain_rejects_negative(self):
         with pytest.raises(DomainError):
-            sum_power_series(RULE_LOG, -0.1)
+            _wh_sums(-0.1, 0.5)
 
     def test_domain_rejects_one(self):
         with pytest.raises(DomainError):
-            sum_power_series(RULE_LOG, 1.0)
-
-    def test_domain_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            sum_power_series(RULE_LOG, 0.5, tol=0.0)
-
-    def test_convergence_error_carries_partial_result(self, monkeypatch):
-        monkeypatch.setattr(series, "_MAX_TERMS", 64)
-        with pytest.raises(ConvergenceError) as exc_info:
-            sum_power_series(RULE_LOG, 0.999, tol=1e-12)
-        achieved = exc_info.value.achieved
-        assert isinstance(achieved, SeriesValue)
-        assert achieved.error_bound > 1e-12
-        # The message names the argument and the terms tried (n = 2..64).
-        assert "at x=0.999 " in str(exc_info.value)
-        assert "with 63 terms" in str(exc_info.value)
-        # The partial value is still in the right neighbourhood.
-        assert abs(achieved.value - log_tail(0.999)) <= achieved.error_bound
-
-    # sum_{n>=start} n c_n r^(n-1) in closed form, for mpmath.
-    DERIVATIVES = {
-        RULE_LOG.name: lambda r, mp: r / (1 - r),
-        RULE_SQUARE.name: lambda r, mp: (-mp.log1p(-r) - r) / r if r else mp.mpf(0),
-        RULE_NN1.name: lambda r, mp: -mp.log1p(-r),
-        RULE_CONST.name: lambda r, mp: 0.75 * (1 / (1 - r) ** 2 - 1),
-        RULE_FROM_ONE.name: lambda r, mp: 0.5 / (1 - r),
-    }
-
-    @pytest.mark.parametrize("tol", [1e-13, 1e-4])
-    @pytest.mark.parametrize(
-        "rule", [RULE_LOG, RULE_SQUARE, RULE_NN1, RULE_CONST, RULE_FROM_ONE], ids=lambda u: u.name
-    )
-    def test_slope_bounds_the_derivative(self, rule, tol):
-        # RULE_CONST's n c_n grows; tol = 1e-4 cuts the sums short, so the
-        # slope's tail bound carries a visible share.
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        rs = np.array([0.0, 1e-8, 1e-5, 0.3, 0.645, 0.9])
-        _, slope = sum_power_series(rule, rs, tol=tol)
-        for r, got in zip(rs, slope):
-            exact = self.DERIVATIVES[rule.name](mp.mpf(r), mp)
-            assert exact <= got <= exact * (1 + 1e-12) + 100 * tol, (r, got)
-        # At r = 0 it is the derivative exactly: 0 from start 2 on, else c_1.
-        assert slope[0] == self.DERIVATIVES[rule.name](mp.mpf(0), mp)
-        assert sum_power_series(rule, 0.0, tol=tol)[1] == slope[0]
+            _wh_sums(1.0, 0.5)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.0, max_value=0.95))
     def test_monotone_in_r(self, r):
-        lo, _ = sum_power_series(RULE_LOG, r, tol=1e-12)
-        hi, _ = sum_power_series(RULE_LOG, min(r + 0.01, 0.96), tol=1e-12)
+        lo, _ = _wh_sums(r, 0.0)
+        hi, _ = _wh_sums(min(r + 0.01, 0.96), 0.0)
         assert hi.value >= lo.value - lo.error_bound - hi.error_bound
 
 
 class TestSignedPowerSeries:
-    """sum c_n x^n for -1 < x < 1: ``sum_power_series`` for x >= 0, and for
-    x < 0 minus ``alt_constant(rule, -x)``, whose first term is negative."""
+    """sum c_n x^n for -1 < x <= 0: minus ``alt_constant(rule, -x)``, whose
+    first term is negative."""
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_matches_alt_log_closed_form(self, r):
@@ -218,20 +181,14 @@ class TestSignedPowerSeries:
         for x in (-1.0, -0.5, 1.0 + 1e-12, float("nan")):
             with pytest.raises(DomainError):
                 alt_constant(RULE_LOG, x)
-        with pytest.raises(DomainError):
-            sum_power_series(RULE_LOG, -0.5)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.floats(min_value=-0.9, max_value=0.9))
+    @given(st.floats(min_value=-0.9, max_value=0.0))
     def test_agrees_with_direct_sum(self, x):
-        if x >= 0.0:
-            sv, _ = sum_power_series(RULE_SQUARE, x, tol=1e-12)
-        else:
-            alt = alt_constant(RULE_SQUARE, -x, tol=1e-12)
-            sv = SeriesValue(-alt.value, alt.error_bound)
+        alt = alt_constant(RULE_SQUARE, -x, tol=1e-12)
         # 2000 plain terms leave a tail below 0.9^2000 ~ 1e-92.
         oracle = direct_power_sum(RULE_SQUARE, x, 2000)
-        assert abs(sv.value - oracle) <= sv.error_bound + 1e-14
+        assert abs(-alt.value - oracle) <= alt.error_bound + 1e-14
 
 
 class TestClosedFormTails:
@@ -318,13 +275,12 @@ class TestLanes:
 
     def test_argument_array_is_its_points(self):
         xs = np.array([0.0, 0.3, 0.5, 0.97, 0.2, 1e-160])
-        power, slope = sum_power_series(RULE_SQUARE, xs, tol=1e-13)
+        s, slope = _wh_sums(xs, 0.5)
         alt = alt_constant(RULE_SQUARE, np.append(xs, 1.0), tol=1e-13)
         assert alt.value.shape == (xs.size + 1,)
         for i, x in enumerate(xs):
-            assert (SeriesValue(power.value[i], power.error_bound[i]), slope[i]) == sum_power_series(
-                RULE_SQUARE, x, tol=1e-13
-            )
+            assert (SeriesValue(s.value[i], s.error_bound[i]),
+                    SeriesValue(slope.value[i], slope.error_bound[i])) == _wh_sums(x, 0.5)
             assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(
                 RULE_SQUARE, x, tol=1e-13
             )
@@ -332,27 +288,32 @@ class TestLanes:
 
     def test_per_lane_parameters_are_their_rules(self):
         xs = np.array([0.1, 0.6, 0.9, 0.3])
-        power, slope = sum_power_series(self.RULE_LANES, xs, tol=1e-13)
+        # wh-alpha's sums take one alpha per lane, in [0, 1].
+        s, slope = _wh_sums(xs[:3], np.array([0.0, 0.5, 1.0]))
         alt = alt_constant(self.RULE_LANES, tol=1e-13)
         alt_x = alt_constant(self.RULE_LANES, xs, tol=1e-13)
         for i, a in enumerate((0.0, 0.5, 1.0, 3.0)):
             rule = CoefficientRule(lambda n, a=a: 2.0 / (n * (1.0 + a * (n - 1.0))), start=2)
-            assert (SeriesValue(power.value[i], power.error_bound[i]), slope[i]) == sum_power_series(
-                rule, xs[i], tol=1e-13
-            )
+            if i < 3:
+                assert (SeriesValue(s.value[i], s.error_bound[i]),
+                        SeriesValue(slope.value[i], slope.error_bound[i])) == _wh_sums(xs[i], a)
             assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
             assert SeriesValue(alt_x.value[i], alt_x.error_bound[i]) == alt_constant(
                 rule, xs[i], tol=1e-13
             )
 
-    def test_failure_names_first_lane_and_carries_all(self, monkeypatch):
-        monkeypatch.setattr(series, "_MAX_TERMS", 64)
-        xs = np.array([0.5, 0.999, 0.9995])
-        with pytest.raises(ConvergenceError, match="at x=0.999 ") as exc_info:
-            sum_power_series(RULE_LOG, xs, tol=1e-12)
+    def test_failure_names_first_lane_and_carries_all(self):
+        # At x = 1e-9 the alternating sum is certified to 1e-18; at 0.5 and
+        # 0.9 its rounding allowance alone is above that.
+        xs = np.array([1e-9, 0.5, 0.9])
+        with pytest.raises(ConvergenceError) as exc_info:
+            alt_constant(RULE_LOG, xs, tol=1e-18)
         achieved = exc_info.value.achieved
-        assert achieved.error_bound[0] <= 1e-12 < achieved.error_bound[1]
-        assert achieved.value[0] == sum_power_series(RULE_LOG, 0.5, tol=1e-12)[0].value
+        assert achieved.error_bound[0] <= 1e-18 < achieved.error_bound[1]
+        assert f"(error bound {achieved.error_bound[1]:g})" in str(exc_info.value)
+        assert achieved.value[0] == alt_constant(RULE_LOG, 1e-9, tol=1e-18).value
+        # Every lane's partial value is still in its neighbourhood.
+        assert np.all(np.abs(achieved.value - alt_log_tail(xs)) <= achieved.error_bound)
 
 
 class TestLerchSum:
@@ -417,6 +378,59 @@ class TestLerchSum:
         for r in (-0.1, 1.0, float("nan")):
             with pytest.raises(DomainError):
                 lerch_sum(r, 1.0, 1.0)
+
+
+class TestWhSums:
+    """wh-alpha's S = sum_{n>=2} r^n / (n (1 - alpha + alpha n)) and
+    S' = sum_{n>=2} r^(n-1) / (1 - alpha + alpha n) against mpmath's exact
+    forms at 40 digits, inside their own bounds, up to r = 1 - 1e-12."""
+
+    RS = (1e-3, 0.2, 0.4, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+
+    @staticmethod
+    def reference(r, alpha):
+        # With L = -ln(1 - r) - r: S = L and S' = r/(1 - r) at alpha = 0 (and
+        # at alpha = 1e-300, which moves them by under 1e-288); at alpha = 1,
+        # S = Li2(r) - r and S' = L/r.  Otherwise partial fractions give
+        # S = (L - alpha r^2 P)/(1 - alpha) and S' = r P, with
+        # P = sum_m r^m/(1 + alpha + alpha m) = Phi(r, 1, (1 + alpha)/alpha)/alpha.
+        # mpmath's lerchphi breaks at alpha = 1e-300, and nsum misses the sum
+        # near r = 1 (10.346 for 12.8155 at alpha = 0, r = 1 - 1e-6).
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        r, a = mp.mpf(r), mp.mpf(alpha)
+        log = -mp.log1p(-r) - r
+        if alpha < 1e-9:
+            return log, r / (1 - r)
+        if alpha == 1.0:
+            return mp.polylog(2, r) - r, log / r
+        p = mp.lerchphi(r, 1, (1 + a) / a) / a
+        return (log - a * r * r * p) / (1 - a), r * p
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.49, 0.5, 0.51, 1.0 - 1e-9, 1.0])
+    def test_within_its_bound_of_mpmath(self, alpha):
+        s, slope = _wh_sums(np.array(self.RS), alpha)
+        for i, r in enumerate(self.RS):
+            value, derivative = self.reference(r, alpha)
+            assert abs(s.value[i] - value) <= s.error_bound[i], (r, alpha)
+            assert abs(slope.value[i] - derivative) <= slope.error_bound[i], (r, alpha)
+            # The bounds are a few ulps of the magnitudes summed.
+            assert s.error_bound[i] <= 1e-12 and slope.error_bound[i] <= 1e-13 * float(derivative)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    def test_slope_is_r_times_the_lerch_sum(self, alpha):
+        rs = np.array([0.0, 0.3, 0.9, 1.0 - 1e-9])
+        _, slope = _wh_sums(rs, alpha)
+        lerch = lerch_sum(rs, 1.0 + alpha, alpha)
+        assert np.array_equal(slope.value, rs * lerch.value)
+        assert np.all(slope.error_bound >= rs * lerch.error_bound)
+
+    def test_head_in_lane_blocks(self, monkeypatch):
+        # Blocks of two lanes sum every lane as the one-block call does.
+        rs, alphas = np.linspace(0.0, 0.999, 7), np.linspace(0.0, 1.0, 7)
+        whole = _wh_sums(rs, alphas)
+        monkeypatch.setattr(series, "_BLOCK", 2 * len(series._LERCH_M))
+        assert _wh_sums(rs, alphas) == whole
 
 
 class TestAltConstant:
@@ -517,10 +531,11 @@ class TestUnderflow:
 
     @pytest.mark.parametrize("r", RS)
     def test_power_series_and_slope(self, r):
-        sv, slope = sum_power_series(RULE_LOG, r, tol=1e-13)
+        # wh-alpha's S at alpha = 0 is sum r^n / n, and S' = r / (1 - r).
+        sv, slope = _wh_sums(r, 0.0)
         value, derivative = self.exact(r, 1)
         assert abs(sv.value - value) <= sv.error_bound
-        assert slope >= derivative
+        assert abs(slope.value - derivative) <= slope.error_bound
 
     @pytest.mark.parametrize("r", RS)
     def test_alternating_sum(self, r):

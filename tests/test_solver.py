@@ -561,20 +561,24 @@ class TestSolveRadii:
 
 class TestOneMajorantPerStep:
     """Each Newton step gets B and its H' bound from one majorant call, so
-    gh-k-alpha sums one Lerch sum per step, plus one for the final residual."""
+    gh-k-alpha sums one Lerch sum per step, plus one for the final residual,
+    and wh-alpha one call of ``_wh_sums``, its value and slope together."""
 
     @staticmethod
     def count_lerch(monkeypatch):
+        # Calls of either Euler-Maclaurin engine: ``lerch_sum`` and
+        # ``_wh_sums``.
         from harmbohr import classes
 
         calls = []
-        lerch_sum = classes.lerch_sum
+        for name in ("lerch_sum", "_wh_sums"):
+            engine = getattr(classes, name)
 
-        def counted(*args):
-            calls.append(args)
-            return lerch_sum(*args)
+            def counted(*args, engine=engine):
+                calls.append(args)
+                return engine(*args)
 
-        monkeypatch.setattr(classes, "lerch_sum", counted)
+            monkeypatch.setattr(classes, name, counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -587,14 +591,15 @@ class TestOneMajorantPerStep:
 
     @pytest.mark.parametrize(
         "spec,passes,lerch,steps",
-        [(gh_k_alpha(2, 1.0), 4, 4, 3), (wh_alpha(0.5), 2, 0, 2)],
+        [(gh_k_alpha(2, 1.0), 4, 4, 3), (wh_alpha(0.5), 2, 2, 2)],
         ids=["gh-k-alpha", "wh-alpha"],
     )
     def test_scan_grid(self, monkeypatch, spec, passes, lerch, steps):
         # A 1001-lane grid in three (gh-k-alpha) or two (wh-alpha) steps
         # from the warm start, where six and five steps from d* took 7 and
-        # 5 majorant passes: gh-k-alpha sums one Lerch sum per pass, and
-        # wh-alpha none, since its slope bound comes from its power series.
+        # 5 majorant passes: each pass makes one Euler-Maclaurin call, a
+        # Lerch sum for gh-k-alpha and ``_wh_sums`` for wh-alpha, whose
+        # slope is r times the same Lerch sum.
         import dataclasses
 
         from harmbohr.classes import sweep_lanes
@@ -658,8 +663,9 @@ class TestSlopeBoundsBPrime:
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.5, 1.0])
     def test_wh_alpha_alone(self, alpha):
-        # wh-alpha's slope comes from its power series' terms, rounded up:
-        # it bounds B' with no allowance, and stays within 1e-13 of it.
+        # wh-alpha's slope is 1 + 2 r times its Lerch sum plus that sum's
+        # bound, rounded up: it bounds B' with no allowance, and stays
+        # within 1e-13 of it.
         spec = wh_alpha(alpha)
         for r in SLOPE_RS:
             exact = mp_b_prime(spec, r)

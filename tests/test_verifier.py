@@ -659,20 +659,24 @@ class TestRunSuite:
         assert float(result.detail.split(" = ")[1].split()[0]) >= 1e-11 - 1e-13
 
     def test_generic_sum_wh_fails_when_the_power_series_moves(self, monkeypatch):
-        # wh-alpha's B is the power series of c_n; the check's direct sum
-        # does not go through it, so a shift of 1e-11 in the engine must
-        # fail it.
+        # wh-alpha's B - r is the power series of c_n, summed by Euler-
+        # Maclaurin in ``_wh_sums``; the check's plain 400-term dot does not
+        # go through it, so a shift of 1e-11 in that sum must fail it.
         from harmbohr import classes
 
-        sum_power_series = classes.sum_power_series
+        wh_sums = classes._wh_sums
 
-        def shifted(rule, r, tol=1e-12):
-            s, slope = sum_power_series(rule, r, tol=tol)
+        def shifted(r, alpha):
+            s, slope = wh_sums(r, alpha)
             return dataclasses.replace(s, value=s.value + 1e-11), slope
 
-        monkeypatch.setattr(classes, "sum_power_series", shifted)
-        (result,) = run_suite(only="generic-sum-agreement-wh-alpha").results
+        name = "generic-sum-agreement-wh-alpha"
+        (result,) = run_suite(only=name).results
+        assert result.passed
+        monkeypatch.setattr(classes, "_wh_sums", shifted)
+        (result,) = run_suite(only=name).results
         assert not result.passed
+        assert float(result.detail.split(" = ")[1].split()[0]) >= 2e-11 - 1e-13
 
     def test_g_alt_monotonicity_fails_when_d_star_stops_increasing(self, monkeypatch):
         # gh-k-alpha's d* is increasing in alpha; a d* that falls at
@@ -744,7 +748,7 @@ class TestLaneCallsPerSuite:
         from harmbohr import classes, verifier
 
         counts = dict.fromkeys(
-            ("growth_envelope", "bohr_sum", "distance_bound", "lerch_sum", "sum_power_series",
+            ("growth_envelope", "bohr_sum", "distance_bound", "lerch_sum", "_wh_sums",
              "alt_constant"),
             0,
         )
@@ -760,7 +764,7 @@ class TestLaneCallsPerSuite:
 
         for name in ("growth_envelope", "bohr_sum", "distance_bound"):
             counted(verifier, name)
-        for name in ("lerch_sum", "sum_power_series", "alt_constant"):
+        for name in ("lerch_sum", "_wh_sums", "alt_constant"):
             counted(classes, name)
         counted(verifier, "alt_constant")
         report = run_suite()
@@ -770,7 +774,7 @@ class TestLaneCallsPerSuite:
         assert counts["bohr_sum"] <= 60
         assert counts["distance_bound"] <= 38
         assert counts["lerch_sum"] <= 39
-        assert counts["sum_power_series"] <= 21
+        assert counts["_wh_sums"] <= 21
         assert counts["alt_constant"] <= 42
 
 
