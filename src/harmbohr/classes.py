@@ -17,10 +17,11 @@ each record is everything the package knows about its family:
   on B' for the solver's Newton steps (for both, from the same Lerch sum);
 * the lower growth envelope, |f| at the extremal's lower touch point on
   |z| = r for 0 <= r <= 1 (``lower``): a closed form, or for wh-alpha and
-  gh-k-alpha an alternating sum of c_n r^n (or of the lacunary terms in
-  y^j, y = r^k; ``series.alt_constant``).  Its value at r = 1 is the
-  distance constant d*, a sharp lower bound on the distance from f(0) to
-  the boundary of the image (``distance_bound``);
+  gh-k-alpha the alternating form of its majorant's sum, summed at a fixed
+  cost with a Boole tail (``series._wh_alt``, and ``series.alt_lerch_sum``
+  of the lacunary terms in y = r^k).  Its value at r = 1 is the distance
+  constant d*, a sharp lower bound on the distance from f(0) to the
+  boundary of the image (``distance_bound``);
 * the closed-form radius where one exists.
 
 The upper growth envelope is B itself (``growth_envelope`` pairs it with
@@ -30,9 +31,11 @@ So each d* and each B is written once.
 
 Every public function here is a lookup in ``FAMILIES``, so a new family is
 one entry; the one per-family branch left is the lacunary extremal of
-gh-k-alpha.  The records call the series engine through this module's
-globals at call time and never hold a reference to it, so a tool that
-rebinds those globals (``perfbench/tracer.py``) sees every call.
+gh-k-alpha.  No callable takes a tolerance: closed forms and fixed-cost
+sums each return their own certified bound.  The records call the series
+engine through this module's globals at call time and never hold a
+reference to it, so a tool that rebinds those globals
+(``perfbench/tracer.py``) sees every call.
 
 The Bohr radius of the family is the unique r with B(r) = d*; solving that
 equation is the job of :mod:`harmbohr.solver`, which solves a whole grid of
@@ -53,8 +56,9 @@ from .errors import DomainError, ValidationError
 from .series import (
     CoefficientRule,
     SeriesValue,
+    _wh_alt,
     _wh_sums,
-    alt_constant,
+    alt_lerch_sum,
     alt_log_tail,
     alt_nn1_tail,
     as_param,
@@ -150,18 +154,17 @@ class FamilyDef:
     ``params`` lists the parameter names; the last is the swept one and the
     argument of ``coeff``.  ``domain`` holds (name, test, message) triples,
     checked in order.  The callables take a (lane) spec: ``coeff(n, p)``
-    gives c_n, ``majorant(spec, r, tol)`` the pair (B(r) - r as a
-    SeriesValue, an upper bound on B'(r)) from one evaluation,
-    ``lower(spec, r, tol)`` |f| at the extremal's lower touch point on
-    |z| = r as a SeriesValue, for 0 <= r <= 1, so that d* is its value at
-    r = 1, and ``radius(spec)`` the closed-form radius (None: solved).
-    ``upper(spec, r, tol)``, like ``lower`` but at the upper touch point, is
-    set only where the extremal's |f| there is not r + (B(r) - r): for
-    gh-k-alpha with k >= 2 the lacunary extremal does not attain B.  ``r``
-    is an array (0-d for one radius) or the float 1.0, and each entry of a
-    result is computed from its own r and lane alone.  ``tol`` bounds the
-    error of an alternating sum; the majorants, closed forms and fixed-cost
-    sums, do not read it.
+    gives c_n, ``majorant(spec, r)`` the pair (B(r) - r as a SeriesValue,
+    an upper bound on B'(r)) from one evaluation, ``lower(spec, r)`` |f| at
+    the extremal's lower touch point on |z| = r as a SeriesValue, for
+    0 <= r <= 1, so that d* is its value at r = 1, and ``radius(spec)`` the
+    closed-form radius (None: solved).  ``upper(spec, r)``, like ``lower``
+    but at the upper touch point, is set only where the extremal's |f|
+    there is not r + (B(r) - r): for gh-k-alpha with k >= 2 the lacunary
+    extremal does not attain B.  ``r`` is an array (0-d for one radius) or
+    the float 1.0, and each entry of a result is computed from its own r
+    and lane alone.  Each is a closed form or a sum at a fixed cost, and
+    each SeriesValue carries its own certified bound.
     """
 
     params: tuple[str, ...]
@@ -227,13 +230,14 @@ def _fits_float(k) -> bool:
     return True
 
 
-def _wh_lower(spec: ClassSpec, r, tol: float) -> SeriesValue:
-    # |f(-r)| = r + sum c_n (-1)^(n-1) r^n.
-    alt = alt_constant(coefficient_rule(spec), r, tol=tol)
-    return lane_value(r + alt.value, alt.error_bound)
+def _wh_lower(spec: ClassSpec, r) -> SeriesValue:
+    # |f(-r)| = r + sum c_n (-1)^(n-1) r^n, which is
+    # r - 2 sum_{n>=2} (-1)^n r^n/(n (1 - alpha + alpha n)).
+    alt = _wh_alt(r, spec.alpha)
+    return lane_value(r - 2.0 * alt.value, 2.0 * alt.error_bound)
 
 
-def _wh_majorant(spec: ClassSpec, r, tol: float):
+def _wh_majorant(spec: ClassSpec, r):
     # c_n = 2/(n (1 + (n - 1) alpha)): B - r = 2 S and B' = 1 + 2 S', both
     # from one fixed-cost evaluation.  1 + 2 S' may round down by half an
     # ulp, so it is rounded up.
@@ -242,7 +246,7 @@ def _wh_majorant(spec: ClassSpec, r, tol: float):
     return tail, np.nextafter(1.0 + 2.0 * (slope.value + slope.error_bound), np.inf)
 
 
-def _gh_majorant(spec: ClassSpec, r, tol: float):
+def _gh_majorant(spec: ClassSpec, r):
     # c_n = 2/(1 + (n-1) alpha) for n >= k + 1: B - r = 2 r^(k+1) L, with
     # L = sum_{m>=0} r^m / (1 + (k + m) alpha).  B' = 1 + 2 sum_{j>=k} r^j
     # (j + 1)/(1 + j alpha), and (j + 1)/(1 + j alpha) = 1/alpha +
@@ -273,20 +277,15 @@ def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
     return CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
 
 
-def _gh_lower(spec: ClassSpec, r, tol: float) -> SeriesValue:
-    # With y = r^k the extremal is r (1 + sum_j 2 (+-y)^j / (1 + j k alpha)):
-    # at its lower touch point the signs alternate.
-    alt = alt_constant(_gh_lacunary_rule(spec), r**spec.k, tol=tol)
-    return lane_value(r * (1.0 + alt.value), r * alt.error_bound)
-
-
-def _gh_upper(spec: ClassSpec, r, tol: float) -> SeriesValue:
-    # At the upper touch point the sum is the Lerch sum
-    # 2 y sum_{m>=0} y^m / (1 + (m + 1) k alpha).
+def _gh_side(spec: ClassSpec, r, sign: float, lerch) -> SeriesValue:
+    # With y = r^k the extremal is r (1 + sum_j 2 (+-y)^j / (1 + j k alpha)),
+    # and that sum is +-2 y sum_{m>=0} (+-y)^m / (1 + (m + 1) k alpha): a
+    # Lerch sum at the upper touch point, where the signs are all +, and an
+    # alternating one at the lower.
     y = r**spec.k
     ka = capped_product(spec.k, spec.alpha)
-    plus = lerch_sum(y, 1.0 + ka, ka)
-    return lane_value(r * (1.0 + 2.0 * y * plus.value), r * (2.0 * y * plus.error_bound))
+    sv = lerch(y, 1.0 + ka, ka)
+    return lane_value(r * (1.0 + sign * 2.0 * y * sv.value), r * (2.0 * y * sv.error_bound))
 
 
 FAMILIES: dict[Family, FamilyDef] = {
@@ -294,11 +293,11 @@ FAMILIES: dict[Family, FamilyDef] = {
         params=("alpha",),
         domain=(("alpha", lambda a: (0.0 <= a) & (a < 1.0), "alpha must satisfy 0 <= alpha < 1"),),
         coeff=lambda n, a: 2.0 * (1.0 - a) / n,
-        majorant=lambda s, r, tol: (
+        majorant=lambda s, r: (
             lane_value(2.0 * (1.0 - s.alpha) * log_tail(r), 0.0),
             1.0 + 2.0 * (1.0 - s.alpha) * r / (1.0 - r),
         ),
-        lower=lambda s, r, tol: lane_value(r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), 0.0),
+        lower=lambda s, r: lane_value(r + 2.0 * (1.0 - s.alpha) * alt_log_tail(r), 0.0),
     ),
     Family.GT_BETA: FamilyDef(
         params=("beta",),
@@ -307,12 +306,12 @@ FAMILIES: dict[Family, FamilyDef] = {
             ("beta", lambda b: b < 0.5, "beta must be < 1/2"),
         ),
         coeff=lambda n, b: 2.0 * (1.0 - b) * np.ones_like(n),
-        majorant=lambda s, r, tol: (
+        majorant=lambda s, r: (
             lane_value(2.0 * (1.0 - s.beta) * r * r / (1.0 - r), 0.0),
             1.0 + 2.0 * (1.0 - s.beta) * r * (2.0 - r) / (1.0 - r) ** 2,
         ),
         # Exactly beta at r = 1, however small beta is.
-        lower=lambda s, r, tol: lane_value(
+        lower=lambda s, r: lane_value(
             s.beta * r + (1.0 - s.beta) * r * (1.0 - r) / (1.0 + r), 0.0
         ),
         # The root of (1 - 2b) r^2 + (1 + b) r - b = 0, free of cancellation
@@ -338,15 +337,15 @@ FAMILIES: dict[Family, FamilyDef] = {
         # n >= k + 1 >= 2; (n - 1) alpha is capped so that it stays finite.
         coeff=lambda n, a: 2.0 / (1.0 + capped_product(n - 1.0, a)),
         majorant=_gh_majorant,
-        lower=_gh_lower,
-        upper=_gh_upper,
+        lower=lambda s, r: _gh_side(s, r, -1.0, alt_lerch_sum),
+        upper=lambda s, r: _gh_side(s, r, 1.0, lerch_sum),
     ),
     Family.TB_M: FamilyDef(
         params=("m",),
         domain=(("m", lambda m: (0.0 < m) & (m < 2.0), "m must satisfy 0 < m < 2"),),
         coeff=lambda n, m: np.where(n == 2.0, m / 2.0, 0.0),
-        majorant=lambda s, r, tol: (lane_value(0.5 * s.m * r * r, 0.0), 1.0 + s.m * r),
-        lower=lambda s, r, tol: lane_value(r - 0.5 * s.m * r * r, 0.0),
+        majorant=lambda s, r: (lane_value(0.5 * s.m * r * r, 0.0), 1.0 + s.m * r),
+        lower=lambda s, r: lane_value(r - 0.5 * s.m * r * r, 0.0),
         # The root of m r^2 + 2r + (m - 2) = 0, free of cancellation for small m.
         radius=lambda s: (2.0 - s.m) / (1.0 + np.sqrt(1.0 + 2.0 * s.m - s.m * s.m)),
     ),
@@ -360,10 +359,10 @@ FAMILIES: dict[Family, FamilyDef] = {
             ),
         ),
         coeff=lambda n, m: 2.0 * m / (n * (n - 1.0)),
-        majorant=lambda s, r, tol: (
+        majorant=lambda s, r: (
             lane_value(2.0 * s.m * nn1_tail(r), 0.0), 1.0 - 2.0 * s.m * np.log1p(-r)
         ),
-        lower=lambda s, r, tol: lane_value(r + 2.0 * s.m * alt_nn1_tail(r), 0.0),
+        lower=lambda s, r: lane_value(r + 2.0 * s.m * alt_nn1_tail(r), 0.0),
     ),
 }
 
@@ -521,53 +520,52 @@ def coefficient_rule(spec: ClassSpec) -> CoefficientRule:
     return CoefficientRule(fam.coeff, n0, spec.family.value, (p,))
 
 
-def distance_bound(spec: ClassSpec, tol: float = 1e-12) -> SeriesValue:
+def distance_bound(spec: ClassSpec) -> SeriesValue:
     """The distance constant d*: a sharp lower bound on dist(f(0), boundary).
 
     d* is the lower growth envelope at r = 1, the limit of the least |f| on
-    |z| = r: a closed form where one exists, an accelerated alternating sum
-    otherwise.  A lane spec gives arrays, one d* per lane.
+    |z| = r: a closed form where one exists, an alternating sum with a Boole
+    tail otherwise, with its certified bound.  A lane spec gives arrays,
+    one d* per lane.
     """
-    return FAMILIES[spec.family].lower(spec, 1.0, tol)
+    return FAMILIES[spec.family].lower(spec, 1.0)
 
 
-def bohr_sum(spec: ClassSpec, r, tol: float = 1e-12) -> SeriesValue:
+def bohr_sum(spec: ClassSpec, r) -> SeriesValue:
     """The majorant sum B(r) = r + sum_{n>=start} c_n r^n for 0 <= r < 1.
 
     ``r`` is a float, or an array: a grid of radii for one spec, or one
     radius per lane of a lane spec.  Every family's majorant is a closed
-    form or an Euler-Maclaurin sum at a fixed cost, which ``tol`` does not
-    steer and which never raises ConvergenceError: wh-alpha's and
-    gh-k-alpha's carry their own honest bound.  For wh-alpha that bound is
-    within 1e-13 up to r = 0.9999; beyond, it grows as r nears 1.
+    form or an Euler-Maclaurin sum at a fixed cost, which never raises
+    ConvergenceError: wh-alpha's and gh-k-alpha's carry their own honest
+    bound.  For wh-alpha that bound is within 1e-13 up to r = 0.9999;
+    beyond, it grows as r nears 1.
     """
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
-    tail, _ = FAMILIES[spec.family].majorant(spec, r, tol)
+    tail, _ = FAMILIES[spec.family].majorant(spec, r)
     return lane_value(r + tail.value, tail.error_bound)
 
 
-def growth_envelope(spec: ClassSpec, r, tol: float = 1e-12) -> GrowthEnvelope:
+def growth_envelope(spec: ClassSpec, r) -> GrowthEnvelope:
     """Sharp lower/upper bounds on |f(z)| at |z| = r for the family.
 
     The lower side is the family's ``lower``; the upper side is r plus the
     majorant's tail, B(r), except for gh-k-alpha, whose ``upper`` is the
     lacunary extremal's own.  ``r`` is a float, giving floats, or an array,
     as for ``bohr_sum``, giving arrays: each entry is bit for bit its own
-    float call.  ``error_bound`` is the sum of the two sides' error bounds.
-    A lower side that is an alternating sum is summed to ``tol``/2; an upper
-    side that is an Euler-Maclaurin sum (wh-alpha's and gh-k-alpha's)
-    carries that sum's own bound, which can exceed ``tol`` next to r = 1,
-    and for gh-k-alpha at alpha near 0.
+    float call.  ``error_bound`` is the sum of the two sides' certified
+    bounds; an Euler-Maclaurin side (wh-alpha's and gh-k-alpha's upper)
+    grows next to r = 1, and for gh-k-alpha at alpha near 0.
     """
     r = _broadcast(spec, r)
     require((0.0 <= r) & (r < 1.0), r, "r must satisfy 0 <= r < 1")
     fam = FAMILIES[spec.family]
-    low = fam.lower(spec, r, 0.5 * tol)
+    low = fam.lower(spec, r)
     if fam.upper is not None:
-        up = fam.upper(spec, r, 0.5 * tol)
+        up = fam.upper(spec, r)
     else:
-        tail = fam.majorant(spec, r, 0.5 * tol)[0]
+        tail = fam.majorant(spec, r)[0]
         up = SeriesValue(r + tail.value, tail.error_bound)
     return GrowthEnvelope(low.value, up.value, low.error_bound + up.error_bound)
 

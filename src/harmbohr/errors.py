@@ -16,8 +16,8 @@ class ValidationError(HarmBohrError, ValueError):
 
 
 class ConvergenceError(HarmBohrError, RuntimeError):
-    """A series evaluation or root search could not reach the requested
-    tolerance within its iteration or term budget.
+    """A root search could not certify the requested tolerance: its step
+    budget ran out, or its certified bracket ended wider than ``tol``.
 
     ``achieved`` carries the best available estimate (a value bundled with
     its error bound) so callers can decide whether it is still usable.

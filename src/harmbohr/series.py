@@ -1,21 +1,26 @@
 """Series evaluation with explicit absolute error bounds, for one lane or many.
 
-Every infinite sum in the package flows through here: Lerch sums
-sum_m r^m/(c + s m), and wh-alpha's sum_n r^n/(n (1 - alpha + alpha n))
-with its derivative, by one Euler-Maclaurin engine at a fixed cost, with
-0 <= r < 1; alternating series sum (-1)^n c_n x^n with 0 <= x <= 1, summed
-by the Cohen-Rodriguez Villegas-Zagier (CRVZ) acceleration, which give the
-distance constants (x = 1) and the lower growth envelopes (x = r) by one
-path; and the elementary closed forms for the logarithmic coefficient
-families.  No evaluator takes a negative argument.
+Every infinite sum in the package flows through here, summed by one idea
+at a fixed cost: a direct head of 32 terms, then a tail closed from the
+ratios (-1)^k f^(k)(N) / f(N) of the completely monotone f whose values
+are the terms.  A sum of positive terms takes Euler-Maclaurin's tail
+(``_euler_maclaurin``): the Lerch sums sum_m r^m/(c + s m) with 0 <= r < 1,
+and wh-alpha's sum_n r^n/(n (1 - alpha + alpha n)) with its derivative.  An
+alternating sum takes Boole's tail (``_boole``), its alternating form,
+with 0 <= x <= 1: the same two sums with signs (-1)^m, which give the
+distance constants (x = 1) and the lower growth envelopes (x = r), and
+whose heads are added as pairs that do not cancel.  The elementary closed
+forms for the logarithmic coefficient families are here too.  No
+evaluator takes a negative argument, and none takes a tolerance: each
+returns its own certified bound.
 
-A lane is one sum: one argument, with one set of coefficient parameters.
-The evaluators take a 1-D array of arguments and per-lane parameters (a
-rule's columns, or arrays), and sum all lanes in one numpy pass.  Each lane
-still picks its own term count and keeps its own error bound, and lanes are
-never mixed in a reduction (no BLAS dot across lanes, whose accumulation
-order depends on the batch shape), so every lane's value is bit for bit
-what it would be alone.  A scalar call is the one-lane case.
+A lane is one sum: one argument, with one set of parameters.  The
+evaluators take a 1-D array of arguments and per-lane parameters (arrays
+that broadcast against it), and sum all lanes in one numpy pass.  Each lane
+keeps its own error bound, and lanes are never mixed in a reduction (no
+BLAS dot across lanes, whose accumulation order depends on the batch
+shape), so every lane's value is bit for bit what it would be alone.  A
+scalar call is the one-lane case.
 
 All evaluators return a :class:`SeriesValue`, a value paired with a rigorous
 absolute error bound (floats for a scalar call, arrays over lanes), so
@@ -27,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
@@ -40,11 +44,6 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # Largest lanes x terms block of a Lerch sum's head summed at once, so that
 # many lanes do not exhaust memory.
 _BLOCK = 1 << 20
-
-# CRVZ convergence rate per term, and the most terms an alternating sum uses:
-# 2 / (3 + sqrt 8)^40 is below 1e-30, far under any reachable rounding.
-_CRVZ_RATE = 3.0 + math.sqrt(8.0)
-_CRVZ_MAX_TERMS = 40
 
 # The m of the terms a Lerch sum adds directly, before its Euler-Maclaurin
 # tail from N = 32.
@@ -55,12 +54,22 @@ _LERCH_M = np.arange(32.0)
 _BERNOULLI = np.array([[1 / 6], [-1 / 30], [1 / 42], [-1 / 30], [5 / 66], [-691 / 2730], [7 / 6]])
 _BERNOULLI /= [[math.factorial(2 * j)] for j in range(1, 8)]
 
+# -E_k(0) / (2 k!) for k = 2j - 1, j = 1..7, as a column: six Boole
+# corrections, and the seventh for the remainder bound.  E_k(0) =
+# -2 (2^(k+1) - 1) B_(k+1) / (k + 1) (DLMF §24.4) makes them
+# (4^j - 1) B_2j / (2j)!: 1/4, -1/48, 1/480, ...
+_BOOLE = _BERNOULLI * (4.0 ** np.arange(1.0, 8.0)[:, None] - 1.0)
+
 # k = 1..13, as a column: the orders of the derivative ratios at N.
 _KS = np.arange(1.0, 2.0 * len(_BERNOULLI))[:, None]
 
 # wh-alpha's sums add n = 2..33 directly, before their Euler-Maclaurin tail
 # from N = 34.
 _WH_N = _LERCH_M.size + 2.0
+
+# The even m: an alternating sum adds its 32 direct terms as the pairs
+# (m, m + 1).
+_PAIR_M = _LERCH_M[0::2]
 
 # Terms of the series of wh-alpha's tail integral for alpha >= 1/2, and
 # their signs, as a column.
@@ -125,9 +134,11 @@ class CoefficientRule:
     coefficients elementwise.  Each of ``params`` is a scalar, or a column of
     shape (L, 1) holding one value per lane, which ``func`` broadcasts
     against n to give one row of coefficients per lane.  Every rule here has
-    c_n >= 0 and nonincreasing on n >= start: that is what validates the
-    alternating remainder bound, and the geometric tail bound
-    c_{N+1} r^{N+1} / (1 - r) of the verifier's direct sums.
+    c_n >= 0 and nonincreasing on n >= start, which validates the geometric
+    tail bound c_{N+1} r^{N+1} / (1 - r) of the verifier's direct sums and
+    of its envelope checks; and every c_n is a moment of a positive measure
+    on [0, 1], which validates the Euler-mean bound of its direct
+    alternating oracle.
     """
 
     func: Callable[..., np.ndarray]
@@ -146,17 +157,6 @@ class CoefficientRule:
 
     def term(self, n: int) -> float:
         return float(self.terms(np.array([float(n)]))[0])
-
-    @property
-    def per_lane(self) -> bool:
-        return any(np.ndim(p) for p in self.params)
-
-    def lanes(self, idx) -> "CoefficientRule":
-        """The rule restricted to the lanes ``idx``."""
-        if not self.per_lane:
-            return self
-        params = tuple(p if np.ndim(p) == 0 else p[idx] for p in self.params)
-        return CoefficientRule(self.func, self.start, self.name, params)
 
 
 def as_param(value):
@@ -260,29 +260,34 @@ def _scaled_e1(z):
     return g
 
 
-def _flat_lanes(r, *params):
+def _flat_lanes(r, *params, closed=False):
     """The lanes of r and ``params`` broadcast against each other: their
-    shape, then r and each parameter as a flat array; 0 <= r < 1."""
+    shape, then r and each parameter as a flat array; 0 <= r < 1, or
+    0 <= r <= 1 where ``closed``."""
     r = np.asarray(r, dtype=np.float64)
-    require((0.0 <= r) & (r < 1.0), r, "argument must satisfy 0 <= r < 1")
+    ok, bound = ((r <= 1.0), "<=") if closed else ((r < 1.0), "<")
+    require((0.0 <= r) & ok, r, f"argument must satisfy 0 <= r {bound} 1")
     shape = np.broadcast(r, *params).shape
     return shape, *(np.broadcast_to(v, shape).ravel() for v in (r, *params))
 
 
-def _lerch_heads(r, c, s, *divisors):
-    """sum_{m<32} r^m / (c + s m) over flat lanes (r, c, s), then the same
-    sum with term m divided by d[m] for each array d of ``divisors``: one
-    row per sum, with an entry per lane."""
-    sums, step = np.empty((1 + len(divisors), r.size)), _BLOCK // _LERCH_M.size
-    for start in range(0, r.size, step):
+def _head_sums(count, terms, *lanes):
+    """Per-lane sums of the ``count`` (lanes x terms) arrays that ``terms``
+    makes from columns of the flat ``lanes``: one row per array.  Lanes go
+    in blocks of _BLOCK / 32, so that many lanes do not exhaust memory."""
+    sums, step = np.empty((count, lanes[0].size)), _BLOCK // _LERCH_M.size
+    for start in range(0, lanes[0].size, step):
         idx = slice(start, start + step)
-        # c + s m past the float range is inf, and its term the limit 0.
-        with np.errstate(over="ignore"):
-            terms = np.power(r[idx, None], _LERCH_M) / (c[idx, None] + s[idx, None] * _LERCH_M)
-        sums[0, idx] = terms.sum(axis=1)
-        for row, d in zip(sums[1:], divisors):
-            row[idx] = (terms / d).sum(axis=1)
+        for row, block in zip(sums, terms(*(v[idx, None] for v in lanes))):
+            row[idx] = block.sum(axis=1)
     return sums
+
+
+def _lerch_terms(r, c, s):
+    """r^m / (c + s m) for m < 32, a row per lane column."""
+    # c + s m past the float range is inf, and its term the limit 0.
+    with np.errstate(over="ignore"):
+        return np.power(r, _LERCH_M) / (c + s * _LERCH_M)
 
 
 def _ratios(first, v):
@@ -302,12 +307,28 @@ def _lerch_tail(r, c, s):
     Differentiating (c + s x) f(x) = e^(-lam x) k times gives
     e_k = lam^k + k u e_(k-1), e_0 = 1: sums of positive terms, so nothing
     cancels.  lam is finite at r = 0 too, where r^N = 0 clears every use.
+    At r = 1 (an alternating sum's x = 1) lam is 0, and so are its powers,
+    which are left as 0: numpy's power takes a slow path at a zero base.
     """
     with np.errstate(over="ignore"):
         w = c + s * _LERCH_M.size
     lam = -np.log(np.maximum(r, _TINY))
     u = s / w
-    return lam, r**_LERCH_M.size, w, u, _ratios(lam**_KS, u)
+    powers = np.power(lam, _KS, out=np.zeros((_KS.size, lam.size)), where=lam > 0.0)
+    return lam, r**_LERCH_M.size, w, u, _ratios(powers, u)
+
+
+def _corrections(f_n, ratios, weights):
+    """f(N) times: 1/2 plus six corrections weights[j] ratios[2j], 1/2 plus
+    their magnitudes, and the seventh correction's magnitude."""
+    corrections = np.array(ratios[0::2])
+    corrections *= weights
+    first = corrections[:-1]
+    return (
+        f_n * (0.5 + first.sum(axis=0)),
+        f_n * (0.5 + np.abs(first).sum(axis=0)),
+        f_n * np.abs(corrections[-1]),
+    )
 
 
 def _euler_maclaurin(head, f_n, integral, size, ratios):
@@ -319,11 +340,36 @@ def _euler_maclaurin(head, f_n, integral, size, ratios):
     2.10(i)) and the sum of the magnitudes added, in which ``size`` stands
     for the integral's.
     """
-    corrections = np.array(ratios[0::2])
-    corrections *= _BERNOULLI
-    value = head + integral + f_n * (0.5 + corrections[:-1].sum(axis=0))
-    size = head + size + f_n * (0.5 + np.abs(corrections[:-1]).sum(axis=0))
-    return value, f_n * np.abs(corrections[-1]), size
+    tail, magnitudes, remainder = _corrections(f_n, ratios, _BERNOULLI)
+    return head + integral + tail, remainder, head + size + magnitudes
+
+
+def _boole(head, f_n, ratios):
+    """head plus the alternating tail sum_{j>=0} (-1)^j f(N + j) of a
+    completely monotone f, given ratios[k-1] = e_k = (-1)^k f^(k)(N) / f(N)
+    for k = 1..13: f(N) (1/2 + e_1/4 - e_3/48 + e_5/480 - ...), six
+    corrections.  Returns the value, the remainder bound and the sum of the
+    magnitudes added.
+
+    Boole's summation formula (DLMF 24.17.1 with h = 0, m = 13, and the
+    upper end taken to infinity, where every f^(k) vanishes) gives the tail
+    as (1/2) sum_{k<13} E_k(0)/k! f^(k)(N) + R, with
+      R = 1/(2 * 12!) int_0^inf f^(13)(N + x) E~_12(-x) dx.
+    E_k(0) is 0 for even k >= 2, and for odd k the term is
+    -E_k(0)/(2 k!) e_k f(N) (``_BOOLE``).  The periodic Euler function
+    E~_12 (DLMF 24.2.11) is E_12 on [0, 1) and changes sign with each unit
+    step, and E_12 vanishes on [0, 1] only at 0 and 1 (DLMF 24.12(ii)), so
+    E~_12(-x) has a single sign on each unit interval and alternates from
+    one to the next, with the same magnitude |E_12| on each (E_12(1 - t) =
+    E_12(t)).  f is completely monotone, so -f^(13) is too and |f^(13)|
+    decreases: the pieces of R on successive intervals alternate in sign
+    and shrink, so |R| is at most the first,
+      |R| <= |f^(13)(N)|/(2 * 12!) int_0^1 |E_12| = |E_13(0)|/13! e_13 f(N),
+    as int_0^1 E_12 = (E_13(1) - E_13(0))/13 = -2 E_13(0)/13.  That is
+    twice the seventh correction's magnitude, which is the bound returned.
+    """
+    tail, magnitudes, seventh = _corrections(f_n, ratios, _BOOLE)
+    return head + tail, 2.0 * seventh, head + magnitudes
 
 
 def _lerch_close(head, f_n, g, lam, ratios):
@@ -353,7 +399,7 @@ def lerch_sum(r, c, s) -> SeriesValue:
     clears the whole tail and the sum is 1/c exactly.
     """
     shape, r, c, s = _flat_lanes(r, c, s)
-    (head,) = _lerch_heads(r, c, s)
+    (head,) = _head_sums(1, lambda *lane: [_lerch_terms(*lane)], r, c, s)
     lam, r_n, w, u, ratios = _lerch_tail(r, c, s)
     value, error = _lerch_close(head, r_n / w, _scaled_e1(u / lam), lam, ratios)
     return lane_value(value.reshape(shape), error.reshape(shape))
@@ -381,6 +427,12 @@ def _expint_series(z, f_1, t):
     terms = _EP_SIGNS * weights[:-1] * steps[:, 0]
     bound = (weights[:-1] * steps[:, 1]).sum(axis=0) + weights[-1] / (z + (_EP_TERMS + 1.0))
     return terms.sum(axis=0), np.abs(terms, out=terms).sum(axis=0), bound
+
+
+def _wh_terms(r, c, a):
+    """The Lerch sum's terms, and those terms over m + 2: S's terms over r^2."""
+    terms = _lerch_terms(r, c, a)
+    return terms, terms / (_LERCH_M + 2.0)
 
 
 def _wh_sums(r, alpha) -> tuple[SeriesValue, SeriesValue]:
@@ -415,7 +467,7 @@ def _wh_sums(r, alpha) -> tuple[SeriesValue, SeriesValue]:
     """
     shape, r, a = _flat_lanes(r, alpha)
     c = 1.0 + a
-    lerch_head, head = _lerch_heads(r, c, a, _LERCH_M + 2.0)
+    lerch_head, head = _head_sums(2, _wh_terms, r, c, a)
     lam, r_m, w, u, ratios = _lerch_tail(r, c, a)
     z = _WH_N * lam
     g = _scaled_e1(np.concatenate([u / lam, 1.0 / z]))
@@ -444,117 +496,59 @@ def _wh_sums(r, alpha) -> tuple[SeriesValue, SeriesValue]:
     return lane_value(value.reshape(shape), error.reshape(shape)), slope
 
 
-@lru_cache(maxsize=None)
-def _crvz_weights(n: int) -> np.ndarray:
-    """Weights w_k with sum_{k<n} w_k a_k the CRVZ estimate of sum_k (-1)^k a_k.
+def _alt_pairs(x, c, s):
+    """The pairs (m, m + 1), m even, of sum (-1)^m x^m / (c + s m):
+    x^m ((1 - x) + s/(c + s m))/(c + s (m + 1)), all >= 0."""
+    return np.power(x, _PAIR_M) * ((1.0 - x) + s / (c + s * _PAIR_M)) / (c + s * (_PAIR_M + 1.0))
 
-    Algorithm 1 of Cohen, Rodriguez Villegas and Zagier runs on integers:
-    its d = ((3 + sqrt 8)^n + (3 + sqrt 8)^-n) / 2 is the Chebyshev value
-    T_n(3), and its b and c are integer polynomial coefficients.  So it runs
-    exactly here, and each weight c / d is rounded once.
+
+def alt_lerch_sum(x, c, s) -> SeriesValue:
+    """sum_{m>=0} (-1)^m x^m / (c + s m) for 0 <= x <= 1, c > 0 and s >= 0
+    (s > 0 at x = 1), at a fixed cost: the alternating ``lerch_sum``.
+
+    Lanes are as in ``lerch_sum``, and so are the parts: the first 32 terms
+    are added directly, as 16 pairs that do not cancel (``_alt_pairs``), and
+    the rest is Boole's tail (``_boole``) of the same f(x) = e^(-lam x)/(c +
+    s x) from N = 32, with the same ratios e_k (``_lerch_tail``).  At x = 1
+    lam is 0 and e_k = k! u^k; at x = 0, x^N = 0 clears the tail.  The
+    error bound is Boole's remainder plus 16 eps of the magnitudes added;
+    against mpmath the sum stays well within it on all of [0, 1].
     """
-    d_prev, d = 1, 3
-    for _ in range(n - 1):
-        d_prev, d = d, 6 * d - d_prev
-    b, c = -1, -d
-    weights = []
-    for k in range(n):
-        c = b - c
-        weights.append(c / d)
-        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
-    weights = np.array(weights)
-    weights.flags.writeable = False  # shared by every caller through the cache
-    return weights
+    shape, x, c, s = _flat_lanes(x, c, s, closed=True)
+    (head,) = _head_sums(1, lambda *lane: [_alt_pairs(*lane)], x, c, s)
+    _, x_n, w, _, ratios = _lerch_tail(x, c, s)
+    value, remainder, size = _boole(head, x_n / w, ratios)
+    return lane_value(value.reshape(shape), (remainder + _LERCH_ROUNDING * size).reshape(shape))
 
 
-def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums by pairwise halving, with the sum of |partial sums| per row.
+def _wh_alt_pairs(r, c, a):
+    """The pairs (n, n + 1), n = m + 2 even, of wh-alpha's alternating sum
+    over r^2: with q = 1 - alpha + alpha n = c + alpha m, r^m ((1 - r) n q +
+    q + alpha (n + 1))/(n q (n + 1) (q + alpha)), all >= 0."""
+    n, q = _PAIR_M + 2.0, c + a * _PAIR_M
+    top = (1.0 - r) * n * q + q + a * (n + 1.0)
+    return np.power(r, _PAIR_M) * top / ((n * q) * ((n + 1.0) * (q + a)))
 
-    Each addition errs by at most half an ulp of its result, so the second
-    array times eps/2 bounds the rounding of the sum.  Alternating terms
-    cancel at the first level, which keeps that bound far below
-    eps * sum |terms|.
+
+def _wh_alt(r, alpha) -> SeriesValue:
+    """sum_{n>=2} (-1)^n r^n / (n (1 - alpha + alpha n)) for 0 <= r <= 1 and
+    0 <= alpha <= 1, at a fixed cost: the alternating form of ``_wh_sums``'s
+    S, with its lanes, its head n = 2..33 and its tail from N = 34.
+
+    The head is 16 pairs that do not cancel (``_wh_alt_pairs``), and the
+    tail Boole's (``_boole``) for S's f, from the Leibniz ratios d_k of
+    ``_wh_sums``.  The error bound is Boole's remainder, 16 eps of the
+    magnitudes added and, as for S, a few subnormals where the powers
+    underflow.  At r = 0 the sum is exactly 0, bound 0.
     """
-    width = 1 << (terms.shape[1] - 1).bit_length()
-    level = np.zeros((terms.shape[0], width))
-    level[:, : terms.shape[1]] = terms
-    nodes = np.zeros(terms.shape[0])
-    while level.shape[1] > 1:
-        level = level[:, 0::2] + level[:, 1::2]
-        nodes += np.abs(level).sum(axis=1)
-    return level[:, 0], nodes
-
-
-def alt_constant(rule: CoefficientRule, x=1.0, tol: float = 1e-12) -> SeriesValue:
-    """sum_{n>=start} (-1)^(n-start+1) c_n x^n for 0 <= x <= 1: the signs
-    alternate, and the first is -1.
-
-    Summed by the CRVZ acceleration (Cohen, Rodriguez Villegas and Zagier,
-    *Exp. Math.* 9, 2000, Algorithm 1).  Its precondition is that the terms
-    are moments c_{start+k} x^(start+k) = int_0^1 t^k dnu(t) of a positive
-    measure nu on [0, 1].  Every rule in this package has c_n moments of
-    some mu (1/n and 1/(1 + a n) are moments, and so are products of moment
-    sequences), and then so are the c_n x^n: nu is x^start times the
-    push-forward of mu by t -> x t.  So x = 1 gives the distance constants
-    and x = r the lower growth envelopes, by one path.  n terms leave a
-    truncation error of at most 2 c_start x^start / (3 + sqrt 8)^n, so
-    about 20 terms reach 1e-13; the rounding bound covers the weights, the
-    terms and every partial sum, and an absolute allowance covers the terms
-    whose power x^n is subnormal.  The consequences c_n > 0 and
-    nonincreasing are checked on the c_n used.
-
-    ``x`` is a float or a 1-D array, one sum per lane, and a rule with
-    per-lane parameters gives one sum per lane too; each lane has its own
-    term count.
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    xs = np.asarray(x, dtype=np.float64)
-    require((0.0 <= xs) & (xs <= 1.0), xs, "argument must satisfy 0 <= x <= 1")
-
-    c0 = rule.terms(np.array([float(rule.start)])).reshape(-1)
-    if not np.all(c0 > 0.0):
-        raise DomainError("alternating sum requires strictly positive terms")
-    # The first term of each lane.
-    first = c0 * xs.reshape(-1) ** rule.start
-    # The fewest terms whose truncation bound is at most tol / 8.
-    n_terms = np.ceil(np.log(16.0 * np.maximum(first, _TINY) / tol) / math.log(_CRVZ_RATE))
-    n_terms = np.clip(n_terms, 1, _CRVZ_MAX_TERMS).astype(np.int64)
-
-    value = np.empty_like(first)
-    err = np.empty_like(first)
-    for n in sorted(set(n_terms.tolist())):
-        idx = np.flatnonzero(n_terms == n)
-        ns = np.arange(rule.start, rule.start + n, dtype=np.float64)
-        part = rule if idx.size == first.size else rule.lanes(idx)
-        c = np.atleast_2d(part.terms(ns))
-        if not np.all(c > 0.0):
-            raise DomainError("alternating sum requires strictly positive terms")
-        if np.any(np.diff(c, axis=1) > _EPS * c[:, :1]):
-            raise DomainError("alternating sum requires nonincreasing terms")
-        # One x for all lanes, or each lane's own.
-        xi = xs[idx] if xs.ndim else xs
-        terms = _crvz_weights(int(n)) * np.power(xi[..., None], ns) * c
-        total, nodes = _tree_sum(terms)
-        value[idx] = -total
-        # Rounding: an ulp or two each for the weight, the coefficient, the
-        # power and the products, and half an ulp of every partial sum in
-        # the tree.
-        rounding = _EPS * (4.0 * np.abs(terms).sum(axis=1) + nodes)
-        floor = _underflow_floor(xi, c[:, 0], n)
-        err[idx] = 2.0 * first[idx] / _CRVZ_RATE**n + rounding + floor
-
-    shape = first.shape if rule.per_lane or np.ndim(x) else ()
-    best = lane_value(value.reshape(shape), err.reshape(shape))
-    failed = np.flatnonzero(err > tol)
-    if failed.size:
-        i = failed[0]
-        raise ConvergenceError(
-            f"alternating sum did not reach tol={tol:g} with {n_terms[i]} terms "
-            f"(error bound {float(err[i]):g})",
-            achieved=best,
-        )
-    return best
+    shape, r, a = _flat_lanes(r, alpha, closed=True)
+    c = 1.0 + a
+    (head,) = _head_sums(1, lambda *lane: [_wh_alt_pairs(*lane)], r, c, a)
+    _, r_m, w, _, ratios = _lerch_tail(r, c, a)
+    r_n = r * r * r_m
+    value, remainder, size = _boole(r * r * head, r_n / (_WH_N * w), _ratios(ratios, 1.0 / _WH_N))
+    error = remainder + _LERCH_ROUNDING * size + _underflow_floor(r, 1.0, _LERCH_M.size)
+    return lane_value(value.reshape(shape), error.reshape(shape))
 
 
 def capped_product(k, alpha):

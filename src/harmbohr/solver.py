@@ -17,7 +17,10 @@ that evaluate B.  Each H(x) in [v - e, v + e] certifies a
 bracket: H' >= 1 gives |x - root| <= |v| + e, and convexity gives
 root <= x - (v - e)/H'(x) when v > e; each bracket end computed so moves
 one ulp outward for its own rounding.  Steps that leave the bracket fall
-back to the midpoint.  Every B can be evaluated wherever Newton goes: the
+back to the midpoint.  A lane stops once its bracket is at most ``tol``
+wide or H lies within its error bound, and it succeeds only with a bracket
+at most ``tol`` wide: no radius comes back with a tolerance it did not
+reach.  Every B can be evaluated wherever Newton goes: the
 closed forms, and the Euler-Maclaurin sums of gh-k-alpha and wh-alpha, at
 a fixed cost on all of [0, 1).  Each comes with its bound on H' from the
 same evaluation: gh-k-alpha's and wh-alpha's from the Lerch sum of that
@@ -88,10 +91,11 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets for the root search.
+    """The tolerance and budget of the root search.
 
-    ``tol`` bounds the final bracket width; ``max_iter`` bounds the Newton
-    and midpoint steps together, not counting the warm start's.
+    ``tol`` bounds the width of every certified bracket: a lane whose
+    bracket ends wider raises ConvergenceError.  ``max_iter`` bounds the
+    Newton and midpoint steps together, not counting the warm start's.
     """
 
     tol: float = 1e-12
@@ -110,11 +114,6 @@ class SolverConfig:
         if not _is_count(self.max_iter):
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-
-    @property
-    def series_tol(self) -> float:
-        """The tolerance of every series evaluation: tol / 10, at most 1e-13."""
-        return min(1e-13, 0.1 * self.tol)
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,11 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _h_lanes(spec: ClassSpec, d_value, d_error, x, series_tol: float):
+def _h_lanes(spec: ClassSpec, d_value, d_error, x):
     """H = v +- e at one x per lane, and an upper bound on H'(x), from one
     ``majorant`` call."""
     require((0.0 <= x) & (x < 1.0), x, "r must satisfy 0 <= r < 1")
-    tail, slope = FAMILIES[spec.family].majorant(spec, x, series_tol)
+    tail, slope = FAMILIES[spec.family].majorant(spec, x)
     return (x + tail.value) - d_value, tail.error_bound + d_error, slope
 
 
@@ -227,7 +226,7 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         steps[act] = step
         sub = spec if act.size == live.size else take_lanes(spec, act)
         xa = x[act]
-        v, hb, slope = _h_lanes(sub, dv[act], de[act], xa, cfg.series_tol)
+        v, hb, slope = _h_lanes(sub, dv[act], de[act], xa)
         av = np.abs(v)
         e = hb + _ROUNDING * (av + 2.0 * dv[act])
         # H' >= 1 gives |x - root| <= |H(x)|; right of the root, convexity
@@ -258,18 +257,24 @@ def _newton(spec: ClassSpec, d: SeriesValue, cfg: SolverConfig):
         live[act[noise | stop]] = False
         x[act] = nxt
 
-    errors = {
-        int(i): ConvergenceError(
+    # Every lane that stopped must have its bracket within tol: where H is
+    # within its error bound, or Newton stalls, the bracket can end wider.
+    width = hi - lo
+    errors = {}
+    for i in np.flatnonzero(live | (width > cfg.tol)):
+        bracket, w = f"[{float(lo[i])!r}, {float(hi[i])!r}]", float(width[i])
+        errors[int(i)] = ConvergenceError(
             f"root not localised to tol={cfg.tol:g} within {cfg.max_iter} iterations; "
-            f"it is bracketed in [{float(lo[i])!r}, {float(hi[i])!r}]",
-            achieved=SeriesValue(0.5 * (lo[i] + hi[i]), hi[i] - lo[i]),
+            f"it is bracketed in {bracket}, {w:.3g} wide"
+            if live[i]
+            else f"root not certified to tol={cfg.tol:g}: its certified bracket {bracket} "
+            f"is {w:.3g} wide, and the least tol that passes is {w!r}",
+            achieved=SeriesValue(0.5 * (lo[i] + hi[i]), width[i]),
         )
-        for i in np.flatnonzero(live)
-    }
     # A lane that stopped on its last step reports the residual there.
     idx = np.flatnonzero(recheck)
     if idx.size:
-        v, hb, _ = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx], cfg.series_tol)
+        v, hb, _ = _h_lanes(take_lanes(spec, idx), dv[idx], de[idx], radius[idx])
         residual[idx] = np.abs(v) + hb
     return radius, residual, lo, hi, steps, errors
 
@@ -281,14 +286,7 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     a dict from lane index to the ConvergenceError that lane raises (its
     entries in the arrays mean nothing).
     """
-    try:
-        d = distance_bound(spec, tol=cfg.series_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"distance constant d* not certified at series tol {cfg.series_tol:g} "
-            f"(requested tol {cfg.tol:g}): {exc}",
-            achieved=exc.achieved,
-        ) from None
+    d = distance_bound(spec)
     n = d.value.size
     radius, residual = np.zeros(n), np.abs(d.value)
     lo, hi = np.zeros(n), np.zeros(n)
@@ -305,7 +303,7 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     if closed:
         # A root within half an ulp of 1 (tb-m at tiny m) rounds to 1.
         r_cf = np.minimum(closed_form_radius(sub), _BELOW_ONE)
-        v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf, cfg.series_tol)
+        v, hb, _ = _h_lanes(sub, d_sub.value, d_sub.error_bound, r_cf)
         radius[todo], residual[todo], lo[todo], hi[todo] = r_cf, np.abs(v) + hb, r_cf, r_cf
     elif todo.size:
         *lanes, lane_errors = _newton(sub, d_sub, cfg)
@@ -346,10 +344,11 @@ def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusR
     with quadratic closed forms use them when ``prefer_closed_form`` is set.
     Everything else runs safeguarded Newton from its warm start, which stops
     once the certified bracket is at most ``tol`` wide or H is below its
-    error bound.
-    It raises ConvergenceError when d* cannot be certified at the series
-    tolerance, or when ``max_iter`` steps do not suffice.  This is the
-    one-lane case of ``solve_radii``.
+    error bound.  It raises ConvergenceError when ``max_iter`` steps do not
+    suffice, or when it stops with a certified bracket wider than ``tol``
+    (the message names the width, which is the least ``tol`` that passes):
+    so a radius comes back only with a bracket of at most ``tol``.  This is
+    the one-lane case of ``solve_radii``.
     """
     return solve_radii([spec], config)[0]
 

@@ -14,10 +14,11 @@ specs of one family and k (``lane_groups``) stacked into one lane spec
 bit for bit as its own call would, so batching changes no verdict or detail;
 circle values stay one ``abs_on_circle`` call per radius.
 
-The alternating engine ``alt_constant`` is checked against a direct sum of
-2^14 terms closed by an Euler mean of the partial sums, which carries its
-own truncation and rounding bound: the two may differ by no more than that
-bound plus the engine's certified one.
+Each family's d* - 1, an alternating sum with a Boole tail or a closed
+form, is checked against a direct sum of 2^14 of its terms closed by an
+Euler mean of the partial sums, which carries its own truncation and
+rounding bound: the two may differ by no more than that bound plus d*'s
+certified one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .classes import (
     wh_alpha,
 )
 from .errors import DomainError, HarmBohrError
-from .series import CoefficientRule, SeriesValue, alt_constant
+from .series import CoefficientRule, SeriesValue
 from .solver import (
     SolverConfig,
     closed_form_radius,
@@ -212,7 +213,7 @@ def _sharpness_reports(
         # Radii stay well inside (0, 1); a step past 1 would count as violated.
         inside = radii + step_out < 1.0
         rs = np.concatenate([radii, np.where(inside, radii + step_out, 0.0)])
-        b = bohr_sum(stack_lanes([specs[i] for i in idx] * 2), rs, tol=cfg.series_tol)
+        b = bohr_sum(stack_lanes([specs[i] for i in idx] * 2), rs)
         for j, i in enumerate(idx):
             d = results[i].d_star
             value, beyond = float(b.value[j]), float(b.value[len(idx) + j])
@@ -232,7 +233,7 @@ def _sharpness_reports(
 
 
 def _bohr_on_grids(
-    specs: list[ClassSpec], grids: list[np.ndarray], cfg: SolverConfig
+    specs: list[ClassSpec], grids: list[np.ndarray]
 ) -> list[tuple[SeriesValue, SeriesValue]]:
     """(B over ``grids[i]``, d*) for each spec i, from one ``distance_bound``
     and one ``bohr_sum`` per family and k.  A spec alone in its group is
@@ -240,17 +241,16 @@ def _bohr_on_grids(
     one lane spec for d*, and B's lanes repeat each spec across its grid
     (picked by index, not stacked spec by spec)."""
     found: list = [None] * len(specs)
-    tol = cfg.series_tol
     for idx in lane_groups(specs):
         if len(idx) == 1:
             (i,) = idx
-            found[i] = (bohr_sum(specs[i], grids[i], tol=tol), distance_bound(specs[i], tol=tol))
+            found[i] = (bohr_sum(specs[i], grids[i]), distance_bound(specs[i]))
             continue
         lanes = stack_lanes(specs[i] for i in idx)
-        d = distance_bound(lanes, tol=tol)
+        d = distance_bound(lanes)
         sizes = [grids[i].size for i in idx]
         each = take_lanes(lanes, np.repeat(np.arange(len(idx)), sizes))
-        b = bohr_sum(each, np.concatenate([grids[i] for i in idx]), tol=tol)
+        b = bohr_sum(each, np.concatenate([grids[i] for i in idx]))
         ends = np.cumsum(sizes).tolist()
         for j, i in enumerate(idx):
             part = slice(ends[j] - sizes[j], ends[j])
@@ -262,7 +262,7 @@ def _bohr_on_grids(
 
 
 def _first_violations(
-    specs: Iterable[ClassSpec], r_maxes: Iterable[float], steps: int, cfg: SolverConfig
+    specs: Iterable[ClassSpec], r_maxes: Iterable[float], steps: int
 ) -> list[Optional[float]]:
     """For each spec, the first r of ``steps`` uniform points on
     [0, r_max] where the Bohr inequality B(r) <= d* fails beyond both error
@@ -275,7 +275,7 @@ def _first_violations(
         raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
     grids = [np.linspace(0.0, r_max, int(steps)) for r_max in r_maxes]
     found = []
-    for rs, (b, d) in zip(grids, _bohr_on_grids(specs, grids, cfg)):
+    for rs, (b, d) in zip(grids, _bohr_on_grids(specs, grids)):
         bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
         found.append(float(rs[bad[0]]) if bad.size else None)
     return found
@@ -286,7 +286,6 @@ def envelope_check(
     samples: Iterable[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     truncation: int = 10_000,
     tol: float = 1e-8,
-    config: SolverConfig | None = None,
 ) -> EnvelopeReport:
     """Check envelope containment and touch-point equality for the extremal.
 
@@ -300,7 +299,6 @@ def envelope_check(
     truncated extremal z alone, with |f| = r at every angle, and a grid of
     24 points.
     """
-    cfg = config or SolverConfig()
     samples = tuple(float(r) for r in samples)
     if any(not 0.0 < r < 1.0 for r in samples):
         raise DomainError("all samples must lie in (0, 1)")
@@ -309,7 +307,7 @@ def envelope_check(
     thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
     # Both envelopes and the truncation bound at every sample at once.
     rs = np.array(samples)
-    env = growth_envelope(spec, rs, tol=cfg.series_tol)
+    env = growth_envelope(spec, rs)
     slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
     rows = []
     passed = True
@@ -334,8 +332,8 @@ _EPS = float(np.finfo(np.float64).eps)
 def _direct_alt_euler_mean(
     rules: Iterable[CoefficientRule], n_terms: int, k: int
 ) -> SeriesValue:
-    """For each rule, sum_{n>=start} (-1)^(n-start+1) c_n with the signs of
-    ``alt_constant`` (the first term negative): Euler's k-th mean of the
+    """For each rule, sum_{n>=start} (-1)^(n-start+1) c_n, the first term
+    negative, as in d* - 1 of every family: Euler's k-th mean of the
     plain partial sums S_N .. S_{N+k} of its first ``n_terms`` = N + k
     terms (DLMF 3.9(ii)), with an error bound; arrays, one lane per rule.
 
@@ -348,8 +346,9 @@ def _direct_alt_euler_mean(
 
     dyadic weights, exact in floats; k = 1 is the mean of the last two
     partial sums.  Truncation: if the a_j are moments int_0^1 t^j dmu(t) of
-    a positive measure mu (``alt_constant``'s precondition, which every rule
-    of the check meets), then S - S_M = (-1)^M int t^M / (1 + t) dmu, and as
+    a positive measure mu (every coefficient rule of the package is: 1/n
+    and 1/(1 + a n) are moments, and so are products of moment sequences),
+    then S - S_M = (-1)^M int t^M / (1 + t) dmu, and as
     sum_i C(k, i) (-t)^i = (1 - t)^k,
 
         E - S = -(-1)^N 2^-k int t^N (1 - t)^k / (1 + t) dmu(t).
@@ -541,14 +540,14 @@ def _make_h_monotone_check(fam: Family):
         ok = True
         specs = list(_rep_specs(fam))
         grids = [np.linspace(0.0, 0.95, 100)] * len(specs)
-        for b, d in _bohr_on_grids(specs, grids, cfg):
+        for b, d in _bohr_on_grids(specs, grids):
             values = b.value - d.value
             ok = ok and bool(np.all(values[1:] > values[:-1]))
         return ok, "H strictly increasing on 100-point grids"
 
     return check
 
-def _h_signs(spec: ClassSpec, rs: np.ndarray, d, cfg: SolverConfig) -> np.ndarray:
+def _h_signs(spec: ClassSpec, rs: np.ndarray, d) -> np.ndarray:
     """The sign of H = B - d* on a grid of r, 0 where |H| is within its
     error bound; ``d`` is the spec's d*."""
     # B(r) >= r makes H(r) >= r - d*: a free positivity certificate that
@@ -556,7 +555,7 @@ def _h_signs(spec: ClassSpec, rs: np.ndarray, d, cfg: SolverConfig) -> np.ndarra
     # would blow up.
     signs = np.ones_like(rs)
     near = ~(rs - d.value > d.error_bound + 1e-12)
-    b = bohr_sum(spec, rs[near], tol=cfg.series_tol)
+    b = bohr_sum(spec, rs[near])
     h = b.value - d.value
     signs[near] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
     return signs
@@ -567,8 +566,8 @@ def _make_sign_change_check(fam: Family):
         ok = True
         counts = []
         for spec in _rep_specs(fam):
-            d = distance_bound(spec, tol=cfg.series_tol)
-            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), d, cfg)
+            d = distance_bound(spec)
+            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), d)
             nonzero = signs[signs != 0.0]
             changes = int(np.count_nonzero(np.diff(nonzero)))
             counts.append(changes)
@@ -588,15 +587,14 @@ def _make_generic_sum_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
         # B against r + sum c_n r^n as one plain dot of the first
         # _DIRECT_TERMS coefficient bounds, which no series engine touches;
-        # the tail bound certifies the cut-off.  The target is 1e-12, and
-        # B's own series is summed to half that.
+        # the tail bound certifies the cut-off.  The target is 1e-12.
         gaps, tails = [], []
         rs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         for spec in _rep_specs(fam):
             rule = coefficient_rule(spec)
             ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
             c = rule.terms(ns)
-            b = bohr_sum(spec, rs, tol=5e-13)
+            b = bohr_sum(spec, rs)
             for r, b_r in zip(rs.tolist(), b.value.tolist()):
                 gaps.append(abs(b_r - (r + float(c @ r**ns))))
             tails.append(_tail_bound(spec, int(ns[-1]), rs))
@@ -607,23 +605,19 @@ def _make_generic_sum_check(fam: Family):
     return check
 
 def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
-    # Each rule passes if the engine and the oracle are within the engine's
-    # certified bound plus the oracle's truncation and rounding bound.
-    rules = [
-        coefficient_rule(ph_alpha(0.3)),
-        coefficient_rule(wh_alpha(0.5)),
-        coefficient_rule(wh_alpha(1.0)),
-        coefficient_rule(ph_m(1.0)),
-        CoefficientRule(lambda n: 1.0 / (1.0 + 0.5 * n), 1, "g-alt-0.5"),
-        CoefficientRule(lambda n: 1.0 / (1.0 + 2.0 * n), 1, "g-alt-2"),
-    ]
-    accel = [alt_constant(rule, tol=1e-12) for rule in rules]
-    direct = _direct_alt_euler_mean(rules, _ORACLE_TERMS, _EULER_K)
-    gaps = np.abs(np.array([sv.value for sv in accel]) - direct.value)
-    allowed = np.array([sv.error_bound for sv in accel]) + direct.error_bound
+    # d* - 1 = sum_{n>=start} (-1)^(n-start+1) c_n: for gh-k-alpha at k = 1
+    # the lacunary terms 2/(1 + j alpha) are its c_n, n = j + 1.  Each spec
+    # passes if d* - 1 and the oracle are within d*'s certified bound plus
+    # the oracle's truncation and rounding bound.
+    specs = [ph_alpha(0.3), wh_alpha(0.5), wh_alpha(1.0), ph_m(1.0), gh_k_alpha(1, 0.5),
+             gh_k_alpha(1, 2.0)]
+    found = [distance_bound(spec) for spec in specs]
+    direct = _direct_alt_euler_mean(map(coefficient_rule, specs), _ORACLE_TERMS, _EULER_K)
+    gaps = np.abs(np.array([d.value - 1.0 for d in found]) - direct.value)
+    allowed = np.array([d.error_bound for d in found]) + direct.error_bound
     # np.max, unlike max(), lets a NaN through to the detail.
     worst, least = float(np.max(gaps)), float(np.min(allowed))
-    detail = f"max |accelerated - direct| = {worst:.2e}; least allowance = {least:.2e}"
+    detail = f"max |d* - 1 - direct| = {worst:.2e}; least allowance = {least:.2e}"
     return bool(np.all(gaps <= allowed)), detail
 
 def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
@@ -642,7 +636,7 @@ def _make_envelope_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
         ok = True
         for spec in _rep_specs(fam):
-            rep = envelope_check(spec, config=cfg)
+            rep = envelope_check(spec)
             ok = ok and rep.passed
         return ok, "touch-point equality and containment at 5 radii per spec"
 
@@ -656,7 +650,7 @@ def _make_scan_check(fam: Family):
         radii = [result.radius for result in solve_radii(specs, cfg)]
         # A zero radius (d* = 0) is scanned on [0, 0.5].
         r_maxes = [0.5 if r_f == 0.0 else min(1.5 * r_f, 0.95) for r_f in radii]
-        for r_f, r_max, fv in zip(radii, r_maxes, _first_violations(specs, r_maxes, 400, cfg)):
+        for r_f, r_max, fv in zip(radii, r_maxes, _first_violations(specs, r_maxes, 400)):
             grid_step = r_max / 399.0
             if r_f == 0.0:
                 ok = ok and fv is not None
@@ -678,7 +672,7 @@ def _check_g_alt_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
     ok = True
     for k in (1, 2, 3):
         lanes = stack_lanes(gh_k_alpha(k, a) for a in (0.5, 1.0, 2.0, 4.0))
-        values = (distance_bound(lanes, tol=cfg.series_tol).value - 1.0).tolist()
+        values = (distance_bound(lanes).value - 1.0).tolist()
         ok = ok and all(b > a for a, b in zip(values, values[1:])) and values[-1] < 0.0
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 
@@ -688,7 +682,7 @@ def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
     for fam in Family:
         spec = _rep_specs(fam)[1]
         est = distance_oracle(spec, rho=0.1, grid=72, n=2_000)
-        env = growth_envelope(spec, 0.1, tol=cfg.series_tol)
+        env = growth_envelope(spec, 0.1)
         tail = _tail_bound(spec, 2_000, 0.1)
         margin = est.value - (env.lower - tail - env.error_bound)
         worst = min(worst, margin)

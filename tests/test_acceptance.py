@@ -143,8 +143,8 @@ def test_criterion_08_distance_oracle_converges():
 def test_criterion_09_weighted_class_root_report(capsys):
     result = solve_radius(wh_alpha(1.0))
     cfg = SolverConfig()
-    b = bohr_sum(wh_alpha(1.0), result.radius, tol=cfg.series_tol)
-    d = distance_bound(wh_alpha(1.0), tol=cfg.series_tol)
+    b = bohr_sum(wh_alpha(1.0), result.radius)
+    d = distance_bound(wh_alpha(1.0))
     residual = abs(b.value - d.value) + b.error_bound + d.error_bound
     assert residual <= 1e-10
     agreement = abs(result.radius - WH_ALPHA1_REFERENCE_DECIMAL) <= 1e-4

@@ -42,7 +42,7 @@ from harmbohr.classes import (
     wh_alpha,
 )
 from harmbohr.errors import DomainError, ValidationError
-from harmbohr.series import CoefficientRule, SeriesValue, alt_constant, capped_product
+from harmbohr.series import SeriesValue, _wh_alt, alt_lerch_sum, capped_product
 from harmbohr.solver import jacobian_radius
 from harmbohr.verifier import _tail_bound
 
@@ -430,13 +430,14 @@ def written_d_star(spec):
     if fam is Family.GT_BETA:
         return spec.beta, 0.0
     if fam is Family.WH_ALPHA:
-        rule = coefficient_rule(spec)
+        # 1 + sum_{n>=2} (-1)^(n-1) 2/(n (1 + (n - 1) alpha)).
+        alt = _wh_alt(1.0, spec.alpha)
     else:
-        # The lacunary extremal's coefficients 2 / (1 + j k alpha), j >= 1.
+        # 1 + sum_{j>=1} (-1)^j 2/(1 + j k alpha), the lacunary extremal at
+        # its lower touch point: m = j - 1 in the Lerch form.
         ka = capped_product(spec.k, spec.alpha)
-        rule = CoefficientRule(lambda j, ka: 2.0 / (1.0 + j * ka), 1, "gh-lacunary", (ka,))
-    alt = alt_constant(rule)
-    return 1.0 + alt.value, alt.error_bound
+        alt = alt_lerch_sum(1.0, 1.0 + ka, ka)
+    return 1.0 - 2.0 * alt.value, 2.0 * alt.error_bound
 
 
 def d_star_sample(fam, seed):
@@ -499,25 +500,25 @@ class TestDistanceBound:
 
     def test_wh_alpha_one_is_basel_remainder(self):
         # 1 + 2 sum_{n>=2} (-1)^(n-1)/n^2 = pi^2/6 - 1.
-        d = distance_bound(wh_alpha(1.0), tol=1e-13)
+        d = distance_bound(wh_alpha(1.0))
         assert abs(d.value - (math.pi**2 / 6.0 - 1.0)) <= d.error_bound + 1e-15
 
     def test_wh_alpha_half_closed_form(self):
         # Partial fractions of 4/(n(n+1)) collapse the constant to 8 ln 2 - 5.
-        d = distance_bound(wh_alpha(0.5), tol=1e-13)
+        d = distance_bound(wh_alpha(0.5))
         assert abs(d.value - (8.0 * math.log(2.0) - 5.0)) <= d.error_bound + 1e-15
 
     def test_wh_alpha_zero_reduces_to_ph(self):
-        d = distance_bound(wh_alpha(0.0), tol=1e-13)
+        d = distance_bound(wh_alpha(0.0))
         expect = distance_bound(ph_alpha(0.0)).value
         assert abs(d.value - expect) <= d.error_bound + 1e-15
 
     def test_gh_reductions(self):
         # k=1, alpha=1: same alternating sum as the harmonic rule -> 2 ln 2 - 1.
-        d = distance_bound(gh_k_alpha(1, 1.0), tol=1e-13)
+        d = distance_bound(gh_k_alpha(1, 1.0))
         assert abs(d.value - (2.0 * math.log(2.0) - 1.0)) <= d.error_bound + 1e-15
         # k=2, alpha=1: 1 + 2 sum_{j>=1} (-1)^j/(1+2j) = pi/2 - 1.
-        d = distance_bound(gh_k_alpha(2, 1.0), tol=1e-13)
+        d = distance_bound(gh_k_alpha(2, 1.0))
         assert abs(d.value - (math.pi / 2.0 - 1.0)) <= d.error_bound + 1e-15
 
     @pytest.mark.parametrize("spec", ALL_SAMPLE_SPECS)
@@ -531,7 +532,7 @@ class TestDistanceBound:
 
     def test_error_bound_respects_tol(self):
         for tol in (1e-8, 1e-12):
-            d = distance_bound(wh_alpha(0.75), tol=tol)
+            d = distance_bound(wh_alpha(0.75))
             assert d.error_bound <= tol
 
 
@@ -554,14 +555,14 @@ class TestBohrSum:
         for k in (1, 3):
             b = bohr_sum(gh_k_alpha(k, alpha), r)
             assert math.isfinite(b.value) and b.value >= r
-            _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(gh_k_alpha(k, alpha), r, 1e-13)
+            _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(gh_k_alpha(k, alpha), r)
             assert np.isfinite(slope) and slope >= 1.0
         lanes = stack_lanes([gh_k_alpha(2, a) for a in (1.0, alpha, 0.3, alpha)])
         rs = np.full(4, r)
         b = bohr_sum(lanes, rs)
         for i, a in enumerate((1.0, alpha, 0.3, alpha)):
             assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(gh_k_alpha(2, a), r)
-        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(lanes, rs, 1e-13)
+        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(lanes, rs)
         assert np.all(np.isfinite(slope)) and np.all(slope >= 1.0)
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -570,7 +571,7 @@ class TestBohrSum:
         # differs from the true B' by O(alpha).
         spec, r, h = gh_k_alpha(k, 1e-300), 0.5, 1e-6
         fd = (bohr_sum(spec, r + h).value - bohr_sum(spec, r - h).value) / (2.0 * h)
-        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(spec, r, 1e-13)
+        _, slope = FAMILIES[Family.GH_K_ALPHA].majorant(spec, r)
         assert slope == pytest.approx(fd, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.49, 0.5, 1.0])
@@ -580,13 +581,13 @@ class TestBohrSum:
         # bound is its own there, and within tol = 1e-13 up to r = 0.9999.
         spec = wh_alpha(alpha)
         for r in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
-            b = bohr_sum(spec, r, tol=1e-13)
-            env = growth_envelope(spec, r, tol=1e-13)
+            b = bohr_sum(spec, r)
+            env = growth_envelope(spec, r)
             assert math.isfinite(b.value) and b.value >= r and b.error_bound <= 1e-12
             assert env.upper == b.value and env.error_bound <= 1e-12
         rs = np.array([0.1, 0.5, 0.9, 0.99, 0.999, 0.9999])
-        assert np.all(bohr_sum(spec, rs, tol=1e-13).error_bound <= 1e-13)
-        assert np.all(growth_envelope(spec, rs, tol=1e-13).error_bound <= 1e-13)
+        assert np.all(bohr_sum(spec, rs).error_bound <= 1e-13)
+        assert np.all(growth_envelope(spec, rs).error_bound <= 1e-13)
 
     def test_gt_beta_closed_value(self):
         # r + 2(1-beta) r^2/(1-r): beta=0.25, r=0.1 -> 0.1 + 1.5*0.01/0.9.
@@ -606,7 +607,7 @@ class TestBohrSum:
     @pytest.mark.parametrize("spec", ALL_SAMPLE_SPECS)
     @pytest.mark.parametrize("r", [0.15, 0.55, 0.85])
     def test_matches_direct_partial_sum(self, spec, r):
-        sv = bohr_sum(spec, r, tol=1e-12)
+        sv = bohr_sum(spec, r)
         oracle = direct_majorant(spec, r)
         # 4000 plain terms at r <= 0.85 leave a tail under 1e-70 times c_n.
         assert abs(sv.value - oracle) <= sv.error_bound + 1e-12
@@ -614,7 +615,7 @@ class TestBohrSum:
     @pytest.mark.parametrize("spec", ALL_SAMPLE_SPECS)
     def test_strictly_increasing_in_r(self, spec):
         rs = np.linspace(0.0, 0.9, 40)
-        values = [bohr_sum(spec, float(r), tol=1e-12).value for r in rs]
+        values = [bohr_sum(spec, float(r)).value for r in rs]
         diffs = np.diff(values)
         # H' >= 1 makes the majorant grow at least as fast as r itself.
         assert np.all(diffs >= np.diff(rs) - 1e-9)
@@ -641,7 +642,7 @@ class TestGrowthEnvelope:
     def test_ph_alpha_matches_direct_sums(self):
         spec = ph_alpha(0.0)
         r = 0.5
-        env = growth_envelope(spec, r, tol=1e-13)
+        env = growth_envelope(spec, r)
         rule = coefficient_rule(spec)
         up = direct_majorant(spec, r)
         # The lower branch is |extremal(-r)| = r - sum c_n (-r)^n.
@@ -652,8 +653,8 @@ class TestGrowthEnvelope:
 
     def test_gh_reduction_matches_ph(self):
         for r in (0.2, 0.6, 0.9):
-            a = growth_envelope(gh_k_alpha(1, 1.0), r, tol=1e-13)
-            b = growth_envelope(ph_alpha(0.0), r, tol=1e-13)
+            a = growth_envelope(gh_k_alpha(1, 1.0), r)
+            b = growth_envelope(ph_alpha(0.0), r)
             assert a.lower == pytest.approx(b.lower, abs=1e-12)
             assert a.upper == pytest.approx(b.upper, abs=1e-12)
 
@@ -880,20 +881,20 @@ class TestLanes:
     def test_each_lane_is_its_point(self, specs):
         lanes = stack_lanes(specs)
         rs = np.array([0.1, 0.5, 0.8])
-        d = distance_bound(lanes, tol=1e-13)
-        b = bohr_sum(lanes, rs, tol=1e-13)
+        d = distance_bound(lanes)
+        b = bohr_sum(lanes, rs)
         for i, spec in enumerate(specs):
-            assert SeriesValue(d.value[i], d.error_bound[i]) == distance_bound(spec, tol=1e-13)
-            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, rs[i], tol=1e-13)
-        last = distance_bound(take_lanes(lanes, [2]), tol=1e-13)
-        assert last.value.tolist() == [distance_bound(specs[2], tol=1e-13).value]
+            assert SeriesValue(d.value[i], d.error_bound[i]) == distance_bound(spec)
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, rs[i])
+        last = distance_bound(take_lanes(lanes, [2]))
+        assert last.value.tolist() == [distance_bound(specs[2]).value]
 
     @pytest.mark.parametrize("specs", GRIDS)
     def test_radius_grid_is_its_points(self, specs):
         rs = np.linspace(0.0, 0.9, 7)
-        b = bohr_sum(specs[1], rs, tol=1e-13)
+        b = bohr_sum(specs[1], rs)
         for i, r in enumerate(rs):
-            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(specs[1], r, tol=1e-13)
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(specs[1], r)
 
     def test_lane_results_compare_entry_by_entry(self):
         # == on two lane results is a plain bool over every entry, where
@@ -977,9 +978,9 @@ class TestLanes:
         specs = [s for s in STANDARD_GRIDS[family] if s.k in (None, 2)]
         rs = np.linspace(0.05, 0.6, len(specs))
         rs = np.concatenate([rs, rs + 1e-6])
-        b = bohr_sum(stack_lanes(specs * 2), rs, tol=1e-13)
+        b = bohr_sum(stack_lanes(specs * 2), rs)
         for i, (spec, r) in enumerate(zip(specs * 2, rs.tolist())):
-            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, r, tol=1e-13)
+            assert SeriesValue(b.value[i], b.error_bound[i]) == bohr_sum(spec, r)
 
 
 class TestDistanceAccuracy:
@@ -996,6 +997,6 @@ class TestDistanceAccuracy:
         # d* = 1 + sum (-1)^(n-1) c_n in closed form: 2 ln 2 - 1 for c_n = 2/n,
         # pi^2/6 - 1 for 2/n^2, pi/2 - 1 for 2/(2n - 1).
         for tol in (1e-12, 1e-13):
-            d = distance_bound(spec, tol=tol)
+            d = distance_bound(spec)
             assert abs(d.value - exact) <= 4.0 * EPS
             assert abs(d.value - exact) <= d.error_bound <= tol

@@ -126,13 +126,13 @@ class TestRadiusCommand:
 
     @pytest.mark.parametrize("alpha", ["1e-300", "5e-324"])
     def test_degenerate_lacunary_record_is_iterative_with_d_star_zero(self, capsys, alpha):
-        # d* sums to -5.6e-15, inside its error bound: radius 0 with no step.
+        # d* sums to 0, inside its error bound: radius 0 with no step.
         # gh-k-alpha has no closed form, and a distance is never negative.
         rc, out, err = run_cli(capsys, "radius", "--class", "gh-k-alpha", "--k", "1", "--alpha", alpha)
         assert (rc, err) == (0, "")
         assert out == (
             f'{{"class": "gh-k-alpha", "params": {{"k": 1, "alpha": {float(alpha)!r}}}, '
-            '"radius": 0.0, "residual": 5.551115123125783e-15, "method": "BISECTION_NEWTON", '
+            '"radius": 0.0, "residual": 0.0, "method": "BISECTION_NEWTON", '
             '"d_star": 0.0, "tol": 1e-12}\n'
         )
 
@@ -216,16 +216,44 @@ class TestExitCodes:
         assert err == "error: k must convert to a finite float, got an integer of 1329 bits\n"
         assert "Traceback" not in err
 
+    def test_bracket_wider_than_tol_exits_3_naming_the_least_tol(self, capsys):
+        # Newton stops where H is within its error bound, with a certified
+        # bracket 3.33e-15 wide: that is no radius to tol 1e-16, and the
+        # width named is the least --tol that passes.
+        argv = ["radius", "--class", "ph-alpha", "--alpha", "0.3"]
+        rc, out, err = run_cli(capsys, *argv, "--tol", "1e-16")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: root not certified to tol=1e-16: its certified bracket [")
+        least = err.rstrip().rsplit(" ", 1)[1]
+        assert "is 3.33e-15 wide, and the least tol that passes is " + least in err
+        lo, hi = json.loads(err[err.index("["):err.index("]") + 1])
+        assert hi - lo == float(least)
+        rc, out, _ = run_cli(capsys, *argv, "--tol", least)
+        record = json.loads(out)
+        assert rc == 0 and record["tol"] == float(least)
+        assert lo <= record["radius"] <= hi
+
     @pytest.mark.parametrize(
         "tag,params", [("wh-alpha", ["--alpha", "0.5"]), ("gh-k-alpha", ["--k", "2", "--alpha", "0.5"])]
     )
     def test_uncertified_distance_constant_names_both_tolerances(self, capsys, tag, params):
-        rc, out, err = run_cli(capsys, "radius", "--class", tag, *params, "--tol", "1e-14")
-        assert rc == 3
-        assert out == ""
-        assert err.startswith(
-            "error: distance constant d* not certified at series tol 1e-15 (requested tol 1e-14): "
-        )
+        # d* of the summed-majorant families takes no tolerance of its own,
+        # so what --tol can fail to certify is the root against it: the
+        # error names the requested tol and the least tol that passes, and
+        # the rerun at that tol reports the same d*.
+        argv = ["radius", "--class", tag, *params]
+        rc, out, err = run_cli(capsys, *argv, "--tol", "1e-15")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: root not certified to tol=1e-15: its certified bracket [")
+        least = err.rstrip().rsplit(" ", 1)[1]
+        assert "and the least tol that passes is " + least in err
+        lo, hi = json.loads(err[err.index("["):err.index("]") + 1])
+        rc, out, _ = run_cli(capsys, *argv, "--tol", least)
+        record = json.loads(out)
+        assert rc == 0 and record["tol"] == float(least)
+        assert lo <= record["radius"] <= hi
+        rc, out, _ = run_cli(capsys, *argv, "--tol", "1e-14")
+        assert rc == 0 and json.loads(out)["d_star"] == record["d_star"]
 
     def test_infinite_tol_flag_is_invalid(self, capsys):
         rc, out, err = run_cli(
@@ -457,7 +485,7 @@ class TestParserBuiltOnce:
         (["table", "--class", "tb-m", "--range", "0.5:1:0.25"], {}),
         (["verify", "--only", "reduction"], {}),
         (["radius", "--class", "gt-beta", "--beta", "0.5"], {}),
-        (["radius", "--class", "wh-alpha", "--alpha", "0.5", "--tol", "1e-14"], {}),
+        (["radius", "--class", "ph-alpha", "--alpha", "0.3", "--tol", "1e-16"], {}),
         (["radius", "--class", "nope", "--alpha", "0"], {}),
         (["radius", "--help"], {"COLUMNS": "200"}),
         (["radius", "--help"], {"COLUMNS": "60"}),

@@ -86,3 +86,33 @@ def test_a_solve_imports_neither_scipy_nor_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_series_takes_a_tolerance():
+    # Every series is a closed form or a sum at a fixed cost that returns its
+    # own certified bound, so no series function, no family callable and
+    # none of the three family lookups takes a tol; the solver's tol is the
+    # width of its certified bracket, beside its step budget and the
+    # closed-form switch.
+    import dataclasses
+
+    from harmbohr import classes, series
+    from harmbohr.solver import SolverConfig
+
+    functions = [
+        fn for _, fn in inspect.getmembers(series, inspect.isfunction)
+        if fn.__module__ == series.__name__
+    ]
+    assert {"lerch_sum", "alt_lerch_sum", "_wh_sums", "_wh_alt", "_boole"} <= {
+        fn.__name__ for fn in functions
+    }
+    for family in classes.FAMILIES.values():
+        for field in ("coeff", "majorant", "lower", "radius", "upper"):
+            if getattr(family, field) is not None:
+                functions.append(getattr(family, field))
+    functions += [classes.bohr_sum, classes.distance_bound, classes.growth_envelope]
+    for fn in functions:
+        assert "tol" not in inspect.signature(fn).parameters, fn
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "tol", "max_iter", "prefer_closed_form"
+    ]

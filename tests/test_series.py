@@ -1,4 +1,4 @@
-"""Tests for the Euler-Maclaurin and alternating-sum engines.
+"""Tests for the Euler-Maclaurin and Boole engines.
 
 Every expected value here is either a closed form checked by hand or an
 independent oracle computed in-test (plain partial sums with rigorous
@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from harmbohr import series
-from harmbohr.classes import coefficient_rule, distance_bound, gh_k_alpha, ph_alpha, ph_m
-from harmbohr.errors import ConvergenceError, DomainError
+from harmbohr.classes import distance_bound, gh_k_alpha
+from harmbohr.errors import DomainError
 from harmbohr.series import (
     CoefficientRule,
     SeriesValue,
+    _wh_alt,
     _wh_sums,
-    alt_constant,
+    alt_lerch_sum,
     alt_log_tail,
     alt_nn1_tail,
     lerch_sum,
@@ -164,31 +165,34 @@ class TestSumPowerSeries:
 
 
 class TestSignedPowerSeries:
-    """sum c_n x^n for -1 < x <= 0: minus ``alt_constant(rule, -x)``, whose
-    first term is negative."""
+    """sum c_n x^n for -1 < x <= 0: ``_wh_alt(-x, alpha)``, wh-alpha's
+    alternating sum sum_{n>=2} (-1)^n r^n / (n (1 - alpha + alpha n)),
+    which is sum r^n / n at alpha = 0 and sum r^n / n^2 at alpha = 1."""
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_matches_alt_log_closed_form(self, r):
-        sv = alt_constant(RULE_LOG, r, tol=1e-13)
+        sv = _wh_alt(r, 0.0)
         # sum_{n>=2} (-1)^(n-1) r^n / n = ln(1+r) - r, and
         # sum_{n>=2} (-r)^n / n is minus that, r - ln(1+r).
         assert sv.error_bound <= 1e-13
-        assert abs(-sv.value - (r - math.log1p(r))) <= sv.error_bound + 1e-15
-        assert abs(sv.value - alt_log_tail(r)) <= sv.error_bound + 1e-15
+        assert abs(sv.value - (r - math.log1p(r))) <= sv.error_bound + 1e-15
+        assert abs(-sv.value - alt_log_tail(r)) <= sv.error_bound + 1e-15
 
     def test_domain_rejects_abs_one(self):
-        # No series takes a negative argument, and the alternating sum stops at 1.
+        # No series takes a negative argument, and the alternating sums stop at 1.
         for x in (-1.0, -0.5, 1.0 + 1e-12, float("nan")):
-            with pytest.raises(DomainError):
-                alt_constant(RULE_LOG, x)
+            with pytest.raises(DomainError, match="0 <= r <= 1"):
+                _wh_alt(x, 0.0)
+            with pytest.raises(DomainError, match="0 <= r <= 1"):
+                alt_lerch_sum(x, 1.0, 1.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=-0.9, max_value=0.0))
     def test_agrees_with_direct_sum(self, x):
-        alt = alt_constant(RULE_SQUARE, -x, tol=1e-12)
+        alt = _wh_alt(-x, 1.0)
         # 2000 plain terms leave a tail below 0.9^2000 ~ 1e-92.
         oracle = direct_power_sum(RULE_SQUARE, x, 2000)
-        assert abs(-alt.value - oracle) <= alt.error_bound + 1e-14
+        assert abs(alt.value - oracle) <= alt.error_bound + 1e-14
 
 
 class TestClosedFormTails:
@@ -264,56 +268,39 @@ class TestClosedFormTails:
 
 
 class TestLanes:
-    """One sum per lane: argument arrays and per-lane rule parameters."""
+    """One sum per lane: argument arrays and per-lane parameters."""
 
-    RULE_LANES = CoefficientRule(
-        lambda n, a: 2.0 / (n * (1.0 + a * (n - 1.0))),
-        start=2,
-        name="per-lane",
-        params=(np.array([[0.0], [0.5], [1.0], [3.0]]),),
-    )
+    @staticmethod
+    def lane(sv, i):
+        return SeriesValue(sv.value[i], sv.error_bound[i])
 
     def test_argument_array_is_its_points(self):
         xs = np.array([0.0, 0.3, 0.5, 0.97, 0.2, 1e-160])
         s, slope = _wh_sums(xs, 0.5)
-        alt = alt_constant(RULE_SQUARE, np.append(xs, 1.0), tol=1e-13)
-        assert alt.value.shape == (xs.size + 1,)
+        ends = np.append(xs, 1.0)
+        alt, lerch = _wh_alt(ends, 1.0), alt_lerch_sum(ends, 3.0, 2.0)
+        assert alt.value.shape == lerch.value.shape == (xs.size + 1,)
         for i, x in enumerate(xs):
-            assert (SeriesValue(s.value[i], s.error_bound[i]),
-                    SeriesValue(slope.value[i], slope.error_bound[i])) == _wh_sums(x, 0.5)
-            assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(
-                RULE_SQUARE, x, tol=1e-13
-            )
-        assert SeriesValue(alt.value[-1], alt.error_bound[-1]) == alt_constant(RULE_SQUARE, tol=1e-13)
+            assert (self.lane(s, i), self.lane(slope, i)) == _wh_sums(x, 0.5)
+        for i, x in enumerate(ends):
+            assert self.lane(alt, i) == _wh_alt(x, 1.0)
+            assert self.lane(lerch, i) == alt_lerch_sum(x, 3.0, 2.0)
 
     def test_per_lane_parameters_are_their_rules(self):
-        xs = np.array([0.1, 0.6, 0.9, 0.3])
+        xs = np.array([0.1, 0.6, 0.9, 1.0])
+        alphas = np.array([0.0, 0.5, 1.0, 0.25])
+        cs, ss = 1.0 + 3.0 * alphas + 1e-3, 3.0 * alphas + 1e-3
         # wh-alpha's sums take one alpha per lane, in [0, 1].
-        s, slope = _wh_sums(xs[:3], np.array([0.0, 0.5, 1.0]))
-        alt = alt_constant(self.RULE_LANES, tol=1e-13)
-        alt_x = alt_constant(self.RULE_LANES, xs, tol=1e-13)
-        for i, a in enumerate((0.0, 0.5, 1.0, 3.0)):
-            rule = CoefficientRule(lambda n, a=a: 2.0 / (n * (1.0 + a * (n - 1.0))), start=2)
+        s, slope = _wh_sums(xs[:3], alphas[:3])
+        alt, alt_one = _wh_alt(xs, alphas), _wh_alt(1.0, alphas)
+        lerch, lerch_one = alt_lerch_sum(xs, cs, ss), alt_lerch_sum(1.0, cs, ss)
+        for i, a in enumerate(alphas):
             if i < 3:
-                assert (SeriesValue(s.value[i], s.error_bound[i]),
-                        SeriesValue(slope.value[i], slope.error_bound[i])) == _wh_sums(xs[i], a)
-            assert SeriesValue(alt.value[i], alt.error_bound[i]) == alt_constant(rule, tol=1e-13)
-            assert SeriesValue(alt_x.value[i], alt_x.error_bound[i]) == alt_constant(
-                rule, xs[i], tol=1e-13
-            )
-
-    def test_failure_names_first_lane_and_carries_all(self):
-        # At x = 1e-9 the alternating sum is certified to 1e-18; at 0.5 and
-        # 0.9 its rounding allowance alone is above that.
-        xs = np.array([1e-9, 0.5, 0.9])
-        with pytest.raises(ConvergenceError) as exc_info:
-            alt_constant(RULE_LOG, xs, tol=1e-18)
-        achieved = exc_info.value.achieved
-        assert achieved.error_bound[0] <= 1e-18 < achieved.error_bound[1]
-        assert f"(error bound {achieved.error_bound[1]:g})" in str(exc_info.value)
-        assert achieved.value[0] == alt_constant(RULE_LOG, 1e-9, tol=1e-18).value
-        # Every lane's partial value is still in its neighbourhood.
-        assert np.all(np.abs(achieved.value - alt_log_tail(xs)) <= achieved.error_bound)
+                assert (self.lane(s, i), self.lane(slope, i)) == _wh_sums(xs[i], a)
+            assert self.lane(alt, i) == _wh_alt(xs[i], a)
+            assert self.lane(alt_one, i) == _wh_alt(1.0, a)
+            assert self.lane(lerch, i) == alt_lerch_sum(xs[i], cs[i], ss[i])
+            assert self.lane(lerch_one, i) == alt_lerch_sum(1.0, cs[i], ss[i])
 
 
 class TestLerchSum:
@@ -434,85 +421,87 @@ class TestWhSums:
 
 
 class TestAltConstant:
+    """The alternating constants: sum_{n>=start} (-1)^(n-start+1) c_n, the
+    first term negative, summed by the two Boole engines.  wh-alpha's
+    c_n = 2/(n (1 + (n - 1) alpha)) give -2 ``_wh_alt(1, alpha)``, and
+    c_n = 1/(c + s (n - 1)) from n = 1 give -``alt_lerch_sum(1, c + s, s)``."""
+
+    # Each rule's alternating constant, from the engines, as (value, bound).
+    ENGINES = {
+        "2/n": lambda: _scaled(-2.0, _wh_alt(1.0, 0.0)),
+        "2/(n(1+(n-1)/2))": lambda: _scaled(-2.0, _wh_alt(1.0, 0.5)),
+        "1/(1+2n)": lambda: _scaled(-1.0, alt_lerch_sum(1.0, 3.0, 2.0)),
+    }
+
     def test_log_rule_equals_two_log_two_minus_two(self):
         # sum_{n>=2} (-1)^(n-1) 2/n = 2(ln 2 - 1).
-        rule = CoefficientRule(lambda n: 2.0 / n, start=2)
-        sv = alt_constant(rule, tol=1e-13)
+        value, bound = self.ENGINES["2/n"]()
         expect = 2.0 * (math.log(2.0) - 1.0)
-        assert abs(sv.value - expect) <= sv.error_bound + 1e-15
-        assert sv.error_bound <= 1e-13
+        assert abs(value - expect) <= bound + 1e-15
+        assert bound <= 1e-13
 
     def test_square_rule_equals_basel_remainder(self):
         # sum_{n>=2} (-1)^(n-1) 2/n^2 = 2(pi^2/12 - 1).
-        rule = CoefficientRule(lambda n: 2.0 / n**2, start=2)
-        sv = alt_constant(rule, tol=1e-13)
+        value, bound = _scaled(-2.0, _wh_alt(1.0, 1.0))
         expect = 2.0 * (math.pi**2 / 12.0 - 1.0)
-        assert abs(sv.value - expect) <= sv.error_bound + 1e-15
+        assert abs(value - expect) <= bound + 1e-15
 
     def test_nn1_rule_equals_one_minus_log_four(self):
-        # sum_{n>=2} (-1)^(n-1) 2/(n(n-1)) = 2(1 - ln 4).
-        rule = CoefficientRule(lambda n: 2.0 / (n * (n - 1.0)), start=2)
-        sv = alt_constant(rule, tol=1e-13)
+        # sum_{n>=2} (-1)^(n-1) 2/(n(n-1)) = 2(1 - ln 4): 1/(n(n-1)) =
+        # 1/(n-1) - 1/n makes it 2 (sum_m (-1)^m/(m + 2) - sum_m (-1)^m/(m + 1)).
+        first, second = alt_lerch_sum(1.0, 2.0, 1.0), alt_lerch_sum(1.0, 1.0, 1.0)
+        value = 2.0 * (first.value - second.value)
+        bound = 2.0 * (first.error_bound + second.error_bound)
         expect = 2.0 * (1.0 - math.log(4.0))
-        assert abs(sv.value - expect) <= sv.error_bound + 1e-15
+        assert abs(value - expect) <= bound + 1e-15
 
     @pytest.mark.parametrize(
         "rule,first_sign",
         [
-            (CoefficientRule(lambda n: 2.0 / n, start=2), -1),
-            (CoefficientRule(lambda n: 2.0 / (n * (1.0 + 0.5 * (n - 1.0))), start=2), -1),
-            (CoefficientRule(lambda n: 1.0 / (1.0 + 2.0 * n), start=1), -1),
+            (CoefficientRule(lambda n: 2.0 / n, start=2, name="2/n"), -1),
+            (
+                CoefficientRule(
+                    lambda n: 2.0 / (n * (1.0 + 0.5 * (n - 1.0))), start=2, name="2/(n(1+(n-1)/2))"
+                ),
+                -1,
+            ),
+            (CoefficientRule(lambda n: 1.0 / (1.0 + 2.0 * n), start=1, name="1/(1+2n)"), -1),
         ],
     )
     def test_agrees_with_euler_mean_direct_sum(self, rule, first_sign):
-        # first_sign is the oracle's: alt_constant's first term is negative.
-        sv = alt_constant(rule, tol=1e-12)
-        oracle, bound = direct_alt_oracle(rule, first_sign)
-        assert abs(sv.value - oracle) <= sv.error_bound + bound
-
-    def test_increasing_terms_rejected(self):
-        rule = CoefficientRule(lambda n: n, start=2)
-        with pytest.raises(DomainError):
-            alt_constant(rule)
-
-    def test_nonpositive_terms_rejected(self):
-        rule = CoefficientRule(lambda n: n - 10.0, start=2)
-        with pytest.raises(DomainError):
-            alt_constant(rule)
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(DomainError):
-            alt_constant(RULE_LOG, tol=-1e-12)
-
-    def test_unreachable_tol_raises_with_partial(self):
-        with pytest.raises(ConvergenceError) as exc_info:
-            alt_constant(RULE_LOG, tol=1e-18)
-        achieved = exc_info.value.achieved
-        assert achieved is not None
-        expect = math.log(2.0) - 1.0  # sum_{n>=2} (-1)^(n-1)/n
-        assert abs(achieved.value - expect) <= 1e-10
-
-    def test_error_bound_within_requested_tol(self):
-        for tol in (1e-8, 1e-10, 1e-13):
-            sv = alt_constant(RULE_LOG, tol=tol)
-            assert sv.error_bound <= tol
+        # first_sign is the oracle's: each constant's first term is negative.
+        value, bound = self.ENGINES[rule.name]()
+        oracle, oracle_bound = direct_alt_oracle(rule, first_sign)
+        assert abs(value - oracle) <= bound + oracle_bound
 
     @pytest.mark.parametrize("x", [0.0, 1e-8, 0.1, 0.5, 0.9, 0.999, 1.0])
     def test_argument_matches_the_ph_closed_forms(self, x):
-        # c_n x^n are moments when the c_n are: the ph-alpha and ph-m lower
-        # envelopes, sum c_n (-1)^(n-1) x^n, in closed form.
-        cases = (
-            (coefficient_rule(ph_alpha(0.3)), 1.4 * alt_log_tail(x)),
-            (coefficient_rule(ph_m(1.0)), 2.0 * alt_nn1_tail(x)),
+        # The ph-alpha and ph-m lower envelopes, sum c_n (-1)^(n-1) x^n, in
+        # closed form: c_n = 1.4/n is -1.4 times _wh_alt at alpha = 0, and
+        # c_n = 2/(n(n-1)) is 2 x^2 (sum (-1)^m x^m/(m + 2) - sum (-1)^m
+        # x^m/(m + 1)).
+        log = _scaled(-1.4, _wh_alt(x, 0.0))
+        first, second = alt_lerch_sum(x, 2.0, 1.0), alt_lerch_sum(x, 1.0, 1.0)
+        nn1 = (
+            2.0 * x * x * (first.value - second.value),
+            2.0 * x * x * (first.error_bound + second.error_bound),
         )
-        for rule, expect in cases:
-            sv = alt_constant(rule, x, tol=1e-13)
-            assert sv.error_bound <= 1e-13
-            assert abs(sv.value - expect) <= sv.error_bound + 4.0 * np.finfo(float).eps * x
+        for (value, bound), expect in ((log, 1.4 * alt_log_tail(x)), (nn1, 2.0 * alt_nn1_tail(x))):
+            assert bound <= 1e-13
+            assert abs(value - expect) <= bound + 4.0 * np.finfo(float).eps * x
 
     def test_zero_argument_is_exact_zero(self):
-        sv = alt_constant(RULE_LOG, 0.0)
-        assert (sv.value, sv.error_bound) == (0.0, 0.0)
+        for alpha in (0.0, 0.5, 1.0):
+            sv = _wh_alt(0.0, alpha)
+            assert (sv.value, sv.error_bound) == (0.0, 0.0)
+        # The Lerch form starts at its first term, 1/c, and x^32 = 0 clears its tail.
+        sv = alt_lerch_sum(0.0, 3.0, 2.0)
+        assert abs(sv.value - 1.0 / 3.0) <= sv.error_bound <= 2e-15
+
+
+def _scaled(factor, sv):
+    """factor times a SeriesValue, as (value, bound)."""
+    return factor * sv.value, abs(factor) * sv.error_bound
 
 
 class TestUnderflow:
@@ -539,9 +528,10 @@ class TestUnderflow:
 
     @pytest.mark.parametrize("r", RS)
     def test_alternating_sum(self, r):
-        sv = alt_constant(RULE_LOG, r, tol=1e-13)
+        # wh-alpha's alternating sum at alpha = 0 is sum (-1)^n r^n / n.
+        sv = _wh_alt(r, 0.0)
         value, _ = self.exact(r, -1)
-        assert abs(sv.value - value) <= sv.error_bound
+        assert abs(-sv.value - value) <= sv.error_bound
 
 
 class TestGAltConstant:
@@ -576,3 +566,95 @@ class TestGAltConstant:
         values = [distance_bound(gh_k_alpha(1, a)).value - 1.0 for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(v < 0.0 for v in values)
         assert values == sorted(values)  # increasing toward 0
+
+
+class TestBoole:
+    """Boole's tail and the two alternating engines it closes:
+    ``alt_lerch_sum`` (gh-k-alpha's lower side) and ``_wh_alt``
+    (wh-alpha's), against mpmath at 30 digits, inside their own bounds on
+    all of [0, 1], the ends and an underflowing argument included."""
+
+    XS = (0.0, 1e-160, 0.01, 0.2, 0.5, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-9, 1.0)
+    # (c, s): gh-k-alpha's (1 + k alpha, k alpha) from k alpha = 1e-12 to
+    # 1e9, and the shapes of TestLerchSum.
+    CS = ((1.0 + 1e-12, 1e-12), (1001.0, 1000.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0),
+          (1.5, 0.5), (1e9 + 1.0, 1e9), (1.0, 1e-3), (4e2, 1.0))
+    ALPHAS = (0.0, 1e-300, 0.1, 0.25, 0.49, 0.5, 0.51, 0.75, 1.0 - 1e-9, 1.0)
+
+    @staticmethod
+    def alt_lerch(x, c, s):
+        # 1/(c + s m) = int_0^1 t^(c + s m - 1) dt, so the sum is
+        # int_0^1 t^(c - 1)/(1 + x t^s) dt, or with u = t^s,
+        # (1/s) int_0^1 u^(c/s - 1)/(1 + x u) du, which is smoother when
+        # c/s is moderate.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        x, c, s = mp.mpf(x), mp.mpf(c), mp.mpf(s)
+        if c / s <= 1e6:
+            return mp.quad(lambda u: u ** (c / s - 1) / (1 + x * u), [0, 1]) / s
+        return mp.quad(lambda t: t ** (c - 1) / (1 + x * t**s), [0, 1])
+
+    @classmethod
+    def wh_alt(cls, r, alpha):
+        # Up to r = 0.2, 80 plain terms (the rest is under 0.2^80 of the
+        # first).  Beyond, partial fractions 1/(n q) = (1/n - alpha/q)/(1 -
+        # alpha), q = 1 - alpha + alpha n, with sum_{n>=2} (-1)^n r^n/n =
+        # r - ln(1 + r); Li2 at alpha = 1.  alpha = 1e-300 moves the sum by
+        # under 1e-299.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        r = mp.mpf(r)
+        if r <= 0.2:
+            q = lambda n: 1 - mp.mpf(alpha) + mp.mpf(alpha) * n  # noqa: E731
+            return mp.fsum((-r) ** n / (n * q(n)) for n in range(2, 82))
+        log = r - mp.log1p(r)
+        if alpha < 1e-9:
+            return log
+        if alpha == 1.0:
+            return mp.polylog(2, -r) + r
+        a = mp.mpf(alpha)
+        lerch = cls.alt_lerch(r, 1 + a, a)
+        mp.mp.dps = 30
+        return (log - a * r * r * lerch) / (1 - a)
+
+    def test_weights_are_boole_s(self):
+        # -E_k(0)/(2 k!) for k = 1, 3, .., 13, from the Euler numbers'
+        # values at 0: -1/2, 1/4, -1/2, 17/8, -31/2, 691/4, -5461/2.
+        from fractions import Fraction
+
+        e0 = [Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 2), Fraction(17, 8),
+              Fraction(-31, 2), Fraction(691, 4), Fraction(-5461, 2)]
+        exact = [-e / (2 * math.factorial(2 * j + 1)) for j, e in enumerate(e0)]
+        assert exact[:3] == [Fraction(1, 4), Fraction(-1, 48), Fraction(1, 480)]
+        got = series._BOOLE.ravel().tolist()
+        assert all(abs(g - float(w)) <= 4e-16 * abs(float(w)) for g, w in zip(got, exact))
+
+    @pytest.mark.parametrize("c,s", CS)
+    def test_alt_lerch_sum_within_its_bound_of_mpmath(self, c, s):
+        got = alt_lerch_sum(np.array(self.XS), c, s)
+        for x, value, bound in zip(self.XS, got.value, got.error_bound):
+            assert abs(value - self.alt_lerch(x, c, s)) <= bound, (x, c, s)
+            # The bound is a few ulps of the value.
+            assert bound <= 1e-14 * value
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_wh_alt_within_its_bound_of_mpmath(self, alpha):
+        got = _wh_alt(np.array(self.XS), alpha)
+        for x, value, bound in zip(self.XS, got.value, got.error_bound):
+            assert abs(value - self.wh_alt(x, alpha)) <= bound, (x, alpha)
+            assert bound <= 1e-14 * value + 1e-320
+
+    def test_remainder_is_twice_the_seventh_correction(self):
+        # f(x) = 1/(x + 1) from N = 32 at lam = 0: e_k = k!/33^k, and the
+        # bound Boole's remainder takes is |E_13(0)|/13! e_13 f(N).
+        ratios = series._ratios(np.zeros((13, 1)), np.array([1.0 / 33.0]))
+        _, remainder, _ = series._boole(0.0, np.array([1.0 / 33.0]), ratios)
+        expect = 5461.0 / 2.0 / math.factorial(13) * (math.factorial(13) / 33.0**13) / 33.0
+        assert remainder[0] == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_head_in_lane_blocks(self, monkeypatch):
+        # Blocks of two lanes sum every lane as the one-block call does.
+        xs, alphas = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7)
+        whole = alt_lerch_sum(xs, 1.0 + alphas, alphas + 0.5), _wh_alt(xs, alphas)
+        monkeypatch.setattr(series, "_BLOCK", 2 * len(series._LERCH_M))
+        assert (alt_lerch_sum(xs, 1.0 + alphas, alphas + 0.5), _wh_alt(xs, alphas)) == whole

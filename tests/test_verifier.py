@@ -25,7 +25,7 @@ from harmbohr.classes import (
     wh_alpha,
 )
 from harmbohr.errors import DomainError
-from harmbohr.series import CoefficientRule, SeriesValue, alt_constant, alt_log_tail, log_tail
+from harmbohr.series import CoefficientRule, SeriesValue, alt_log_tail, log_tail
 from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
 from harmbohr.verifier import (
     STANDARD_GRIDS,
@@ -152,8 +152,8 @@ class TestSharpness:
 
         bohr_sum = verifier.bohr_sum
 
-        def raised(spec, r, tol=1e-12):
-            b = bohr_sum(spec, r, tol=tol)
+        def raised(spec, r):
+            b = bohr_sum(spec, r)
             return dataclasses.replace(b, value=b.value + 1e-10)
 
         name = "sharpness-wh-alpha"
@@ -177,20 +177,18 @@ class TestSharpness:
 class TestBohrScan:
     """The first point of a uniform r grid where B(r) exceeds d*."""
 
-    CFG = SolverConfig()
-
     def test_ph_alpha_localises_radius(self):
-        fv = _first_violations([ph_alpha(0.0)], [0.5], 500, self.CFG)[0]
+        fv = _first_violations([ph_alpha(0.0)], [0.5], 500)[0]
         assert fv == pytest.approx(0.2852, abs=1e-3)
 
     def test_gt_beta_zero_violates_immediately(self):
         # d* = 0: r = 0 satisfies the inequality, and the majorant exceeds
         # d* from the first positive grid point on.
-        fv = _first_violations([gt_beta(0.0)], [0.5], 100, self.CFG)[0]
+        fv = _first_violations([gt_beta(0.0)], [0.5], 100)[0]
         assert fv == pytest.approx(0.5 / 99, abs=1e-12)
 
     def test_tb_heavy_mass_tiny_radius(self):
-        fv = _first_violations([tb_m(1.9)], [0.2], 400, self.CFG)[0]
+        fv = _first_violations([tb_m(1.9)], [0.2], 400)[0]
         expect = closed_form_radius(tb_m(1.9))
         step = 0.2 / 399
         assert expect == pytest.approx(0.047827, abs=1e-6)
@@ -200,12 +198,12 @@ class TestBohrScan:
         # Every grid point at or below the radius satisfies the inequality.
         spec = wh_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violations([spec], [0.6], 200, self.CFG)[0] > r_f
+        assert _first_violations([spec], [0.6], 200)[0] > r_f
 
     def test_no_violation_below_radius_window(self):
         spec = ph_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violations([spec], [0.9 * r_f], 50, self.CFG)[0] is None
+        assert _first_violations([spec], [0.9 * r_f], 50)[0] is None
 
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_first_violation_read_off_the_mask_matches_rows(self, index):
@@ -213,14 +211,13 @@ class TestBohrScan:
         # against B and d* evaluated one grid point at a time.
         spec = STANDARD_GRIDS[Family.WH_ALPHA][index]
         r_max = min(1.5 * solve_radius(spec).radius, 0.95)
-        tol = self.CFG.series_tol
-        d = distance_bound(spec, tol=tol)
-        rows = ((r, bohr_sum(spec, r, tol=tol)) for r in np.linspace(0.0, r_max, 400).tolist())
+        d = distance_bound(spec)
+        rows = ((r, bohr_sum(spec, r)) for r in np.linspace(0.0, r_max, 400).tolist())
         expect = next(
             r for r, b in rows
             if not b.value <= d.value + b.error_bound + d.error_bound + 1e-15
         )
-        assert _first_violations([spec], [r_max], 400, self.CFG)[0] == expect
+        assert _first_violations([spec], [r_max], 400)[0] == expect
 
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_grouped_lanes_equal_one_spec_calls(self, family):
@@ -228,11 +225,10 @@ class TestBohrScan:
         # k and so form three groups.
         specs = [STANDARD_GRIDS[Family(family)][i] for i in (0, -1, 1)]
         grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.9, 7), (0.3, 2))]
-        tol = self.CFG.series_tol
-        got = _bohr_on_grids(specs, grids, self.CFG)
+        got = _bohr_on_grids(specs, grids)
         for spec, rs, (b, d) in zip(specs, grids, got):
-            assert b == bohr_sum(spec, rs, tol=tol)
-            assert d == distance_bound(spec, tol=tol)
+            assert b == bohr_sum(spec, rs)
+            assert d == distance_bound(spec)
 
     def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self, monkeypatch):
         # gh-k-alpha's representative specs differ in k: each is its own
@@ -241,14 +237,14 @@ class TestBohrScan:
 
         calls = []
 
-        def recorded(spec, r, tol):
+        def recorded(spec, r):
             calls.append((spec, r))
-            return bohr_sum(spec, r, tol=tol)
+            return bohr_sum(spec, r)
 
         monkeypatch.setattr(verifier, "bohr_sum", recorded)
         specs = [gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0), gh_k_alpha(3, 2.0)]
         grids = [np.linspace(0.0, 0.95, n) for n in (100, 7, 2)]
-        _bohr_on_grids(specs, grids, self.CFG)
+        _bohr_on_grids(specs, grids)
         assert len(calls) == 3
         for (spec, r), want, grid in zip(calls, specs, grids):
             assert spec is want and r is grid
@@ -270,17 +266,17 @@ class TestBohrScan:
         counted("bohr_sum")
         counted("distance_bound")
         specs = [wh_alpha(0.0), gh_k_alpha(2, 1.0), wh_alpha(1.0), gh_k_alpha(2, 3.0)]
-        found = _first_violations(specs, [0.6, 0.6, 0.6, 0.6], 100, self.CFG)
+        found = _first_violations(specs, [0.6, 0.6, 0.6, 0.6], 100)
         assert sorted(calls) == ["bohr_sum"] * 2 + ["distance_bound"] * 2
         calls.clear()
-        assert found == [_first_violations([s], [0.6], 100, self.CFG)[0] for s in specs]
+        assert found == [_first_violations([s], [0.6], 100)[0] for s in specs]
         assert len(calls) == 8
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            _first_violations([ph_alpha(0.0)], [1.0], 10, self.CFG)
+            _first_violations([ph_alpha(0.0)], [1.0], 10)
         with pytest.raises(DomainError):
-            _first_violations([ph_alpha(0.0)], [0.5], 1, self.CFG)
+            _first_violations([ph_alpha(0.0)], [0.5], 1)
 
 
 class TestEnvelopeCheck:
@@ -340,10 +336,12 @@ class TestDirectAlternatingOracle:
         return float(found.value[0]), float(found.error_bound[0])
 
     def test_agrees_with_accelerated_engine(self):
+        # c_n = 2/n from n = 2 are wh-alpha's at alpha = 0, whose d* - 1 is
+        # their alternating sum, by the Boole engine.
         rule = CoefficientRule(lambda n: 2.0 / n, start=2)
         direct, bound = self.one(rule)
-        fast = alt_constant(rule, tol=1e-12)
-        assert abs(direct - fast.value) <= bound + fast.error_bound
+        fast = distance_bound(wh_alpha(0.0))
+        assert abs(direct - (fast.value - 1.0)) <= bound + fast.error_bound
         assert bound <= 1e-13
 
     def test_known_value(self):
@@ -468,19 +466,26 @@ class TestDirectAlternatingOracle:
             _direct_alt_euler_mean([rule], n_terms, k)
 
     @pytest.mark.parametrize("shift", [2e-13, -2e-13])
-    def test_check_fails_when_the_engine_is_off_by_2e_13(self, monkeypatch, shift):
-        # Every rule's engine bound plus oracle bound is below 1.1e-13, so
-        # an engine off by 2e-13 fails the check; it passed the old 1e-10.
-        from harmbohr import verifier
+    def test_check_fails_when_the_engine_is_off_by_2e_13(self, shift):
+        # Every spec's d* bound plus oracle bound is below 1.4e-13, so a d*
+        # off by 2e-13 fails the check; it passed the old 1e-10.  Each Boole
+        # engine's sum is shifted by half that: d* = 1 - 2 * the sum.
+        from harmbohr import classes
 
-        def shifted(*args, **kwargs):
-            sv = alt_constant(*args, **kwargs)
-            return dataclasses.replace(sv, value=sv.value + shift)
-
-        monkeypatch.setattr(verifier, "alt_constant", shifted)
         (result,) = run_suite(only="alt-engine-vs-direct-sum").results
-        assert not result.passed
-        assert result.detail.startswith("max |accelerated - direct| = 2.00e-13;")
+        assert result.passed
+        for engine in ("_wh_alt", "alt_lerch_sum"):
+            summed = getattr(classes, engine)
+
+            def shifted(*args, summed=summed):
+                sv = summed(*args)
+                return dataclasses.replace(sv, value=sv.value - 0.5 * shift)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classes, engine, shifted)
+                (result,) = run_suite(only="alt-engine-vs-direct-sum").results
+            assert not result.passed, engine
+            assert result.detail.startswith("max |d* - 1 - direct| = 2.00e-13;")
 
 
 class TestStandardGrids:
@@ -632,8 +637,8 @@ class TestRunSuite:
 
         bohr_sum = verifier.bohr_sum
 
-        def raised(spec, r, tol=1e-12):
-            b = bohr_sum(spec, r, tol=tol)
+        def raised(spec, r):
+            b = bohr_sum(spec, r)
             return dataclasses.replace(b, value=b.value + 1e-2)
 
         monkeypatch.setattr(verifier, "bohr_sum", raised)
@@ -646,8 +651,8 @@ class TestRunSuite:
         # check makes from c_n: B raised by 1e-11 must fail it.
         fam = FAMILIES[Family.GH_K_ALPHA]
 
-        def raised(spec, r, tol):
-            b, slope = fam.majorant(spec, r, tol)
+        def raised(spec, r):
+            b, slope = fam.majorant(spec, r)
             return dataclasses.replace(b, value=b.value + 1e-11), slope
 
         name = "generic-sum-agreement-gh-k-alpha"
@@ -690,8 +695,8 @@ class TestRunSuite:
         (result,) = run_suite(only=name).results
         assert (result.name, result.passed, result.detail) == (name, True, detail)
 
-        def falling(spec, tol=1e-12):
-            d = distance_bound(spec, tol=tol)
+        def falling(spec):
+            d = distance_bound(spec)
             return dataclasses.replace(d, value=np.where(spec.alpha == 4.0, d.value - 0.5, d.value))
 
         monkeypatch.setattr(verifier, "distance_bound", falling)
@@ -709,8 +714,8 @@ class TestRunSuite:
         (result,) = run_suite(only=name).results
         assert result.passed
 
-        def moved(spec, r, tol=1e-12):
-            env = growth_envelope(spec, r, tol=tol)
+        def moved(spec, r):
+            env = growth_envelope(spec, r)
             return dataclasses.replace(env, **{side: getattr(env, side) + shift})
 
         monkeypatch.setattr(verifier, "growth_envelope", moved)
@@ -728,8 +733,8 @@ class TestRunSuite:
         # ``lower`` moves d* and fails the check.
         fam = FAMILIES[spec.family]
 
-        def slipped(s, r, tol):
-            low = fam.lower(s, r, tol)
+        def slipped(s, r):
+            low = fam.lower(s, r)
             return dataclasses.replace(low, value=1.01 * low.value)
 
         before = distance_bound(spec)
@@ -749,7 +754,7 @@ class TestLaneCallsPerSuite:
 
         counts = dict.fromkeys(
             ("growth_envelope", "bohr_sum", "distance_bound", "lerch_sum", "_wh_sums",
-             "alt_constant"),
+             "alt_lerch_sum", "_wh_alt"),
             0,
         )
 
@@ -764,18 +769,19 @@ class TestLaneCallsPerSuite:
 
         for name in ("growth_envelope", "bohr_sum", "distance_bound"):
             counted(verifier, name)
-        for name in ("lerch_sum", "_wh_sums", "alt_constant"):
+        for name in ("lerch_sum", "_wh_sums", "alt_lerch_sum", "_wh_alt"):
             counted(classes, name)
-        counted(verifier, "alt_constant")
         report = run_suite()
         assert len(report.results) == 51 and report.passed
         # Six envelope checks of three specs each, plus six floor checks.
         assert counts["growth_envelope"] == 24
         assert counts["bohr_sum"] <= 60
-        assert counts["distance_bound"] <= 38
+        # alt-engine-vs-direct-sum reads d* of its six specs one by one.
+        assert counts["distance_bound"] <= 44
         assert counts["lerch_sum"] <= 39
-        assert counts["_wh_sums"] <= 21
-        assert counts["alt_constant"] <= 42
+        assert counts["_wh_sums"] <= 24
+        assert counts["alt_lerch_sum"] <= 25
+        assert counts["_wh_alt"] <= 15
 
 
 class TestWorstCaseFoldsFailOnNaN:
@@ -794,7 +800,7 @@ class TestWorstCaseFoldsFailOnNaN:
         monkeypatch.setattr(verifier, "_direct_alt_euler_mean", lambda *a, **k: nan)
         result = self.run_one("alt-engine-vs-direct-sum")
         assert not result.passed
-        assert result.detail.startswith("max |accelerated - direct| = nan;")
+        assert result.detail.startswith("max |d* - 1 - direct| = nan;")
 
     def test_jacobian_radius_nan(self, monkeypatch):
         from harmbohr import verifier
