@@ -24,7 +24,7 @@ import numpy as np
 from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes
 from .errors import ConvergenceError, DomainError, ValidationError
 # solve_radius is not called here; perfbench/test_perfbench.py reads it.
-from .solver import Method, RadiusResult, SolverConfig, _solve_lanes, _split_lanes
+from .solver import Method, RadiusResult, SolverConfig, _join_lanes, _solve_lanes, _split_lanes
 from .solver import jacobian_functional, jacobian_radius, solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
@@ -34,6 +34,15 @@ DEFAULT_TOL = 1e-12
 
 # Largest lo:hi:step grid parse_grid will build.
 MAX_GRID_POINTS = 1_000_000
+
+# Lanes compute_records solves at once: the solver's temporaries stay
+# bounded by a chunk whatever the grid size, and the benchmark's
+# 1001-point scans take one chunk.  Larger chunks are no faster and raise
+# a 10^5-point scan's peak RSS (55 MB at 16384 lanes, 45 MB here).
+_CHUNK_LANES = 4096
+
+# Rows cmd_scan formats and writes at once, one write per batch.
+_ROW_BATCH = 1024
 
 # Parameters each tag requires on the command line; the last is swept by
 # --range.  The Jacobian variant takes the parameters of tb-m.
@@ -59,6 +68,16 @@ def _json_template(tag: str, params: dict, name: str, method: str, tol: float) -
     json.dumps does."""
     text = _json_row(tag, {**params, name: "\0"}, "\0", "\0", method, "\0", tol)
     return text.replace('"\\u0000"', "%r") + "\n"
+
+
+def _format_rows(template: str, columns) -> str:
+    """One row of ``template`` per entry of ``columns``, lane arrays of one
+    length, as one string: a single % over the template repeated once per
+    row, fed the columns' floats row by row."""
+    flat = [None] * (len(columns) * columns[0].size)
+    for i, column in enumerate(columns):
+        flat[i :: len(columns)] = column.tolist()
+    return (template * columns[0].size) % tuple(flat)
 
 
 def _csv_template(tag: str, name: str, method: str) -> str:
@@ -104,9 +123,10 @@ def parse_grid(text: str) -> list[float]:
         raise DomainError(f"grid must have hi >= lo, got {text!r}")
     if (hi - lo) / step + 1.0 > MAX_GRID_POINTS:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    # lo + i*step grows with i, so the points kept are a prefix of these.
-    values = [lo + i * step for i in range(int((hi - lo) / step) + 2)]
-    return [v for v in values if v < hi + step / 2.0]
+    # lo + i*step grows with i, so the points kept are a prefix of these;
+    # numpy rounds each product and sum as Python's floats do.
+    values = lo + np.arange(int((hi - lo) / step) + 2.0) * step
+    return values[values < hi + step / 2.0].tolist()
 
 
 def _parse_scalar(name: str, text: str) -> float:
@@ -151,32 +171,46 @@ def _gather_params(args, tag: str, require_all: bool = True) -> dict[str, str]:
     return given
 
 
-def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg: SolverConfig):
-    """Solve ``name`` swept over ``values``, the other parameters fixed at
-    ``scalars``, as one lane spec (``make_spec`` on the first point, swept by
-    ``sweep_lanes``) in one lane pass, for any class tag.
-
-    A failure raises what solving point by point would: the first lane's
-    ConvergenceError, else ``make_spec``'s error for the first invalid point.
-    Returns the first point's parameters as records print them, and a
-    RadiusResult of lane arrays, one lane per value.
-    """
-    family = Family.TB_M if tag == JACOBIAN_TAG else Family(tag)
-    first = make_spec(family, **scalars, **{name: values[0]})
-    spec, n = sweep_lanes(first, name, values)
+def _solve_chunk(tag: str, spec, cfg: SolverConfig) -> RadiusResult:
+    """The lane record of one lane spec; raises its first lane's
+    ConvergenceError."""
     if tag == JACOBIAN_TAG:
         radius = jacobian_radius(spec.m)
         d_star = distance_bound(spec)
         residual = abs(jacobian_functional(spec.m, radius) - d_star.value)
-        steps = np.zeros(n, dtype=np.int64)
-        lanes = RadiusResult(radius, residual, radius, radius, steps, Method.CLOSED_FORM, d_star)
-    else:
-        lanes, errors = _solve_lanes(spec, cfg)
-        if errors:
-            raise errors[min(errors)]
-    if n < len(values):
-        make_spec(family, **scalars, **{name: values[n]})  # raises for the invalid point
-    return first.params(), lanes
+        steps = np.zeros(radius.size, dtype=np.int64)
+        return RadiusResult(radius, residual, radius, radius, steps, Method.CLOSED_FORM, d_star)
+    lanes, errors = _solve_lanes(spec, cfg)
+    if errors:
+        raise errors[min(errors)]
+    return lanes
+
+
+def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg: SolverConfig):
+    """Solve ``name`` swept over ``values``, the other parameters fixed at
+    ``scalars``, for any class tag: ``make_spec`` on the first point, then
+    one lane pass per chunk of _CHUNK_LANES values, each chunk swept by
+    ``sweep_lanes``, in order.
+
+    A failure raises what solving point by point would: chunks run in
+    order, so the first chunk that fails holds the first failing point,
+    and within it the first lane's ConvergenceError, else ``make_spec``'s
+    error for the first invalid point, wins.  Returns the first point's
+    parameters as records print them, and a RadiusResult of lane arrays,
+    one lane per value.
+    """
+    family = Family.TB_M if tag == JACOBIAN_TAG else Family(tag)
+    first = make_spec(family, **scalars, **{name: values[0]})
+    chunks = []
+    for start in range(0, len(values), _CHUNK_LANES):
+        grid = values[start : start + _CHUNK_LANES]
+        spec, n = sweep_lanes(first, name, grid)
+        if n:
+            chunks.append(_solve_chunk(tag, spec, cfg))
+        if n < len(grid):
+            make_spec(family, **scalars, **{name: grid[n]})  # raises for the invalid point
+            break
+    return first.params(), _join_lanes(chunks)
 
 
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:
@@ -244,29 +278,33 @@ def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
 def cmd_scan(args) -> int:
     """``scan`` and ``table``: rows formatted straight from the solver's
     lane arrays, through one % template per scan that holds the lane
-    record's one method, and streamed to stdout."""
+    record's one method, and written to stdout in batches of _ROW_BATCH
+    rows, one string and one write each."""
     tag = args.class_tag
     cfg = _make_config(args)
     scalars, name, values = _sweep_values(args, tag)
     params, lanes = compute_records(tag, scalars, name, values, cfg)
-    method, d = lanes.method.value, lanes.d_star
-    radius, residual, d_star = (a.tolist() for a in (lanes.radius, lanes.residual, d.value))
+    method = lanes.method.value
+    columns = np.asarray(values), lanes.radius, lanes.residual, lanes.d_star.value
     if args.format == "table":
         print(f"{name},radius")
-        template, columns = "%.12g,%.12g\n", (values, radius)
+        template, columns = "%.12g,%.12g\n", columns[:2]
     elif args.format == "csv":
         print(CSV_HEADER)
-        template = _csv_template(tag, name, method) + "\n"
-        columns = values, radius, residual
+        template, columns = _csv_template(tag, name, method) + "\n", columns[:3]
     else:
         template = _json_template(tag, params, name, method, cfg.tol)
-        columns = values, radius, residual, d_star
-        # json.dumps prints NaN and Infinity where %r prints nan and inf.
-        if not np.isfinite([radius, residual, d_star]).all():
-            rows = [_json_row(tag, {**params, name: v}, r, res, method, dv, cfg.tol)
-                    for v, r, res, dv in zip(*columns)]
-            template, columns = "%s\n", (rows,)
-    sys.stdout.writelines(template % row for row in zip(*columns))
+    for start in range(0, len(values), _ROW_BATCH):
+        batch = [column[start : start + _ROW_BATCH] for column in columns]
+        # json.dumps prints NaN and Infinity where %r prints nan and inf;
+        # on finite floats the two agree.
+        if args.format == "json" and not np.isfinite(batch[1:]).all():
+            rows = zip(*(column.tolist() for column in batch))
+            text = "".join([_json_row(tag, {**params, name: v}, r, res, method, dv, cfg.tol) + "\n"
+                            for v, r, res, dv in rows])
+        else:
+            text = _format_rows(template, batch)
+        sys.stdout.write(text)
     return 0
 
 

@@ -48,6 +48,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -148,6 +149,20 @@ def _split_lanes(lanes: RadiusResult) -> list[RadiusResult]:
     columns = lanes.radius, lanes.residual, lanes.bracket_lo, lanes.bracket_hi, lanes.iterations
     rows = zip(*(a.tolist() for a in (*columns, d.value, d.error_bound)))
     return [RadiusResult(*row, lanes.method, SeriesValue(dv, de)) for *row, dv, de in rows]
+
+
+def _join_lanes(parts: list[RadiusResult]) -> RadiusResult:
+    """One lane record holding the lanes of ``parts`` in order; they share
+    one method."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def join(name):
+        return np.concatenate([attrgetter(name)(part) for part in parts])
+
+    columns = [join(name) for name in ("radius", "residual", "bracket_lo", "bracket_hi", "iterations")]
+    d_star = SeriesValue(join("d_star.value"), join("d_star.error_bound"))
+    return RadiusResult(*columns, parts[0].method, d_star)
 
 
 def closed_form_radius(spec: ClassSpec):

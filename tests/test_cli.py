@@ -625,6 +625,60 @@ class TestScanLanes:
         assert time.perf_counter() - t0 < 0.3
 
 
+class TestChunkedScan:
+    """compute_records solves a grid in chunks of _CHUNK_LANES lanes, in
+    order.  Patched to 7 lanes, a grid that fails in a later chunk fails
+    as it does in one chunk, with the error of its first failing point."""
+
+    @pytest.mark.parametrize(
+        "tag,name,grid,extra,first",
+        [
+            # From alpha = 0.35 on, ph-alpha takes 3 Newton steps: with 2
+            # allowed, lane 14 is the first to fail, in the third chunk.
+            ("ph-alpha", "alpha", "0:0.95:0.025", ["--max-iter", "2"], 14),
+            # Lane 7 fails to converge, in the second chunk, before the grid
+            # leaves the domain at alpha = 1, in the third.
+            ("ph-alpha", "alpha", "0:1.1:0.05", ["--max-iter", "2"], 7),
+            # The grid leaves the domain at m = 2 inside a later chunk, and
+            # as the first lane of one.
+            ("tb-m", "m", "1:2.5:0.1", [], 10),
+            ("tb-m", "m", "1.3:2.5:0.1", [], 7),
+            ("tb-m-jacobian", "m", "1:2.5:0.1", [], 10),
+        ],
+    )
+    def test_first_failing_point_in_a_later_chunk(
+        self, capsys, monkeypatch, tag, name, grid, extra, first
+    ):
+        def radius(value):
+            return run_cli(capsys, "radius", "--class", tag, f"--{name}", repr(value), *extra)
+
+        values = parse_grid(grid)
+        assert all(radius(value)[0] == 0 for value in values[:first])
+        alone = radius(values[first])
+        assert alone[0] in (2, 3) and alone[1] == ""
+        argv = ("scan", "--class", tag, f"--{name}", grid, *extra)
+        assert run_cli(capsys, *argv) == alone
+        monkeypatch.setattr(cli, "_CHUNK_LANES", 7)
+        assert run_cli(capsys, *argv) == alone
+
+    def test_chunks_solve_in_order_and_stop_at_the_failing_one(self, capsys, monkeypatch):
+        # The chunks after the one holding the first failing point are
+        # never solved.
+        solved, solve_chunk = [], cli._solve_chunk
+
+        def counted(tag, spec, cfg):
+            solved.append(spec.alpha.tolist())
+            return solve_chunk(tag, spec, cfg)
+
+        monkeypatch.setattr(cli, "_CHUNK_LANES", 7)
+        monkeypatch.setattr(cli, "_solve_chunk", counted)
+        rc, _, _ = run_cli(capsys, "scan", "--class", "ph-alpha", "--alpha", "0:0.95:0.025",
+                           "--max-iter", "2")
+        assert rc == 3
+        values = parse_grid("0:0.95:0.025")
+        assert solved == [values[0:7], values[7:14], values[14:21]]
+
+
 class TestScanFromLanes:
     """A scan is one lane spec end to end, and every row it prints is the
     record ``radius`` prints for that point alone."""
@@ -740,6 +794,31 @@ class TestScanFromLanes:
         nan_row, inf_row = json.loads(expected[1]), json.loads(expected[2])
         nan_row["residual"], inf_row["d_star"] = float("nan"), float("inf")
         assert rows == [expected[0], json.dumps(nan_row), json.dumps(inf_row), *expected[3:]]
+
+    def test_non_finite_rows_in_one_batch_leave_the_others_alone(self, capsys, monkeypatch):
+        # Rows go out in batches; a batch with a non-finite float prints
+        # through json.dumps, and every other batch through the template,
+        # which agrees with json.dumps on finite floats.
+        from harmbohr import cli
+
+        compute_records = cli.compute_records
+
+        def non_finite(*args):
+            params, lanes = compute_records(*args)
+            lanes.radius[3] = float("-inf")
+            return params, lanes
+
+        argv = ("scan", "--class", "wh-alpha", "--alpha", "0:1:0.125")
+        rc, finite, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "compute_records", non_finite)
+        monkeypatch.setattr(cli, "_ROW_BATCH", 2)
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        expected = finite.splitlines()
+        row = json.loads(expected[3])
+        row["radius"] = float("-inf")
+        assert out.splitlines() == [*expected[:3], json.dumps(row), *expected[4:]]
+        assert '"radius": -Infinity' in out.splitlines()[3]
 
 
 def _edge_cases():

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from harmbohr import cli
 from harmbohr.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,12 +67,50 @@ def run(argv) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
+def assert_golden(name: str, rc: int, out: str) -> None:
+    """``rc`` and ``out`` are the golden exit code and stdout of ``name``.
+
+    Lines are compared as lists, and a mismatch names the first differing
+    line and how many differ: pytest's diff of two 1002-line scans runs
+    for minutes.
+    """
+    assert rc == json.loads(EXIT_CODES.read_text())[name]
+    got = out.splitlines(keepends=True)
+    want = (GOLDEN / f"{name}.out").read_text().splitlines(keepends=True)
+    if got != want:
+        differ = [i for i in range(max(len(got), len(want))) if got[i : i + 1] != want[i : i + 1]]
+        first = differ[0]
+        pytest.fail(
+            f"{name}: {len(differ)} of {len(want)} golden lines differ ({len(got)} printed); "
+            f"first at line {first + 1}: printed {got[first : first + 1]!r}, "
+            f"golden {want[first : first + 1]!r}",
+            pytrace=False,
+        )
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, monkeypatch):
     monkeypatch.delenv("BOHR_TOL", raising=False)
-    rc, out = run(CASES[name])
-    assert rc == json.loads(EXIT_CODES.read_text())[name]
-    assert out == (GOLDEN / f"{name}.out").read_text()
+    assert_golden(name, *run(CASES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith(("scan-", "table-"))))
+def test_golden_scan_in_chunks_of_7(name, monkeypatch):
+    # Solved 7 lanes at a time and written 5 rows at a time, every scan
+    # prints its golden bytes: lanes share no reduction, chunks run in
+    # order, and each row is formatted alone.
+    monkeypatch.delenv("BOHR_TOL", raising=False)
+    monkeypatch.setattr(cli, "_CHUNK_LANES", 7)
+    monkeypatch.setattr(cli, "_ROW_BATCH", 5)
+    assert_golden(name, *run(CASES[name]))
+
+
+def test_a_broken_golden_line_fails_fast():
+    # One differing line of a 1002-line scan fails at once, and names it.
+    want = (GOLDEN / "scan-wh-alpha-csv.out").read_text().splitlines(keepends=True)
+    want[500] = want[500].replace("BISECTION_NEWTON", "CLOSED_FORM")
+    with pytest.raises(pytest.fail.Exception, match="1 of 1002 golden lines differ .* line 501"):
+        assert_golden("scan-wh-alpha-csv", 0, "".join(want))
 
 
 # Cases run again as a ``python -m harmbohr`` process: a solved and a

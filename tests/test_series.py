@@ -658,3 +658,78 @@ class TestBoole:
         whole = alt_lerch_sum(xs, 1.0 + alphas, alphas + 0.5), _wh_alt(xs, alphas)
         monkeypatch.setattr(series, "_BLOCK", 2 * len(series._LERCH_M))
         assert (alt_lerch_sum(xs, 1.0 + alphas, alphas + 0.5), _wh_alt(xs, alphas)) == whole
+
+
+# Each engine's head: the builder of its terms, and their width.
+HEADS = {
+    lerch_sum: ("_lerch_terms", series._LERCH_M.size),
+    _wh_sums: ("_wh_terms", series._LERCH_M.size),
+    alt_lerch_sum: ("_alt_pairs", series._PAIR_M.size),
+    _wh_alt: ("_wh_alt_pairs", series._PAIR_M.size),
+}
+
+
+def _engine_lanes(engine, n):
+    """n lanes of ``engine``'s arguments across its domain, the ends
+    included: r = 0, r next to 1 (and r = 1 for the alternating sums),
+    alpha = 0 and 1, s = 0."""
+    rng = np.random.default_rng(n)
+    r, alpha = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    r[:3] = 0.0, 1.0 - 1e-12, 0.999
+    alpha[3:5] = 0.0, 1.0
+    if engine in (alt_lerch_sum, _wh_alt):
+        r[5] = 1.0
+    if engine is lerch_sum:
+        return r, rng.uniform(0.1, 10.0, n), np.where(np.arange(n) == 6, 0.0, 5.0 * alpha)
+    if engine is alt_lerch_sum:
+        return r, 1.0 + alpha, 0.5 + alpha
+    return r, alpha
+
+
+def _lane_values(result):
+    """A result's SeriesValues: one, or _wh_sums' pair."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestHeadBlocks:
+    """Each engine builds and sums its 32-term head in blocks of
+    _BLOCK // width lanes, width being the head's 32 terms or 16 pairs.
+    Around a block and over several, every lane is its own one-lane call
+    bit for bit, and no block a term builder makes is larger than that."""
+
+    @pytest.mark.parametrize("engine", HEADS, ids=lambda f: f.__name__)
+    def test_lanes_at_block_edges_are_their_points(self, engine):
+        block = series._BLOCK // HEADS[engine][1]
+        args = _engine_lanes(engine, 3 * block + 5)
+        alone = [_lane_values(engine(*(a[i] for a in args))) for i in range(args[0].size)]
+        for n in (block - 1, block, block + 1, 3 * block + 5):
+            got = _lane_values(engine(*(a[:n] for a in args)))
+            for i in range(n):
+                lane = tuple(SeriesValue(v.value[i], v.error_bound[i]) for v in got)
+                assert lane == alone[i], (n, i)
+
+    @pytest.mark.parametrize("engine", HEADS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("blocks", [1, 3, 40])
+    def test_no_block_exceeds_its_bound(self, monkeypatch, engine, blocks):
+        # builder name -> the shapes of the arrays of each block it made.
+        made = {name: [] for name, _ in HEADS.values()}
+
+        def watched(name, builder):
+            def build(*lanes):
+                arrays = builder(*lanes)
+                made[name].append([a.shape for a in _lane_values(arrays)])
+                return arrays
+
+            return build
+
+        for name in made:
+            monkeypatch.setattr(series, name, watched(name, getattr(series, name)))
+        # A block's temporaries stay within 64 KB, as measured (CHANGES.md).
+        assert series._BLOCK * np.dtype(np.float64).itemsize <= 1 << 16
+        own, width = HEADS[engine]
+        block = series._BLOCK // width
+        engine(*_engine_lanes(engine, blocks * block + 5))
+        shapes = [shape for calls in made.values() for arrays in calls for shape in arrays]
+        assert shapes and all(w == width and lanes <= block for lanes, w in shapes)
+        # Full blocks, then the rest: every lane is summed once.
+        assert [arrays[0][0] for arrays in made[own]] == [block] * blocks + [5]
