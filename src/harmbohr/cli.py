@@ -24,7 +24,8 @@ import numpy as np
 from .classes import FAMILIES, Family, distance_bound, make_spec, sweep_lanes
 from .errors import ConvergenceError, DomainError, ValidationError
 # solve_radius is not called here; perfbench/test_perfbench.py reads it.
-from .solver import Method, RadiusResult, SolverConfig, _join_lanes, _solve_lanes, _split_lanes
+from .solver import Method, RadiusResult, SolverConfig, _lanes_like, _put_lanes, _solve_lanes
+from .solver import _split_lanes
 from .solver import jacobian_functional, jacobian_radius, solve_radius  # noqa: F401
 
 JACOBIAN_TAG = "tb-m-jacobian"
@@ -190,7 +191,9 @@ def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg
     """Solve ``name`` swept over ``values``, the other parameters fixed at
     ``scalars``, for any class tag: ``make_spec`` on the first point, then
     one lane pass per chunk of _CHUNK_LANES values, each chunk swept by
-    ``sweep_lanes``, in order.
+    ``sweep_lanes``, in order.  A grid of more than one chunk is copied
+    chunk by chunk into lane arrays allocated once, so no chunk's record
+    outlives its copy; a one-chunk grid keeps its chunk's arrays.
 
     A failure raises what solving point by point would: chunks run in
     order, so the first chunk that fails holds the first failing point,
@@ -201,16 +204,21 @@ def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg
     """
     family = Family.TB_M if tag == JACOBIAN_TAG else Family(tag)
     first = make_spec(family, **scalars, **{name: values[0]})
-    chunks = []
+    lanes = None
     for start in range(0, len(values), _CHUNK_LANES):
         grid = values[start : start + _CHUNK_LANES]
         spec, n = sweep_lanes(first, name, grid)
-        if n:
-            chunks.append(_solve_chunk(tag, spec, cfg))
+        if n == len(values):
+            lanes = _solve_chunk(tag, spec, cfg)
+        elif n:
+            chunk = _solve_chunk(tag, spec, cfg)
+            if lanes is None:
+                lanes = _lanes_like(chunk, len(values))
+            _put_lanes(lanes, start, chunk)
         if n < len(grid):
             make_spec(family, **scalars, **{name: grid[n]})  # raises for the invalid point
             break
-    return first.params(), _join_lanes(chunks)
+    return first.params(), lanes
 
 
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:

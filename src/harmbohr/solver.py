@@ -143,26 +143,34 @@ class RadiusResult:
     __eq__ = fields_equal
 
 
+# The lane arrays of a lane record, as attrgetter names.
+_LANE_FIELDS = (
+    "radius", "residual", "bracket_lo", "bracket_hi", "iterations",
+    "d_star.value", "d_star.error_bound",
+)
+
+
 def _split_lanes(lanes: RadiusResult) -> list[RadiusResult]:
     """One float RadiusResult per lane of a lane record."""
-    d = lanes.d_star
-    columns = lanes.radius, lanes.residual, lanes.bracket_lo, lanes.bracket_hi, lanes.iterations
-    rows = zip(*(a.tolist() for a in (*columns, d.value, d.error_bound)))
+    rows = zip(*(attrgetter(name)(lanes).tolist() for name in _LANE_FIELDS))
     return [RadiusResult(*row, lanes.method, SeriesValue(dv, de)) for *row, dv, de in rows]
 
 
-def _join_lanes(parts: list[RadiusResult]) -> RadiusResult:
-    """One lane record holding the lanes of ``parts`` in order; they share
-    one method."""
-    if len(parts) == 1:
-        return parts[0]
+def _lanes_like(part: RadiusResult, n: int) -> RadiusResult:
+    """A lane record of ``n`` zero lanes, with the dtypes and the method
+    of ``part``, for ``_put_lanes`` to fill.  Zeros, not np.empty: a d*
+    error bound must be >= 0."""
+    r, res, lo, hi, steps, dv, de = (
+        np.zeros(n, attrgetter(name)(part).dtype) for name in _LANE_FIELDS
+    )
+    return RadiusResult(r, res, lo, hi, steps, part.method, SeriesValue(dv, de))
 
-    def join(name):
-        return np.concatenate([attrgetter(name)(part) for part in parts])
 
-    columns = [join(name) for name in ("radius", "residual", "bracket_lo", "bracket_hi", "iterations")]
-    d_star = SeriesValue(join("d_star.value"), join("d_star.error_bound"))
-    return RadiusResult(*columns, parts[0].method, d_star)
+def _put_lanes(into: RadiusResult, start: int, part: RadiusResult) -> None:
+    """Copy the lanes of ``part`` into ``into``, from lane ``start`` on."""
+    for name in _LANE_FIELDS:
+        lanes = attrgetter(name)(part)
+        attrgetter(name)(into)[start : start + lanes.size] = lanes
 
 
 def closed_form_radius(spec: ClassSpec):
@@ -329,6 +337,26 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     return RadiusResult(radius, residual, lo, hi, steps, method, d_star), errors
 
 
+def _solve_each(specs: list[ClassSpec], cfg: SolverConfig) -> list:
+    """For each spec, its RadiusResult or the ConvergenceError its lane
+    raises, from one ``_solve_lanes`` pass per ``lane_groups`` group."""
+    found: list = [None] * len(specs)
+    for idx in lane_groups(specs):
+        lanes, errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
+        for j, (i, result) in enumerate(zip(idx, _split_lanes(lanes))):
+            found[i] = errors.get(j, result)
+    return found
+
+
+def _raise_first(found: list) -> list[RadiusResult]:
+    """``found``, unless it holds a ConvergenceError: then the first one
+    is raised."""
+    for result in found:
+        if isinstance(result, ConvergenceError):
+            raise result
+    return found
+
+
 def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
     """Solve H(r) = 0 for many parameter points at once, one lane each.
 
@@ -338,18 +366,7 @@ def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]
     bit what ``solve_radius`` returns for that spec alone.  If any spec
     fails, this raises the error of the first failing spec in that order.
     """
-    cfg = config or SolverConfig()
-    specs = list(specs)
-    results: list[RadiusResult | None] = [None] * len(specs)
-    errors: dict[int, ConvergenceError] = {}
-    for idx in lane_groups(specs):
-        lanes, lane_errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
-        errors.update((idx[j], exc) for j, exc in lane_errors.items())
-        for i, result in zip(idx, _split_lanes(lanes)):
-            results[i] = result
-    if errors:
-        raise errors[min(errors)]
-    return results
+    return _raise_first(_solve_each(list(specs), config or SolverConfig()))
 
 
 def solve_radius(spec: ClassSpec, config: SolverConfig | None = None) -> RadiusResult:

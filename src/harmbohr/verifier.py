@@ -10,9 +10,15 @@ families against each other.
 The checks hand whole grids to the series engines as lane calls: all the
 sample radii of a spec in one ``growth_envelope`` or ``bohr_sum`` call, and
 specs of one family and k (``lane_groups``) stacked into one lane spec
-(``stack_lanes``), unless a spec is alone in its group.  Each lane comes out
-bit for bit as its own call would, so batching changes no verdict or detail;
-circle values stay one ``abs_on_circle`` call per radius.
+(``stack_lanes``), unless a spec is alone in its group.  Radii are solved
+once per suite, not per check: the registry names the specs each check
+solves and whether it forces Newton, and ``run_suite`` solves the union of
+its selected checks' specs in one lane pass per family, k and config
+before any check runs; a check's ``solve_radii`` reads its specs' results
+off that solve, and raises the error of its first failing spec.  Each lane
+comes out bit for bit as its own call would, so batching changes no
+verdict or detail; circle values stay one ``abs_on_circle`` call per
+radius.
 
 Each family's d* - 1, an alternating sum with a Boole tail or a closed
 form, is checked against a direct sum of 2^14 of its terms closed by an
@@ -24,9 +30,10 @@ certified one.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,13 +59,16 @@ from .classes import (
 )
 from .errors import DomainError, HarmBohrError
 from .series import CoefficientRule, SeriesValue
+# solve_radius is not called here; perfbench/test_perfbench.py reads it.
 from .solver import (
+    RadiusResult,
     SolverConfig,
+    _raise_first,
+    _solve_each,
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
-    solve_radii,
-    solve_radius,
+    solve_radius,  # noqa: F401
 )
 
 # Previously reported decimal for the widest-parameter root of the
@@ -140,7 +150,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """The results of the checks run, in suite order.  A check's
+    ``seconds`` leave out solving its radii: the suite solves every
+    check's specs once, before the first check runs, in ``solve_seconds``."""
+
     results: tuple[CheckResult, ...]
+    solve_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -149,6 +164,25 @@ class SuiteReport:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if not r.passed)
+
+
+# While run_suite runs: every (spec, config) its checks solve, mapped to
+# the spec's RadiusResult or to the ConvergenceError its lane raised.  A
+# context variable, reset when the suite ends, so nothing outlives it and
+# a suite in another thread keeps its own.
+_SUITE_SOLVES: ContextVar[Optional[dict]] = ContextVar("_SUITE_SOLVES", default=None)
+
+
+def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
+    """``solver.solve_radii``, as the checks call it.  Inside ``run_suite``
+    each spec's result, or error, is read off the suite's one solve; a call
+    naming a spec the suite did not solve solves its specs here."""
+    cfg = config or SolverConfig()
+    specs = list(specs)
+    solved = _SUITE_SOLVES.get()
+    if solved is None or any((spec, cfg) not in solved for spec in specs):
+        return _raise_first(_solve_each(specs, cfg))
+    return _raise_first([solved[spec, cfg] for spec in specs])
 
 
 def _tail_bound(spec: ClassSpec, n: int, r):
@@ -403,7 +437,7 @@ def _fmt(x: float) -> str:
 
 
 def _check_radius_ph_reference(cfg: SolverConfig) -> tuple[bool, str]:
-    res = solve_radius(ph_alpha(0.0), cfg)
+    (res,) = solve_radii([ph_alpha(0.0)], cfg)
     ok = abs(res.radius - 0.285194) <= 1e-4 and res.residual <= 1e-10
     return ok, f"radius={_fmt(res.radius)} residual={res.residual:.2e}"
 
@@ -513,7 +547,7 @@ def _check_oracle_negative_axis(cfg: SolverConfig) -> tuple[bool, str]:
     return ok, "; ".join(details)
 
 def _check_wh_alpha1_report(cfg: SolverConfig) -> tuple[bool, str]:
-    res = solve_radius(wh_alpha(1.0), cfg)
+    (res,) = solve_radii([wh_alpha(1.0)], cfg)
     agrees = abs(res.radius - WH_ALPHA1_REFERENCE_DECIMAL) <= 1e-4
     verdict = "AGREES" if agrees else "DISAGREES"
     ok = res.residual <= 1e-10
@@ -692,78 +726,123 @@ def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
     return ok, f"min margin above lower envelope = {worst:.2e}"
 
 
-def _build_registry() -> list[tuple[str, tuple[Family, ...], Callable]]:
+class _Check(NamedTuple):
+    """A named check: the families it covers, the function that runs it,
+    and the specs that function solves, with the closed-form preference or,
+    if ``newton``, without it."""
+
+    name: str
+    fams: tuple[Family, ...]
+    fn: Callable
+    solves: tuple[ClassSpec, ...] = ()
+    newton: bool = False
+
+
+def _build_registry() -> list[_Check]:
     all_fams = tuple(Family)
-    registry: list[tuple[str, tuple[Family, ...], Callable]] = [
-        ("radius-ph-alpha-0-reference", (Family.PH_ALPHA,), _check_radius_ph_reference),
-        (
+    gt_grid, tb_fine = STANDARD_GRIDS[Family.GT_BETA], tuple(tb_m(m) for m in _TB_MS)
+    mono_fams = (Family.PH_ALPHA, Family.TB_M, Family.PH_M)
+    registry = [
+        _Check(
+            "radius-ph-alpha-0-reference", (Family.PH_ALPHA,), _check_radius_ph_reference,
+            (ph_alpha(0.0),),
+        ),
+        _Check(
             "reduction-wh-to-ph",
             (Family.WH_ALPHA, Family.PH_ALPHA),
             _make_reduction_check(wh_alpha(0.0)),
+            (wh_alpha(0.0), ph_alpha(0.0)),
         ),
-        (
+        _Check(
             "reduction-gh-to-ph",
             (Family.GH_K_ALPHA, Family.PH_ALPHA),
             _make_reduction_check(gh_k_alpha(1, 1.0)),
+            (gh_k_alpha(1, 1.0), ph_alpha(0.0)),
         ),
-        (
+        _Check(
             "closed-vs-bisection-gt-beta",
             (Family.GT_BETA,),
-            _make_closed_vs_bisection_check(STANDARD_GRIDS[Family.GT_BETA]),
+            _make_closed_vs_bisection_check(gt_grid),
+            gt_grid,
+            newton=True,
         ),
-        (
+        _Check(
             "closed-vs-bisection-tb-m",
             (Family.TB_M,),
-            _make_closed_vs_bisection_check(tuple(tb_m(m) for m in _TB_MS)),
+            _make_closed_vs_bisection_check(tb_fine),
+            tb_fine,
+            newton=True,
         ),
-        ("quadratic-residual-tb-m", (Family.TB_M,), _check_tb_quadratic_residual),
-        ("jacobian-half-identity-tb-m", (Family.TB_M,), _check_jacobian_half),
-        ("jacobian-majorant-deficit-tb-m", (Family.TB_M,), _check_jacobian_deficit),
+        _Check("quadratic-residual-tb-m", (Family.TB_M,), _check_tb_quadratic_residual),
+        _Check("jacobian-half-identity-tb-m", (Family.TB_M,), _check_jacobian_half),
+        _Check("jacobian-majorant-deficit-tb-m", (Family.TB_M,), _check_jacobian_deficit),
     ]
     for fam in Family:
-        registry.append((f"sharpness-{fam.value}", (fam,), _make_sharpness_check(fam)))
+        registry.append(
+            _Check(f"sharpness-{fam.value}", (fam,), _make_sharpness_check(fam), STANDARD_GRIDS[fam])
+        )
     registry += [
-        ("distance-oracle-ph-alpha", (Family.PH_ALPHA,), _check_distance_oracle_ph),
-        (
+        _Check("distance-oracle-ph-alpha", (Family.PH_ALPHA,), _check_distance_oracle_ph),
+        _Check(
             "distance-oracle-negative-axis",
             (Family.PH_ALPHA, Family.PH_M, Family.GH_K_ALPHA),
             _check_oracle_negative_axis,
         ),
-        ("wh-alpha-1-root-report", (Family.WH_ALPHA,), _check_wh_alpha1_report),
+        _Check(
+            "wh-alpha-1-root-report", (Family.WH_ALPHA,), _check_wh_alpha1_report,
+            (wh_alpha(1.0),),
+        ),
     ]
     for fam in Family:
-        registry.append((f"h-monotone-{fam.value}", (fam,), _make_h_monotone_check(fam)))
+        registry.append(_Check(f"h-monotone-{fam.value}", (fam,), _make_h_monotone_check(fam)))
     for fam in Family:
         registry.append(
-            (f"single-sign-change-{fam.value}", (fam,), _make_sign_change_check(fam))
+            _Check(f"single-sign-change-{fam.value}", (fam,), _make_sign_change_check(fam))
         )
     for fam in Family:
         registry.append(
-            (f"generic-sum-agreement-{fam.value}", (fam,), _make_generic_sum_check(fam))
+            _Check(f"generic-sum-agreement-{fam.value}", (fam,), _make_generic_sum_check(fam))
         )
     registry += [
-        (
+        _Check(
             "alt-engine-vs-direct-sum",
             (Family.PH_ALPHA, Family.WH_ALPHA, Family.PH_M, Family.GH_K_ALPHA),
             _check_alt_engine_direct,
         ),
-        (
+        _Check(
             "radius-parameter-monotonicity",
-            (Family.PH_ALPHA, Family.TB_M, Family.PH_M),
+            mono_fams,
             _check_radius_monotonicity,
+            tuple(s for fam in mono_fams for s in STANDARD_GRIDS[fam]),
         ),
     ]
     for fam in Family:
-        registry.append((f"envelope-{fam.value}", (fam,), _make_envelope_check(fam)))
+        registry.append(_Check(f"envelope-{fam.value}", (fam,), _make_envelope_check(fam)))
     for fam in Family:
         registry.append(
-            (f"scan-localisation-{fam.value}", (fam,), _make_scan_check(fam))
+            _Check(
+                f"scan-localisation-{fam.value}", (fam,), _make_scan_check(fam), _rep_specs(fam)
+            )
         )
     registry += [
-        ("g-alt-alpha-monotonicity", (Family.GH_K_ALPHA,), _check_g_alt_monotonicity),
-        ("oracle-above-lower-envelope", all_fams, _check_oracle_envelope_floor),
+        _Check("g-alt-alpha-monotonicity", (Family.GH_K_ALPHA,), _check_g_alt_monotonicity),
+        _Check("oracle-above-lower-envelope", all_fams, _check_oracle_envelope_floor),
     ]
     return registry
+
+
+def _solve_suite(checks: list[_Check], cfg: SolverConfig) -> dict:
+    """Every (spec, config) the checks solve, mapped to its RadiusResult or
+    ConvergenceError, from one lane pass per family, k and config."""
+    wanted: dict[SolverConfig, dict[ClassSpec, None]] = {}
+    for check in checks:
+        check_cfg = replace(cfg, prefer_closed_form=False) if check.newton else cfg
+        wanted.setdefault(check_cfg, {}).update(dict.fromkeys(check.solves))
+    return {
+        (spec, c): found
+        for c, specs in wanted.items()
+        for spec, found in zip(specs, _solve_each(list(specs), c))
+    }
 
 
 def run_suite(
@@ -771,21 +850,31 @@ def run_suite(
     family: Family | str | None = None,
     config: SolverConfig | None = None,
 ) -> SuiteReport:
-    """Run the named checks, optionally filtered by substring or family."""
+    """Run the named checks, optionally filtered by substring or family.
+
+    The radii the selected checks solve are solved first, once each, and
+    each check reads its own from that solve (``solve_radii``)."""
     cfg = config or SolverConfig()
     if isinstance(family, str):
         family = Family(family)
+    checks = [
+        check
+        for check in _build_registry()
+        if (only is None or only in check.name) and (family is None or family in check.fams)
+    ]
+    t0 = perf_counter()
+    token = _SUITE_SOLVES.set(_solve_suite(checks, cfg))
+    solve_seconds = perf_counter() - t0
     results = []
-    for name, fams, fn in _build_registry():
-        if only is not None and only not in name:
-            continue
-        if family is not None and family not in fams:
-            continue
-        t0 = perf_counter()
-        try:
-            passed, detail = fn(cfg)
-        except HarmBohrError as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        # A numpy bool would not print through json.
-        results.append(CheckResult(name, bool(passed), detail, perf_counter() - t0))
-    return SuiteReport(tuple(results))
+    try:
+        for check in checks:
+            t0 = perf_counter()
+            try:
+                passed, detail = check.fn(cfg)
+            except HarmBohrError as exc:
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            # A numpy bool would not print through json.
+            results.append(CheckResult(check.name, bool(passed), detail, perf_counter() - t0))
+    finally:
+        _SUITE_SOLVES.reset(token)
+    return SuiteReport(tuple(results), solve_seconds)

@@ -11,8 +11,10 @@ import sys
 import textwrap
 import time
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import harmbohr
@@ -414,7 +416,9 @@ class TestVerifyCommand:
 
         from harmbohr import verifier
 
-        check = ("numpy-verdict", tuple(verifier.Family), lambda cfg: (np.bool_(True), "ok"))
+        check = verifier._Check(
+            "numpy-verdict", tuple(verifier.Family), lambda cfg: (np.bool_(True), "ok")
+        )
         monkeypatch.setattr(verifier, "_build_registry", lambda: [check])
         rc, out, err = run_cli(capsys, "verify", "--json")
         assert rc == 0 and err == ""
@@ -677,6 +681,38 @@ class TestChunkedScan:
         assert rc == 3
         values = parse_grid("0:0.95:0.025")
         assert solved == [values[0:7], values[7:14], values[14:21]]
+
+
+    @pytest.mark.parametrize("tag", ["wh-alpha", "tb-m-jacobian"])
+    def test_chunks_are_copied_into_one_record_and_released(self, monkeypatch, tag):
+        # A multi-chunk grid keeps at most the chunk being solved and the
+        # one before it alive, and returns the lanes of every chunk in
+        # order; a one-chunk grid returns its chunk's record as it is.
+        from harmbohr.solver import SolverConfig
+
+        name = cli._EXPECTED_PARAMS[tag][-1]
+        values = parse_grid("0.05:0.95:0.03")
+        chunks, solve_chunk = [], cli._solve_chunk
+
+        def tracked(tag, spec, cfg):
+            assert sum(ref() is not None for ref, _ in chunks) <= 1
+            lanes = solve_chunk(tag, spec, cfg)
+            chunks.append((weakref.ref(lanes.radius), lanes.d_star.value.copy()))
+            return lanes
+
+        monkeypatch.setattr(cli, "_solve_chunk", tracked)
+        _, whole = cli.compute_records(tag, {}, name, values, SolverConfig())
+        assert len(chunks) == 1 and chunks[0][0]() is whole.radius
+        chunks.clear()
+        monkeypatch.setattr(cli, "_CHUNK_LANES", 7)
+        _, lanes = cli.compute_records(tag, {}, name, values, SolverConfig())
+        assert len(chunks) == 5 and all(ref() is None for ref, _ in chunks)
+        assert lanes.method is whole.method
+        for field in ("radius", "residual", "bracket_lo", "bracket_hi", "iterations"):
+            got, want = getattr(lanes, field), getattr(whole, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(lanes.d_star.value, np.concatenate([d for _, d in chunks]))
+        assert np.array_equal(lanes.d_star.error_bound, whole.d_star.error_bound)
 
 
 class TestScanFromLanes:

@@ -56,6 +56,10 @@ CASES = {
     "scan-bad-point": ["scan", "--class", "tb-m", "--m", "1.5:2.5:0.5"],
     "table-gt-beta": ["table", "--class", "gt-beta", "--range", "0:0.46:0.05"],
     "verify": ["verify"],
+    # With one Newton step allowed, the 14 checks whose specs need more
+    # fail on the ConvergenceError of their first such spec, and the suite
+    # still runs to its end.
+    "verify-max-iter-1": ["verify", "--max-iter", "1"],
 }
 
 
@@ -111,6 +115,24 @@ def test_a_broken_golden_line_fails_fast():
     want[500] = want[500].replace("BISECTION_NEWTON", "CLOSED_FORM")
     with pytest.raises(pytest.fail.Exception, match="1 of 1002 golden lines differ .* line 501"):
         assert_golden("scan-wh-alpha-csv", 0, "".join(want))
+
+
+def test_verify_max_iter_1_lists_its_failing_checks(monkeypatch):
+    # The failing checks of ``verify-max-iter-1`` go to stderr, in suite
+    # order, after the summary line its golden stdout ends with.
+    monkeypatch.delenv("BOHR_TOL", raising=False)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(CASES["verify-max-iter-1"])
+    failing = (
+        "radius-ph-alpha-0-reference", "reduction-wh-to-ph", "reduction-gh-to-ph",
+        "closed-vs-bisection-gt-beta", "sharpness-ph-alpha", "sharpness-wh-alpha",
+        "sharpness-gh-k-alpha", "sharpness-ph-m", "wh-alpha-1-root-report",
+        "radius-parameter-monotonicity", "scan-localisation-ph-alpha",
+        "scan-localisation-wh-alpha", "scan-localisation-gh-k-alpha", "scan-localisation-ph-m",
+    )
+    assert rc == 1
+    assert err.getvalue() == f"failing checks: {', '.join(failing)}\n"
 
 
 # Cases run again as a ``python -m harmbohr`` process: a solved and a

@@ -24,7 +24,7 @@ from harmbohr.classes import (
     tb_m,
     wh_alpha,
 )
-from harmbohr.errors import DomainError
+from harmbohr.errors import ConvergenceError, DomainError
 from harmbohr.series import CoefficientRule, SeriesValue, alt_log_tail, log_tail
 from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
 from harmbohr.verifier import (
@@ -782,6 +782,89 @@ class TestLaneCallsPerSuite:
         assert counts["_wh_sums"] <= 24
         assert counts["alt_lerch_sum"] <= 25
         assert counts["_wh_alt"] <= 15
+
+
+    @staticmethod
+    def counted_passes(monkeypatch):
+        """Every ``solver._solve_lanes`` call from now on, as (lane spec,
+        config) pairs."""
+        from harmbohr import solver
+
+        passes, solve_lanes = [], solver._solve_lanes
+
+        def counted(spec, cfg):
+            passes.append((spec, cfg))
+            return solve_lanes(spec, cfg)
+
+        monkeypatch.setattr(solver, "_solve_lanes", counted)
+        return passes
+
+    @staticmethod
+    def lanes_of(passes):
+        """The (family, k, swept value, config) of every lane solved."""
+        return [
+            (spec.family, spec.k, value, cfg)
+            for spec, cfg in passes
+            for value in list(spec.params().values())[-1].tolist()
+        ]
+
+    def test_a_full_suite_solves_each_spec_once(self, monkeypatch):
+        # 46 STANDARD_GRIDS specs with the closed-form preference and 29
+        # gt-beta/tb-m specs with Newton forced: one pass per family, k and
+        # config, 10 in all (27 passes over 121 lanes when each check
+        # solved its own specs).
+        passes = self.counted_passes(monkeypatch)
+        report = run_suite()
+        assert len(report.results) == 51 and report.passed
+        lanes = self.lanes_of(passes)
+        assert len(passes) == 10
+        assert len(lanes) == len(set(lanes)) == 75
+        groups = {(spec.family, spec.k, cfg) for spec, cfg in passes}
+        assert len(groups) == len(passes)
+        # The shared solve is timed once, apart from every check's seconds.
+        assert report.solve_seconds > 0.0
+
+    def test_a_filtered_suite_solves_only_what_its_checks_need(self, monkeypatch):
+        passes = self.counted_passes(monkeypatch)
+        assert run_suite(only="quadratic-residual").passed
+        assert passes == []
+        assert run_suite(family="gt-beta").passed
+        assert {spec.family for spec, _ in passes} == {Family.GT_BETA}
+        passes.clear()
+        # tb-m's checks include radius-parameter-monotonicity, which also
+        # reads the ph-alpha and ph-m grids.
+        assert run_suite(family="tb-m").passed
+        lanes = self.lanes_of(passes)
+        assert len(lanes) == len(set(lanes)) == 10 + 5 + 7 + 19
+        assert {spec.family for spec, _ in passes} == {Family.TB_M, Family.PH_ALPHA, Family.PH_M}
+
+    def test_a_failing_spec_fails_exactly_the_checks_that_solve_it(self, monkeypatch):
+        # A ConvergenceError on the lane of wh_alpha(1.0) fails the three
+        # checks that solve it, with that error as their detail, and leaves
+        # every other check as it was.
+        from harmbohr import solver
+
+        before = run_suite().results
+        solve_lanes = solver._solve_lanes
+
+        def failing(spec, cfg):
+            lanes, errors = solve_lanes(spec, cfg)
+            if spec.family is Family.WH_ALPHA:
+                for i in np.flatnonzero(spec.alpha == 1.0).tolist():
+                    errors[i] = ConvergenceError("forced at alpha = 1")
+            return lanes, errors
+
+        monkeypatch.setattr(solver, "_solve_lanes", failing)
+        after = run_suite().results
+        failed = ("sharpness-wh-alpha", "wh-alpha-1-root-report", "scan-localisation-wh-alpha")
+        assert [r.name for r in after] == [r.name for r in before]
+        for old, new in zip(before, after):
+            if new.name in failed:
+                assert (new.passed, new.detail) == (
+                    False, "raised ConvergenceError: forced at alpha = 1"
+                )
+            else:
+                assert (new.passed, new.detail) == (old.passed, old.detail)
 
 
 class TestWorstCaseFoldsFailOnNaN:
