@@ -6,8 +6,11 @@ On the grid theta_k = 2*pi*k/M, the sum over j of a_j rho^j e^{i j theta_k}
 depends on j only modulo M, so the weighted coefficients fold into M bins
 and one length-M FFT evaluates every grid point (Cooley & Tukey, Math. Comp.
 19, 1965).  The grid must therefore be ``linspace(0, 2*pi, M, endpoint=False)``.
-A point the checks need, such as a touch point of a growth envelope, is
-read off a grid that contains it.
+The fold writes term j at slot j of a zero buffer of whole rows of M and
+sums the rows down the columns, so bin j mod M adds its terms in order of
+j, from 0, as ``np.bincount(j % M, weights)`` does, for one pass over the
+buffer.  A point the checks need, such as a touch point of a growth
+envelope, is read off a grid that contains it.
 
 The kernel keeps only the first J terms, those with max|a| * rho^j at or
 above 2^-1022, the smallest normal double.  Every later term is zero or
@@ -67,5 +70,9 @@ def abs_on_circle(coeffs: np.ndarray, rho: float, thetas: np.ndarray) -> np.ndar
         return np.zeros_like(thetas)
     n = _live_terms(coeffs, float(rho))
     j = np.arange(1, n + 1)
-    folded = np.bincount(j % m, weights=coeffs[:n] * float(rho) ** j, minlength=m)
+    rows = np.zeros((n // m + 1) * m)
+    rows[1 : n + 1] = coeffs[:n] * float(rho) ** j
+    # inf - inf in a bin is NaN without a warning, as in bincount.
+    with np.errstate(invalid="ignore"):
+        folded = rows.reshape(-1, m).sum(axis=0)
     return np.abs(np.fft.ifft(folded) * m)

@@ -84,7 +84,8 @@ _ROUNDING = 8.0 * 2.0**-52
 # fractions (see _gh_majorant).
 _GH_TINY_ALPHA = 1e-280
 
-# The parameters a lane spec may sweep; k stays one integer for all lanes.
+# The parameters a lane spec sweeps; k is one integer for all lanes, or a
+# column with one per lane (see ``stack_lanes``).
 _LANE_PARAMS = ("alpha", "beta", "m")
 
 
@@ -109,9 +110,10 @@ class ClassSpec:
     then runs ``validate``: an invalid spec raises ValidationError and is
     never made, so no engine checks a spec again.  In a lane spec (see
     ``stack_lanes``) alpha, beta and m are read-only float64 copies of 1-D
-    arrays holding one parameter point per lane; ``bohr_sum``,
-    ``distance_bound`` and ``coefficient_rule`` then work on all lanes at
-    once.
+    arrays holding one parameter point per lane, and k is one int or a
+    read-only column of one int per lane (``_count_column``);
+    ``bohr_sum``, ``distance_bound`` and ``coefficient_rule`` then work on
+    all lanes at once.
     """
 
     family: Family
@@ -124,8 +126,13 @@ class ClassSpec:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        for name in (*_LANE_PARAMS, "k"):
+        for name in _LANE_PARAMS:
             _require_real(name, getattr(self, name))
+        if isinstance(self.k, np.ndarray) and self.k.ndim:
+            object.__setattr__(self, "k", _count_column(self.k))
+        else:
+            _require_real("k", self.k)
+            object.__setattr__(self, "k", _as_count(self.k))
         for name in _LANE_PARAMS:
             value = getattr(self, name)
             if isinstance(value, np.ndarray) and value.ndim:
@@ -134,7 +141,6 @@ class ClassSpec:
             elif value is not None:
                 value = float(value)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "k", _as_count(self.k))
         validate(self)
 
     def __reduce__(self):
@@ -253,9 +259,11 @@ def _gh_majorant(spec: ClassSpec, r):
     # (1 - 1/alpha)/(1 + j alpha) gives B' = 1 + 2 r^k [1/(alpha (1 - r)) +
     # (1 - 1/alpha) L].  For alpha < 1 the bracket cancels, so it carries a
     # rounding allowance of 8 eps of its parts.
-    a, k = spec.alpha, float(spec.k)
-    s = lerch_sum(r, 1.0 + capped_product(spec.k, a), a)
-    scale = 2.0 * r ** (k + 1.0)
+    a, k = spec.alpha, spec.k
+    s = lerch_sum(r, 1.0 + capped_product(k, a), a)
+    scale = 2.0 * lane_power(r, k, lambda r, k: r ** (float(k) + 1.0))
+    r_k = lane_power(r, k, lambda r, k: r ** float(k))
+    k = np.asarray(k, dtype=np.float64)
     tail = lane_value(scale * s.value, scale * s.error_bound)
     # Below _GH_TINY_ALPHA the bracket's parts, up to 2^53/alpha, could
     # overflow; there (j + 1)/(1 + j alpha) <= j + 1 gives the bound
@@ -266,8 +274,8 @@ def _gh_majorant(spec: ClassSpec, r):
     weight = 1.0 - 1.0 / a
     parts = geometric + np.abs(weight) * s.value
     upper = geometric + weight * s.value + np.abs(weight) * s.error_bound + _ROUNDING * parts
-    loose = 1.0 + 2.0 * (r**k * (1.0 + k * (1.0 - r))) / (1.0 - r) ** 2
-    return tail, np.where(tiny, loose, 1.0 + 2.0 * r**k * upper)
+    loose = 1.0 + 2.0 * (r_k * (1.0 + k * (1.0 - r))) / (1.0 - r) ** 2
+    return tail, np.where(tiny, loose, 1.0 + 2.0 * r_k * upper)
 
 
 def _gh_lacunary_rule(spec: ClassSpec) -> CoefficientRule:
@@ -282,7 +290,7 @@ def _gh_side(spec: ClassSpec, r, sign: float, lerch) -> SeriesValue:
     # and that sum is +-2 y sum_{m>=0} (+-y)^m / (1 + (m + 1) k alpha): a
     # Lerch sum at the upper touch point, where the signs are all +, and an
     # alternating one at the lower.
-    y = r**spec.k
+    y = lane_power(r, spec.k, lambda r, k: r**k)
     ka = capped_product(spec.k, spec.alpha)
     sv = lerch(y, 1.0 + ka, ka)
     return lane_value(r * (1.0 + sign * 2.0 * y * sv.value), r * (2.0 * y * sv.error_bound))
@@ -370,22 +378,30 @@ def validate(spec: ClassSpec) -> None:
     """Raise ValidationError naming the violated bound if spec is invalid.
 
     Every ClassSpec runs this once, when it is built; a later call checks
-    it again.  Each float parameter is first required and finite, then
+    it again.  k comes first, with each k of a column checked as one, in
+    lane order.  Each float parameter is then required and finite, and
     tested; for a lane spec every lane is checked, and the error names the
     first failing lane's value.
     """
+    domain = FAMILIES[spec.family].domain
+    if isinstance(spec.k, np.ndarray) and spec.k.shape != np.shape(spec.alpha):
+        lanes = f"{spec.k.size} for {np.size(spec.alpha)} lanes"
+        raise ValidationError(f"k must be one integer or one per lane, got {lanes}")
+    for k in dict.fromkeys(spec.k.tolist()) if isinstance(spec.k, np.ndarray) else (spec.k,):
+        for name, test, message in domain:
+            if name == "k" and not test(k):
+                raise ValidationError(f"{message}, got {_show(k)}")
     finite = set()
-    for name, test, message in FAMILIES[spec.family].domain:
+    for name, test, message in domain:
+        if name not in _LANE_PARAMS:
+            continue
         value = getattr(spec, name)
-        if name in _LANE_PARAMS and name not in finite:
+        if name not in finite:
             if value is None:
                 raise ValidationError(f"{name} is required for this family")
             _check(np.isfinite(value), value, f"{name} must be finite")
             finite.add(name)
-        if name in _LANE_PARAMS:
-            _check(test(value), value, message)
-        elif not test(value):
-            raise ValidationError(f"{message}, got {_show(value)}")
+        _check(test(value), value, message)
 
 
 def _show(value) -> str:
@@ -399,32 +415,49 @@ def _check(ok, values, message: str) -> None:
     require(ok, values, message, ValidationError)
 
 
+def lane_power(r, k, power):
+    """``power(r, k)`` for one k, or for a column of one int k per lane:
+    each distinct k then takes its own lanes of r with a scalar exponent,
+    as one k would.  numpy computes r ** 2 as r * r, exactly, and an
+    exponent array would not."""
+    if not isinstance(k, np.ndarray):
+        return power(r, k)
+    r, out = np.broadcast_to(r, k.shape), np.empty(k.shape)
+    for each in np.unique(k).tolist():
+        at = k == each
+        out[at] = power(r[at], each)
+    return out
+
+
 def stack_lanes(specs) -> ClassSpec:
-    """One lane spec for specs of one family that agree on k.
+    """One lane spec for specs of one family.
 
     A lane spec is a ClassSpec whose swept parameters are 1-D arrays, one
-    entry (a lane) per given spec.
+    entry (a lane) per given spec.  Its k is the specs' one int where they
+    share it, and otherwise a column of each spec's k.
     """
     specs = list(specs)
     if not specs:
         raise DomainError("lanes need at least one spec, got 0 specs")
     first = specs[0]
-    if any(s.family is not first.family or s.k != first.k for s in specs):
-        raise DomainError("lanes must share one family and one k")
+    if any(s.family is not first.family for s in specs):
+        raise DomainError("lanes must share one family")
     lanes = {
         name: np.array([getattr(s, name) for s in specs])
         for name in _LANE_PARAMS
         if getattr(first, name) is not None
     }
+    if any(s.k != first.k for s in specs):
+        lanes["k"] = np.array([s.k for s in specs], dtype=object)
     return replace(first, **lanes)
 
 
 def lane_groups(specs) -> list[list[int]]:
-    """The indices of ``specs`` by family and k, in order of first
-    appearance: the specs of each group stack into one lane spec."""
-    groups: dict[tuple, list[int]] = {}
+    """The indices of ``specs`` by family, in order of first appearance:
+    the specs of each group stack into one lane spec."""
+    groups: dict[Family, list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.family, spec.k), []).append(i)
+        groups.setdefault(spec.family, []).append(i)
     return list(groups.values())
 
 
@@ -444,7 +477,8 @@ def sweep_lanes(spec: ClassSpec, name: str, values) -> tuple[ClassSpec, int]:
 def take_lanes(spec: ClassSpec, idx) -> ClassSpec:
     """The lanes ``idx`` of a lane spec."""
     alpha, beta, m = (None if v is None else v[idx] for v in (spec.alpha, spec.beta, spec.m))
-    return ClassSpec(spec.family, alpha, beta, m, spec.k)
+    k = spec.k[idx] if isinstance(spec.k, np.ndarray) else spec.k
+    return ClassSpec(spec.family, alpha, beta, m, k)
 
 
 def _broadcast(spec: ClassSpec, r) -> np.ndarray:
@@ -459,6 +493,23 @@ def _broadcast(spec: ClassSpec, r) -> np.ndarray:
                 )
             return np.broadcast_to(r, lanes.shape)
     return r
+
+
+def _count_column(k: np.ndarray) -> np.ndarray:
+    """A read-only k column: int64 where every lane is an int under 2^62 in
+    size, so that k + 1 is exact, else an object array of each lane as a
+    scalar k is stored, for ``validate`` to check as one."""
+    if k.dtype.kind == "i" and ((-(2**62) < k) & (k < 2**62)).all():
+        k = k.astype(np.int64)
+    else:
+        lanes = k.tolist()
+        for value in lanes:
+            _require_real("k", value)
+        lanes = [_as_count(value) for value in lanes]
+        small = all(type(v) is int and -(2**62) < v < 2**62 for v in lanes)
+        k = np.array(lanes, dtype=np.int64 if small else object)
+    k.flags.writeable = False
+    return k
 
 
 def _as_count(k):
@@ -507,7 +558,7 @@ def ph_m(m: float) -> ClassSpec:
 
 def start_index(spec: ClassSpec) -> int:
     """First index n with a nonzero coefficient bound beyond the leading z:
-    2, or k + 1 past a gap of length k."""
+    2, or k + 1 past a gap of length k (one per lane for a k column)."""
     return spec.k + 1 if "k" in FAMILIES[spec.family].params else 2
 
 

@@ -136,12 +136,13 @@ class CoefficientRule:
     ``func(n, *params)`` must accept a float64 numpy array n and return the
     coefficients elementwise.  Each of ``params`` is a scalar, or a column of
     shape (L, 1) holding one value per lane, which ``func`` broadcasts
-    against n to give one row of coefficients per lane.  Every rule here has
-    c_n >= 0 and nonincreasing on n >= start, which validates the geometric
-    tail bound c_{N+1} r^{N+1} / (1 - r) of the verifier's direct sums and
-    of its envelope checks; and every c_n is a moment of a positive measure
-    on [0, 1], which validates the Euler-mean bound of its direct
-    alternating oracle.
+    against n to give one row of coefficients per lane; ``start`` is then
+    one int, or one per lane (a mixed-k gh-k-alpha rule).  Every rule here
+    has c_n >= 0 and nonincreasing on n >= start, which validates the
+    geometric tail bound c_{N+1} r^{N+1} / (1 - r) of the verifier's direct
+    sums and of its envelope checks; and every c_n is a moment of a
+    positive measure on [0, 1], which validates the Euler-mean bound of its
+    direct alternating oracle.
     """
 
     func: Callable[..., np.ndarray]
@@ -150,8 +151,8 @@ class CoefficientRule:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.start < 1:
-            raise DomainError(f"start must be >= 1, got {self.start}")
+        if np.min(self.start) < 1:
+            raise DomainError(f"start must be >= 1, got {np.min(self.start)}")
 
     def terms(self, n) -> np.ndarray:
         return np.asarray(

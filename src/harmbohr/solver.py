@@ -62,11 +62,12 @@ from .classes import (
     coefficient_rule,
     distance_bound,
     lane_groups,
+    lane_power,
     stack_lanes,
     take_lanes,
 )
 from .errors import ConvergenceError, DomainError
-from .series import SeriesValue, fields_equal, require
+from .series import SeriesValue, as_param, fields_equal, require
 
 _EPS = 2.0**-52
 
@@ -206,10 +207,10 @@ def _warm_start(spec: ClassSpec, target, hi):
     over the coefficients, one lane vector per index, elementwise.
     """
     rule = coefficient_rule(spec)
-    n0 = float(rule.start)
+    n0 = np.asarray(rule.start, dtype=np.float64)  # one start, or one per lane
     # n of shape (_WARM_TERMS, 1, 1) broadcasts against the (L, 1) lane
     # parameters: row j of coeffs holds c_(n0+j) of every lane.
-    coeffs = rule.terms(n0 + np.arange(_WARM_TERMS).reshape(-1, 1, 1))
+    coeffs = rule.terms(as_param(n0) + np.arange(_WARM_TERMS).reshape(-1, 1, 1))
     coeffs = coeffs.reshape(_WARM_TERMS, -1)
     x = hi
     for _ in range(_WARM_STEPS):
@@ -220,7 +221,7 @@ def _warm_start(spec: ClassSpec, target, hi):
             dq += q
             q *= x
             q += c
-        lead = x ** (n0 - 1.0)
+        lead = lane_power(x, rule.start, lambda x, n: x ** (float(n) - 1.0))
         p = x + lead * x * q
         dp = 1.0 + lead * (n0 * q + x * dq)
         x = np.minimum(np.maximum(x - (p - target) / dp, 0.0), hi)
@@ -360,11 +361,12 @@ def _raise_first(found: list) -> list[RadiusResult]:
 def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
     """Solve H(r) = 0 for many parameter points at once, one lane each.
 
-    Specs of one family and one k (``lane_groups``) are stacked into a lane
-    spec and solved by one ``_solve_lanes`` call; the results are split
-    from its lane record and come back in the order given, each bit for
-    bit what ``solve_radius`` returns for that spec alone.  If any spec
-    fails, this raises the error of the first failing spec in that order.
+    Specs of one family (``lane_groups``), whatever their k, are stacked
+    into a lane spec and solved by one ``_solve_lanes`` call; the results
+    are split from its lane record and come back in the order given, each
+    bit for bit what ``solve_radius`` returns for that spec alone.  If any
+    spec fails, this raises the error of the first failing spec in that
+    order.
     """
     return _raise_first(_solve_each(list(specs), config or SolverConfig()))
 

@@ -7,18 +7,19 @@ defining equation, and the named check suite behind ``harmbohr verify``
 cross-validates closed forms, series engines, and reductions between
 families against each other.
 
-The checks hand whole grids to the series engines as lane calls: all the
-sample radii of a spec in one ``growth_envelope`` or ``bohr_sum`` call, and
-specs of one family and k (``lane_groups``) stacked into one lane spec
-(``stack_lanes``), unless a spec is alone in its group.  Radii are solved
-once per suite, not per check: the registry names the specs each check
-solves and whether it forces Newton, and ``run_suite`` solves the union of
-its selected checks' specs in one lane pass per family, k and config
-before any check runs; a check's ``solve_radii`` reads its specs' results
-off that solve, and raises the error of its first failing spec.  Each lane
-comes out bit for bit as its own call would, so batching changes no
-verdict or detail; circle values stay one ``abs_on_circle`` call per
-radius.
+The checks hand whole grids to the series engines as lane calls: a check
+makes one ``growth_envelope``, ``bohr_sum`` or ``distance_bound`` call per
+family for all the radii of all its specs, whatever their k, stacked into
+one lane spec (``stack_lanes``, ``lane_groups``) unless a spec is alone in
+its family, and the tb-m grid of the closed-form checks is one lane array.
+Radii are solved once per suite, not per check: the registry names the
+specs each check solves and whether it forces Newton, and ``run_suite``
+solves the union of its selected checks' specs in one lane pass per
+family and config before any check runs; a check's ``solve_radii`` reads
+its specs' results off that solve, and raises the error of its first
+failing spec.  Each lane comes out bit for bit as its own call would, so
+batching changes no verdict or detail.  Circle values come from one
+``abs_on_circle`` call per spec and radius.
 
 Each family's d* - 1, an alternating sum with a Boole tail or a closed
 form, is checked against a direct sum of 2^14 of its terms closed by an
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -236,8 +237,8 @@ def _sharpness_reports(
     specs: list[ClassSpec], tol: float, cfg: SolverConfig
 ) -> list[SharpnessReport]:
     """``sharpness_check`` of each spec, with one batched solve for all of
-    them and one B evaluation per family and k, at every r_f and one step
-    beyond it."""
+    them and one B evaluation per family, at every r_f and one step beyond
+    it."""
     specs = list(specs)
     results = solve_radii(specs, cfg)
     reports: list = [None] * len(specs)
@@ -266,33 +267,47 @@ def _sharpness_reports(
     return reports
 
 
-def _bohr_on_grids(
-    specs: list[ClassSpec], grids: list[np.ndarray]
-) -> list[tuple[SeriesValue, SeriesValue]]:
-    """(B over ``grids[i]``, d*) for each spec i, from one ``distance_bound``
-    and one ``bohr_sum`` per family and k.  A spec alone in its group is
-    evaluated as it is, over its grid; a larger group stacks its specs into
-    one lane spec for d*, and B's lanes repeat each spec across its grid
-    (picked by index, not stacked spec by spec)."""
+def _d_stars(specs: list[ClassSpec]) -> list[SeriesValue]:
+    """d* of each spec as floats, from one ``distance_bound`` call per
+    family; a spec alone in its family is evaluated as it is."""
     found: list = [None] * len(specs)
     for idx in lane_groups(specs):
         if len(idx) == 1:
-            (i,) = idx
-            found[i] = (bohr_sum(specs[i], grids[i]), distance_bound(specs[i]))
+            found[idx[0]] = distance_bound(specs[idx[0]])
             continue
-        lanes = stack_lanes(specs[i] for i in idx)
-        d = distance_bound(lanes)
+        d = distance_bound(stack_lanes(specs[i] for i in idx))
+        for j, i in enumerate(idx):
+            found[i] = SeriesValue(float(d.value[j]), float(d.error_bound[j]))
+    return found
+
+
+def _on_grids(engine: Callable, specs: list[ClassSpec], grids: list[np.ndarray]) -> list:
+    """``engine(spec, grids[i])`` for each spec i, ``engine`` being
+    ``bohr_sum`` or ``growth_envelope``, from one call per family.  A spec
+    alone in its family is evaluated as it is, over its grid; a larger
+    family's lanes repeat each spec across its grid (picked by index, not
+    stacked spec by spec), and each spec gets its part of every field."""
+    found: list = [None] * len(specs)
+    for idx in lane_groups(specs):
+        if len(idx) == 1:
+            found[idx[0]] = engine(specs[idx[0]], grids[idx[0]])
+            continue
         sizes = [grids[i].size for i in idx]
-        each = take_lanes(lanes, np.repeat(np.arange(len(idx)), sizes))
-        b = bohr_sum(each, np.concatenate([grids[i] for i in idx]))
+        each = take_lanes(stack_lanes(specs[i] for i in idx), np.repeat(np.arange(len(idx)), sizes))
+        out = engine(each, np.concatenate([grids[i] for i in idx]))
         ends = np.cumsum(sizes).tolist()
         for j, i in enumerate(idx):
             part = slice(ends[j] - sizes[j], ends[j])
-            found[i] = (
-                SeriesValue(b.value[part], b.error_bound[part]),
-                SeriesValue(float(d.value[j]), float(d.error_bound[j])),
-            )
+            found[i] = type(out)(*(getattr(out, f.name)[part] for f in fields(out)))
     return found
+
+
+def _bohr_on_grids(
+    specs: list[ClassSpec], grids: list[np.ndarray]
+) -> list[tuple[SeriesValue, SeriesValue]]:
+    """(B over ``grids[i]``, d*) for each spec i, from one ``bohr_sum`` and
+    one ``distance_bound`` call per family."""
+    return list(zip(_on_grids(bohr_sum, specs, grids), _d_stars(specs)))
 
 
 def _first_violations(
@@ -315,44 +330,57 @@ def _first_violations(
     return found
 
 
+_ENVELOPE_SAMPLES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
 def envelope_check(
     spec: ClassSpec,
-    samples: Iterable[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
+    samples: Iterable[float] = _ENVELOPE_SAMPLES,
     truncation: int = 10_000,
     tol: float = 1e-8,
 ) -> EnvelopeReport:
     """Check envelope containment and touch-point equality for the extremal.
 
-    Both envelopes at every sample come from one ``growth_envelope`` call.
-    At each sample radius the extremal is evaluated once, on a circle grid
-    of 24 k points, where k is the gap of its powers (``start_index`` - 1:
-    1 for every family but gh-k-alpha).  Containment is checked over the
-    whole grid, upper equality at angle 0 (point 0) and lower equality at
+    Both envelopes at every sample come from one ``growth_envelope`` call,
+    which the suite's ``envelope-*`` checks make once for the three specs
+    of a family.  At each sample radius the extremal is evaluated once, on
+    a circle grid of 24 k points, where k is the gap of its powers
+    (``start_index`` - 1: 1 for every family but gh-k-alpha).  Containment
+    is checked over the whole grid, upper equality at angle 0 (point 0) and lower equality at
     pi/k (point 12), all within tol plus the truncation bound of the
     coefficient cutoff.  A gap of ``truncation`` or more leaves the
     truncated extremal z alone, with |f| = r at every angle, and a grid of
     24 points.
     """
+    return _envelope_reports([spec], samples, truncation, tol)[0]
+
+
+def _envelope_reports(
+    specs: list[ClassSpec], samples: Iterable[float], truncation: int, tol: float
+) -> list[EnvelopeReport]:
+    """``envelope_check`` of each spec, with both envelopes of every spec at
+    every sample from one ``growth_envelope`` call per family."""
     samples = tuple(float(r) for r in samples)
     if any(not 0.0 < r < 1.0 for r in samples):
         raise DomainError("all samples must lie in (0, 1)")
-    ext = extremal_coefficients(spec, truncation)
-    k = start_index(spec) - 1
-    thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
-    # Both envelopes and the truncation bound at every sample at once.
     rs = np.array(samples)
-    env = growth_envelope(spec, rs)
-    slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
-    rows = []
-    passed = True
-    for r, lower, upper, slack in zip(samples, env.lower.tolist(), env.upper.tolist(), slacks):
-        values = _kernels.abs_on_circle(ext, r, thetas)
-        at_upper, at_lower = float(values[0]), float(values[12])
-        contained = bool(np.all(values >= lower - slack) and np.all(values <= upper + slack))
-        ok = contained and abs(at_upper - upper) <= slack and abs(at_lower - lower) <= slack
-        passed = passed and ok
-        rows.append(EnvelopeRow(r, lower, upper, at_lower, at_upper, contained))
-    return EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows))
+    reports = []
+    for spec, env in zip(specs, _on_grids(growth_envelope, specs, [rs] * len(specs))):
+        ext = extremal_coefficients(spec, truncation)
+        k = start_index(spec) - 1
+        thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
+        slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
+        rows = []
+        passed = True
+        for r, lower, upper, slack in zip(samples, env.lower.tolist(), env.upper.tolist(), slacks):
+            values = _kernels.abs_on_circle(ext, r, thetas)
+            at_upper, at_lower = float(values[0]), float(values[12])
+            contained = bool(np.all(values >= lower - slack) and np.all(values <= upper + slack))
+            ok = contained and abs(at_upper - upper) <= slack and abs(at_lower - lower) <= slack
+            passed = passed and ok
+            rows.append(EnvelopeRow(r, lower, upper, at_lower, at_upper, contained))
+        reports.append(EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows)))
+    return reports
 
 
 # The direct alternating oracle of ``alt-engine-vs-direct-sum``: 2^14 plain
@@ -464,11 +492,9 @@ def _make_closed_vs_bisection_check(specs: tuple[ClassSpec, ...]):
     return check
 
 def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
-    residuals = []
-    for m in _TB_MS:
-        r = closed_form_radius(tb_m(m))
-        residuals.append(abs(m * r * r + 2.0 * r + (m - 2.0)))
-    worst = float(np.max(residuals))
+    m = np.array(_TB_MS)
+    r = closed_form_radius(tb_m(m))
+    worst = float(np.max(np.abs(m * r * r + 2.0 * r + (m - 2.0))))
     ref = abs(closed_form_radius(tb_m(1.0)) - (math.sqrt(2.0) - 1.0))
     ok = worst <= 1e-12 and ref <= 1e-12
     return ok, f"max quadratic residual = {worst:.2e}; |r(1) - (sqrt(2)-1)| = {ref:.2e}"
@@ -476,17 +502,15 @@ def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
 def _check_jacobian_half(cfg: SolverConfig) -> tuple[bool, str]:
     # The textbook root of 4m r^2 + 4r + (m - 2) = 0, against which the
     # halved tb-m closed form is measured.
-    gaps = [
-        abs(jacobian_radius(m) - (math.sqrt(1.0 + 2.0 * m - m * m) - 1.0) / (2.0 * m))
-        for m in _TB_MS
-    ]
+    m = np.array(_TB_MS)
+    gaps = np.abs(jacobian_radius(m) - (np.sqrt(1.0 + 2.0 * m - m * m) - 1.0) / (2.0 * m))
     # np.max, unlike max(), lets a NaN through to fail the check.
     worst = float(np.max(gaps))
     return worst <= 1e-15, f"max |jacobian - (sqrt(1 + 2m - m^2) - 1)/(2m)| = {worst:.2e}"
 
 def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
-    deficits = [abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m)) for m in _TB_MS]
-    worst = float(np.max(deficits))
+    m = np.array(_TB_MS)
+    worst = float(np.max(np.abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m))))
     # The functional is max|f| + r max|h'| + sum_{n>=2} |a_n| r^n of the
     # extremal on |z| = r, each term measured from its coefficients; it must
     # match from both sides.
@@ -581,27 +605,22 @@ def _make_h_monotone_check(fam: Family):
 
     return check
 
-def _h_signs(spec: ClassSpec, rs: np.ndarray, d) -> np.ndarray:
-    """The sign of H = B - d* on a grid of r, 0 where |H| is within its
-    error bound; ``d`` is the spec's d*."""
-    # B(r) >= r makes H(r) >= r - d*: a free positivity certificate that
-    # also avoids series evaluation close to r = 1 where truncation budgets
-    # would blow up.
-    signs = np.ones_like(rs)
-    near = ~(rs - d.value > d.error_bound + 1e-12)
-    b = bohr_sum(spec, rs[near])
-    h = b.value - d.value
-    signs[near] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
-    return signs
-
-
 def _make_sign_change_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
+        # The sign of H = B - d* on a grid of r, 0 where |H| is within its
+        # error bound.  B(r) >= r makes H(r) >= r - d*: a free positivity
+        # certificate that also avoids series evaluation close to r = 1.
         ok = True
         counts = []
-        for spec in _rep_specs(fam):
-            d = distance_bound(spec)
-            signs = _h_signs(spec, np.linspace(0.0, 1.0 - 1e-9, 1000), d)
+        specs = list(_rep_specs(fam))
+        rs = np.linspace(0.0, 1.0 - 1e-9, 1000)
+        d_stars = _d_stars(specs)
+        nears = [~(rs - d.value > d.error_bound + 1e-12) for d in d_stars]
+        bs = _on_grids(bohr_sum, specs, [rs[near] for near in nears])
+        for d, near, b in zip(d_stars, nears, bs):
+            signs = np.ones_like(rs)
+            h = b.value - d.value
+            signs[near] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
             nonzero = signs[signs != 0.0]
             changes = int(np.count_nonzero(np.diff(nonzero)))
             counts.append(changes)
@@ -624,11 +643,11 @@ def _make_generic_sum_check(fam: Family):
         # the tail bound certifies the cut-off.  The target is 1e-12.
         gaps, tails = [], []
         rs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        for spec in _rep_specs(fam):
+        specs = list(_rep_specs(fam))
+        for spec, b in zip(specs, _on_grids(bohr_sum, specs, [rs] * len(specs))):
             rule = coefficient_rule(spec)
             ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
             c = rule.terms(ns)
-            b = bohr_sum(spec, rs)
             for r, b_r in zip(rs.tolist(), b.value.tolist()):
                 gaps.append(abs(b_r - (r + float(c @ r**ns))))
             tails.append(_tail_bound(spec, int(ns[-1]), rs))
@@ -645,7 +664,7 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
     # the oracle's truncation and rounding bound.
     specs = [ph_alpha(0.3), wh_alpha(0.5), wh_alpha(1.0), ph_m(1.0), gh_k_alpha(1, 0.5),
              gh_k_alpha(1, 2.0)]
-    found = [distance_bound(spec) for spec in specs]
+    found = _d_stars(specs)
     direct = _direct_alt_euler_mean(map(coefficient_rule, specs), _ORACLE_TERMS, _EULER_K)
     gaps = np.abs(np.array([d.value - 1.0 for d in found]) - direct.value)
     allowed = np.array([d.error_bound for d in found]) + direct.error_bound
@@ -668,10 +687,8 @@ def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
 
 def _make_envelope_check(fam: Family):
     def check(cfg: SolverConfig) -> tuple[bool, str]:
-        ok = True
-        for spec in _rep_specs(fam):
-            rep = envelope_check(spec)
-            ok = ok and rep.passed
+        reports = _envelope_reports(list(_rep_specs(fam)), _ENVELOPE_SAMPLES, 10_000, 1e-8)
+        ok = all(rep.passed for rep in reports)
         return ok, "touch-point equality and containment at 5 radii per spec"
 
     return check
@@ -703,11 +720,9 @@ def _make_scan_check(fam: Family):
 
 def _check_g_alt_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
     # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha).
-    ok = True
-    for k in (1, 2, 3):
-        lanes = stack_lanes(gh_k_alpha(k, a) for a in (0.5, 1.0, 2.0, 4.0))
-        values = (distance_bound(lanes).value - 1.0).tolist()
-        ok = ok and all(b > a for a, b in zip(values, values[1:])) and values[-1] < 0.0
+    lanes = stack_lanes(gh_k_alpha(k, a) for k in (1, 2, 3) for a in (0.5, 1.0, 2.0, 4.0))
+    rows = (distance_bound(lanes).value - 1.0).reshape(3, -1).tolist()
+    ok = all(all(b > a for a, b in zip(v, v[1:])) and v[-1] < 0.0 for v in rows)
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 
 def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
@@ -833,7 +848,7 @@ def _build_registry() -> list[_Check]:
 
 def _solve_suite(checks: list[_Check], cfg: SolverConfig) -> dict:
     """Every (spec, config) the checks solve, mapped to its RadiusResult or
-    ConvergenceError, from one lane pass per family, k and config."""
+    ConvergenceError, from one lane pass per family and config."""
     wanted: dict[SolverConfig, dict[ClassSpec, None]] = {}
     for check in checks:
         check_cfg = replace(cfg, prefer_closed_form=False) if check.newton else cfg

@@ -252,6 +252,13 @@ class TestValidByConstruction:
         assert copied.alpha.dtype == np.float64 and not copied.alpha.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             copied.alpha[0] = 7.0
+        # A k column is copied and checked like the lane arrays.
+        mixed = stack_lanes([gh_k_alpha(2, 0.1), gh_k_alpha(3, 0.2)])
+        calls.clear()
+        copied = rebuild(mixed)
+        assert calls == [copied] and copied == mixed
+        assert not np.shares_memory(copied.k, mixed.k)
+        assert copied.k.dtype == np.int64 and not copied.k.flags.writeable
 
     def test_lane_specs_compare_by_fields(self):
         grid = [wh_alpha(0.1), wh_alpha(0.2), wh_alpha(0.3)]
@@ -943,9 +950,8 @@ class TestLanes:
                 make_spec(spec.family, **{**spec.params(), name: values[kept]})
 
     def test_mixed_lanes_rejected(self):
-        with pytest.raises(DomainError):
-            stack_lanes([gh_k_alpha(1, 1.0), gh_k_alpha(2, 1.0)])
-        with pytest.raises(DomainError):
+        # Lanes share a family; their k may differ (TestMixedK).
+        with pytest.raises(DomainError, match="one family"):
             stack_lanes([ph_alpha(0.1), wh_alpha(0.1)])
 
     def test_no_lanes_rejected(self):
@@ -975,7 +981,7 @@ class TestLanes:
         # beyond: every lane is the one-spec call bit for bit.
         from harmbohr.verifier import STANDARD_GRIDS
 
-        specs = [s for s in STANDARD_GRIDS[family] if s.k in (None, 2)]
+        specs = list(STANDARD_GRIDS[family])  # gh-k-alpha's mix k = 1, 2, 3
         rs = np.linspace(0.05, 0.6, len(specs))
         rs = np.concatenate([rs, rs + 1e-6])
         b = bohr_sum(stack_lanes(specs * 2), rs)
@@ -1000,3 +1006,103 @@ class TestDistanceAccuracy:
             d = distance_bound(spec)
             assert abs(d.value - exact) <= 4.0 * EPS
             assert abs(d.value - exact) <= d.error_bound <= tol
+
+
+def bits(x):
+    """The bits of a float or of every entry of an array, as int64."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# gh-k-alpha's alpha grid for the mixed-k lanes: the domain's lower edge
+# (the least subnormal), both sides of the slope bound's partial-fraction
+# switch, moderate values, and the cap of k alpha at 1e300 and beyond
+# (up to 1e306: past about 5e306 the Lerch head warns of an overflow).
+MIXED_ALPHAS = [5e-324, 1e-300, 9.9e-281, 1e-280, 1.01e-280, 1e-3, 0.5, 1.0, 2.0, 1e8, 1e300,
+                1e306]
+
+
+def mixed_k_specs():
+    """gh-k-alpha for k = 1..8 over MIXED_ALPHAS, k varying fastest."""
+    return [gh_k_alpha(k, a) for a in MIXED_ALPHAS for k in range(1, 9)]
+
+
+class TestMixedK:
+    """A lane spec of gh-k-alpha may mix k: every lane is its one-spec call,
+    bit for bit."""
+
+    def test_stacked_k_is_one_int_or_a_column(self):
+        assert type(stack_lanes([gh_k_alpha(2, a) for a in (0.5, 1.0)]).k) is int
+        lanes = stack_lanes([gh_k_alpha(k, 1.0) for k in (3, 1, 3, 2)])
+        assert lanes.k.dtype == np.int64 and lanes.k.tolist() == [3, 1, 3, 2]
+        assert not lanes.k.flags.writeable
+        assert start_index(lanes).tolist() == [4, 2, 4, 3]
+        assert take_lanes(lanes, [1, 3]).k.tolist() == [1, 2]
+        assert lane_groups([gh_k_alpha(1, 1.0), wh_alpha(0.5), gh_k_alpha(2, 1.0)]) == [[0, 2], [1]]
+        # A k beyond int64 stays an exact int, in an object column.
+        huge = stack_lanes([gh_k_alpha(1, 1.0), gh_k_alpha(10**20, 1.0)])
+        assert huge.k.dtype == object and huge.k.tolist() == [1, 10**20]
+        assert start_index(huge).tolist() == [2, 10**20 + 1]
+
+    def test_majorant_envelope_and_d_star_per_lane(self):
+        # One radius per lane, random but for the ends of [0, 1): numpy's
+        # exact square r ** 2 and its power with an exponent array differ
+        # on about 5% of radii, so a k column taken as exponents shows here.
+        specs = mixed_k_specs() * 5
+        rng = np.random.default_rng(29)
+        rs = np.concatenate([[0.0, 0.999999], rng.uniform(0.0, 1.0, len(specs) - 2)])
+        lanes = stack_lanes(specs)
+        b = bohr_sum(lanes, rs)
+        env = growth_envelope(lanes, rs)
+        d = distance_bound(lanes)
+        slope = FAMILIES[Family.GH_K_ALPHA].majorant(lanes, rs)[1]
+        for i, (spec, r) in enumerate(zip(specs, rs.tolist())):
+            one_b, one_env = bohr_sum(spec, r), growth_envelope(spec, r)
+            one_d = distance_bound(spec)
+            assert bits([b.value[i], b.error_bound[i]]).tolist() == bits(
+                [one_b.value, one_b.error_bound]).tolist(), (spec, r)
+            assert bits([env.lower[i], env.upper[i], env.error_bound[i]]).tolist() == bits(
+                [one_env.lower, one_env.upper, one_env.error_bound]).tolist(), (spec, r)
+            assert bits([d.value[i], d.error_bound[i]]).tolist() == bits(
+                [one_d.value, one_d.error_bound]).tolist(), spec
+            one_slope = FAMILIES[Family.GH_K_ALPHA].majorant(spec, np.asarray(r))[1]
+            assert bits(slope[i]) == bits(one_slope), (spec, r)
+
+    def test_one_radius_for_every_lane(self):
+        specs = mixed_k_specs()
+        b = bohr_sum(stack_lanes(specs), 0.6)
+        assert bits(b.value).tolist() == bits([bohr_sum(s, 0.6).value for s in specs]).tolist()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (0, "k must be an integer >= 1, got 0"),
+            (2.5, "k must be an integer >= 1, got 2.5"),
+            (float("nan"), "k must be an integer >= 1, got nan"),
+            (2**1100, "k must convert to a finite float, got an integer of 1101 bits"),
+        ],
+        ids=["zero", "fraction", "nan", "beyond-float"],
+    )
+    def test_bad_lane_raises_the_scalar_error(self, bad, message):
+        with pytest.raises(ValidationError) as scalar:
+            make_spec(Family.GH_K_ALPHA, k=bad, alpha=1.0)
+        assert str(scalar.value) == message
+        # The first bad lane is named, whatever lanes follow it.
+        ks = np.array([1, 2, bad, 3, -5, 0.5], dtype=object)
+        alphas = np.ones(ks.size)
+        with pytest.raises(ValidationError) as lanes:
+            ClassSpec(Family.GH_K_ALPHA, alpha=alphas, k=ks)
+        assert str(lanes.value) == message
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(stack_lanes([gh_k_alpha(1, 1.0)] * 6), k=ks)
+        assert str(replaced.value) == message
+
+    def test_integral_float_column_becomes_ints(self):
+        lanes = ClassSpec(Family.GH_K_ALPHA, alpha=np.ones(3), k=np.array([2.0, 1.0, 5.0]))
+        assert lanes.k.dtype == np.int64 and lanes.k.tolist() == [2, 1, 5]
+        assert lanes == stack_lanes([gh_k_alpha(k, 1.0) for k in (2, 1, 5)])
+
+    def test_column_must_match_the_lanes(self):
+        with pytest.raises(ValidationError, match="one per lane, got 2 for 3 lanes"):
+            ClassSpec(Family.GH_K_ALPHA, alpha=np.ones(3), k=np.array([1, 2]))
+        with pytest.raises(ValidationError, match="k must be a real number"):
+            ClassSpec(Family.GH_K_ALPHA, alpha=np.ones(2), k=np.array([1, "2"], dtype=object))

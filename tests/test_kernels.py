@@ -1,6 +1,7 @@
 """Tests for the circle-evaluation kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,3 +132,100 @@ class TestAbsOnCircle:
     def test_empty_grid_gives_empty_result(self):
         out = abs_on_circle(COEFFS, 0.5, np.array([]))
         assert out.shape == (0,)
+
+
+def bincount_abs(coeffs, rho, thetas):
+    # The fold as np.bincount writes it, over the terms the kernel keeps.
+    from harmbohr._kernels import _live_terms
+
+    m = thetas.size
+    n = _live_terms(coeffs, float(rho))
+    j = np.arange(1, n + 1)
+    folded = np.bincount(j % m, weights=coeffs[:n] * float(rho) ** j, minlength=m)
+    return np.abs(np.fft.ifft(folded) * m)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def same_as_bincount(coeffs, rho, thetas):
+    """The kernel and the bincount fold agree bit for bit, and warn alike."""
+    outs, said = [], []
+    for fold in (abs_on_circle, bincount_abs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outs.append(fold(coeffs, rho, thetas))
+        said.append([str(w.message) for w in caught])
+    return same_bits(*outs) and said[0] == said[1]
+
+
+class TestFoldByRows:
+    """The reshape fold adds each bin's terms in the order np.bincount does,
+    so every output keeps its bits."""
+
+    M = 24
+
+    @pytest.mark.parametrize(
+        "n", [1, 5, M - 1, M, M + 1, 3 * M - 1, 3 * M, 3 * M + 1, 10_000], ids=lambda n: f"n{n}"
+    )
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999, 1.0, 1.5, -0.7])
+    def test_equals_bincount(self, n, rho):
+        rng = np.random.default_rng(n)
+        coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1)
+        thetas = np.linspace(0.0, 2.0 * math.pi, self.M, endpoint=False)
+        assert same_as_bincount(coeffs, rho, thetas)
+
+    def test_rho_at_least_one_keeps_every_term(self):
+        from harmbohr._kernels import _live_terms
+
+        coeffs = np.full(100, 1e-3)
+        for rho in (1.0, -1.0, 1.01, np.nan):
+            assert _live_terms(coeffs, rho) == 100
+
+    def test_one_live_term(self):
+        # 0.5^1022 is the last normal power: one term per bin of 72 lives.
+        coeffs = np.zeros(1_100)
+        coeffs[1_021] = 1.0
+        thetas = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
+        got = abs_on_circle(coeffs, 0.5, thetas)
+        assert same_bits(got, bincount_abs(coeffs, 0.5, thetas))
+
+    @pytest.mark.parametrize("m", [8, 24, 720])
+    def test_all_zero_coefficients(self, m):
+        thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        for rho in (0.0, 0.5, 1.0):
+            got = abs_on_circle(np.zeros(50), rho, thetas)
+            assert same_bits(got, bincount_abs(np.zeros(50), rho, thetas))
+            assert not got.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 23, 24, 60])
+    def test_non_finite_coefficients_propagate(self, bad, at):
+        coeffs = np.linspace(1.0, 0.1, 61)
+        coeffs[at] = bad
+        thetas = np.linspace(0.0, 2.0 * math.pi, self.M, endpoint=False)
+        for rho in (0.5, 1.0):
+            assert same_as_bincount(coeffs, rho, thetas)
+            with np.errstate(invalid="ignore"):
+                assert not np.isfinite(abs_on_circle(coeffs, rho, thetas)).any()
+
+    def test_inf_and_nan_in_one_bin(self):
+        coeffs = np.ones(100)
+        coeffs[[4, 4 + self.M]] = (np.inf, -np.inf)
+        thetas = np.linspace(0.0, 2.0 * math.pi, self.M, endpoint=False)
+        assert same_as_bincount(coeffs, 0.9, thetas)
+        assert np.isnan(abs_on_circle(coeffs, 0.9, thetas)).all()
+
+    def test_extremals_of_every_family(self):
+        # The coefficients the verifier folds, at its radii and grids.
+        from harmbohr.verifier import STANDARD_GRIDS
+
+        for specs in STANDARD_GRIDS.values():
+            for spec in specs[::4]:
+                coeffs = extremal_coefficients(spec, 10_000)
+                for m in (24, 72, 720):
+                    thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+                    for rho in (0.1, 0.5, 0.9, 0.999):
+                        got = abs_on_circle(coeffs, rho, thetas)
+                        assert same_bits(got, bincount_abs(coeffs, rho, thetas)), (spec, m, rho)

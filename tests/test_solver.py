@@ -932,3 +932,66 @@ class TestHonestTolerance:
         width = exc_info.value.achieved.error_bound
         result = solve_radius(ph_alpha(0.3), SolverConfig(tol=width))
         assert result.bracket_hi - result.bracket_lo <= width
+
+
+class TestMixedKLanes:
+    """A gh-k-alpha lane spec that mixes k solves every lane bit for bit as
+    its one-spec call, warm start included."""
+
+    # The lower domain edge, both sides of the slope bound's switch at
+    # 1e-280, moderate values and the cap of k alpha at 1e300.
+    ALPHAS = (5e-324, 1e-300, 9.9e-281, 1.01e-280, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e300)
+
+    @staticmethod
+    def specs():
+        return [gh_k_alpha(k, a) for a in TestMixedKLanes.ALPHAS for k in range(1, 9)]
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+    def test_solve_radii_lanes_are_one_spec_solves(self):
+        from harmbohr.classes import lane_groups, stack_lanes
+        from harmbohr.solver import _solve_lanes, _split_lanes
+
+        specs = self.specs()
+        assert lane_groups(specs) == [list(range(len(specs)))]
+        lanes, errors = _solve_lanes(stack_lanes(specs), SolverConfig())
+        assert not errors
+        for spec, got, want in zip(specs, _split_lanes(lanes), solve_radii(specs)):
+            alone = solve_radius(spec)
+            fields = ("radius", "residual", "bracket_lo", "bracket_hi")
+            assert self.bits([getattr(got, f) for f in fields]) == self.bits(
+                [getattr(alone, f) for f in fields]), spec
+            assert self.bits([got.d_star.value, got.d_star.error_bound]) == self.bits(
+                [alone.d_star.value, alone.d_star.error_bound]), spec
+            assert got.iterations == alone.iterations and want == alone
+
+    def test_warm_start_per_lane(self):
+        from harmbohr.classes import stack_lanes
+        from harmbohr.solver import _BELOW_ONE, _warm_start
+
+        # x ** 2 differs from x ** an exponent array on about 5% of x, and
+        # the start keeps that last bit on about 0.5% of lanes: 2,400 more
+        # lanes with random alpha show a k column taken as exponents.
+        alphas = np.random.default_rng(29).uniform(0.01, 5.0, 300).tolist()
+        specs = self.specs() + [gh_k_alpha(k, a) for a in alphas for k in range(1, 9)]
+        lanes = stack_lanes(specs)
+        d = distance_bound(lanes)
+        target = d.value + d.error_bound
+        hi = np.minimum(target, _BELOW_ONE)
+        x = _warm_start(lanes, target, hi)
+        for i, spec in enumerate(specs):
+            one = _warm_start(stack_lanes([spec]), target[i : i + 1], hi[i : i + 1])
+            assert self.bits(x[i]) == self.bits(one[0]), spec
+
+    def test_failing_lane_keeps_its_own_error(self):
+        # One Newton step localises none of these roots from its warm
+        # start: each lane raises the error its own solve raises.
+        cfg = SolverConfig(max_iter=1)
+        specs = [gh_k_alpha(3, 1e8), gh_k_alpha(1, 1e7)]
+        with pytest.raises(ConvergenceError) as lanes:
+            solve_radii(specs, cfg)
+        with pytest.raises(ConvergenceError) as alone:
+            solve_radius(specs[0], cfg)
+        assert str(lanes.value) == str(alone.value)

@@ -221,8 +221,8 @@ class TestBohrScan:
 
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_grouped_lanes_equal_one_spec_calls(self, family):
-        # Three specs with grids of different sizes; gh-k-alpha's differ in
-        # k and so form three groups.
+        # Three specs with grids of different sizes, in one group; the
+        # gh-k-alpha specs differ in k, so their lane spec has a k column.
         specs = [STANDARD_GRIDS[Family(family)][i] for i in (0, -1, 1)]
         grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.9, 7), (0.3, 2))]
         got = _bohr_on_grids(specs, grids)
@@ -231,8 +231,8 @@ class TestBohrScan:
             assert d == distance_bound(spec)
 
     def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self, monkeypatch):
-        # gh-k-alpha's representative specs differ in k: each is its own
-        # group, and B is summed on the spec itself over its own grid.
+        # Specs of three families: each is its own group, and B is summed
+        # on the spec itself over its own grid.
         from harmbohr import verifier
 
         calls = []
@@ -242,14 +242,14 @@ class TestBohrScan:
             return bohr_sum(spec, r)
 
         monkeypatch.setattr(verifier, "bohr_sum", recorded)
-        specs = [gh_k_alpha(1, 0.5), gh_k_alpha(2, 1.0), gh_k_alpha(3, 2.0)]
+        specs = [gh_k_alpha(1, 0.5), wh_alpha(1.0), ph_m(0.5)]
         grids = [np.linspace(0.0, 0.95, n) for n in (100, 7, 2)]
         _bohr_on_grids(specs, grids)
         assert len(calls) == 3
         for (spec, r), want, grid in zip(calls, specs, grids):
             assert spec is want and r is grid
 
-    def test_one_lane_call_per_family_and_k(self, monkeypatch):
+    def test_one_lane_call_per_family(self, monkeypatch):
         from harmbohr import verifier
 
         calls = []
@@ -265,7 +265,7 @@ class TestBohrScan:
 
         counted("bohr_sum")
         counted("distance_bound")
-        specs = [wh_alpha(0.0), gh_k_alpha(2, 1.0), wh_alpha(1.0), gh_k_alpha(2, 3.0)]
+        specs = [wh_alpha(0.0), gh_k_alpha(2, 1.0), wh_alpha(1.0), gh_k_alpha(3, 3.0)]
         found = _first_violations(specs, [0.6, 0.6, 0.6, 0.6], 100)
         assert sorted(calls) == ["bohr_sum"] * 2 + ["distance_bound"] * 2
         calls.clear()
@@ -686,8 +686,8 @@ class TestRunSuite:
     def test_g_alt_monotonicity_fails_when_d_star_stops_increasing(self, monkeypatch):
         # gh-k-alpha's d* is increasing in alpha; a d* that falls at
         # alpha = 4 must fail the check, under the same name and detail.
-        # The check reads each k's four alphas as one lane spec, so only
-        # the alpha = 4 lane is lowered.
+        # The check reads the four alphas of every k as one lane spec, so
+        # only the alpha = 4 lanes are lowered.
         from harmbohr import verifier
 
         name = "g-alt-alpha-monotonicity"
@@ -773,15 +773,16 @@ class TestLaneCallsPerSuite:
             counted(classes, name)
         report = run_suite()
         assert len(report.results) == 51 and report.passed
-        # Six envelope checks of three specs each, plus six floor checks.
-        assert counts["growth_envelope"] == 24
-        assert counts["bohr_sum"] <= 60
-        # alt-engine-vs-direct-sum reads d* of its six specs one by one.
-        assert counts["distance_bound"] <= 44
-        assert counts["lerch_sum"] <= 39
-        assert counts["_wh_sums"] <= 24
-        assert counts["alt_lerch_sum"] <= 25
-        assert counts["_wh_alt"] <= 15
+        # One call per envelope check for its three specs, plus six floor
+        # checks.
+        assert counts["growth_envelope"] == 12
+        # One call per check and family, whatever the k of its specs.
+        assert counts["bohr_sum"] == 30
+        assert counts["distance_bound"] == 24
+        assert counts["lerch_sum"] == 11
+        assert counts["_wh_sums"] == 10
+        assert counts["alt_lerch_sum"] == 8
+        assert counts["_wh_alt"] == 7
 
 
     @staticmethod
@@ -802,25 +803,29 @@ class TestLaneCallsPerSuite:
     @staticmethod
     def lanes_of(passes):
         """The (family, k, swept value, config) of every lane solved."""
-        return [
-            (spec.family, spec.k, value, cfg)
-            for spec, cfg in passes
-            for value in list(spec.params().values())[-1].tolist()
-        ]
+        lanes = []
+        for spec, cfg in passes:
+            values = list(spec.params().values())[-1].tolist()
+            ks = spec.k.tolist() if isinstance(spec.k, np.ndarray) else [spec.k] * len(values)
+            lanes += [(spec.family, k, value, cfg) for k, value in zip(ks, values)]
+        return lanes
 
     def test_a_full_suite_solves_each_spec_once(self, monkeypatch):
         # 46 STANDARD_GRIDS specs with the closed-form preference and 29
-        # gt-beta/tb-m specs with Newton forced: one pass per family, k and
-        # config, 10 in all (27 passes over 121 lanes when each check
-        # solved its own specs).
+        # gt-beta/tb-m specs with Newton forced: one pass per family and
+        # config, 8 in all, gh-k-alpha's nine specs in one pass whatever
+        # their k (10 passes when each k had its own, and 27 passes over
+        # 121 lanes when each check solved its own specs).
         passes = self.counted_passes(monkeypatch)
         report = run_suite()
         assert len(report.results) == 51 and report.passed
         lanes = self.lanes_of(passes)
-        assert len(passes) == 10
+        assert len(passes) == 8
         assert len(lanes) == len(set(lanes)) == 75
-        groups = {(spec.family, spec.k, cfg) for spec, cfg in passes}
+        groups = {(spec.family, cfg) for spec, cfg in passes}
         assert len(groups) == len(passes)
+        (gh,) = [spec for spec, _ in passes if spec.family is Family.GH_K_ALPHA]
+        assert gh.k.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
         # The shared solve is timed once, apart from every check's seconds.
         assert report.solve_seconds > 0.0
 
@@ -920,10 +925,14 @@ class TestWorstCaseFoldsFailOnNaN:
 
         closed_form_radius = verifier.closed_form_radius
 
+        reference = self.run_one("quadratic-residual-tb-m").detail.split("; ")[1]
+
         def nan_off_one(spec):
-            return closed_form_radius(spec) if spec.m == 1.0 else float("nan")
+            # NaN on every lane of a lane spec but m = 1, and on a float
+            # spec unless m = 1.
+            return np.where(spec.m == 1.0, closed_form_radius(spec), np.nan)[()]
 
         monkeypatch.setattr(verifier, "closed_form_radius", nan_off_one)
         result = self.run_one("quadratic-residual-tb-m")
         assert not result.passed
-        assert result.detail.startswith("max quadratic residual = nan;")
+        assert result.detail == f"max quadratic residual = nan; {reference}"
