@@ -125,8 +125,10 @@ def parse_grid(text: str) -> list[float]:
     if (hi - lo) / step + 1.0 > MAX_GRID_POINTS:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     # lo + i*step grows with i, so the points kept are a prefix of these;
-    # numpy rounds each product and sum as Python's floats do.
-    values = lo + np.arange(int((hi - lo) / step) + 2.0) * step
+    # numpy rounds each product and sum as Python's floats do.  Near the
+    # float maximum a point past hi may be inf, which the bound drops.
+    with np.errstate(over="ignore"):
+        values = lo + np.arange(int((hi - lo) / step) + 2.0) * step
     return values[values < hi + step / 2.0].tolist()
 
 

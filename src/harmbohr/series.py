@@ -292,9 +292,10 @@ def _head_sums(count, width, terms, *lanes):
 
 def _lerch_terms(r, c, s):
     """r^m / (c + s m) for m < 32, a row per lane column."""
-    terms, den = np.power(r, _LERCH_M), s * _LERCH_M
-    # c + s m past the float range is inf, and its term the limit 0.
+    terms = np.power(r, _LERCH_M)
+    # s m or c + s m past the float range is inf, and its term the limit 0.
     with np.errstate(over="ignore"):
+        den = s * _LERCH_M
         den += c
         terms /= den
     return terms

@@ -13,13 +13,13 @@ family for all the radii of all its specs, whatever their k, stacked into
 one lane spec (``stack_lanes``, ``lane_groups``) unless a spec is alone in
 its family, and the tb-m grid of the closed-form checks is one lane array.
 Radii are solved once per suite, not per check: the registry names the
-specs each check solves and whether it forces Newton, and ``run_suite``
+specs each check solves and whether it forces Newton, ``run_suite``
 solves the union of its selected checks' specs in one lane pass per
-family and config before any check runs; a check's ``solve_radii`` reads
-its specs' results off that solve, and raises the error of its first
-failing spec.  Each lane comes out bit for bit as its own call would, so
-batching changes no verdict or detail.  Circle values come from one
-``abs_on_circle`` call per spec and radius.
+family and config before any check runs, and it hands each check the
+``RadiusResult`` of each of its specs, in order; a check with a spec that
+fails to solve fails with that spec's error.  Each lane comes out bit for
+bit as its own call would, so batching changes no verdict or detail.
+Circle values come from one ``abs_on_circle`` call per spec and radius.
 
 Each family's d* - 1, an alternating sum with a Boole tail or a closed
 form, is checked against a direct sum of 2^14 of its terms closed by an
@@ -31,7 +31,6 @@ certified one.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -69,6 +68,7 @@ from .solver import (
     closed_form_radius,
     jacobian_functional,
     jacobian_radius,
+    solve_radii,
     solve_radius,  # noqa: F401
 )
 
@@ -167,25 +167,6 @@ class SuiteReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-# While run_suite runs: every (spec, config) its checks solve, mapped to
-# the spec's RadiusResult or to the ConvergenceError its lane raised.  A
-# context variable, reset when the suite ends, so nothing outlives it and
-# a suite in another thread keeps its own.
-_SUITE_SOLVES: ContextVar[Optional[dict]] = ContextVar("_SUITE_SOLVES", default=None)
-
-
-def solve_radii(specs, config: SolverConfig | None = None) -> list[RadiusResult]:
-    """``solver.solve_radii``, as the checks call it.  Inside ``run_suite``
-    each spec's result, or error, is read off the suite's one solve; a call
-    naming a spec the suite did not solve solves its specs here."""
-    cfg = config or SolverConfig()
-    specs = list(specs)
-    solved = _SUITE_SOLVES.get()
-    if solved is None or any((spec, cfg) not in solved for spec in specs):
-        return _raise_first(_solve_each(specs, cfg))
-    return _raise_first([solved[spec, cfg] for spec in specs])
-
-
 def _tail_bound(spec: ClassSpec, n: int, r):
     """c_{n+1} r^(n+1) / (1 - r): the majorant mass beyond index n at r, for
     a float r or elementwise over an array of them."""
@@ -230,40 +211,39 @@ def sharpness_check(
     spec: ClassSpec, tol: float = 1e-12, config: SolverConfig | None = None
 ) -> SharpnessReport:
     """Check that bohr_sum(r_f) = d* within tol, and is violated just beyond."""
-    return _sharpness_reports([spec], tol, config or SolverConfig())[0]
+    return _sharpness_reports([spec], solve_radii([spec], config), tol)[0]
 
 
 def _sharpness_reports(
-    specs: list[ClassSpec], tol: float, cfg: SolverConfig
+    specs: list[ClassSpec], results: list[RadiusResult], tol: float
 ) -> list[SharpnessReport]:
-    """``sharpness_check`` of each spec, with one batched solve for all of
-    them and one B evaluation per family, at every r_f and one step beyond
-    it."""
-    specs = list(specs)
-    results = solve_radii(specs, cfg)
-    reports: list = [None] * len(specs)
+    """``sharpness_check`` of each spec, given its solved radius, with one B
+    evaluation per family, at every r_f and one step beyond it."""
     step_out = 1e-6
-    for idx in lane_groups(specs):
-        radii = np.array([results[i].radius for i in idx])
-        # Radii stay well inside (0, 1); a step past 1 would count as violated.
-        inside = radii + step_out < 1.0
-        rs = np.concatenate([radii, np.where(inside, radii + step_out, 0.0)])
-        b = bohr_sum(stack_lanes([specs[i] for i in idx] * 2), rs)
-        for j, i in enumerate(idx):
-            d = results[i].d_star
-            value, beyond = float(b.value[j]), float(b.value[len(idx) + j])
-            gap = value - d.value
-            slack = float(b.error_bound[j]) + d.error_bound
-            violation_gap = beyond - d.value if inside[j] else float("inf")
-            reports[i] = SharpnessReport(
-                spec=specs[i],
+    # Radii stay well inside (0, 1); a step past 1 would count as violated.
+    inside = [res.radius + step_out < 1.0 for res in results]
+    grids = [
+        np.array([res.radius, res.radius + step_out if ok else 0.0])
+        for res, ok in zip(results, inside)
+    ]
+    reports = []
+    for spec, res, ok, b in zip(specs, results, inside, _on_grids(bohr_sum, specs, grids)):
+        d = res.d_star
+        value, beyond = b.value.tolist()
+        gap = value - d.value
+        slack = float(b.error_bound[0]) + d.error_bound
+        violation_gap = beyond - d.value if ok else float("inf")
+        reports.append(
+            SharpnessReport(
+                spec=spec,
                 passed=abs(gap) <= tol + slack and violation_gap > 0.0,
-                radius=results[i].radius,
+                radius=res.radius,
                 bohr_at_radius=value,
                 d_star=d.value,
                 gap=gap,
                 violation_gap=violation_gap,
             )
+        )
     return reports
 
 
@@ -464,24 +444,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _check_radius_ph_reference(cfg: SolverConfig) -> tuple[bool, str]:
-    (res,) = solve_radii([ph_alpha(0.0)], cfg)
+def _check_radius_ph_reference(res: RadiusResult) -> tuple[bool, str]:
     ok = abs(res.radius - 0.285194) <= 1e-4 and res.residual <= 1e-10
     return ok, f"radius={_fmt(res.radius)} residual={res.residual:.2e}"
 
-def _make_reduction_check(spec: ClassSpec):
-    """The radius of ``spec`` equals that of ph-alpha at alpha = 0."""
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
-        r, r_ph = (res.radius for res in solve_radii([spec, ph_alpha(0.0)], cfg))
-        diff = abs(r - r_ph)
-        return diff <= 1e-9, f"|{_fmt(r)} - {_fmt(r_ph)}| = {diff:.2e}"
-
-    return check
+def _check_reduction(res: RadiusResult, res_ph: RadiusResult) -> tuple[bool, str]:
+    """A reduced spec's radius equals that of ph-alpha at alpha = 0."""
+    r, r_ph = res.radius, res_ph.radius
+    diff = abs(r - r_ph)
+    return diff <= 1e-9, f"|{_fmt(r)} - {_fmt(r_ph)}| = {diff:.2e}"
 
 def _make_closed_vs_bisection_check(specs: tuple[ClassSpec, ...]):
     """Newton without the closed form lands on the closed-form radius."""
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
-        results = solve_radii(specs, replace(cfg, prefer_closed_form=False))
+    def check(*results: RadiusResult) -> tuple[bool, str]:
         closed = [closed_form_radius(s) for s in specs]
         # np.max, unlike max(), lets a NaN radius through to fail the check.
         worst = float(np.max([abs(c - res.radius) for c, res in zip(closed, results)]))
@@ -491,7 +466,7 @@ def _make_closed_vs_bisection_check(specs: tuple[ClassSpec, ...]):
 
     return check
 
-def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_tb_quadratic_residual() -> tuple[bool, str]:
     m = np.array(_TB_MS)
     r = closed_form_radius(tb_m(m))
     worst = float(np.max(np.abs(m * r * r + 2.0 * r + (m - 2.0))))
@@ -499,7 +474,7 @@ def _check_tb_quadratic_residual(cfg: SolverConfig) -> tuple[bool, str]:
     ok = worst <= 1e-12 and ref <= 1e-12
     return ok, f"max quadratic residual = {worst:.2e}; |r(1) - (sqrt(2)-1)| = {ref:.2e}"
 
-def _check_jacobian_half(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_jacobian_half() -> tuple[bool, str]:
     # The textbook root of 4m r^2 + 4r + (m - 2) = 0, against which the
     # halved tb-m closed form is measured.
     m = np.array(_TB_MS)
@@ -508,7 +483,7 @@ def _check_jacobian_half(cfg: SolverConfig) -> tuple[bool, str]:
     worst = float(np.max(gaps))
     return worst <= 1e-15, f"max |jacobian - (sqrt(1 + 2m - m^2) - 1)/(2m)| = {worst:.2e}"
 
-def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_jacobian_deficit() -> tuple[bool, str]:
     m = np.array(_TB_MS)
     worst = float(np.max(np.abs(jacobian_functional(m, jacobian_radius(m)) - (1.0 - 0.5 * m))))
     # The functional is max|f| + r max|h'| + sum_{n>=2} |a_n| r^n of the
@@ -530,16 +505,16 @@ def _check_jacobian_deficit(cfg: SolverConfig) -> tuple[bool, str]:
     ok = worst <= 1e-12 and contain <= 1e-12
     return ok, f"max functional deficit = {worst:.2e}; containment slack = {contain:.2e}"
 
-def _make_sharpness_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
-        reports = _sharpness_reports(list(STANDARD_GRIDS[fam]), 1e-12, cfg)
+def _make_sharpness_check(specs: tuple[ClassSpec, ...]):
+    def check(*results: RadiusResult) -> tuple[bool, str]:
+        reports = _sharpness_reports(specs, results, 1e-12)
         ok = all(rep.passed for rep in reports)
         worst = max(abs(rep.gap) for rep in reports)
-        return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(STANDARD_GRIDS[fam])} specs"
+        return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(specs)} specs"
 
     return check
 
-def _check_distance_oracle_ph(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_distance_oracle_ph() -> tuple[bool, str]:
     spec = ph_alpha(0.3)
     d = distance_bound(spec).value
     ext = extremal_coefficients(spec, 100_000)
@@ -551,7 +526,7 @@ def _check_distance_oracle_ph(cfg: SolverConfig) -> tuple[bool, str]:
         + ", ".join(f"{e:.2e}" for e in errors)
     )
 
-def _check_oracle_negative_axis(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_oracle_negative_axis() -> tuple[bool, str]:
     details = []
     ok = True
     for spec, expect in (
@@ -570,8 +545,7 @@ def _check_oracle_negative_axis(cfg: SolverConfig) -> tuple[bool, str]:
         details.append(f"argmin={est.argmin_theta:.6f} (expect +/-{expect:.6f})")
     return ok, "; ".join(details)
 
-def _check_wh_alpha1_report(cfg: SolverConfig) -> tuple[bool, str]:
-    (res,) = solve_radii([wh_alpha(1.0)], cfg)
+def _check_wh_alpha1_report(res: RadiusResult) -> tuple[bool, str]:
     agrees = abs(res.radius - WH_ALPHA1_REFERENCE_DECIMAL) <= 1e-4
     verdict = "AGREES" if agrees else "DISAGREES"
     ok = res.residual <= 1e-10
@@ -594,7 +568,7 @@ def _rep_specs(fam: Family) -> tuple[ClassSpec, ...]:
     return (grid[0], grid[len(grid) // 2], grid[-1])
 
 def _make_h_monotone_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
+    def check() -> tuple[bool, str]:
         ok = True
         specs = list(_rep_specs(fam))
         grids = [np.linspace(0.0, 0.95, 100)] * len(specs)
@@ -606,7 +580,7 @@ def _make_h_monotone_check(fam: Family):
     return check
 
 def _make_sign_change_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
+    def check() -> tuple[bool, str]:
         # The sign of H = B - d* on a grid of r, 0 where |H| is within its
         # error bound.  B(r) >= r makes H(r) >= r - d*: a free positivity
         # certificate that also avoids series evaluation close to r = 1.
@@ -637,7 +611,7 @@ _DIRECT_TERMS = 400
 
 
 def _make_generic_sum_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
+    def check() -> tuple[bool, str]:
         # B against r + sum c_n r^n as one plain dot of the first
         # _DIRECT_TERMS coefficient bounds, which no series engine touches;
         # the tail bound certifies the cut-off.  The target is 1e-12.
@@ -657,7 +631,7 @@ def _make_generic_sum_check(fam: Family):
 
     return check
 
-def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_alt_engine_direct() -> tuple[bool, str]:
     # d* - 1 = sum_{n>=start} (-1)^(n-start+1) c_n: for gh-k-alpha at k = 1
     # the lacunary terms 2/(1 + j alpha) are its c_n, n = j + 1.  Each spec
     # passes if d* - 1 and the oracle are within d*'s certified bound plus
@@ -673,11 +647,16 @@ def _check_alt_engine_direct(cfg: SolverConfig) -> tuple[bool, str]:
     detail = f"max |d* - 1 - direct| = {worst:.2e}; least allowance = {least:.2e}"
     return bool(np.all(gaps <= allowed)), detail
 
-def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
-    fams = (Family.PH_ALPHA, Family.TB_M, Family.PH_M)
-    specs = [s for fam in fams for s in STANDARD_GRIDS[fam]]
-    radii = iter([res.radius for res in solve_radii(specs, cfg)])
-    ph_radii, tb_radii, phm_radii = ([next(radii) for _ in STANDARD_GRIDS[fam]] for fam in fams)
+# The families of ``radius-parameter-monotonicity``, whose standard grids it
+# solves in this order.
+_MONOTONE_FAMS = (Family.PH_ALPHA, Family.TB_M, Family.PH_M)
+
+
+def _check_radius_monotonicity(*results: RadiusResult) -> tuple[bool, str]:
+    radii = iter([res.radius for res in results])
+    ph_radii, tb_radii, phm_radii = (
+        [next(radii) for _ in STANDARD_GRIDS[fam]] for fam in _MONOTONE_FAMS
+    )
     ok = (
         all(b >= a for a, b in zip(ph_radii, ph_radii[1:]))
         and all(b <= a for a, b in zip(tb_radii, tb_radii[1:]))
@@ -686,19 +665,18 @@ def _check_radius_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
     return ok, "nondecreasing in alpha; nonincreasing in m"
 
 def _make_envelope_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
+    def check() -> tuple[bool, str]:
         reports = _envelope_reports(list(_rep_specs(fam)), _ENVELOPE_SAMPLES, 10_000, 1e-8)
         ok = all(rep.passed for rep in reports)
         return ok, "touch-point equality and containment at 5 radii per spec"
 
     return check
 
-def _make_scan_check(fam: Family):
-    def check(cfg: SolverConfig) -> tuple[bool, str]:
+def _make_scan_check(specs: tuple[ClassSpec, ...]):
+    def check(*results: RadiusResult) -> tuple[bool, str]:
         ok = True
         details = []
-        specs = _rep_specs(fam)
-        radii = [result.radius for result in solve_radii(specs, cfg)]
+        radii = [result.radius for result in results]
         # A zero radius (d* = 0) is scanned on [0, 0.5].
         r_maxes = [0.5 if r_f == 0.0 else min(1.5 * r_f, 0.95) for r_f in radii]
         for r_f, r_max, fv in zip(radii, r_maxes, _first_violations(specs, r_maxes, 400)):
@@ -718,14 +696,14 @@ def _make_scan_check(fam: Family):
 
     return check
 
-def _check_g_alt_monotonicity(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_g_alt_monotonicity() -> tuple[bool, str]:
     # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha).
     lanes = stack_lanes(gh_k_alpha(k, a) for k in (1, 2, 3) for a in (0.5, 1.0, 2.0, 4.0))
     rows = (distance_bound(lanes).value - 1.0).reshape(3, -1).tolist()
     ok = all(all(b > a for a, b in zip(v, v[1:])) and v[-1] < 0.0 for v in rows)
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 
-def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
+def _check_oracle_envelope_floor() -> tuple[bool, str]:
     ok = True
     worst = float("inf")
     for fam in Family:
@@ -743,8 +721,10 @@ def _check_oracle_envelope_floor(cfg: SolverConfig) -> tuple[bool, str]:
 
 class _Check(NamedTuple):
     """A named check: the families it covers, the function that runs it,
-    and the specs that function solves, with the closed-form preference or,
-    if ``newton``, without it."""
+    and the specs whose radii it is handed, solved with the closed-form
+    preference or, if ``newton``, without it.  ``fn`` takes one
+    RadiusResult per spec of ``solves``, in order, and returns its verdict
+    and detail."""
 
     name: str
     fams: tuple[Family, ...]
@@ -756,7 +736,6 @@ class _Check(NamedTuple):
 def _build_registry() -> list[_Check]:
     all_fams = tuple(Family)
     gt_grid, tb_fine = STANDARD_GRIDS[Family.GT_BETA], tuple(tb_m(m) for m in _TB_MS)
-    mono_fams = (Family.PH_ALPHA, Family.TB_M, Family.PH_M)
     registry = [
         _Check(
             "radius-ph-alpha-0-reference", (Family.PH_ALPHA,), _check_radius_ph_reference,
@@ -765,13 +744,13 @@ def _build_registry() -> list[_Check]:
         _Check(
             "reduction-wh-to-ph",
             (Family.WH_ALPHA, Family.PH_ALPHA),
-            _make_reduction_check(wh_alpha(0.0)),
+            _check_reduction,
             (wh_alpha(0.0), ph_alpha(0.0)),
         ),
         _Check(
             "reduction-gh-to-ph",
             (Family.GH_K_ALPHA, Family.PH_ALPHA),
-            _make_reduction_check(gh_k_alpha(1, 1.0)),
+            _check_reduction,
             (gh_k_alpha(1, 1.0), ph_alpha(0.0)),
         ),
         _Check(
@@ -792,10 +771,8 @@ def _build_registry() -> list[_Check]:
         _Check("jacobian-half-identity-tb-m", (Family.TB_M,), _check_jacobian_half),
         _Check("jacobian-majorant-deficit-tb-m", (Family.TB_M,), _check_jacobian_deficit),
     ]
-    for fam in Family:
-        registry.append(
-            _Check(f"sharpness-{fam.value}", (fam,), _make_sharpness_check(fam), STANDARD_GRIDS[fam])
-        )
+    for fam, grid in STANDARD_GRIDS.items():
+        registry.append(_Check(f"sharpness-{fam.value}", (fam,), _make_sharpness_check(grid), grid))
     registry += [
         _Check("distance-oracle-ph-alpha", (Family.PH_ALPHA,), _check_distance_oracle_ph),
         _Check(
@@ -826,18 +803,17 @@ def _build_registry() -> list[_Check]:
         ),
         _Check(
             "radius-parameter-monotonicity",
-            mono_fams,
+            _MONOTONE_FAMS,
             _check_radius_monotonicity,
-            tuple(s for fam in mono_fams for s in STANDARD_GRIDS[fam]),
+            tuple(s for fam in _MONOTONE_FAMS for s in STANDARD_GRIDS[fam]),
         ),
     ]
     for fam in Family:
         registry.append(_Check(f"envelope-{fam.value}", (fam,), _make_envelope_check(fam)))
     for fam in Family:
+        reps = _rep_specs(fam)
         registry.append(
-            _Check(
-                f"scan-localisation-{fam.value}", (fam,), _make_scan_check(fam), _rep_specs(fam)
-            )
+            _Check(f"scan-localisation-{fam.value}", (fam,), _make_scan_check(reps), reps)
         )
     registry += [
         _Check("g-alt-alpha-monotonicity", (Family.GH_K_ALPHA,), _check_g_alt_monotonicity),
@@ -846,18 +822,19 @@ def _build_registry() -> list[_Check]:
     return registry
 
 
-def _solve_suite(checks: list[_Check], cfg: SolverConfig) -> dict:
-    """Every (spec, config) the checks solve, mapped to its RadiusResult or
-    ConvergenceError, from one lane pass per family and config."""
+def _solve_suite(checks: list[_Check], cfg: SolverConfig) -> list[list]:
+    """For each check, the RadiusResult or ConvergenceError of each spec it
+    solves, from one lane pass per family and config over all the checks."""
+    configs = [replace(cfg, prefer_closed_form=False) if check.newton else cfg for check in checks]
     wanted: dict[SolverConfig, dict[ClassSpec, None]] = {}
-    for check in checks:
-        check_cfg = replace(cfg, prefer_closed_form=False) if check.newton else cfg
-        wanted.setdefault(check_cfg, {}).update(dict.fromkeys(check.solves))
-    return {
+    for check, c in zip(checks, configs):
+        wanted.setdefault(c, {}).update(dict.fromkeys(check.solves))
+    solved = {
         (spec, c): found
         for c, specs in wanted.items()
         for spec, found in zip(specs, _solve_each(list(specs), c))
     }
+    return [[solved[spec, c] for spec in check.solves] for check, c in zip(checks, configs)]
 
 
 def run_suite(
@@ -868,7 +845,7 @@ def run_suite(
     """Run the named checks, optionally filtered by substring or family.
 
     The radii the selected checks solve are solved first, once each, and
-    each check reads its own from that solve (``solve_radii``)."""
+    each check is handed its own."""
     cfg = config or SolverConfig()
     if isinstance(family, str):
         family = Family(family)
@@ -878,18 +855,15 @@ def run_suite(
         if (only is None or only in check.name) and (family is None or family in check.fams)
     ]
     t0 = perf_counter()
-    token = _SUITE_SOLVES.set(_solve_suite(checks, cfg))
+    solved = _solve_suite(checks, cfg)
     solve_seconds = perf_counter() - t0
     results = []
-    try:
-        for check in checks:
-            t0 = perf_counter()
-            try:
-                passed, detail = check.fn(cfg)
-            except HarmBohrError as exc:
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            # A numpy bool would not print through json.
-            results.append(CheckResult(check.name, bool(passed), detail, perf_counter() - t0))
-    finally:
-        _SUITE_SOLVES.reset(token)
+    for check, found in zip(checks, solved):
+        t0 = perf_counter()
+        try:
+            passed, detail = check.fn(*_raise_first(found))
+        except HarmBohrError as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        # A numpy bool would not print through json.
+        results.append(CheckResult(check.name, bool(passed), detail, perf_counter() - t0))
     return SuiteReport(tuple(results), solve_seconds)

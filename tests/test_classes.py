@@ -1016,9 +1016,9 @@ def bits(x):
 # gh-k-alpha's alpha grid for the mixed-k lanes: the domain's lower edge
 # (the least subnormal), both sides of the slope bound's partial-fraction
 # switch, moderate values, and the cap of k alpha at 1e300 and beyond
-# (up to 1e306: past about 5e306 the Lerch head warns of an overflow).
+# up to 1.7e308, where the Lerch head's s m overflows to inf.
 MIXED_ALPHAS = [5e-324, 1e-300, 9.9e-281, 1e-280, 1.01e-280, 1e-3, 0.5, 1.0, 2.0, 1e8, 1e300,
-                1e306]
+                1e306, 1.7e308]
 
 
 def mixed_k_specs():

@@ -34,6 +34,8 @@ class TestParseGrid:
         assert parse_grid("0:0.9:0.1") == pytest.approx(
             [0.1 * i for i in range(10)], abs=1e-12
         )
+        # The point past hi overflows to inf here, and is dropped.
+        assert parse_grid("1e307:1.7e308:1e307") == [1e307 + i * 1e307 for i in range(17)]
 
     def test_single_point(self):
         assert parse_grid("1:1:1") == [1.0]
@@ -137,6 +139,14 @@ class TestRadiusCommand:
             '"radius": 0.0, "residual": 0.0, "method": "BISECTION_NEWTON", '
             '"d_star": 0.0, "tol": 1e-12}\n'
         )
+
+    def test_alpha_next_to_the_float_maximum_solves_without_a_warning(self, capsys):
+        # s m in the Lerch head overflows to inf, and its terms are the limit 0.
+        rc, out, err = run_cli(
+            capsys, "radius", "--class", "gh-k-alpha", "--k", "1", "--alpha", "1.7e308"
+        )
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["radius"] == 0.999999999999998
 
 
 class TestExitCodes:
@@ -417,7 +427,7 @@ class TestVerifyCommand:
         from harmbohr import verifier
 
         check = verifier._Check(
-            "numpy-verdict", tuple(verifier.Family), lambda cfg: (np.bool_(True), "ok")
+            "numpy-verdict", tuple(verifier.Family), lambda: (np.bool_(True), "ok")
         )
         monkeypatch.setattr(verifier, "_build_registry", lambda: [check])
         rc, out, err = run_cli(capsys, "verify", "--json")

@@ -3,6 +3,7 @@ distance oracle, sharpness and envelope checks, grid scans, and the named
 check suite."""
 
 import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -26,7 +27,7 @@ from harmbohr.classes import (
 )
 from harmbohr.errors import ConvergenceError, DomainError
 from harmbohr.series import CoefficientRule, SeriesValue, alt_log_tail, log_tail
-from harmbohr.solver import SolverConfig, closed_form_radius, solve_radius
+from harmbohr.solver import SolverConfig, closed_form_radius, solve_radii, solve_radius
 from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
@@ -170,7 +171,7 @@ class TestSharpness:
     @pytest.mark.parametrize("family", ["wh-alpha", "gh-k-alpha", "tb-m"])
     def test_batched_reports_equal_one_spec_checks(self, family):
         specs = list(STANDARD_GRIDS[Family(family)])
-        batched = _sharpness_reports(specs, 1e-12, SolverConfig())
+        batched = _sharpness_reports(specs, solve_radii(specs), 1e-12)
         assert batched == [sharpness_check(spec) for spec in specs]
 
 
@@ -533,6 +534,15 @@ class TestRunSuite:
         assert "0.58387765" in result.detail
         assert "2Li2(r) - r = pi^2/12" in result.detail
 
+    def test_every_check_takes_one_radius_per_spec_it_solves(self):
+        # run_suite calls fn with the RadiusResult of each spec of solves,
+        # in order: a check whose arguments do not match its specs fails
+        # here without running.
+        from harmbohr import verifier
+
+        for check in verifier._build_registry():
+            inspect.signature(check.fn).bind(*check.solves)
+
     def test_details_are_deterministic(self):
         a = run_suite(only="closed-vs-bisection")
         b = run_suite(only="closed-vs-bisection")
@@ -541,16 +551,19 @@ class TestRunSuite:
         ]
 
     def test_closed_vs_bisection_fails_on_a_nan_radius(self, monkeypatch):
+        # One spec of each check's grid solves to NaN.
         from harmbohr import verifier
 
-        solve_radii = verifier.solve_radii
+        solve_each = verifier._solve_each
+        nan_specs = (gt_beta(0.15), tb_m(0.4))
 
-        def nan_lane(specs, config=None):
-            results = solve_radii(specs, config)
-            results[3] = dataclasses.replace(results[3], radius=float("nan"))
-            return results
+        def nan_lane(specs, cfg):
+            return [
+                dataclasses.replace(res, radius=float("nan")) if spec in nan_specs else res
+                for spec, res in zip(specs, solve_each(specs, cfg))
+            ]
 
-        monkeypatch.setattr(verifier, "solve_radii", nan_lane)
+        monkeypatch.setattr(verifier, "_solve_each", nan_lane)
         results = run_suite(only="closed-vs-bisection").results
         assert len(results) == 2
         assert not any(r.passed for r in results)
@@ -560,16 +573,15 @@ class TestRunSuite:
         # instead is within 1e-10 of it but must still fail.
         from harmbohr import verifier
 
-        solve_radii = verifier.solve_radii
+        solve_each = verifier._solve_each
 
-        def off_zero(specs, config=None):
-            results = solve_radii(specs, config)
+        def off_zero(specs, cfg):
             return [
-                dataclasses.replace(res, radius=1e-300) if res.radius == 0.0 else res
-                for res in results
+                dataclasses.replace(res, radius=1e-300) if spec == gt_beta(0.0) else res
+                for spec, res in zip(specs, solve_each(specs, cfg))
             ]
 
-        monkeypatch.setattr(verifier, "solve_radii", off_zero)
+        monkeypatch.setattr(verifier, "_solve_each", off_zero)
         gt, tb = run_suite(only="closed-vs-bisection").results
         assert (gt.name, gt.passed) == ("closed-vs-bisection-gt-beta", False)
         assert (tb.name, tb.passed) == ("closed-vs-bisection-tb-m", True)
@@ -579,15 +591,15 @@ class TestRunSuite:
     def test_reduction_fails_when_the_reduced_radius_moves(self, monkeypatch, name):
         from harmbohr import verifier
 
-        solve_radii = verifier.solve_radii
+        solve_each = verifier._solve_each
 
-        def moved(specs, config=None):
-            results = solve_radii(specs, config)
-            moved = [dataclasses.replace(res, radius=res.radius + 1e-8) for res in results]
-            return [m if s.family is not Family.PH_ALPHA else r
-                    for s, m, r in zip(specs, moved, results)]
+        def moved(specs, cfg):
+            return [
+                res if spec == ph_alpha(0.0) else dataclasses.replace(res, radius=res.radius + 1e-8)
+                for spec, res in zip(specs, solve_each(specs, cfg))
+            ]
 
-        monkeypatch.setattr(verifier, "solve_radii", moved)
+        monkeypatch.setattr(verifier, "_solve_each", moved)
         (result,) = run_suite(only=name).results
         assert not result.passed
         assert result.detail.endswith("= 1.00e-08")
