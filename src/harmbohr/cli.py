@@ -126,10 +126,14 @@ def parse_grid(text: str) -> list[float]:
         raise DomainError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     # lo + i*step grows with i, so the points kept are a prefix of these;
     # numpy rounds each product and sum as Python's floats do.  Near the
-    # float maximum a point past hi may be inf, which the bound drops.
+    # float maximum a point past hi may be inf, which the bound drops.  lo
+    # itself is always kept: a step below an ulp of hi rounds the bound
+    # hi + step/2 onto hi, which would drop lo = hi.
     with np.errstate(over="ignore"):
         values = lo + np.arange(int((hi - lo) / step) + 2.0) * step
-    return values[values < hi + step / 2.0].tolist()
+    keep = values < hi + step / 2.0
+    keep[0] = True
+    return values[keep].tolist()
 
 
 def _parse_scalar(name: str, text: str) -> float:

@@ -66,7 +66,7 @@ from .classes import (
     stack_lanes,
     take_lanes,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, HarmBohrError
 from .series import SeriesValue, as_param, fields_equal, require
 
 _EPS = 2.0**-52
@@ -349,11 +349,11 @@ def _solve_each(specs: list[ClassSpec], cfg: SolverConfig) -> list:
     return found
 
 
-def _raise_first(found: list) -> list[RadiusResult]:
-    """``found``, unless it holds a ConvergenceError: then the first one
-    is raised."""
+def _raise_first(found: list) -> list:
+    """``found``, unless it holds an error (a lane's ConvergenceError, say):
+    then the first one is raised."""
     for result in found:
-        if isinstance(result, ConvergenceError):
+        if isinstance(result, HarmBohrError):
             raise result
     return found
 

@@ -7,19 +7,25 @@ defining equation, and the named check suite behind ``harmbohr verify``
 cross-validates closed forms, series engines, and reductions between
 families against each other.
 
-The checks hand whole grids to the series engines as lane calls: a check
-makes one ``growth_envelope``, ``bohr_sum`` or ``distance_bound`` call per
-family for all the radii of all its specs, whatever their k, stacked into
-one lane spec (``stack_lanes``, ``lane_groups``) unless a spec is alone in
-its family, and the tb-m grid of the closed-form checks is one lane array.
-Radii are solved once per suite, not per check: the registry names the
-specs each check solves and whether it forces Newton, ``run_suite``
-solves the union of its selected checks' specs in one lane pass per
-family and config before any check runs, and it hands each check the
-``RadiusResult`` of each of its specs, in order; a check with a spec that
-fails to solve fails with that spec's error.  Each lane comes out bit for
-bit as its own call would, so batching changes no verdict or detail.
-Circle values come from one ``abs_on_circle`` call per spec and radius.
+The checks are predicates over what the suite hands them, and the
+registry is the one place a check names its specs and r grids.  Before
+any check runs, ``run_suite`` solves the union of its selected checks'
+specs in one lane pass per family and config; then it makes one
+``distance_bound`` call per family for every d* a check reads, and one
+``bohr_sum`` and one ``growth_envelope`` call per family over every grid
+a check asks for, whatever the specs' k: 18 engine calls for the full
+suite, the specs of a family stacked into one lane spec (``stack_lanes``,
+``lane_groups``) unless a spec is alone in it.  A grid may come from a
+spec's radius or from its d*, so each stage reads the one before.  Each
+check is handed, in order, the ``RadiusResult`` of each spec it solves,
+the d* of each spec it reads and its engine's value over each of its
+grids.  A check with a spec that fails to solve asks for nothing and
+fails with that spec's error; an engine call that raises fails exactly
+the checks with lanes in it, with that error.  Each lane comes out bit
+for bit as its own call would, so batching changes no verdict or detail.
+The time of all three stages is ``SuiteReport.shared_seconds``, and a
+check's own ``seconds`` time its predicate alone.  Circle values come from
+one ``abs_on_circle`` call per spec and radius.
 
 Each family's d* - 1, an alternating sum with a Boole tail or a closed
 form, is checked against a direct sum of 2^14 of its terms closed by an
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -152,11 +159,12 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteReport:
     """The results of the checks run, in suite order.  A check's
-    ``seconds`` leave out solving its radii: the suite solves every
-    check's specs once, before the first check runs, in ``solve_seconds``."""
+    ``seconds`` leave out what it is handed: the suite solves every
+    check's specs and evaluates every d*, B and envelope the checks read
+    once, before the first check runs, in ``shared_seconds``."""
 
     results: tuple[CheckResult, ...]
-    solve_seconds: float = 0.0
+    shared_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -211,54 +219,73 @@ def sharpness_check(
     spec: ClassSpec, tol: float = 1e-12, config: SolverConfig | None = None
 ) -> SharpnessReport:
     """Check that bohr_sum(r_f) = d* within tol, and is violated just beyond."""
-    return _sharpness_reports([spec], solve_radii([spec], config), tol)[0]
+    results = solve_radii([spec], config)
+    (b,) = _raise_first(_on_grids(bohr_sum, [spec], _sharpness_grids(results, ())))
+    return _sharpness_report(spec, results[0], b, tol)
 
 
-def _sharpness_reports(
-    specs: list[ClassSpec], results: list[RadiusResult], tol: float
-) -> list[SharpnessReport]:
-    """``sharpness_check`` of each spec, given its solved radius, with one B
-    evaluation per family, at every r_f and one step beyond it."""
-    step_out = 1e-6
-    # Radii stay well inside (0, 1); a step past 1 would count as violated.
-    inside = [res.radius + step_out < 1.0 for res in results]
-    grids = [
-        np.array([res.radius, res.radius + step_out if ok else 0.0])
-        for res, ok in zip(results, inside)
+# Sharpness reads B at r_f and this far beyond it.
+_STEP_OUT = 1e-6
+
+
+def _sharpness_grids(results: list[RadiusResult], _) -> list[np.ndarray]:
+    """B's grid for each sharpness spec: r_f and one step beyond it, or 0
+    in place of a step past 1 (radii stay well inside (0, 1), and a step
+    past 1 would count as violated)."""
+    return [
+        np.array([res.radius, res.radius + _STEP_OUT if res.radius + _STEP_OUT < 1.0 else 0.0])
+        for res in results
     ]
-    reports = []
-    for spec, res, ok, b in zip(specs, results, inside, _on_grids(bohr_sum, specs, grids)):
-        d = res.d_star
-        value, beyond = b.value.tolist()
-        gap = value - d.value
-        slack = float(b.error_bound[0]) + d.error_bound
-        violation_gap = beyond - d.value if ok else float("inf")
-        reports.append(
-            SharpnessReport(
-                spec=spec,
-                passed=abs(gap) <= tol + slack and violation_gap > 0.0,
-                radius=res.radius,
-                bohr_at_radius=value,
-                d_star=d.value,
-                gap=gap,
-                violation_gap=violation_gap,
-            )
-        )
-    return reports
 
 
-def _d_stars(specs: list[ClassSpec]) -> list[SeriesValue]:
-    """d* of each spec as floats, from one ``distance_bound`` call per
-    family; a spec alone in its family is evaluated as it is."""
+def _sharpness_report(
+    spec: ClassSpec, res: RadiusResult, b: SeriesValue, tol: float
+) -> SharpnessReport:
+    """``sharpness_check`` of a spec, given its solved radius and B over
+    its sharpness grid."""
+    d = res.d_star
+    value, beyond = b.value.tolist()
+    gap = value - d.value
+    slack = float(b.error_bound[0]) + d.error_bound
+    violation_gap = beyond - d.value if res.radius + _STEP_OUT < 1.0 else float("inf")
+    return SharpnessReport(
+        spec=spec,
+        passed=abs(gap) <= tol + slack and violation_gap > 0.0,
+        radius=res.radius,
+        bohr_at_radius=value,
+        d_star=d.value,
+        gap=gap,
+        violation_gap=violation_gap,
+    )
+
+
+def _by_family(specs: list[ClassSpec], evaluate: Callable) -> list:
+    """For each spec, its value from ``evaluate(idx)``, which gives one
+    value per spec of a ``lane_groups`` group ``idx``.  A group whose
+    evaluation raises HarmBohrError gets that error in place of each of its
+    values, and the other groups are unaffected."""
     found: list = [None] * len(specs)
     for idx in lane_groups(specs):
-        if len(idx) == 1:
-            found[idx[0]] = distance_bound(specs[idx[0]])
-            continue
-        d = distance_bound(stack_lanes(specs[i] for i in idx))
-        for j, i in enumerate(idx):
-            found[i] = SeriesValue(float(d.value[j]), float(d.error_bound[j]))
+        try:
+            values = evaluate(idx)
+        except HarmBohrError as exc:
+            values = [exc] * len(idx)
+        for i, value in zip(idx, values):
+            found[i] = value
     return found
+
+
+def _d_stars(specs: list[ClassSpec]) -> list:
+    """d* of each spec as floats, from one ``distance_bound`` call per
+    family; a spec alone in its family is evaluated as it is."""
+
+    def family(idx):
+        if len(idx) == 1:
+            return [distance_bound(specs[idx[0]])]
+        d = distance_bound(stack_lanes(specs[i] for i in idx))
+        return list(map(SeriesValue, d.value.tolist(), d.error_bound.tolist()))
+
+    return _by_family(specs, family)
 
 
 def _on_grids(engine: Callable, specs: list[ClassSpec], grids: list[np.ndarray]) -> list:
@@ -267,47 +294,28 @@ def _on_grids(engine: Callable, specs: list[ClassSpec], grids: list[np.ndarray])
     alone in its family is evaluated as it is, over its grid; a larger
     family's lanes repeat each spec across its grid (picked by index, not
     stacked spec by spec), and each spec gets its part of every field."""
-    found: list = [None] * len(specs)
-    for idx in lane_groups(specs):
+
+    def family(idx):
         if len(idx) == 1:
-            found[idx[0]] = engine(specs[idx[0]], grids[idx[0]])
-            continue
+            return [engine(specs[idx[0]], grids[idx[0]])]
         sizes = [grids[i].size for i in idx]
         each = take_lanes(stack_lanes(specs[i] for i in idx), np.repeat(np.arange(len(idx)), sizes))
         out = engine(each, np.concatenate([grids[i] for i in idx]))
-        ends = np.cumsum(sizes).tolist()
-        for j, i in enumerate(idx):
-            part = slice(ends[j] - sizes[j], ends[j])
-            found[i] = type(out)(*(getattr(out, f.name)[part] for f in fields(out)))
-    return found
+        cuts = np.cumsum(sizes)[:-1]
+        return [
+            type(out)(*parts)
+            for parts in zip(*(np.split(getattr(out, f.name), cuts) for f in fields(out)))
+        ]
+
+    return _by_family(specs, family)
 
 
-def _bohr_on_grids(
-    specs: list[ClassSpec], grids: list[np.ndarray]
-) -> list[tuple[SeriesValue, SeriesValue]]:
-    """(B over ``grids[i]``, d*) for each spec i, from one ``bohr_sum`` and
-    one ``distance_bound`` call per family."""
-    return list(zip(_on_grids(bohr_sum, specs, grids), _d_stars(specs)))
-
-
-def _first_violations(
-    specs: Iterable[ClassSpec], r_maxes: Iterable[float], steps: int
-) -> list[Optional[float]]:
-    """For each spec, the first r of ``steps`` uniform points on
-    [0, r_max] where the Bohr inequality B(r) <= d* fails beyond both error
-    bounds (a NaN fails it too), or None."""
-    specs, r_maxes = list(specs), list(r_maxes)
-    for _, r_max in zip(specs, r_maxes, strict=True):
-        if not 0.0 < r_max < 1.0:
-            raise DomainError(f"r_max must satisfy 0 < r_max < 1, got {r_max}")
-    if int(steps) != steps or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
-    grids = [np.linspace(0.0, r_max, int(steps)) for r_max in r_maxes]
-    found = []
-    for rs, (b, d) in zip(grids, _bohr_on_grids(specs, grids)):
-        bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
-        found.append(float(rs[bad[0]]) if bad.size else None)
-    return found
+def _first_violation(rs: np.ndarray, b: SeriesValue, d: SeriesValue) -> Optional[float]:
+    """The first r of ``rs`` where the Bohr inequality B(r) <= d* fails
+    beyond both error bounds (a NaN fails it too), or None; ``b`` is B over
+    ``rs``."""
+    bad = np.flatnonzero(~(b.value <= d.value + b.error_bound + d.error_bound + 1e-15))
+    return float(rs[bad[0]]) if bad.size else None
 
 
 _ENVELOPE_SAMPLES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -322,8 +330,8 @@ def envelope_check(
     """Check envelope containment and touch-point equality for the extremal.
 
     Both envelopes at every sample come from one ``growth_envelope`` call,
-    which the suite's ``envelope-*`` checks make once for the three specs
-    of a family.  At each sample radius the extremal is evaluated once, on
+    which the suite makes once per family for all its ``envelope-*``
+    specs.  At each sample radius the extremal is evaluated once, on
     a circle grid of 24 k points, where k is the gap of its powers
     (``start_index`` - 1: 1 for every family but gh-k-alpha).  Containment
     is checked over the whole grid, upper equality at angle 0 (point 0) and lower equality at
@@ -332,35 +340,31 @@ def envelope_check(
     truncated extremal z alone, with |f| = r at every angle, and a grid of
     24 points.
     """
-    return _envelope_reports([spec], samples, truncation, tol)[0]
-
-
-def _envelope_reports(
-    specs: list[ClassSpec], samples: Iterable[float], truncation: int, tol: float
-) -> list[EnvelopeReport]:
-    """``envelope_check`` of each spec, with both envelopes of every spec at
-    every sample from one ``growth_envelope`` call per family."""
     samples = tuple(float(r) for r in samples)
     if any(not 0.0 < r < 1.0 for r in samples):
         raise DomainError("all samples must lie in (0, 1)")
     rs = np.array(samples)
-    reports = []
-    for spec, env in zip(specs, _on_grids(growth_envelope, specs, [rs] * len(specs))):
-        ext = extremal_coefficients(spec, truncation)
-        k = start_index(spec) - 1
-        thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
-        slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
-        rows = []
-        passed = True
-        for r, lower, upper, slack in zip(samples, env.lower.tolist(), env.upper.tolist(), slacks):
-            values = _kernels.abs_on_circle(ext, r, thetas)
-            at_upper, at_lower = float(values[0]), float(values[12])
-            contained = bool(np.all(values >= lower - slack) and np.all(values <= upper + slack))
-            ok = contained and abs(at_upper - upper) <= slack and abs(at_lower - lower) <= slack
-            passed = passed and ok
-            rows.append(EnvelopeRow(r, lower, upper, at_lower, at_upper, contained))
-        reports.append(EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows)))
-    return reports
+    (env,) = _raise_first(_on_grids(growth_envelope, [spec], [rs]))
+    return _envelope_report(spec, rs, env, truncation, tol)
+
+
+def _envelope_report(spec: ClassSpec, rs: np.ndarray, env, truncation: int, tol: float) -> EnvelopeReport:
+    """``envelope_check`` of a spec, given both its envelopes over the
+    sample radii ``rs``."""
+    ext = extremal_coefficients(spec, truncation)
+    k = start_index(spec) - 1
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24 * k if k < truncation else 24, endpoint=False)
+    slacks = tol + _tail_bound(spec, truncation, rs) + env.error_bound
+    rows = []
+    passed = True
+    for r, lower, upper, slack in zip(rs.tolist(), env.lower.tolist(), env.upper.tolist(), slacks):
+        values = _kernels.abs_on_circle(ext, r, thetas)
+        at_upper, at_lower = float(values[0]), float(values[12])
+        contained = bool(np.all(values >= lower - slack) and np.all(values <= upper + slack))
+        ok = contained and abs(at_upper - upper) <= slack and abs(at_lower - lower) <= slack
+        passed = passed and ok
+        rows.append(EnvelopeRow(r, lower, upper, at_lower, at_upper, contained))
+    return EnvelopeReport(spec=spec, passed=passed, rows=tuple(rows))
 
 
 # The direct alternating oracle of ``alt-engine-vs-direct-sum``: 2^14 plain
@@ -444,6 +448,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _per_spec(specs: tuple[ClassSpec, ...], handed: tuple) -> Iterable[tuple]:
+    """Each spec with what its check is handed for it: the suite hands one
+    kind (radii, then d*, then engine values) for every spec before the
+    next."""
+    n = len(specs)
+    return zip(specs, *(handed[i : i + n] for i in range(0, len(handed), n)))
+
+
 def _check_radius_ph_reference(res: RadiusResult) -> tuple[bool, str]:
     ok = abs(res.radius - 0.285194) <= 1e-4 and res.residual <= 1e-10
     return ok, f"radius={_fmt(res.radius)} residual={res.residual:.2e}"
@@ -454,17 +466,14 @@ def _check_reduction(res: RadiusResult, res_ph: RadiusResult) -> tuple[bool, str
     diff = abs(r - r_ph)
     return diff <= 1e-9, f"|{_fmt(r)} - {_fmt(r_ph)}| = {diff:.2e}"
 
-def _make_closed_vs_bisection_check(specs: tuple[ClassSpec, ...]):
+def _check_closed_vs_bisection(specs, *results: RadiusResult) -> tuple[bool, str]:
     """Newton without the closed form lands on the closed-form radius."""
-    def check(*results: RadiusResult) -> tuple[bool, str]:
-        closed = [closed_form_radius(s) for s in specs]
-        # np.max, unlike max(), lets a NaN radius through to fail the check.
-        worst = float(np.max([abs(c - res.radius) for c, res in zip(closed, results)]))
-        # A closed-form radius of 0 (d* = 0) must solve to exactly 0.
-        zero_ok = all(res.radius == 0.0 for c, res in zip(closed, results) if c == 0.0)
-        return worst <= 1e-10 and zero_ok, f"max |closed - bisection| = {worst:.2e}"
-
-    return check
+    closed = [closed_form_radius(s) for s in specs]
+    # np.max, unlike max(), lets a NaN radius through to fail the check.
+    worst = float(np.max([abs(c - res.radius) for c, res in zip(closed, results)]))
+    # A closed-form radius of 0 (d* = 0) must solve to exactly 0.
+    zero_ok = all(res.radius == 0.0 for c, res in zip(closed, results) if c == 0.0)
+    return worst <= 1e-10 and zero_ok, f"max |closed - bisection| = {worst:.2e}"
 
 def _check_tb_quadratic_residual() -> tuple[bool, str]:
     m = np.array(_TB_MS)
@@ -505,20 +514,15 @@ def _check_jacobian_deficit() -> tuple[bool, str]:
     ok = worst <= 1e-12 and contain <= 1e-12
     return ok, f"max functional deficit = {worst:.2e}; containment slack = {contain:.2e}"
 
-def _make_sharpness_check(specs: tuple[ClassSpec, ...]):
-    def check(*results: RadiusResult) -> tuple[bool, str]:
-        reports = _sharpness_reports(specs, results, 1e-12)
-        ok = all(rep.passed for rep in reports)
-        worst = max(abs(rep.gap) for rep in reports)
-        return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(specs)} specs"
+def _check_sharpness(specs: tuple[ClassSpec, ...], *handed) -> tuple[bool, str]:
+    reports = [_sharpness_report(spec, res, b, 1e-12) for spec, res, b in _per_spec(specs, handed)]
+    ok = all(rep.passed for rep in reports)
+    worst = max(abs(rep.gap) for rep in reports)
+    return ok, f"max |B(r_f) - d*| = {worst:.2e} over {len(specs)} specs"
 
-    return check
-
-def _check_distance_oracle_ph() -> tuple[bool, str]:
-    spec = ph_alpha(0.3)
-    d = distance_bound(spec).value
+def _check_distance_oracle_ph(spec: ClassSpec, d: SeriesValue) -> tuple[bool, str]:
     ext = extremal_coefficients(spec, 100_000)
-    errors = [abs(_circle_minimum(ext, rho, 720).value - d) for rho in (0.9, 0.99, 0.999)]
+    errors = [abs(_circle_minimum(ext, rho, 720).value - d.value) for rho in (0.9, 0.99, 0.999)]
     monotone = errors[0] >= errors[1] >= errors[2]
     ok = monotone and errors[-1] <= 5e-3
     return ok, (
@@ -563,82 +567,66 @@ def _check_wh_alpha1_report(res: RadiusResult) -> tuple[bool, str]:
         )
     return ok, detail
 
-def _rep_specs(fam: Family) -> tuple[ClassSpec, ...]:
-    grid = STANDARD_GRIDS[fam]
-    return (grid[0], grid[len(grid) // 2], grid[-1])
+# The r grid of ``single-sign-change-*``, and the five radii of
+# ``generic-sum-agreement-*`` and ``envelope-*``.
+_SIGN_RS = np.linspace(0.0, 1.0 - 1e-9, 1000)
+_SAMPLE_RS = np.array(_ENVELOPE_SAMPLES)
 
-def _make_h_monotone_check(fam: Family):
-    def check() -> tuple[bool, str]:
-        ok = True
-        specs = list(_rep_specs(fam))
-        grids = [np.linspace(0.0, 0.95, 100)] * len(specs)
-        for b, d in _bohr_on_grids(specs, grids):
-            values = b.value - d.value
-            ok = ok and bool(np.all(values[1:] > values[:-1]))
-        return ok, "H strictly increasing on 100-point grids"
 
-    return check
+def _check_h_monotone(specs: tuple[ClassSpec, ...], *handed) -> tuple[bool, str]:
+    ok = all(bool(np.all(np.diff(b.value - d.value) > 0.0)) for _, d, b in _per_spec(specs, handed))
+    return ok, "H strictly increasing on 100-point grids"
 
-def _make_sign_change_check(fam: Family):
-    def check() -> tuple[bool, str]:
-        # The sign of H = B - d* on a grid of r, 0 where |H| is within its
-        # error bound.  B(r) >= r makes H(r) >= r - d*: a free positivity
-        # certificate that also avoids series evaluation close to r = 1.
-        ok = True
-        counts = []
-        specs = list(_rep_specs(fam))
-        rs = np.linspace(0.0, 1.0 - 1e-9, 1000)
-        d_stars = _d_stars(specs)
-        nears = [~(rs - d.value > d.error_bound + 1e-12) for d in d_stars]
-        bs = _on_grids(bohr_sum, specs, [rs[near] for near in nears])
-        for d, near, b in zip(d_stars, nears, bs):
-            signs = np.ones_like(rs)
-            h = b.value - d.value
-            signs[near] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
-            nonzero = signs[signs != 0.0]
-            changes = int(np.count_nonzero(np.diff(nonzero)))
-            counts.append(changes)
-            # Degenerate parameters sit at the root from the start.
-            expected = 0 if d.value == 0.0 else 1
-            ok = ok and changes == expected
-        return ok, f"sign changes per spec: {counts}"
+def _sign_near(d: SeriesValue) -> np.ndarray:
+    """The points of _SIGN_RS where single-sign-change sums B: elsewhere
+    r - d* exceeds d*'s bound, and B(r) >= r makes H(r) = B(r) - d* >= r - d*
+    positive, a free certificate that also avoids series evaluation close
+    to r = 1."""
+    return ~(_SIGN_RS - d.value > d.error_bound + 1e-12)
 
-    return check
+def _check_sign_change(specs: tuple[ClassSpec, ...], *handed) -> tuple[bool, str]:
+    # The sign of H = B - d* on the grid, 0 where |H| is within its error
+    # bound.
+    ok = True
+    counts = []
+    for _, d, b in _per_spec(specs, handed):
+        signs = np.ones_like(_SIGN_RS)
+        h = b.value - d.value
+        signs[_sign_near(d)] = np.where(np.abs(h) <= b.error_bound + d.error_bound, 0.0, np.sign(h))
+        nonzero = signs[signs != 0.0]
+        changes = int(np.count_nonzero(np.diff(nonzero)))
+        counts.append(changes)
+        # Degenerate parameters sit at the root from the start.
+        expected = 0 if d.value == 0.0 else 1
+        ok = ok and changes == expected
+    return ok, f"sign changes per spec: {counts}"
 
 # Terms of the direct sums of ``generic-sum-agreement-*``: at r <= 0.9
 # every family's tail beyond them is below 1e-15.
 _DIRECT_TERMS = 400
 
 
-def _make_generic_sum_check(fam: Family):
-    def check() -> tuple[bool, str]:
-        # B against r + sum c_n r^n as one plain dot of the first
-        # _DIRECT_TERMS coefficient bounds, which no series engine touches;
-        # the tail bound certifies the cut-off.  The target is 1e-12.
-        gaps, tails = [], []
-        rs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        specs = list(_rep_specs(fam))
-        for spec, b in zip(specs, _on_grids(bohr_sum, specs, [rs] * len(specs))):
-            rule = coefficient_rule(spec)
-            ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
-            c = rule.terms(ns)
-            for r, b_r in zip(rs.tolist(), b.value.tolist()):
-                gaps.append(abs(b_r - (r + float(c @ r**ns))))
-            tails.append(_tail_bound(spec, int(ns[-1]), rs))
-        worst, tail = float(np.max(gaps)), float(np.max(tails))
-        ok = worst <= 1e-12 and tail <= 1e-15
-        return ok, f"max |B - direct sum| = {worst:.2e} (tail <= {tail:.1e})"
+def _check_generic_sum(specs: tuple[ClassSpec, ...], *bs: SeriesValue) -> tuple[bool, str]:
+    # B against r + sum c_n r^n as one plain dot of the first
+    # _DIRECT_TERMS coefficient bounds, which no series engine touches;
+    # the tail bound certifies the cut-off.  The target is 1e-12.
+    gaps, tails = [], []
+    for spec, b in _per_spec(specs, bs):
+        rule = coefficient_rule(spec)
+        ns = np.arange(rule.start, rule.start + _DIRECT_TERMS, dtype=np.float64)
+        c = rule.terms(ns)
+        for r, b_r in zip(_SAMPLE_RS.tolist(), b.value.tolist()):
+            gaps.append(abs(b_r - (r + float(c @ r**ns))))
+        tails.append(_tail_bound(spec, int(ns[-1]), _SAMPLE_RS))
+    worst, tail = float(np.max(gaps)), float(np.max(tails))
+    ok = worst <= 1e-12 and tail <= 1e-15
+    return ok, f"max |B - direct sum| = {worst:.2e} (tail <= {tail:.1e})"
 
-    return check
-
-def _check_alt_engine_direct() -> tuple[bool, str]:
+def _check_alt_engine_direct(specs: tuple[ClassSpec, ...], *found: SeriesValue) -> tuple[bool, str]:
     # d* - 1 = sum_{n>=start} (-1)^(n-start+1) c_n: for gh-k-alpha at k = 1
     # the lacunary terms 2/(1 + j alpha) are its c_n, n = j + 1.  Each spec
     # passes if d* - 1 and the oracle are within d*'s certified bound plus
     # the oracle's truncation and rounding bound.
-    specs = [ph_alpha(0.3), wh_alpha(0.5), wh_alpha(1.0), ph_m(1.0), gh_k_alpha(1, 0.5),
-             gh_k_alpha(1, 2.0)]
-    found = _d_stars(specs)
     direct = _direct_alt_euler_mean(map(coefficient_rule, specs), _ORACLE_TERMS, _EULER_K)
     gaps = np.abs(np.array([d.value - 1.0 for d in found]) - direct.value)
     allowed = np.array([d.error_bound for d in found]) + direct.error_bound
@@ -664,54 +652,50 @@ def _check_radius_monotonicity(*results: RadiusResult) -> tuple[bool, str]:
     )
     return ok, "nondecreasing in alpha; nonincreasing in m"
 
-def _make_envelope_check(fam: Family):
-    def check() -> tuple[bool, str]:
-        reports = _envelope_reports(list(_rep_specs(fam)), _ENVELOPE_SAMPLES, 10_000, 1e-8)
-        ok = all(rep.passed for rep in reports)
-        return ok, "touch-point equality and containment at 5 radii per spec"
+def _check_envelope(specs: tuple[ClassSpec, ...], *envs) -> tuple[bool, str]:
+    reports = [_envelope_report(s, _SAMPLE_RS, env, 10_000, 1e-8) for s, env in _per_spec(specs, envs)]
+    ok = all(rep.passed for rep in reports)
+    return ok, "touch-point equality and containment at 5 radii per spec"
 
-    return check
+def _scan_window(r_f: float) -> np.ndarray:
+    """The 400-point r grid of ``scan-localisation-*`` on [0, 1.5 r_f],
+    capped at 0.95; a zero radius (d* = 0) is scanned on [0, 0.5]."""
+    return np.linspace(0.0, 0.5 if r_f == 0.0 else min(1.5 * r_f, 0.95), 400)
 
-def _make_scan_check(specs: tuple[ClassSpec, ...]):
-    def check(*results: RadiusResult) -> tuple[bool, str]:
-        ok = True
-        details = []
-        radii = [result.radius for result in results]
-        # A zero radius (d* = 0) is scanned on [0, 0.5].
-        r_maxes = [0.5 if r_f == 0.0 else min(1.5 * r_f, 0.95) for r_f in radii]
-        for r_f, r_max, fv in zip(radii, r_maxes, _first_violations(specs, r_maxes, 400)):
-            grid_step = r_max / 399.0
-            if r_f == 0.0:
-                ok = ok and fv is not None
-                ok = ok and abs(fv - grid_step) <= 1e-12
-                details.append("violation at first positive grid point")
-                continue
+def _check_scan(specs: tuple[ClassSpec, ...], *handed) -> tuple[bool, str]:
+    ok = True
+    details = []
+    for _, res, d, b in _per_spec(specs, handed):
+        r_f, rs = res.radius, _scan_window(res.radius)
+        fv = _first_violation(rs, b, d)
+        grid_step = float(rs[-1]) / 399.0
+        if r_f == 0.0:
             ok = ok and fv is not None
-            if fv is not None:
-                # The first violating grid point sits just past the root:
-                # above r_f, with the preceding grid point at or below it.
-                ok = ok and r_f - 1e-9 < fv and fv - grid_step <= r_f + 1e-12
-                details.append(f"violation at {fv:.6f} (r_f {r_f:.6f})")
-        return ok, "; ".join(details)
+            ok = ok and abs(fv - grid_step) <= 1e-12
+            details.append("violation at first positive grid point")
+            continue
+        ok = ok and fv is not None
+        if fv is not None:
+            # The first violating grid point sits just past the root:
+            # above r_f, with the preceding grid point at or below it.
+            ok = ok and r_f - 1e-9 < fv and fv - grid_step <= r_f + 1e-12
+            details.append(f"violation at {fv:.6f} (r_f {r_f:.6f})")
+    return ok, "; ".join(details)
 
-    return check
-
-def _check_g_alt_monotonicity() -> tuple[bool, str]:
-    # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha).
-    lanes = stack_lanes(gh_k_alpha(k, a) for k in (1, 2, 3) for a in (0.5, 1.0, 2.0, 4.0))
-    rows = (distance_bound(lanes).value - 1.0).reshape(3, -1).tolist()
+def _check_g_alt_monotonicity(*found: SeriesValue) -> tuple[bool, str]:
+    # gh-k-alpha's d* - 1 = 2 sum_{n>=1} (-1)^n / (1 + n k alpha), at four
+    # alphas for each k in {1, 2, 3}.
+    rows = (np.array([d.value for d in found]) - 1.0).reshape(3, -1).tolist()
     ok = all(all(b > a for a, b in zip(v, v[1:])) and v[-1] < 0.0 for v in rows)
     return ok, "strictly increasing toward 0 in alpha for k in {1,2,3}"
 
-def _check_oracle_envelope_floor() -> tuple[bool, str]:
+def _check_oracle_envelope_floor(specs: tuple[ClassSpec, ...], *envs) -> tuple[bool, str]:
     ok = True
     worst = float("inf")
-    for fam in Family:
-        spec = _rep_specs(fam)[1]
+    for spec, env in zip(specs, envs):
         est = distance_oracle(spec, rho=0.1, grid=72, n=2_000)
-        env = growth_envelope(spec, 0.1)
         tail = _tail_bound(spec, 2_000, 0.1)
-        margin = est.value - (env.lower - tail - env.error_bound)
+        margin = est.value - float(env.lower[0] - tail - env.error_bound[0])
         worst = min(worst, margin)
         # Polynomial extremals attain the floor exactly; leave room for
         # round-off on the equality case.
@@ -720,121 +704,179 @@ def _check_oracle_envelope_floor() -> tuple[bool, str]:
 
 
 class _Check(NamedTuple):
-    """A named check: the families it covers, the function that runs it,
-    and the specs whose radii it is handed, solved with the closed-form
-    preference or, if ``newton``, without it.  ``fn`` takes one
-    RadiusResult per spec of ``solves``, in order, and returns its verdict
-    and detail."""
+    """A named check: its predicate ``fn``, its specs, and what the suite
+    hands ``fn`` for them, in this order: if ``solves``, the RadiusResult
+    of each spec, solved with the closed-form preference or, if
+    ``newton``, without it; if ``d_stars``, the d* of each spec; and if
+    ``engine`` (``bohr_sum`` or ``growth_envelope``) is set, its value for
+    each spec over that spec's r grid.  ``grids`` is one r array for every
+    spec, or a function of the radii and d* handed that gives one array
+    per spec.  ``fn`` returns the verdict and detail.  The check covers
+    its specs' families and those of ``fams``."""
 
     name: str
-    fams: tuple[Family, ...]
     fn: Callable
-    solves: tuple[ClassSpec, ...] = ()
+    specs: tuple[ClassSpec, ...] = ()
+    solves: bool = False
     newton: bool = False
+    d_stars: bool = False
+    engine: Optional[Callable] = None
+    grids: np.ndarray | Callable | None = None
+    fams: tuple[Family, ...] = ()
+
+    def covers(self, family: Family) -> bool:
+        return family in self.fams or any(spec.family is family for spec in self.specs)
 
 
 def _build_registry() -> list[_Check]:
-    all_fams = tuple(Family)
     gt_grid, tb_fine = STANDARD_GRIDS[Family.GT_BETA], tuple(tb_m(m) for m in _TB_MS)
+    oracle_spec = ph_alpha(0.3)
+    # The first, middle and last spec of each standard grid.
+    reps = {fam: (grid[0], grid[len(grid) // 2], grid[-1]) for fam, grid in STANDARD_GRIDS.items()}
+
+    def per_family(prefix, specs, fn, **reads) -> list[_Check]:
+        # One check per family on its specs, which ``fn`` takes first.
+        return [
+            _Check(f"{prefix}-{fam.value}", partial(fn, specs[fam]), specs[fam], **reads)
+            for fam in Family
+        ]
+
     registry = [
         _Check(
-            "radius-ph-alpha-0-reference", (Family.PH_ALPHA,), _check_radius_ph_reference,
-            (ph_alpha(0.0),),
+            "radius-ph-alpha-0-reference", _check_radius_ph_reference, (ph_alpha(0.0),),
+            solves=True,
         ),
         _Check(
-            "reduction-wh-to-ph",
-            (Family.WH_ALPHA, Family.PH_ALPHA),
-            _check_reduction,
-            (wh_alpha(0.0), ph_alpha(0.0)),
+            "reduction-wh-to-ph", _check_reduction, (wh_alpha(0.0), ph_alpha(0.0)), solves=True
         ),
         _Check(
-            "reduction-gh-to-ph",
-            (Family.GH_K_ALPHA, Family.PH_ALPHA),
-            _check_reduction,
-            (gh_k_alpha(1, 1.0), ph_alpha(0.0)),
+            "reduction-gh-to-ph", _check_reduction, (gh_k_alpha(1, 1.0), ph_alpha(0.0)),
+            solves=True,
         ),
         _Check(
             "closed-vs-bisection-gt-beta",
-            (Family.GT_BETA,),
-            _make_closed_vs_bisection_check(gt_grid),
+            partial(_check_closed_vs_bisection, gt_grid),
             gt_grid,
+            solves=True,
             newton=True,
         ),
         _Check(
             "closed-vs-bisection-tb-m",
-            (Family.TB_M,),
-            _make_closed_vs_bisection_check(tb_fine),
+            partial(_check_closed_vs_bisection, tb_fine),
             tb_fine,
+            solves=True,
             newton=True,
         ),
-        _Check("quadratic-residual-tb-m", (Family.TB_M,), _check_tb_quadratic_residual),
-        _Check("jacobian-half-identity-tb-m", (Family.TB_M,), _check_jacobian_half),
-        _Check("jacobian-majorant-deficit-tb-m", (Family.TB_M,), _check_jacobian_deficit),
+        _Check("quadratic-residual-tb-m", _check_tb_quadratic_residual, fams=(Family.TB_M,)),
+        _Check("jacobian-half-identity-tb-m", _check_jacobian_half, fams=(Family.TB_M,)),
+        _Check("jacobian-majorant-deficit-tb-m", _check_jacobian_deficit, fams=(Family.TB_M,)),
     ]
-    for fam, grid in STANDARD_GRIDS.items():
-        registry.append(_Check(f"sharpness-{fam.value}", (fam,), _make_sharpness_check(grid), grid))
+    registry += per_family(
+        "sharpness", STANDARD_GRIDS, _check_sharpness, solves=True, engine=bohr_sum,
+        grids=_sharpness_grids,
+    )
     registry += [
-        _Check("distance-oracle-ph-alpha", (Family.PH_ALPHA,), _check_distance_oracle_ph),
+        _Check(
+            "distance-oracle-ph-alpha", partial(_check_distance_oracle_ph, oracle_spec),
+            (oracle_spec,), d_stars=True,
+        ),
         _Check(
             "distance-oracle-negative-axis",
-            (Family.PH_ALPHA, Family.PH_M, Family.GH_K_ALPHA),
             _check_oracle_negative_axis,
+            fams=(Family.PH_ALPHA, Family.PH_M, Family.GH_K_ALPHA),
         ),
-        _Check(
-            "wh-alpha-1-root-report", (Family.WH_ALPHA,), _check_wh_alpha1_report,
-            (wh_alpha(1.0),),
-        ),
+        _Check("wh-alpha-1-root-report", _check_wh_alpha1_report, (wh_alpha(1.0),), solves=True),
     ]
-    for fam in Family:
-        registry.append(_Check(f"h-monotone-{fam.value}", (fam,), _make_h_monotone_check(fam)))
-    for fam in Family:
-        registry.append(
-            _Check(f"single-sign-change-{fam.value}", (fam,), _make_sign_change_check(fam))
-        )
-    for fam in Family:
-        registry.append(
-            _Check(f"generic-sum-agreement-{fam.value}", (fam,), _make_generic_sum_check(fam))
-        )
+    registry += per_family(
+        "h-monotone", reps, _check_h_monotone, d_stars=True, engine=bohr_sum,
+        grids=np.linspace(0.0, 0.95, 100),
+    )
+    registry += per_family(
+        "single-sign-change", reps, _check_sign_change, d_stars=True, engine=bohr_sum,
+        grids=lambda _, d_stars: [_SIGN_RS[_sign_near(d)] for d in d_stars],
+    )
+    registry += per_family(
+        "generic-sum-agreement", reps, _check_generic_sum, engine=bohr_sum, grids=_SAMPLE_RS
+    )
+    alt_specs = (ph_alpha(0.3), wh_alpha(0.5), wh_alpha(1.0), ph_m(1.0), gh_k_alpha(1, 0.5),
+                 gh_k_alpha(1, 2.0))
     registry += [
         _Check(
-            "alt-engine-vs-direct-sum",
-            (Family.PH_ALPHA, Family.WH_ALPHA, Family.PH_M, Family.GH_K_ALPHA),
-            _check_alt_engine_direct,
+            "alt-engine-vs-direct-sum", partial(_check_alt_engine_direct, alt_specs), alt_specs,
+            d_stars=True,
         ),
         _Check(
             "radius-parameter-monotonicity",
-            _MONOTONE_FAMS,
             _check_radius_monotonicity,
             tuple(s for fam in _MONOTONE_FAMS for s in STANDARD_GRIDS[fam]),
+            solves=True,
         ),
     ]
-    for fam in Family:
-        registry.append(_Check(f"envelope-{fam.value}", (fam,), _make_envelope_check(fam)))
-    for fam in Family:
-        reps = _rep_specs(fam)
-        registry.append(
-            _Check(f"scan-localisation-{fam.value}", (fam,), _make_scan_check(reps), reps)
-        )
+    registry += per_family(
+        "envelope", reps, _check_envelope, engine=growth_envelope, grids=_SAMPLE_RS
+    )
+    registry += per_family(
+        "scan-localisation", reps, _check_scan, solves=True, d_stars=True, engine=bohr_sum,
+        grids=lambda results, _: [_scan_window(res.radius) for res in results],
+    )
+    mids = tuple(reps[fam][1] for fam in Family)
     registry += [
-        _Check("g-alt-alpha-monotonicity", (Family.GH_K_ALPHA,), _check_g_alt_monotonicity),
-        _Check("oracle-above-lower-envelope", all_fams, _check_oracle_envelope_floor),
+        _Check(
+            "g-alt-alpha-monotonicity", _check_g_alt_monotonicity,
+            tuple(gh_k_alpha(k, a) for k in (1, 2, 3) for a in (0.5, 1.0, 2.0, 4.0)),
+            d_stars=True,
+        ),
+        _Check(
+            "oracle-above-lower-envelope", partial(_check_oracle_envelope_floor, mids), mids,
+            engine=growth_envelope, grids=np.array([0.1]),
+        ),
     ]
     return registry
 
 
-def _solve_suite(checks: list[_Check], cfg: SolverConfig) -> list[list]:
-    """For each check, the RadiusResult or ConvergenceError of each spec it
-    solves, from one lane pass per family and config over all the checks."""
+def _handed(checks: list[_Check], cfg: SolverConfig) -> list[list]:
+    """What each check is handed, stage by stage: one lane pass per family
+    and config for the radii of every check's distinct specs, one
+    ``distance_bound`` call per family for the d* of every check, then one
+    call per engine and family for the grids of every check.  A spec that
+    fails to solve, or an engine call that raises, leaves its error in
+    place of its value, and a check already handed an error asks for
+    nothing more."""
+    handed: list[list] = [[] for _ in checks]
+
+    def ready():
+        return [
+            (check, found) for check, found in zip(checks, handed)
+            if not any(isinstance(x, HarmBohrError) for x in found)
+        ]
+
     configs = [replace(cfg, prefer_closed_form=False) if check.newton else cfg for check in checks]
-    wanted: dict[SolverConfig, dict[ClassSpec, None]] = {}
-    for check, c in zip(checks, configs):
-        wanted.setdefault(c, {}).update(dict.fromkeys(check.solves))
-    solved = {
-        (spec, c): found
-        for c, specs in wanted.items()
-        for spec, found in zip(specs, _solve_each(list(specs), c))
-    }
-    return [[solved[spec, c] for spec in check.solves] for check, c in zip(checks, configs)]
+    for c in dict.fromkeys(configs):
+        wanted = [
+            (found, spec) for check, found, of in zip(checks, handed, configs)
+            if check.solves and of == c for spec in check.specs
+        ]
+        unique = list(dict.fromkeys(spec for _, spec in wanted))
+        solved = dict(zip(unique, _solve_each(unique, c)))
+        for found, spec in wanted:
+            found.append(solved[spec])
+    wanted = [(found, spec) for check, found in ready() if check.d_stars for spec in check.specs]
+    for (found, _), d in zip(wanted, _d_stars([spec for _, spec in wanted])):
+        found.append(d)
+    asks: dict[Callable, list] = {}
+    for check, found in ready():
+        if check.engine is not None:
+            radii, grids = check.solves * len(check.specs), check.grids
+            if callable(grids):
+                grids = grids(found[:radii], found[radii:])
+            else:
+                grids = [grids] * len(check.specs)
+            asks.setdefault(check.engine, []).extend(zip([found] * len(grids), check.specs, grids))
+    for engine, wanted in asks.items():
+        values = _on_grids(engine, [spec for _, spec, _ in wanted], [grid for *_, grid in wanted])
+        for (found, _, _), value in zip(wanted, values):
+            found.append(value)
+    return handed
 
 
 def run_suite(
@@ -844,21 +886,21 @@ def run_suite(
 ) -> SuiteReport:
     """Run the named checks, optionally filtered by substring or family.
 
-    The radii the selected checks solve are solved first, once each, and
-    each check is handed its own."""
+    The radii, d*, B and envelopes the selected checks read are evaluated
+    first, each once, and each check is handed its own."""
     cfg = config or SolverConfig()
     if isinstance(family, str):
         family = Family(family)
     checks = [
         check
         for check in _build_registry()
-        if (only is None or only in check.name) and (family is None or family in check.fams)
+        if (only is None or only in check.name) and (family is None or check.covers(family))
     ]
     t0 = perf_counter()
-    solved = _solve_suite(checks, cfg)
-    solve_seconds = perf_counter() - t0
+    handed = _handed(checks, cfg)
+    shared_seconds = perf_counter() - t0
     results = []
-    for check, found in zip(checks, solved):
+    for check, found in zip(checks, handed):
         t0 = perf_counter()
         try:
             passed, detail = check.fn(*_raise_first(found))
@@ -866,4 +908,4 @@ def run_suite(
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         # A numpy bool would not print through json.
         results.append(CheckResult(check.name, bool(passed), detail, perf_counter() - t0))
-    return SuiteReport(tuple(results), solve_seconds)
+    return SuiteReport(tuple(results), shared_seconds)

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -39,6 +40,13 @@ class TestParseGrid:
 
     def test_single_point(self):
         assert parse_grid("1:1:1") == [1.0]
+
+    @pytest.mark.parametrize(
+        "text, lo", [("0.5:0.5:1e-16", 0.5), ("1e17:1e17:1", 1e17), ("1.7e308:1.7e308:1", 1.7e308)]
+    )
+    def test_a_step_below_an_ulp_keeps_lo(self, text, lo):
+        # hi + step/2 rounds to hi here, and lo = hi is still the grid.
+        assert parse_grid(text) == [lo]
 
     def test_bad_shapes_rejected(self):
         for text in (
@@ -345,6 +353,13 @@ class TestScanCommand:
         assert out == ""
 
 
+    def test_a_one_point_grid_below_an_ulp_prints_its_record(self, capsys):
+        rc, out, err = run_cli(capsys, "scan", "--class", "ph-alpha", "--alpha", "0.1:0.1:1e-300")
+        assert (rc, err) == (0, "")
+        rc, one, _ = run_cli(capsys, "radius", "--class", "ph-alpha", "--alpha", "0.1")
+        assert out == one and len(out.splitlines()) == 1
+
+
 class TestTableCommand:
     def test_header_and_row_count(self, capsys):
         rc, out, _ = run_cli(
@@ -366,6 +381,12 @@ class TestTableCommand:
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
         assert float(last[0]) == 0.45
         assert float(last[1]) == pytest.approx(0.30397246486906385, abs=1e-10)
+
+
+    def test_a_one_point_range_outside_the_domain_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "table", "--class", "tb-m", "--range", "1.7e308:1.7e308:1")
+        assert (rc, out) == (2, "")
+        assert err == "error: m must satisfy 0 < m < 2, got 1.7e+308\n"
 
 
 class TestVerifyCommand:
@@ -395,18 +416,20 @@ class TestVerifyCommand:
         assert "no checks matched" in err
 
     def test_json_lines_name_the_same_checks(self, capsys):
+        # Each record carries the name, verdict and detail of its text line.
         rc, text, _ = run_cli(capsys, "verify")
         assert rc == 0
-        names = [line.split(":")[0].split(" ", 1)[1] for line in text.splitlines()[:-1]]
+        lines = text.splitlines()[:-1]
         rc, out, err = run_cli(capsys, "verify", "--json")
         assert rc == 0 and err == ""
         records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 51
-        assert [r["name"] for r in records] == names
-        for r in records:
+        assert len(records) == len(lines) == 51
+        for r, line in zip(records, lines):
             assert set(r) == {"name", "passed", "detail", "seconds"}
             assert r["passed"] is True
             assert r["seconds"] >= 0.0
+            status = "PASS" if r["passed"] else "FAIL"
+            assert line == f"{status} {r['name']}: {r['detail']}"
 
     def test_json_failure_keeps_stderr_and_exit_code(self, capsys, monkeypatch):
         from harmbohr import verifier
@@ -427,7 +450,7 @@ class TestVerifyCommand:
         from harmbohr import verifier
 
         check = verifier._Check(
-            "numpy-verdict", tuple(verifier.Family), lambda: (np.bool_(True), "ok")
+            "numpy-verdict", lambda: (np.bool_(True), "ok"), fams=tuple(verifier.Family)
         )
         monkeypatch.setattr(verifier, "_build_registry", lambda: [check])
         rc, out, err = run_cli(capsys, "verify", "--json")
@@ -904,6 +927,106 @@ class TestDomainEdges:
         rc, out, err = run_cli(capsys, "radius", "--class", "tb-m", "--m", m)
         assert (rc, err) == (0, "")
         assert 0.0 < json.loads(out)["radius"] < 1.0
+
+
+class TestCommandLineFuzz:
+    """Seeded random command lines through ``main``, warnings as errors:
+    every one ends in a documented exit code, with no traceback, nothing on
+    stdout when ``radius`` or ``scan`` fails, and only finite numbers on
+    stdout when it succeeds."""
+
+    FLOATS = ("5e-324", "1.7e308", "nan", "inf", "-inf", "-0.0", "0", "1e-320", "abc", "")
+    KS = ("0", "1", "2", "3", "10", str(10**17), str(10**23), "-1", "1.5", "x")
+
+    @classmethod
+    def value(cls, rng, name):
+        if name == "k":
+            return rng.choice(cls.KS) if rng.random() < 0.7 else str(rng.randint(1, 10**23))
+        return rng.choice(cls.FLOATS) if rng.random() < 0.4 else repr(rng.uniform(-0.1, 2.1))
+
+    @classmethod
+    def grid(cls, rng):
+        """A lo:hi:step text of at most 10^3 points, or a malformed one."""
+        shape = rng.random()
+        lo = rng.uniform(0.0, 2.0) if rng.random() < 0.7 else float(rng.choice(cls.FLOATS[:6]))
+        if shape < 0.2:
+            # One point, the step below half an ulp of hi.
+            return f"{lo!r}:{lo!r}:{rng.choice((1e-300, 5e-324, math.ulp(lo) / 4 or 5e-324))!r}"
+        if shape < 0.3:
+            return rng.choice(("a:b:c", "1:0:0.1", "0:1", "0:1:0", "nan:1:0.1", "0:inf:1", "0:1:-1"))
+        step = rng.choice((1e-3, 0.01, 0.05, 0.3, 1.0, 5e-324, 1e300))
+        hi = lo + rng.randint(0, 999) * step
+        if math.isfinite(hi) and step > 0 and (hi - lo) / step + 1.0 > 1000:
+            hi = lo
+        return f"{lo!r}:{hi!r}:{step!r}"
+
+    @classmethod
+    def command_line(cls, rng):
+        command = rng.choice(("radius", "scan", "table"))
+        tag = rng.choice(cli.CLASS_TAGS)
+        names = list(cli._EXPECTED_PARAMS[tag])
+        if rng.random() < 0.1:
+            names.append(rng.choice(("alpha", "beta", "m", "k")))
+        values = {name: cls.value(rng, name) for name in names}
+        argv = [command, "--class", tag]
+        if command != "radius":
+            swept = names[-1] if names[-1] != "k" else "alpha"
+            if rng.random() < 0.5:
+                values.pop(cli._EXPECTED_PARAMS[tag][-1], None)
+                argv += ["--range", cls.grid(rng)]
+            else:
+                values[swept] = cls.grid(rng)
+        for name, value in values.items():
+            argv.append(f"--{name}={value}")
+        if rng.random() < 0.3:
+            argv.append(f"--max-iter={rng.randint(0, 3)}")
+        if rng.random() < 0.2:
+            argv.append(f"--tol={rng.choice(('1e-12', '1e-6', '0.9', '5e-324', '1e308', 'nan'))}")
+        if command != "table" and rng.random() < 0.5:
+            argv.append("--format=csv")
+        return argv
+
+    @staticmethod
+    def numbers(out):
+        """Every number of a JSON, CSV or table record on stdout."""
+        for line in out.splitlines():
+            if line.startswith("{"):
+                record = json.loads(line)
+                yield from (v for v in (*record.values(), *record["params"].values())
+                            if isinstance(v, (int, float)) and not isinstance(v, bool))
+                continue
+            for field in line.split(","):
+                try:
+                    yield float(field)
+                except ValueError:
+                    pass
+
+    def test_seeded_command_lines_end_cleanly(self, capsys):
+        rng = random.Random(20261021)
+        for _ in range(1000):
+            argv = self.command_line(rng)
+            try:
+                rc, out, err = run_cli(capsys, *argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                pytest.fail(f"{argv} raised {type(exc).__name__}: {exc}")
+            assert rc in (0, 1, 2, 3), argv
+            if rc:
+                assert err, argv
+                if argv[0] in ("radius", "scan"):
+                    assert out == "", argv
+            else:
+                found = list(self.numbers(out))
+                assert found and all(math.isfinite(v) for v in found), (argv, out)
+
+    def test_a_grid_one_point_too_large_exits_2_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a grid past MAX_GRID_POINTS")
+
+        monkeypatch.setattr(cli, "compute_records", no_solve)
+        grid = f"0:{cli.MAX_GRID_POINTS}:1"
+        rc, out, err = run_cli(capsys, "scan", "--class", "ph-alpha", "--alpha", grid)
+        assert (rc, out) == (2, "")
+        assert err == f"error: grid {grid!r} has more than {cli.MAX_GRID_POINTS} points\n"
 
 
 class TestBenchmarkSurface:

@@ -31,12 +31,15 @@ from harmbohr.solver import SolverConfig, closed_form_radius, solve_radii, solve
 from harmbohr.verifier import (
     STANDARD_GRIDS,
     WH_ALPHA1_REFERENCE_DECIMAL,
-    _bohr_on_grids,
     _EULER_K,
     _ORACLE_TERMS,
+    _d_stars,
     _direct_alt_euler_mean,
-    _first_violations,
-    _sharpness_reports,
+    _first_violation,
+    _on_grids,
+    _scan_window,
+    _sharpness_grids,
+    _sharpness_report,
     _tail_bound,
     distance_oracle,
     envelope_check,
@@ -45,6 +48,12 @@ from harmbohr.verifier import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@pytest.fixture(scope="module")
+def full_suite():
+    """(name, passed, detail) of every check of one full suite, in order."""
+    return [(r.name, r.passed, r.detail) for r in run_suite().results]
 
 
 class TestEvaluateExtremal:
@@ -170,26 +179,38 @@ class TestSharpness:
 
     @pytest.mark.parametrize("family", ["wh-alpha", "gh-k-alpha", "tb-m"])
     def test_batched_reports_equal_one_spec_checks(self, family):
+        # B of every spec from one call, as the suite evaluates it.
         specs = list(STANDARD_GRIDS[Family(family)])
-        batched = _sharpness_reports(specs, solve_radii(specs), 1e-12)
+        results = solve_radii(specs)
+        bs = _on_grids(bohr_sum, specs, _sharpness_grids(results, ()))
+        batched = [_sharpness_report(s, res, b, 1e-12) for s, res, b in zip(specs, results, bs)]
         assert batched == [sharpness_check(spec) for spec in specs]
 
 
 class TestBohrScan:
-    """The first point of a uniform r grid where B(r) exceeds d*."""
+    """The first point of a uniform r grid where B(r) exceeds d*, read off
+    B and d* as the suite hands them to ``scan-localisation-*``."""
+
+    @staticmethod
+    def first_violation(spec, r_max, steps):
+        from harmbohr import verifier
+
+        rs = np.linspace(0.0, r_max, steps)
+        (b,), (d,) = _on_grids(verifier.bohr_sum, [spec], [rs]), _d_stars([spec])
+        return _first_violation(rs, b, d)
 
     def test_ph_alpha_localises_radius(self):
-        fv = _first_violations([ph_alpha(0.0)], [0.5], 500)[0]
+        fv = self.first_violation(ph_alpha(0.0), 0.5, 500)
         assert fv == pytest.approx(0.2852, abs=1e-3)
 
     def test_gt_beta_zero_violates_immediately(self):
         # d* = 0: r = 0 satisfies the inequality, and the majorant exceeds
         # d* from the first positive grid point on.
-        fv = _first_violations([gt_beta(0.0)], [0.5], 100)[0]
+        fv = self.first_violation(gt_beta(0.0), 0.5, 100)
         assert fv == pytest.approx(0.5 / 99, abs=1e-12)
 
     def test_tb_heavy_mass_tiny_radius(self):
-        fv = _first_violations([tb_m(1.9)], [0.2], 400)[0]
+        fv = self.first_violation(tb_m(1.9), 0.2, 400)
         expect = closed_form_radius(tb_m(1.9))
         step = 0.2 / 399
         assert expect == pytest.approx(0.047827, abs=1e-6)
@@ -199,26 +220,29 @@ class TestBohrScan:
         # Every grid point at or below the radius satisfies the inequality.
         spec = wh_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violations([spec], [0.6], 200)[0] > r_f
+        assert self.first_violation(spec, 0.6, 200) > r_f
 
     def test_no_violation_below_radius_window(self):
         spec = ph_alpha(0.5)
         r_f = solve_radius(spec).radius
-        assert _first_violations([spec], [0.9 * r_f], 50)[0] is None
+        assert self.first_violation(spec, 0.9 * r_f, 50) is None
 
     @pytest.mark.parametrize("index", [0, 2, 4])
     def test_first_violation_read_off_the_mask_matches_rows(self, index):
         # The wh-alpha specs and windows of scan-localisation-wh-alpha,
         # against B and d* evaluated one grid point at a time.
         spec = STANDARD_GRIDS[Family.WH_ALPHA][index]
-        r_max = min(1.5 * solve_radius(spec).radius, 0.95)
+        r_f = solve_radius(spec).radius
+        rs = _scan_window(r_f)
+        assert rs.size == 400 and rs[-1] == min(1.5 * r_f, 0.95)
         d = distance_bound(spec)
-        rows = ((r, bohr_sum(spec, r)) for r in np.linspace(0.0, r_max, 400).tolist())
+        rows = ((r, bohr_sum(spec, r)) for r in rs.tolist())
         expect = next(
             r for r, b in rows
             if not b.value <= d.value + b.error_bound + d.error_bound + 1e-15
         )
-        assert _first_violations([spec], [r_max], 400)[0] == expect
+        (b,) = _on_grids(bohr_sum, [spec], [rs])
+        assert _first_violation(rs, b, d) == expect
 
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_grouped_lanes_equal_one_spec_calls(self, family):
@@ -226,26 +250,23 @@ class TestBohrScan:
         # gh-k-alpha specs differ in k, so their lane spec has a k column.
         specs = [STANDARD_GRIDS[Family(family)][i] for i in (0, -1, 1)]
         grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.9, 7), (0.3, 2))]
-        got = _bohr_on_grids(specs, grids)
+        got = zip(_on_grids(bohr_sum, specs, grids), _d_stars(specs))
         for spec, rs, (b, d) in zip(specs, grids, got):
             assert b == bohr_sum(spec, rs)
             assert d == distance_bound(spec)
 
-    def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self, monkeypatch):
+    def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self):
         # Specs of three families: each is its own group, and B is summed
         # on the spec itself over its own grid.
-        from harmbohr import verifier
-
         calls = []
 
         def recorded(spec, r):
             calls.append((spec, r))
             return bohr_sum(spec, r)
 
-        monkeypatch.setattr(verifier, "bohr_sum", recorded)
         specs = [gh_k_alpha(1, 0.5), wh_alpha(1.0), ph_m(0.5)]
         grids = [np.linspace(0.0, 0.95, n) for n in (100, 7, 2)]
-        _bohr_on_grids(specs, grids)
+        _on_grids(recorded, specs, grids)
         assert len(calls) == 3
         for (spec, r), want, grid in zip(calls, specs, grids):
             assert spec is want and r is grid
@@ -267,17 +288,35 @@ class TestBohrScan:
         counted("bohr_sum")
         counted("distance_bound")
         specs = [wh_alpha(0.0), gh_k_alpha(2, 1.0), wh_alpha(1.0), gh_k_alpha(3, 3.0)]
-        found = _first_violations(specs, [0.6, 0.6, 0.6, 0.6], 100)
+        rs = np.linspace(0.0, 0.6, 100)
+        bs = _on_grids(verifier.bohr_sum, specs, [rs] * len(specs))
+        found = [_first_violation(rs, b, d) for b, d in zip(bs, _d_stars(specs))]
         assert sorted(calls) == ["bohr_sum"] * 2 + ["distance_bound"] * 2
         calls.clear()
-        assert found == [_first_violations([s], [0.6], 100)[0] for s in specs]
+        assert found == [self.first_violation(s, 0.6, 100) for s in specs]
         assert len(calls) == 8
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            _first_violations([ph_alpha(0.0)], [1.0], 10)
-        with pytest.raises(DomainError):
-            _first_violations([ph_alpha(0.0)], [0.5], 1)
+    def test_domain_errors(self, monkeypatch):
+        # A grid outside B's domain, or a family whose d* raises, gives the
+        # error in place of each of its specs' values, and the other
+        # families are evaluated as before.
+        from harmbohr import verifier
+
+        specs = [ph_alpha(0.0), wh_alpha(0.5), ph_alpha(0.5)]
+        grids = [np.linspace(0.0, 1.0, 10), np.linspace(0.0, 0.5, 3), np.linspace(0.0, 0.5, 3)]
+        bad, b, bad_too = _on_grids(bohr_sum, specs, grids)
+        assert isinstance(bad, DomainError) and bad is bad_too
+        assert b == bohr_sum(wh_alpha(0.5), grids[1])
+
+        def failing(spec):
+            if spec.family is Family.PH_ALPHA:
+                raise DomainError("forced")
+            return distance_bound(spec)
+
+        monkeypatch.setattr(verifier, "distance_bound", failing)
+        bad, d, bad_too = _d_stars(specs)
+        assert str(bad) == "forced" and bad is bad_too
+        assert d == distance_bound(wh_alpha(0.5))
 
 
 class TestEnvelopeCheck:
@@ -535,13 +574,19 @@ class TestRunSuite:
         assert "2Li2(r) - r = pi^2/12" in result.detail
 
     def test_every_check_takes_one_radius_per_spec_it_solves(self):
-        # run_suite calls fn with the RadiusResult of each spec of solves,
-        # in order: a check whose arguments do not match its specs fails
-        # here without running.
+        # run_suite calls fn with one argument per spec for each kind it
+        # reads (radius, d*, engine value), a kind for all the specs before
+        # the next: a check whose arguments do not match its specs fails
+        # here without running.  A check reads an engine exactly when it
+        # names its grids, and only a solving check forces Newton.
         from harmbohr import verifier
 
         for check in verifier._build_registry():
-            inspect.signature(check.fn).bind(*check.solves)
+            kinds = check.solves + check.d_stars + (check.engine is not None)
+            inspect.signature(check.fn).bind(*check.specs * kinds)
+            assert (check.engine is None) == (check.grids is None), check.name
+            assert check.solves or not check.newton, check.name
+            assert check.specs or check.fams, check.name
 
     def test_details_are_deterministic(self):
         a = run_suite(only="closed-vs-bisection")
@@ -757,11 +802,15 @@ class TestRunSuite:
 
 
 class TestLaneCallsPerSuite:
-    """verify hands each check's radii and spec groups to the engines in
-    lane calls: one full suite makes a fixed, small number of engine calls,
-    so a per-point loop that comes back shows here."""
+    """verify solves every check's radii and evaluates every d*, B and
+    envelope the checks read in lane calls: one full suite makes a fixed,
+    small number of engine calls, so a per-point or per-check loop that
+    comes back shows here."""
 
-    def test_engine_calls_of_one_full_suite(self, monkeypatch):
+    @staticmethod
+    def counted_engines(monkeypatch):
+        """Calls from now on of the verifier's three engines and of the
+        series engines behind them, by name."""
         from harmbohr import classes, verifier
 
         counts = dict.fromkeys(
@@ -783,18 +832,29 @@ class TestLaneCallsPerSuite:
             counted(verifier, name)
         for name in ("lerch_sum", "_wh_sums", "alt_lerch_sum", "_wh_alt"):
             counted(classes, name)
+        return counts
+
+    def test_engine_calls_of_one_full_suite(self, monkeypatch):
+        counts = self.counted_engines(monkeypatch)
         report = run_suite()
         assert len(report.results) == 51 and report.passed
-        # One call per envelope check for its three specs, plus six floor
-        # checks.
-        assert counts["growth_envelope"] == 12
-        # One call per check and family, whatever the k of its specs.
-        assert counts["bohr_sum"] == 30
-        assert counts["distance_bound"] == 24
-        assert counts["lerch_sum"] == 11
-        assert counts["_wh_sums"] == 10
-        assert counts["alt_lerch_sum"] == 8
-        assert counts["_wh_alt"] == 7
+        # One call per engine and family for every check, whatever the k
+        # of its specs (30, 24 and 12 when each check made its own calls).
+        assert counts["growth_envelope"] == 6
+        assert counts["bohr_sum"] == 6
+        assert counts["distance_bound"] == 6
+        # Behind them, and behind the solve's majorant passes.
+        assert counts["lerch_sum"] == 6
+        assert counts["_wh_sums"] == 5
+        assert counts["alt_lerch_sum"] == 3
+        assert counts["_wh_alt"] == 3
+
+    def test_a_filtered_suite_evaluates_only_what_its_checks_read(self, monkeypatch):
+        counts = self.counted_engines(monkeypatch)
+        assert run_suite(only="quadratic-residual").passed
+        assert not any(counts.values())
+        assert run_suite(only="h-monotone-wh-alpha").passed
+        assert (counts["distance_bound"], counts["bohr_sum"], counts["growth_envelope"]) == (1, 1, 0)
 
 
     @staticmethod
@@ -838,8 +898,9 @@ class TestLaneCallsPerSuite:
         assert len(groups) == len(passes)
         (gh,) = [spec for spec, _ in passes if spec.family is Family.GH_K_ALPHA]
         assert gh.k.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-        # The shared solve is timed once, apart from every check's seconds.
-        assert report.solve_seconds > 0.0
+        # The shared solve and evaluation are timed once, apart from every
+        # check's seconds.
+        assert report.shared_seconds > 0.0
 
     def test_a_filtered_suite_solves_only_what_its_checks_need(self, monkeypatch):
         passes = self.counted_passes(monkeypatch)
@@ -882,6 +943,65 @@ class TestLaneCallsPerSuite:
                 )
             else:
                 assert (new.passed, new.detail) == (old.passed, old.detail)
+
+    @pytest.mark.parametrize(
+        "engine, family, changed",
+        [
+            (
+                "bohr_sum",
+                Family.WH_ALPHA,
+                {"sharpness-wh-alpha", "h-monotone-wh-alpha", "single-sign-change-wh-alpha",
+                 "generic-sum-agreement-wh-alpha", "scan-localisation-wh-alpha"},
+            ),
+            (
+                "growth_envelope",
+                Family.GH_K_ALPHA,
+                {"envelope-gh-k-alpha", "oracle-above-lower-envelope"},
+            ),
+            (
+                "distance_bound",
+                Family.WH_ALPHA,
+                {"h-monotone-wh-alpha", "single-sign-change-wh-alpha", "alt-engine-vs-direct-sum",
+                 "scan-localisation-wh-alpha"},
+            ),
+        ],
+        ids=["bohr_sum-wh-alpha", "growth_envelope-gh-k-alpha", "distance_bound-wh-alpha"],
+    )
+    def test_an_engine_error_fails_exactly_the_checks_that_read_it(
+        self, monkeypatch, full_suite, engine, family, changed
+    ):
+        # An engine that raises for one family fails each check that reads
+        # a value of that family from it, with that error as its detail,
+        # and leaves every other check as it was.
+        from harmbohr import verifier
+
+        original = getattr(verifier, engine)
+
+        def forced(spec, *args):
+            if spec.family is family:
+                raise DomainError("forced")
+            return original(spec, *args)
+
+        monkeypatch.setattr(verifier, engine, forced)
+        after = run_suite().results
+        assert [r.name for r in after] == [name for name, _, _ in full_suite]
+        for (name, passed, detail), new in zip(full_suite, after):
+            if name in changed:
+                assert (new.passed, new.detail) == (False, "raised DomainError: forced"), name
+            else:
+                assert (new.passed, new.detail) == (passed, detail), name
+
+    @pytest.mark.parametrize(
+        "selection",
+        [{"family": f} for f in Family] + [{"only": "sharpness"}, {"only": "envelope"}],
+        ids=[f.value for f in Family] + ["only-sharpness", "only-envelope"],
+    )
+    def test_a_filtered_suite_matches_the_full_suite(self, full_suite, selection):
+        # A filtered suite evaluates smaller unions of specs and grids, and
+        # each of its checks still gives the full suite's verdict and detail.
+        got = [(r.name, r.passed, r.detail) for r in run_suite(**selection).results]
+        names = {name for name, _, _ in got}
+        assert got and got == [row for row in full_suite if row[0] in names]
 
 
 class TestWorstCaseFoldsFailOnNaN:
