@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .solver import jacobian_functional, jacobian_radius, solve_radius  # noqa: 
 JACOBIAN_TAG = "tb-m-jacobian"
 CLASS_TAGS = tuple(f.value for f in FAMILIES) + (JACOBIAN_TAG,)
 
-DEFAULT_TOL = 1e-12
-
 # Largest lo:hi:step grid parse_grid will build.
 MAX_GRID_POINTS = 1_000_000
 
@@ -42,7 +40,7 @@ MAX_GRID_POINTS = 1_000_000
 # a 10^5-point scan's peak RSS (55 MB at 16384 lanes, 45 MB here).
 _CHUNK_LANES = 4096
 
-# Rows cmd_scan formats and writes at once, one write per batch.
+# Rows _write_records formats and writes at once, one write per batch.
 _ROW_BATCH = 1024
 
 # Parameters each tag requires on the command line; the last is swept by
@@ -54,7 +52,7 @@ _EXPECTED_PARAMS: dict[str, tuple[str, ...]] = {
 
 CSV_HEADER = "class,param_name,param_value,radius,residual,method"
 
-# The keys of a JSON record, in the order of OutputRecord's fields.
+# The keys of a JSON record, in the order records print them.
 _JSON_KEYS = ("class", "params", "radius", "residual", "method", "d_star", "tol")
 
 
@@ -86,9 +84,10 @@ def _csv_template(tag: str, name: str, method: str) -> str:
     return f"{tag},{name},%.12g,%.12g,%.11e,{method}"
 
 
+# OutputRecord is not used here; perfbench/test_perfbench.py reads it.
 @dataclass(frozen=True)
 class OutputRecord:
-    """One solved radius, ready for JSON or CSV emission."""
+    """One solved radius, ready for CSV emission."""
 
     class_tag: str
     params: dict
@@ -97,9 +96,6 @@ class OutputRecord:
     method: str
     d_star: float
     tol: float
-
-    def to_json(self) -> str:
-        return _json_row(*astuple(self))
 
     def to_csv_row(self) -> str:
         name = _EXPECTED_PARAMS[self.class_tag][-1]
@@ -133,7 +129,11 @@ def parse_grid(text: str) -> list[float]:
         values = lo + np.arange(int((hi - lo) / step) + 2.0) * step
     keep = values < hi + step / 2.0
     keep[0] = True
-    return values[keep].tolist()
+    values = values[keep]
+    # A step below the float spacing near the bounds rounds points together.
+    if not (values[1:] > values[:-1]).all():
+        raise DomainError(f"grid {text!r} repeats points: its step is below the float spacing")
+    return values.tolist()
 
 
 def _parse_scalar(name: str, text: str) -> float:
@@ -154,7 +154,7 @@ def resolve_tol(args) -> float:
             return float(env)
         except ValueError:
             raise DomainError(f"BOHR_TOL must be a number, got {env!r}") from None
-    return DEFAULT_TOL
+    return SolverConfig.tol  # the field's default
 
 
 def _make_config(args) -> SolverConfig:
@@ -227,6 +227,7 @@ def compute_records(tag: str, scalars: dict, name: str, values: list[float], cfg
     return first.params(), lanes
 
 
+# compute_record is not called here; perfbench/test_perfbench.py reads it.
 def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> OutputRecord:
     """Solve one parameter point for any class tag: the one-point ``compute_records``."""
     name = _EXPECTED_PARAMS[tag][-1]
@@ -241,20 +242,16 @@ def compute_record(tag: str, params: dict, cfg: SolverConfig, tol: float) -> Out
 
 
 def cmd_radius(args) -> int:
+    """``radius``: the one-point ``scan`` of its swept parameter."""
     tag = args.class_tag
     cfg = _make_config(args)
     raw = _gather_params(args, tag)
-    params = {
+    scalars = {
         name: (value if name == "k" else _parse_scalar(name, value))
         for name, value in raw.items()
     }
-    record = compute_record(tag, params, cfg, cfg.tol)
-    if args.format == "csv":
-        print(CSV_HEADER)
-        print(record.to_csv_row())
-    else:
-        print(record.to_json())
-    return 0
+    name = _EXPECTED_PARAMS[tag][-1]
+    return _write_records(args, tag, cfg, scalars, name, [scalars.pop(name)])
 
 
 def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
@@ -290,13 +287,20 @@ def _sweep_values(args, tag: str) -> tuple[dict, str, list[float]]:
 
 
 def cmd_scan(args) -> int:
-    """``scan`` and ``table``: rows formatted straight from the solver's
-    lane arrays, through one % template per scan that holds the lane
-    record's one method, and written to stdout in batches of _ROW_BATCH
-    rows, one string and one write each."""
+    """``scan`` and ``table``: the records of one swept grid."""
     tag = args.class_tag
     cfg = _make_config(args)
-    scalars, name, values = _sweep_values(args, tag)
+    return _write_records(args, tag, cfg, *_sweep_values(args, tag))
+
+
+def _write_records(
+    args, tag: str, cfg: SolverConfig, scalars: dict, name: str, values: list[float]
+) -> int:
+    """Solve ``name`` over ``values`` and print a record per value in
+    ``args.format``: rows formatted straight from the solver's lane arrays,
+    through one % template per scan that holds the lane record's one
+    method, and written to stdout in batches of _ROW_BATCH rows, one string
+    and one write each."""
     params, lanes = compute_records(tag, scalars, name, values, cfg)
     method = lanes.method.value
     columns = np.asarray(values), lanes.radius, lanes.residual, lanes.d_star.value
@@ -360,13 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params: bool = True):
-        if with_params:
-            p.add_argument("--class", dest="class_tag", required=True, choices=CLASS_TAGS)
-            p.add_argument("--alpha", help="family parameter (or lo:hi:step for sweeps)")
-            p.add_argument("--beta", help="family parameter (or lo:hi:step for sweeps)")
-            p.add_argument("--m", help="family parameter (or lo:hi:step for sweeps)")
-            p.add_argument("--k", type=int, help="gap length (integer >= 1)")
+    def add_common(p):
+        p.add_argument("--class", dest="class_tag", required=True, choices=CLASS_TAGS)
+        p.add_argument("--alpha", help="family parameter (or lo:hi:step for sweeps)")
+        p.add_argument("--beta", help="family parameter (or lo:hi:step for sweeps)")
+        p.add_argument("--m", help="family parameter (or lo:hi:step for sweeps)")
+        p.add_argument("--k", type=int, help="gap length (integer >= 1)")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-12 or BOHR_TOL)")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
 

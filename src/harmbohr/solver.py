@@ -338,15 +338,32 @@ def _solve_lanes(spec: ClassSpec, cfg: SolverConfig):
     return RadiusResult(radius, residual, lo, hi, steps, method, d_star), errors
 
 
+def _by_family(specs: list[ClassSpec], evaluate) -> list:
+    """For each spec, its value from ``evaluate(lanes, idx)``, which gives
+    one value per spec of a ``lane_groups`` group ``idx`` from ``lanes``,
+    the group's specs stacked into one lane spec.  A group whose
+    evaluation raises HarmBohrError gets that error in place of each of its
+    values, and the other groups are unaffected."""
+    found: list = [None] * len(specs)
+    for idx in lane_groups(specs):
+        try:
+            values = evaluate(stack_lanes(specs[i] for i in idx), idx)
+        except HarmBohrError as exc:
+            values = [exc] * len(idx)
+        for i, value in zip(idx, values):
+            found[i] = value
+    return found
+
+
 def _solve_each(specs: list[ClassSpec], cfg: SolverConfig) -> list:
     """For each spec, its RadiusResult or the ConvergenceError its lane
     raises, from one ``_solve_lanes`` pass per ``lane_groups`` group."""
-    found: list = [None] * len(specs)
-    for idx in lane_groups(specs):
-        lanes, errors = _solve_lanes(stack_lanes(specs[i] for i in idx), cfg)
-        for j, (i, result) in enumerate(zip(idx, _split_lanes(lanes))):
-            found[i] = errors.get(j, result)
-    return found
+
+    def solve(spec, _):
+        lanes, errors = _solve_lanes(spec, cfg)
+        return [errors.get(j, result) for j, result in enumerate(_split_lanes(lanes))]
+
+    return _by_family(specs, solve)
 
 
 def _raise_first(found: list) -> list:

@@ -15,17 +15,17 @@ specs in one lane pass per family and config; then it makes one
 ``bohr_sum`` and one ``growth_envelope`` call per family over every grid
 a check asks for, whatever the specs' k: 18 engine calls for the full
 suite, the specs of a family stacked into one lane spec (``stack_lanes``,
-``lane_groups``) unless a spec is alone in it.  A grid may come from a
-spec's radius or from its d*, so each stage reads the one before.  Each
-check is handed, in order, the ``RadiusResult`` of each spec it solves,
-the d* of each spec it reads and its engine's value over each of its
-grids.  A check with a spec that fails to solve asks for nothing and
-fails with that spec's error; an engine call that raises fails exactly
-the checks with lanes in it, with that error.  Each lane comes out bit
-for bit as its own call would, so batching changes no verdict or detail.
-The time of all three stages is ``SuiteReport.shared_seconds``, and a
-check's own ``seconds`` time its predicate alone.  Circle values come from
-one ``abs_on_circle`` call per spec and radius.
+``lane_groups``).  A grid may come from a spec's radius or from its d*,
+so each stage reads the one before.  Each check is handed, in order, the
+``RadiusResult`` of each spec it solves, the d* of each spec it reads and
+its engine's value over each of its grids.  A check with a spec that
+fails to solve asks for nothing and fails with that spec's error; an
+engine call that raises fails exactly the checks with lanes in it, with
+that error.  Each lane comes out bit for bit as its own call would, so
+batching changes no verdict or detail.  The time of all three stages is
+``SuiteReport.shared_seconds``, and a check's own ``seconds`` time its
+predicate alone.  Circle values come from one ``abs_on_circle`` call per
+spec and radius.
 
 Each family's d* - 1, an alternating sum with a Boole tail or a closed
 form, is checked against a direct sum of 2^14 of its terms closed by an
@@ -55,10 +55,8 @@ from .classes import (
     gh_k_alpha,
     growth_envelope,
     gt_beta,
-    lane_groups,
     ph_alpha,
     ph_m,
-    stack_lanes,
     start_index,
     take_lanes,
     tb_m,
@@ -70,6 +68,7 @@ from .series import CoefficientRule, SeriesValue
 from .solver import (
     RadiusResult,
     SolverConfig,
+    _by_family,
     _raise_first,
     _solve_each,
     closed_form_radius,
@@ -259,30 +258,12 @@ def _sharpness_report(
     )
 
 
-def _by_family(specs: list[ClassSpec], evaluate: Callable) -> list:
-    """For each spec, its value from ``evaluate(idx)``, which gives one
-    value per spec of a ``lane_groups`` group ``idx``.  A group whose
-    evaluation raises HarmBohrError gets that error in place of each of its
-    values, and the other groups are unaffected."""
-    found: list = [None] * len(specs)
-    for idx in lane_groups(specs):
-        try:
-            values = evaluate(idx)
-        except HarmBohrError as exc:
-            values = [exc] * len(idx)
-        for i, value in zip(idx, values):
-            found[i] = value
-    return found
-
-
 def _d_stars(specs: list[ClassSpec]) -> list:
     """d* of each spec as floats, from one ``distance_bound`` call per
-    family; a spec alone in its family is evaluated as it is."""
+    family."""
 
-    def family(idx):
-        if len(idx) == 1:
-            return [distance_bound(specs[idx[0]])]
-        d = distance_bound(stack_lanes(specs[i] for i in idx))
+    def family(lanes, _):
+        d = distance_bound(lanes)
         return list(map(SeriesValue, d.value.tolist(), d.error_bound.tolist()))
 
     return _by_family(specs, family)
@@ -290,16 +271,13 @@ def _d_stars(specs: list[ClassSpec]) -> list:
 
 def _on_grids(engine: Callable, specs: list[ClassSpec], grids: list[np.ndarray]) -> list:
     """``engine(spec, grids[i])`` for each spec i, ``engine`` being
-    ``bohr_sum`` or ``growth_envelope``, from one call per family.  A spec
-    alone in its family is evaluated as it is, over its grid; a larger
-    family's lanes repeat each spec across its grid (picked by index, not
-    stacked spec by spec), and each spec gets its part of every field."""
+    ``bohr_sum`` or ``growth_envelope``, from one call per family.  Its
+    lanes repeat each spec of the family across its grid (picked by index,
+    not stacked spec by spec), and each spec gets its part of every field."""
 
-    def family(idx):
-        if len(idx) == 1:
-            return [engine(specs[idx[0]], grids[idx[0]])]
+    def family(lanes, idx):
         sizes = [grids[i].size for i in idx]
-        each = take_lanes(stack_lanes(specs[i] for i in idx), np.repeat(np.arange(len(idx)), sizes))
+        each = take_lanes(lanes, np.repeat(np.arange(len(idx)), sizes))
         out = engine(each, np.concatenate([grids[i] for i in idx]))
         cuts = np.cumsum(sizes)[:-1]
         return [

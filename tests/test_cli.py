@@ -20,7 +20,7 @@ import pytest
 
 import harmbohr
 from harmbohr import cli
-from harmbohr.cli import CSV_HEADER, OutputRecord, main, parse_grid
+from harmbohr.cli import CSV_HEADER, main, parse_grid
 from harmbohr.errors import DomainError
 
 
@@ -47,6 +47,15 @@ class TestParseGrid:
     def test_a_step_below_an_ulp_keeps_lo(self, text, lo):
         # hi + step/2 rounds to hi here, and lo = hi is still the grid.
         assert parse_grid(text) == [lo]
+
+    def test_a_step_below_the_float_spacing_is_rejected(self, capsys):
+        # Points 8 apart round onto floats 16 apart: some would repeat.
+        text = "99999999999999936:1e17:8"
+        with pytest.raises(DomainError, match=text):
+            parse_grid(text)
+        rc, out, err = run_cli(capsys, "scan", "--class", "gh-k-alpha", "--k", "1", "--alpha", text)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: grid {text!r} repeats points")
 
     def test_bad_shapes_rejected(self):
         for text in (
@@ -92,10 +101,8 @@ class TestRadiusCommand:
     def test_json_round_trips_bit_identically(self, capsys):
         rc, out, _ = run_cli(capsys, "radius", "--class", "wh-alpha", "--alpha", "0.5")
         line = out.strip()
-        # The JSON keys come in the order of OutputRecord's fields.
-        record = OutputRecord(*json.loads(line).values())
-        assert record.to_json() == line
-        assert record.radius == json.loads(line)["radius"]
+        assert tuple(json.loads(line)) == cli._JSON_KEYS
+        assert json.dumps(json.loads(line)) == line
 
     def test_csv_record(self, capsys):
         rc, out, _ = run_cli(
@@ -155,6 +162,55 @@ class TestRadiusCommand:
         )
         assert (rc, err) == (0, "")
         assert json.loads(out)["radius"] == 0.999999999999998
+
+
+class TestRadiusIsAOnePointScan:
+    """``radius`` prints what ``scan`` prints over the one-point grid v:v:1
+    of the same swept parameter, through the same writer."""
+
+    SOLVED = [
+        ("ph-alpha", ["--alpha", "0.5"]),
+        ("gt-beta", ["--beta", "0.31"]),
+        ("gt-beta", ["--beta", "0"]),
+        ("wh-alpha", ["--alpha", "0.5"]),
+        ("gh-k-alpha", ["--k", "1", "--alpha", "0.5"]),
+        ("gh-k-alpha", ["--k", "3", "--alpha", "1"]),
+        ("tb-m", ["--m", "1"]),
+        ("ph-m", ["--m", "0.7"]),
+        ("tb-m-jacobian", ["--m", "0.2"]),
+    ]
+    # One Newton step leaves wh-alpha's bracket open (exit 3); m = 2 lies
+    # outside tb-m's domain (exit 2).
+    FAILING = [("wh-alpha", ["--alpha", "0.5", "--max-iter", "1"], 3), ("tb-m", ["--m", "2"], 2)]
+
+    def test_every_tag_is_covered(self):
+        assert {tag for tag, _ in self.SOLVED} == set(cli.CLASS_TAGS)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("tag,argv,code", [(*case, 0) for case in SOLVED] + FAILING)
+    def test_radius_prints_the_one_point_scan(self, capsys, tag, argv, code, fmt):
+        radius = run_cli(capsys, "radius", "--class", tag, *argv, "--format", fmt)
+        at = argv.index(f"--{cli._EXPECTED_PARAMS[tag][-1]}") + 1
+        one_point = [*argv[:at], f"{argv[at]}:{argv[at]}:1", *argv[at + 1 :]]
+        assert radius == run_cli(capsys, "scan", "--class", tag, *one_point, "--format", fmt)
+        rc, out, err = radius
+        assert rc == code
+        if code:
+            assert out == "" and err
+        else:
+            assert err == ""
+            assert len(out.splitlines()) == (2 if fmt == "csv" else 1)
+
+    def test_radius_builds_no_output_record(self, capsys, monkeypatch):
+        def gone(*args, **kwargs):
+            raise AssertionError("radius went around the scan writer")
+
+        monkeypatch.setattr(cli, "compute_record", gone)
+        monkeypatch.setattr(cli, "_split_lanes", gone)
+        for tag, argv in self.SOLVED:
+            rc, out, err = run_cli(capsys, "radius", "--class", tag, *argv)
+            assert (rc, err) == (0, "")
+            assert json.loads(out)["class"] == tag
 
 
 class TestExitCodes:

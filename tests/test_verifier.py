@@ -50,6 +50,11 @@ from harmbohr.verifier import (
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _bits(value):
+    """The bytes of every field of a result of floats or float arrays."""
+    return [np.asarray(getattr(value, f.name), np.float64).tobytes() for f in dataclasses.fields(value)]
+
+
 @pytest.fixture(scope="module")
 def full_suite():
     """(name, passed, detail) of every check of one full suite, in order."""
@@ -248,28 +253,20 @@ class TestBohrScan:
     def test_grouped_lanes_equal_one_spec_calls(self, family):
         # Three specs with grids of different sizes, in one group; the
         # gh-k-alpha specs differ in k, so their lane spec has a k column.
-        specs = [STANDARD_GRIDS[Family(family)][i] for i in (0, -1, 1)]
-        grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.9, 7), (0.3, 2))]
-        got = zip(_on_grids(bohr_sum, specs, grids), _d_stars(specs))
-        for spec, rs, (b, d) in zip(specs, grids, got):
-            assert b == bohr_sum(spec, rs)
-            assert d == distance_bound(spec)
-
-    def test_a_spec_alone_in_its_group_is_evaluated_as_it_is(self):
-        # Specs of three families: each is its own group, and B is summed
-        # on the spec itself over its own grid.
-        calls = []
-
-        def recorded(spec, r):
-            calls.append((spec, r))
-            return bohr_sum(spec, r)
-
-        specs = [gh_k_alpha(1, 0.5), wh_alpha(1.0), ph_m(0.5)]
-        grids = [np.linspace(0.0, 0.95, n) for n in (100, 7, 2)]
-        _on_grids(recorded, specs, grids)
-        assert len(calls) == 3
-        for (spec, r), want, grid in zip(calls, specs, grids):
-            assert spec is want and r is grid
+        # A spec of the next family, put between them, is a group of its
+        # own: one lane.
+        families = list(Family)
+        group = STANDARD_GRIDS[Family(family)]
+        lone = STANDARD_GRIDS[families[(families.index(Family(family)) + 1) % len(families)]][2]
+        specs = [group[0], lone, group[-1], group[1]]
+        grids = [np.linspace(0.0, r_max, n) for r_max, n in ((0.5, 40), (0.7, 5), (0.9, 7), (0.3, 2))]
+        got = zip(
+            _on_grids(bohr_sum, specs, grids), _on_grids(growth_envelope, specs, grids), _d_stars(specs)
+        )
+        for spec, rs, (b, env, d) in zip(specs, grids, got):
+            assert _bits(b) == _bits(bohr_sum(spec, rs))
+            assert _bits(env) == _bits(growth_envelope(spec, rs))
+            assert _bits(d) == _bits(distance_bound(spec))
 
     def test_one_lane_call_per_family(self, monkeypatch):
         from harmbohr import verifier
